@@ -12,8 +12,11 @@
 // digests. Any mismatch exits non-zero.
 //
 // Results go to BENCH_scale.json: per-op rows/sec at each scale on both
-// width axes, the narrow-over-u32 leakage-scan speedups, and the
-// "width_parity" / "thread_parity" gates CI greps for. Setting
+// width axes, the narrow-over-u32 leakage-scan speedups, the
+// "width_parity" / "thread_parity" gates CI greps for, and
+// encode_rows_per_s_ratio_200k_over_1m — narrow encode throughput at 200k
+// over that at 1M, which CI holds at <= 1.5 so an encode that scales
+// superlinearly in the row count fails the build. Setting
 // METALEAK_SCALE_SMOKE=1 cuts the round counts for CI smoke runs without
 // changing the row counts or the gates.
 //
@@ -220,6 +223,8 @@ int Main() {
   double scan_speedup_200k = 0.0;
   double scan_speedup_500k = 0.0;
   double scan_speedup_1m = 0.0;
+  double encode_rows_per_sec_200k = 0.0;
+  double encode_rows_per_sec_1m = 0.0;
 
   std::vector<BenchRecord> est_records;
   bool estimator_parity_ok = true;
@@ -310,6 +315,10 @@ int Main() {
 
     std::printf("scale: %zu rows x %zu attrs\n", rows, m);
     auto narrow = run_axis("narrow");
+    const double encode_rows_per_sec =
+        static_cast<double>(rows) / (narrow.pipeline.encode_ms / 1000.0);
+    if (rows == 200000) encode_rows_per_sec_200k = encode_rows_per_sec;
+    if (rows == 1000000) encode_rows_per_sec_1m = encode_rows_per_sec;
     SetCodeWidthFloorOverride(CodeWidth::kU32);
     auto wide = run_axis("u32");
     ClearCodeWidthFloorOverride();
@@ -571,6 +580,9 @@ int Main() {
     }
   }
 
+  char encode_ratio[32];
+  std::snprintf(encode_ratio, sizeof(encode_ratio), "%.2f",
+                encode_rows_per_sec_200k / encode_rows_per_sec_1m);
   std::ofstream json("BENCH_scale.json");
   json << "{\n  " << BenchMetadataJson()
        << ",\n  \"width_parity\": \""
@@ -580,6 +592,7 @@ int Main() {
        << "\",\n  \"narrow_leakage_scan_speedup_200k\": " << scan_speedup_200k
        << ",\n  \"narrow_leakage_scan_speedup_500k\": " << scan_speedup_500k
        << ",\n  \"narrow_leakage_scan_speedup_1m\": " << scan_speedup_1m
+       << ",\n  \"encode_rows_per_s_ratio_200k_over_1m\": " << encode_ratio
        << ",\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
@@ -591,8 +604,8 @@ int Main() {
   json << "  ]\n}\n";
   std::printf(
       "wrote BENCH_scale.json (%zu records, narrow scan speedup 500k "
-      "%.2fx, 1M %.2fx)\n",
-      records.size(), scan_speedup_500k, scan_speedup_1m);
+      "%.2fx, 1M %.2fx, encode rows/s 200k over 1M %s)\n",
+      records.size(), scan_speedup_500k, scan_speedup_1m, encode_ratio);
 
   // Histogram-estimator floor: the info-theoretic pass must stay within
   // an order of magnitude of the fused scan — a hash-map fallback on the

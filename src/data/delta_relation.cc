@@ -87,6 +87,7 @@ Result<BatchEffects> DeltaRelation::ApplyBatch(const RowBatch& batch) {
         return Status::Invalid("insert value type mismatch in attribute '" +
                                schema_.attribute(c).name + "'");
       }
+      METALEAK_RETURN_NOT_OK(CheckNotNaN(row[c], schema_.attribute(c)));
     }
   }
 

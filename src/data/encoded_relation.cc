@@ -1,7 +1,11 @@
 #include "data/encoded_relation.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -13,6 +17,164 @@ namespace {
 inline uint64_t MixInto(uint64_t h, uint64_t x) {
   h ^= x + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
   return h;
+}
+
+// splitmix64 finalizer: spreads clustered keys over the high half of the
+// hash, which picks the dedup bucket.
+inline uint64_t MixKey(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+// Raw per-type keys, so the dedup and sort loops never touch a boxed
+// Value. Within one uniformly typed, NaN-free column, key equality (==)
+// is Value equality and the key's native order (<) is Value order. A key
+// keeps the bits of the value's first occurrence, which becomes the
+// dictionary's representative.
+struct IntKeys {
+  using Key = int64_t;
+  static Key Extract(const Value& v) { return v.AsInt(); }
+  static uint64_t Hash(Key k) { return MixKey(static_cast<uint64_t>(k)); }
+  static Value ToValue(Key k) { return Value::Int(k); }
+};
+
+struct DoubleKeys {
+  using Key = double;
+  static Key Extract(const Value& v) {
+    const double x = v.AsDouble();
+    METALEAK_DCHECK(x == x);  // NaN is rejected at the relation boundary
+    return x;
+  }
+  // -0.0 == +0.0, so both hash as +0.0.
+  static uint64_t Hash(Key k) {
+    return MixKey(std::bit_cast<uint64_t>(k == 0.0 ? 0.0 : k));
+  }
+  static Value ToValue(Key k) { return Value::Real(k); }
+};
+
+struct StringKeys {
+  using Key = std::string_view;
+  static Key Extract(const Value& v) { return v.AsString(); }
+  static uint64_t Hash(Key k) {
+    return MixKey(std::hash<std::string_view>{}(k));
+  }
+  static Value ToValue(Key k) { return Value::Str(std::string(k)); }
+};
+
+// Dictionary-encodes one column in O(n + D log D):
+//   1. dedup: one pass hashes each row's raw key into a first-seen slot
+//      (slot 0 is NULL, distinct keys take slots 1..D);
+//   2. sort: only the D distinct keys, by their native order;
+//   3. remap: rank[slot] is the key's code 1..D (rank[0] = NULL code);
+//   4. emit: a second linear pass writes rank[slot_of_row[r]], after
+//      which the dictionary is built from the sorted keys.
+// All scratch dies with the call.
+template <typename Keys>
+void EncodeColumn(const std::vector<Value>& column, ColumnDictionary* dict,
+                  CodeColumn* codes) {
+  using Key = typename Keys::Key;
+  const size_t n = column.size();
+
+  std::vector<uint32_t> slot_of_row(n);
+  std::vector<Key> keys(1);              // keys[slot]; keys[0] unused
+  std::vector<uint32_t> slot_counts(1);  // slot_counts[0] = NULL count
+  // Open addressing with linear probing at load <= 1/2. A bucket holds a
+  // slot (0 = empty) and the high half of its key's hash. The home bucket
+  // is the tag's top `bits` bits, so growing re-places buckets from their
+  // tags alone, in one streaming pass, and a tag mismatch skips `keys`.
+  struct Bucket {
+    uint32_t slot;
+    uint32_t tag;
+  };
+  int bits = 4;
+  std::vector<Bucket> table(size_t{1} << bits, Bucket{0, 0});
+  size_t mask = table.size() - 1;
+  auto home = [&bits](uint32_t tag) -> size_t { return tag >> (32 - bits); };
+  for (size_t r = 0; r < n; ++r) {
+    const Value& v = column[r];
+    uint32_t slot = 0;
+    if (!v.is_null()) {
+      const Key key = Keys::Extract(v);
+      const uint32_t tag = static_cast<uint32_t>(Keys::Hash(key) >> 32);
+      size_t i = home(tag);
+      while (table[i].slot != 0 &&
+             (table[i].tag != tag || keys[table[i].slot] != key)) {
+        i = (i + 1) & mask;
+      }
+      slot = table[i].slot;
+      if (slot == 0) {
+        slot = static_cast<uint32_t>(keys.size());
+        keys.push_back(key);
+        slot_counts.push_back(0);
+        table[i] = Bucket{slot, tag};
+        if (2 * keys.size() > table.size()) {
+          METALEAK_DCHECK(bits < 32);
+          ++bits;
+          std::vector<Bucket> grown(size_t{1} << bits, Bucket{0, 0});
+          mask = grown.size() - 1;
+          for (const Bucket& b : table) {
+            if (b.slot == 0) continue;
+            size_t j = home(b.tag);
+            while (grown[j].slot != 0) j = (j + 1) & mask;
+            grown[j] = b;
+          }
+          table.swap(grown);
+        }
+      }
+    }
+    slot_of_row[r] = slot;
+    ++slot_counts[slot];
+  }
+  std::vector<Bucket>().swap(table);
+
+  struct Distinct {
+    Key key;
+    uint32_t slot;
+    uint32_t count;
+  };
+  const size_t d = keys.size() - 1;
+  const size_t null_count = slot_counts[0];
+  std::vector<Distinct> sorted;
+  sorted.reserve(d);
+  for (uint32_t s = 1; s <= d; ++s) {
+    sorted.push_back(Distinct{keys[s], s, slot_counts[s]});
+  }
+  std::vector<Key>().swap(keys);
+  std::vector<uint32_t>().swap(slot_counts);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Distinct& a, const Distinct& b) { return a.key < b.key; });
+
+  std::vector<uint32_t> rank(d + 1, ColumnDictionary::kNullCode);
+  for (size_t i = 0; i < d; ++i) {
+    rank[sorted[i].slot] = static_cast<uint32_t>(i + 1);
+  }
+  codes->Reset(CodeWidthForNumCodes(d + 1));
+  codes->resize(n);
+  codes->WithMutable([&](auto* out) {
+    using Code = std::remove_pointer_t<decltype(out)>;
+    for (size_t r = 0; r < n; ++r) {
+      out[r] = static_cast<Code>(rank[slot_of_row[r]]);
+    }
+  });
+  // The per-row scratch goes before the dictionary's Values are built.
+  std::vector<uint32_t>().swap(slot_of_row);
+  std::vector<uint32_t>().swap(rank);
+
+  std::vector<Value> values;
+  std::vector<size_t> counts;
+  values.reserve(d + 1);
+  counts.reserve(d + 1);
+  values.push_back(Value::Null());  // reserved code 0
+  counts.push_back(null_count);
+  for (const Distinct& e : sorted) {
+    values.push_back(Keys::ToValue(e.key));
+    counts.push_back(e.count);
+  }
+  *dict = ColumnDictionary::FromSortedParts(std::move(values),
+                                            std::move(counts));
 }
 
 }  // namespace
@@ -78,42 +240,21 @@ EncodedRelation EncodedRelation::Encode(const Relation& relation) {
   out.columns_.resize(m);
   out.dicts_.resize(m);
 
+  // Relation::Make / AppendRow guarantee uniformly typed columns, so one
+  // dispatch on the attribute type picks the raw key for every row.
   for (size_t c = 0; c < m; ++c) {
     const std::vector<Value>& column = relation.column(c);
-    ColumnDictionary& dict = out.dicts_[c];
-
-    // Sorted distinct non-null values; Value's total order is strict
-    // within a uniformly typed column, so codes are order-preserving.
-    std::vector<Value> distinct;
-    distinct.reserve(column.size());
-    for (const Value& v : column) {
-      if (!v.is_null()) distinct.push_back(v);
+    switch (out.schema_.attribute(c).type) {
+      case DataType::kInt64:
+        EncodeColumn<IntKeys>(column, &out.dicts_[c], &out.columns_[c]);
+        break;
+      case DataType::kDouble:
+        EncodeColumn<DoubleKeys>(column, &out.dicts_[c], &out.columns_[c]);
+        break;
+      case DataType::kString:
+        EncodeColumn<StringKeys>(column, &out.dicts_[c], &out.columns_[c]);
+        break;
     }
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-
-    dict.values_.reserve(distinct.size() + 1);
-    dict.values_.push_back(Value::Null());  // reserved code 0
-    for (Value& v : distinct) dict.values_.push_back(std::move(v));
-    dict.counts_.assign(dict.values_.size(), 0);
-
-    CodeColumn& codes = out.columns_[c];
-    codes.Reset(CodeWidthForNumCodes(dict.values_.size()));
-    codes.reserve(column.size());
-    const auto begin = dict.values_.begin() + 1;
-    const auto end = dict.values_.end();
-    for (const Value& v : column) {
-      uint32_t code = ColumnDictionary::kNullCode;
-      if (!v.is_null()) {
-        auto it = std::lower_bound(begin, end, v);
-        METALEAK_DCHECK(it != end && *it == v);
-        code = static_cast<uint32_t>(it - dict.values_.begin());
-      }
-      codes.push_back(code);
-      ++dict.counts_[code];
-    }
-    dict.null_count_ = dict.counts_[ColumnDictionary::kNullCode];
   }
   out.fingerprint_ = out.ComputeFingerprint();
   out.InitU32Cache();

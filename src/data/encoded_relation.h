@@ -100,10 +100,13 @@ class ColumnDictionary {
   size_t null_count_ = 0;
 };
 
-/// The dictionary-encoded relation. Construction (`Encode`) is O(N log D)
-/// per column; afterwards every consumer works on dense codes. The source
-/// relation must outlive the encoding (the encoding keeps a non-owning
-/// pointer for consumers that still need raw values, e.g. CFD discovery).
+/// The dictionary-encoded relation. Construction (`Encode`) is
+/// O(n + D log D) per column for n rows and D distinct values: a typed
+/// hash-dedup pass, a sort of the D distinct values only, and a linear
+/// code-emit pass. Afterwards every consumer works on dense codes. The
+/// source relation must outlive the encoding (the encoding keeps a
+/// non-owning pointer for consumers that still need raw values, e.g. CFD
+/// discovery).
 class EncodedRelation {
  public:
   EncodedRelation() = default;

@@ -1,5 +1,6 @@
 #include "data/relation.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/macros.h"
@@ -18,6 +19,13 @@ bool ValueMatchesType(const Value& value, DataType type) {
       return value.is_string();
   }
   return false;
+}
+
+Status CheckNotNaN(const Value& value, const Attribute& attr) {
+  if (!value.is_double() || !std::isnan(value.AsDouble())) {
+    return Status::OK();
+  }
+  return Status::Invalid("NaN value in attribute '" + attr.name + "'");
 }
 
 Result<Relation> Relation::Make(Schema schema,
@@ -42,6 +50,7 @@ Result<Relation> Relation::Make(Schema schema,
                                  "' does not match type of attribute '" +
                                  schema.attribute(c).name + "'");
       }
+      METALEAK_RETURN_NOT_OK(CheckNotNaN(v, schema.attribute(c)));
     }
   }
   return Relation(std::move(schema), std::move(columns));
@@ -96,6 +105,7 @@ Status Relation::AppendRow(std::vector<Value> row) {
                                "' does not match type of attribute '" +
                                schema_.attribute(c).name + "'");
     }
+    METALEAK_RETURN_NOT_OK(CheckNotNaN(row[c], schema_.attribute(c)));
   }
   for (size_t c = 0; c < row.size(); ++c) {
     columns_[c].push_back(std::move(row[c]));

@@ -22,7 +22,8 @@ class Relation {
   Relation() = default;
 
   /// Builds a relation from columnar data. Fails if column count mismatches
-  /// the schema or columns have ragged lengths.
+  /// the schema, columns have ragged lengths, a value mismatches its
+  /// attribute's type, or a double is NaN.
   static Result<Relation> Make(Schema schema,
                                std::vector<std::vector<Value>> columns);
 
@@ -53,8 +54,8 @@ class Relation {
   /// Relation restricted to the given row indices, in that order.
   Relation SelectRows(const std::vector<size_t>& rows) const;
 
-  /// Appends a row; fails on arity or (strict) type mismatch. Null values
-  /// are accepted in any column.
+  /// Appends a row; fails on arity or (strict) type mismatch, or a NaN
+  /// double. Null values are accepted in any column.
   Status AppendRow(std::vector<Value> row);
 
   /// Renders the first `max_rows` rows as an aligned text table.
@@ -103,6 +104,12 @@ class RelationBuilder {
 /// Checks that `value` is storable in an attribute of `type` (nulls always
 /// are). Int values are NOT accepted in double columns; loaders coerce.
 bool ValueMatchesType(const Value& value, DataType type);
+
+/// Status::Invalid naming `attr` when `value` is a NaN double. NaN breaks
+/// Value's total order (and with it dictionary encoding), so Make,
+/// AppendRow, RelationBuilder::Finish and DeltaRelation::ApplyBatch all
+/// reject it.
+Status CheckNotNaN(const Value& value, const Attribute& attr);
 
 }  // namespace metaleak
 

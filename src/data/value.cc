@@ -31,6 +31,9 @@ bool operator<(const Value& a, const Value& b) {
   if (ra != rb) return ra < rb;
   if (ra == 0) return false;  // null == null
   if (ra == 1) {
+    // Two ints compare natively: through double, distinct ints above 2^53
+    // would tie while operator== tells them apart.
+    if (a.is_int() && b.is_int()) return a.AsInt() < b.AsInt();
     double da = a.AsNumeric();
     double db = b.AsNumeric();
     if (da != db) return da < db;

@@ -59,8 +59,9 @@ class Value {
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
   /// Total order used for sorting / order-dependency checks: null first,
-  /// then by numeric value (ints and doubles interleaved), then strings
-  /// lexicographically.
+  /// then by numeric value (ints and doubles interleaved; two ints compare
+  /// exactly as int64), then strings lexicographically. -0.0 and +0.0 are
+  /// equivalent, as under operator==.
   friend bool operator<(const Value& a, const Value& b);
 
   /// Hash compatible with operator==.

@@ -16,10 +16,10 @@ Result<SessionId> AuditService::Register(const Relation& relation) {
   if (relation.num_rows() == 0 || relation.num_columns() == 0) {
     return Status::Invalid("cannot register an empty relation");
   }
-  // Encode against the caller's relation just to key the cache; the
-  // snapshot (on a miss) re-encodes its own copy of the rows.
-  const uint64_t fingerprint =
-      EncodedRelation::Encode(relation).Fingerprint();
+  // Encode once: the fingerprint keys the cache, and on a miss the
+  // snapshot takes the encoding over for its own copy of the rows.
+  EncodedRelation encoded = EncodedRelation::Encode(relation);
+  const uint64_t fingerprint = encoded.Fingerprint();
 
   std::shared_ptr<CacheEntry> entry;
   bool inserted = false;
@@ -48,8 +48,9 @@ Result<SessionId> AuditService::Register(const Relation& relation) {
   auto memo = std::make_unique<DiscoveryMemo>();
   std::call_once(entry->once, [&] {
     Result<std::shared_ptr<const RelationSnapshot>> built =
-        RelationSnapshot::FromRelation(relation, options_.discovery,
-                                       options_.leakage, memo.get());
+        RelationSnapshot::FromRelation(relation, std::move(encoded),
+                                       options_.discovery, options_.leakage,
+                                       memo.get());
     if (built.ok()) {
       entry->snapshot = std::move(*built);
     } else {

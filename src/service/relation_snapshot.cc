@@ -9,13 +9,23 @@ RelationSnapshot::FromRelation(const Relation& relation,
                                const DiscoveryOptions& discovery,
                                const LeakageOptions& leakage,
                                DiscoveryMemo* memo) {
+  return FromRelation(relation, EncodedRelation::Encode(relation), discovery,
+                      leakage, memo);
+}
+
+Result<std::shared_ptr<const RelationSnapshot>>
+RelationSnapshot::FromRelation(const Relation& relation,
+                               EncodedRelation encoded,
+                               const DiscoveryOptions& discovery,
+                               const LeakageOptions& leakage,
+                               DiscoveryMemo* memo) {
   if (relation.num_rows() == 0 || relation.num_columns() == 0) {
     return Status::Invalid("cannot snapshot an empty relation");
   }
   auto snap = std::shared_ptr<RelationSnapshot>(new RelationSnapshot());
   snap->relation_ = std::make_unique<Relation>(relation);
-  snap->encoded_ = std::make_unique<EncodedRelation>(
-      EncodedRelation::Encode(*snap->relation_));
+  snap->encoded_ = std::make_unique<EncodedRelation>(std::move(encoded));
+  snap->encoded_->set_source(snap->relation_.get());
   snap->cache_ = std::make_unique<PliCache>(snap->encoded_.get());
   METALEAK_RETURN_NOT_OK(
       snap->Finish(discovery, leakage,

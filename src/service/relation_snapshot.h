@@ -38,6 +38,14 @@ class RelationSnapshot {
       const Relation& relation, const DiscoveryOptions& discovery,
       const LeakageOptions& leakage, DiscoveryMemo* memo);
 
+  /// FromRelation for callers that already hold `encoded`, which must be
+  /// EncodedRelation::Encode(relation): the snapshot takes it over and
+  /// re-points it at its own copy of the rows instead of encoding again.
+  static Result<std::shared_ptr<const RelationSnapshot>> FromRelation(
+      const Relation& relation, EncodedRelation encoded,
+      const DiscoveryOptions& discovery, const LeakageOptions& leakage,
+      DiscoveryMemo* memo);
+
   /// Builds a snapshot from a DeltaRelation publish: takes the canonical
   /// encoding, materializes (and owns) its decoded relation, seeds the
   /// partition cache with the incrementally maintained single-attribute

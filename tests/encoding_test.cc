@@ -6,12 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
+
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
+#include "data/csv_loader.h"
 #include "data/datasets/synthetic.h"
+#include "data/delta_relation.h"
 #include "data/domain.h"
 #include "data/encoded_relation.h"
 #include "data/relation.h"
@@ -23,6 +30,7 @@
 #include "partition/pli_cache.h"
 #include "partition/position_list_index.h"
 #include "privacy/identifiability.h"
+#include "reference/encode_reference.h"
 
 namespace metaleak {
 namespace {
@@ -327,6 +335,276 @@ TEST(PliCacheKeyTest, KeyedByFingerprintAndAttributeSet) {
   EXPECT_EQ(from_relation.fingerprint(), encoded.Fingerprint());
   EXPECT_EQ(Canonical(*from_relation.Get(AttributeSet::Of({0, 1}))),
             Canonical(*a));
+}
+
+// --- Encode vs the sort + lower_bound reference -----------------------------
+
+// Dictionaries, counts, widths, codes and fingerprint all agree.
+void ExpectIdenticalEncodings(const EncodedRelation& actual,
+                              const EncodedRelation& expected) {
+  ASSERT_EQ(actual.num_rows(), expected.num_rows());
+  ASSERT_EQ(actual.num_columns(), expected.num_columns());
+  for (size_t c = 0; c < actual.num_columns(); ++c) {
+    const ColumnDictionary& a = actual.dictionary(c);
+    const ColumnDictionary& b = expected.dictionary(c);
+    ASSERT_EQ(a.num_codes(), b.num_codes()) << "column " << c;
+    EXPECT_EQ(a.DistinctValues(), b.DistinctValues()) << "column " << c;
+    std::vector<size_t> counts_a;
+    std::vector<size_t> counts_b;
+    for (uint32_t code = 0; code < a.num_codes(); ++code) {
+      counts_a.push_back(a.count(code));
+      counts_b.push_back(b.count(code));
+    }
+    EXPECT_EQ(counts_a, counts_b) << "column " << c;
+    EXPECT_EQ(a.null_count(), b.null_count()) << "column " << c;
+    EXPECT_EQ(actual.column_width(c), expected.column_width(c))
+        << "column " << c;
+    EXPECT_TRUE(actual.column(c) == expected.column(c)) << "column " << c;
+  }
+  EXPECT_EQ(actual.Fingerprint(), expected.Fingerprint());
+}
+
+void ExpectMatchesReference(const Relation& relation) {
+  ExpectIdenticalEncodings(EncodedRelation::Encode(relation),
+                           reference::Encode(relation));
+}
+
+// Sets a code-width floor for one scope.
+class ScopedWidthFloor {
+ public:
+  explicit ScopedWidthFloor(CodeWidth floor) {
+    SetCodeWidthFloorOverride(floor);
+  }
+  ~ScopedWidthFloor() { ClearCodeWidthFloorOverride(); }
+};
+
+Schema OneOfEachType() {
+  return Schema({
+      {"i", DataType::kInt64, SemanticType::kCategorical},
+      {"d", DataType::kDouble, SemanticType::kContinuous},
+      {"s", DataType::kString, SemanticType::kCategorical},
+  });
+}
+
+// One int64, one double and one string column. Each column draws from a
+// pool of `pool` random values (so duplicates occur) that includes the
+// awkward cases: int64 extremes and ints above 2^53, signed zeros and
+// infinities, empty strings and bytes >= 0x80.
+Relation RandomTypedRelation(size_t rows, double null_rate, size_t pool,
+                             uint64_t seed) {
+  Rng rng(seed);
+  const int64_t k53 = int64_t{1} << 53;
+  std::vector<Value> ints = {Value::Int(std::numeric_limits<int64_t>::min()),
+                             Value::Int(std::numeric_limits<int64_t>::max()),
+                             Value::Int(k53), Value::Int(k53 + 1)};
+  std::vector<Value> doubles = {
+      Value::Real(-0.0), Value::Real(0.0),
+      Value::Real(std::numeric_limits<double>::infinity()),
+      Value::Real(-std::numeric_limits<double>::infinity()),
+      Value::Real(std::numeric_limits<double>::denorm_min())};
+  std::vector<Value> strings = {Value::Str(""), Value::Str("\xff"),
+                                Value::Str("a\x80")};
+  while (ints.size() < pool) {
+    ints.push_back(Value::Int(
+        rng.Bernoulli(0.5)
+            ? rng.UniformInt(std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max())
+            : rng.UniformInt(-50, 50)));
+  }
+  while (doubles.size() < pool) {
+    doubles.push_back(Value::Real(rng.Bernoulli(0.5)
+                                      ? rng.Normal(0.0, 1e6)
+                                      : std::round(rng.Normal(0.0, 8.0))));
+  }
+  while (strings.size() < pool) {
+    std::string s(rng.UniformIndex(6), ' ');
+    for (char& ch : s) ch = static_cast<char>(rng.UniformInt(0x20, 0xFF));
+    strings.push_back(Value::Str(std::move(s)));
+  }
+  std::vector<std::vector<Value>> columns(3);
+  const std::vector<Value>* pools[] = {&ints, &doubles, &strings};
+  for (size_t c = 0; c < 3; ++c) {
+    const std::vector<Value>& from = *pools[c];
+    const size_t span = std::min(pool, from.size());
+    columns[c].reserve(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      columns[c].push_back(rng.Bernoulli(null_rate)
+                               ? Value::Null()
+                               : from[rng.UniformIndex(span)]);
+    }
+  }
+  return std::move(Relation::Make(OneOfEachType(), std::move(columns)))
+      .ValueOrDie();
+}
+
+TEST(EncodeOracleTest, RandomTypedColumnsMatchReference) {
+  for (double null_rate : {0.0, 0.3, 1.0}) {
+    for (size_t pool : {1u, 7u, 300u, 5000u}) {
+      for (uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "null_rate " << null_rate
+                                        << " pool " << pool << " seed "
+                                        << seed);
+        ExpectMatchesReference(
+            RandomTypedRelation(3000, null_rate, pool, seed));
+      }
+    }
+  }
+}
+
+TEST(EncodeOracleTest, WidthBoundaryCardinalitiesMatchReferenceUnderFloors) {
+  Schema schema({{"i", DataType::kInt64, SemanticType::kCategorical},
+                 {"s", DataType::kString, SemanticType::kCategorical}});
+  // num_codes = distinct + 1 lands on 254/255/256 and 65534/65535/65536.
+  for (size_t distinct : {253u, 254u, 255u, 65533u, 65534u, 65535u}) {
+    Rng rng(distinct);
+    const size_t rows = distinct + 64;
+    std::vector<std::vector<Value>> columns(2);
+    for (size_t r = 0; r < rows; ++r) {
+      // Every value occurs at least once; the tail repeats some, and a
+      // few of its cells are NULL.
+      const size_t k = r < distinct ? r : rng.UniformIndex(distinct);
+      const bool null = r >= distinct && rng.Bernoulli(0.25);
+      columns[0].push_back(
+          null ? Value::Null()
+               : Value::Int(static_cast<int64_t>(k) * 7919 - 100000));
+      columns[1].push_back(null ? Value::Null()
+                                : Value::Str("v" + std::to_string(k)));
+    }
+    for (std::vector<Value>& column : columns) {
+      for (size_t r = rows - 1; r > 0; --r) {
+        std::swap(column[r], column[rng.UniformIndex(r + 1)]);
+      }
+    }
+    Relation rel =
+        std::move(Relation::Make(schema, std::move(columns))).ValueOrDie();
+    for (CodeWidth floor : {CodeWidth::kU8, CodeWidth::kU16, CodeWidth::kU32}) {
+      SCOPED_TRACE(testing::Message() << "distinct " << distinct
+                                      << " floor " << CodeWidthName(floor));
+      ScopedWidthFloor scoped(floor);
+      EncodedRelation encoded = EncodedRelation::Encode(rel);
+      for (size_t c = 0; c < rel.num_columns(); ++c) {
+        EXPECT_EQ(encoded.dictionary(c).num_distinct(), distinct);
+        EXPECT_EQ(encoded.column_width(c),
+                  std::max(floor, CodeWidthForNumCodes(distinct + 1)));
+      }
+      ExpectIdenticalEncodings(encoded, reference::Encode(rel));
+    }
+  }
+}
+
+TEST(EncodeOracleTest, DatasetsMatchReference) {
+  ExpectMatchesReference(datasets::Employee());
+  ExpectMatchesReference(datasets::Echocardiogram());
+  ExpectMatchesReference(
+      std::move(datasets::SyntheticZipfScale(200000, /*seed=*/21))
+          .ValueOrDie());
+}
+
+// --- Boundary values: int64 above 2^53, signed zeros, NaN -------------------
+
+TEST(EncodeBoundaryTest, Int64ExtremesGetDistinctOrderPreservingCodes) {
+  const int64_t k53 = int64_t{1} << 53;
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  EXPECT_TRUE(Value::Int(k53) < Value::Int(k53 + 1));
+  EXPECT_FALSE(Value::Int(k53 + 1) < Value::Int(k53));
+
+  const std::vector<int64_t> ints = {k53 + 1, kMax, k53, kMin, k53 + 1,
+                                     -k53 - 1, -k53, 0};
+  Schema schema({{"x", DataType::kInt64, SemanticType::kCategorical}});
+  std::vector<Value> column;
+  for (int64_t i : ints) column.push_back(Value::Int(i));
+  Relation rel =
+      std::move(Relation::Make(schema, {column})).ValueOrDie();
+  EncodedRelation encoded = EncodedRelation::Encode(rel);
+  EXPECT_EQ(encoded.dictionary(0).num_distinct(), 7u);
+  for (size_t r = 0; r < ints.size(); ++r) {
+    for (size_t s = 0; s < ints.size(); ++s) {
+      EXPECT_EQ(ints[r] < ints[s], encoded.code_at(r, 0) < encoded.code_at(s, 0));
+      EXPECT_EQ(ints[r] == ints[s],
+                encoded.code_at(r, 0) == encoded.code_at(s, 0));
+    }
+  }
+  Result<Relation> decoded = encoded.Decode();
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, rel);
+  ExpectIdenticalEncodings(encoded, reference::Encode(rel));
+
+  // Inserting the same values through the delta layer publishes exactly
+  // what a rebuild encodes.
+  Relation base = std::move(Relation::Make(schema, {{Value::Int(0),
+                                                     Value::Int(k53)}}))
+                      .ValueOrDie();
+  DeltaRelation delta(EncodedRelation::Encode(base));
+  RowBatch batch;
+  for (int64_t i : ints) batch.insert_rows.push_back({Value::Int(i)});
+  ASSERT_TRUE(delta.ApplyBatch(batch).ok());
+  PublishResult publish = delta.PublishCanonical();
+  for (const std::vector<Value>& row : batch.insert_rows) {
+    ASSERT_TRUE(base.AppendRow(row).ok());
+  }
+  ExpectIdenticalEncodings(publish.encoded, EncodedRelation::Encode(base));
+}
+
+TEST(EncodeBoundaryTest, SignedZerosShareOneCodeKeepingTheFirstOccurrence) {
+  Schema schema({{"d", DataType::kDouble, SemanticType::kContinuous}});
+  for (bool negative_first : {true, false}) {
+    const double first = negative_first ? -0.0 : 0.0;
+    const double second = negative_first ? 0.0 : -0.0;
+    Relation rel =
+        std::move(Relation::Make(
+                      schema, {{Value::Real(first), Value::Real(1.0),
+                                Value::Real(second), Value::Null(),
+                                Value::Real(-1.0), Value::Real(first)}}))
+            .ValueOrDie();
+    EncodedRelation encoded = EncodedRelation::Encode(rel);
+    const ColumnDictionary& dict = encoded.dictionary(0);
+    EXPECT_EQ(dict.num_distinct(), 3u);  // -1.0, 0.0, 1.0
+    const uint32_t zero = encoded.code_at(0, 0);
+    EXPECT_EQ(encoded.code_at(2, 0), zero);
+    EXPECT_EQ(encoded.code_at(5, 0), zero);
+    EXPECT_EQ(zero, 2u);
+    EXPECT_EQ(dict.count(zero), 3u);
+    EXPECT_EQ(std::signbit(dict.decode(zero).AsDouble()), negative_first);
+  }
+}
+
+TEST(EncodeBoundaryTest, NaNIsRejectedAtEveryEntryPoint) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema schema({{"k", DataType::kInt64, SemanticType::kCategorical},
+                 {"score", DataType::kDouble, SemanticType::kContinuous}});
+  auto expect_rejected = [](const Status& status) {
+    EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+    EXPECT_NE(status.message().find("'score'"), std::string::npos)
+        << status.ToString();
+  };
+
+  expect_rejected(
+      Relation::Make(schema, {{Value::Int(1)}, {Value::Real(nan)}}).status());
+
+  Relation appended = Relation::Empty(schema);
+  expect_rejected(appended.AppendRow({Value::Int(1), Value::Real(nan)}));
+  EXPECT_EQ(appended.num_rows(), 0u);
+
+  RelationBuilder builder(schema);
+  builder.AddRow({Value::Int(1), Value::Real(0.5)})
+      .AddRow({Value::Int(2), Value::Real(nan)});
+  expect_rejected(builder.Finish().status());
+
+  Relation base = std::move(Relation::Make(
+                                schema, {{Value::Int(1)}, {Value::Real(0.5)}}))
+                      .ValueOrDie();
+  EncodedRelation encoded = EncodedRelation::Encode(base);
+  DeltaRelation delta(encoded);
+  RowBatch batch;
+  batch.insert_rows = {{Value::Int(2), Value::Real(1.5)},
+                       {Value::Int(3), Value::Real(nan)}};
+  expect_rejected(delta.ApplyBatch(batch).status());
+  EXPECT_EQ(delta.num_rows(), 1u);  // validated before any mutation
+  EXPECT_EQ(delta.PublishCanonical().encoded.Fingerprint(),
+            encoded.Fingerprint());
+
+  expect_rejected(LoadCsvRelation("k,score\n1,0.5\n2,nan\n").status());
 }
 
 }  // namespace

@@ -82,6 +82,40 @@ TEST(AuditServiceTest, EqualContentHitsTheSnapshotCache) {
   EXPECT_EQ(stats.snapshot_hits, 1u);
 }
 
+TEST(AuditServiceTest, RegisterSnapshotMatchesTheTwoEncodePath) {
+  // Register encodes the caller's relation once and hands that encoding
+  // to the snapshot. The result must equal the old path, which keyed the
+  // cache with one encode and re-encoded the snapshot's own copy.
+  for (const Relation& relation :
+       {datasets::Employee(), datasets::Echocardiogram()}) {
+    AuditService service;
+    Result<SessionId> session = service.Register(relation);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    Result<std::shared_ptr<const RelationSnapshot>> snap =
+        service.Snapshot(*session);
+    ASSERT_TRUE(snap.ok());
+    const RelationSnapshot& registered = **snap;
+    EXPECT_EQ(registered.encoding().source(), &registered.relation());
+    EXPECT_EQ(registered.relation(), relation);
+
+    const uint64_t key = EncodedRelation::Encode(relation).Fingerprint();
+    Relation copy = relation;
+    const EncodedRelation own = EncodedRelation::Encode(copy);
+    EXPECT_EQ(registered.fingerprint(), key);
+    EXPECT_EQ(registered.encoding().Fingerprint(), own.Fingerprint());
+
+    DiscoveryMemo memo;
+    ServiceOptions defaults;
+    Result<std::shared_ptr<const RelationSnapshot>> rebuilt =
+        RelationSnapshot::FromRelation(copy, defaults.discovery,
+                                       defaults.leakage, &memo);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(registered.fingerprint(), (*rebuilt)->fingerprint());
+    EXPECT_EQ(registered.profile().metadata.Serialize(),
+              (*rebuilt)->profile().metadata.Serialize());
+  }
+}
+
 TEST(AuditServiceTest, LruEvictionIsCountedAndBounded) {
   ServiceOptions options;
   options.max_cached_snapshots = 1;
