@@ -72,6 +72,9 @@ class ColumnDictionary {
   /// Occurrences of `code` in the column. counts(0) == null_count().
   size_t count(uint32_t code) const { return counts_[code]; }
 
+  /// Every code's occurrences, indexed by code (parallel to the codes).
+  const std::vector<size_t>& counts() const { return counts_; }
+
   /// Sorted distinct non-null values — the categorical domain, for free.
   /// The returned view skips the NULL slot.
   std::vector<Value> DistinctValues() const {

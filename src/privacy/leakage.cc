@@ -346,17 +346,23 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
   return ctx;
 }
 
-Status EncodedLeakageContext::Evaluate(const EncodedBatch& batch,
-                                       AttributeRoundStats* stats) const {
-  if (batch.num_columns() != attrs_.size()) {
+Status CheckAlignedBatch(const EncodedBatch& batch, size_t num_columns,
+                         size_t num_rows) {
+  if (batch.num_columns() != num_columns) {
     return Status::Invalid("relations have different arity");
   }
-  if (batch.num_rows() != num_rows_) {
+  if (batch.num_rows() != num_rows) {
     return Status::Invalid(
         "index-aligned leakage needs equal row counts (got " +
-        std::to_string(num_rows_) + " vs " +
+        std::to_string(num_rows) + " vs " +
         std::to_string(batch.num_rows()) + ")");
   }
+  return Status::OK();
+}
+
+Status EncodedLeakageContext::Evaluate(const EncodedBatch& batch,
+                                       AttributeRoundStats* stats) const {
+  METALEAK_RETURN_NOT_OK(CheckAlignedBatch(batch, attrs_.size(), num_rows_));
   if (!supported_) {
     return Status::Invalid("leakage context is not encodable: " +
                            fallback_reason_);

@@ -204,6 +204,12 @@ class EncodedLeakageContext {
   std::string fallback_reason_;
 };
 
+/// Invalid unless `batch` has `num_columns` columns and `num_rows` rows:
+/// the index-aligned shape every per-round scorer bound to a real
+/// relation (EncodedLeakageContext, the risk estimators) requires.
+Status CheckAlignedBatch(const EncodedBatch& batch, size_t num_columns,
+                         size_t num_rows);
+
 }  // namespace metaleak
 
 #endif  // METALEAK_PRIVACY_LEAKAGE_H_

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/math_util.h"
 #include "common/simd.h"
@@ -35,70 +36,91 @@ Status CheckContext(const RiskContext& ctx) {
   return Status::OK();
 }
 
-// Joint code-pair counter shared by the conditional-entropy and MI
-// computations. Dense array when the code product fits a 16 MiB budget,
-// hash map otherwise (at most one entry per row either way).
-constexpr uint64_t kDenseJointLimit = uint64_t{1} << 22;
-
-// Accumulates joint counts over (a[r], b[r]) pairs and hands the
-// nonzero counts plus the pair identities to `sink(x, y, count)`.
-template <typename Sink>
-void ForEachJointCount(const CodeColumnView& a, uint32_t num_a,
-                       const CodeColumnView& b, uint32_t num_b,
-                       Sink&& sink) {
-  const size_t n = a.size;
-  const uint64_t cells = uint64_t{num_a} * uint64_t{num_b};
-  if (cells <= kDenseJointLimit) {
-    std::vector<uint32_t> joint(static_cast<size_t>(cells), 0);
-    a.With([&](const auto* ap) {
-      b.With([&](const auto* bp) {
-        for (size_t r = 0; r < n; ++r) {
-          joint[static_cast<size_t>(ap[r]) * num_b + bp[r]]++;
-        }
-      });
-    });
-    for (uint32_t x = 0; x < num_a; ++x) {
-      const uint32_t* row = joint.data() + static_cast<size_t>(x) * num_b;
-      for (uint32_t y = 0; y < num_b; ++y) {
-        if (row[y] != 0) sink(x, y, row[y]);
-      }
-    }
-    return;
-  }
-  std::unordered_map<uint64_t, uint32_t> joint;
-  joint.reserve(std::min<size_t>(n, 1u << 20));
-  a.With([&](const auto* ap) {
+// Joint code-pair counts of two equal-length code columns (a, b) by a
+// stable two-pass counting sort, shared by the conditional-entropy and
+// MI computations. BucketRowsBy groups the row ids by b code;
+// ForEachJointCount then walks those buckets in ascending b and
+// scatters each row's b code into its a code's bucket, so every a
+// bucket holds its b codes in ascending order and one run-length pass
+// emits the nonzero (x, y, count) cells in ascending (x, y) order. That
+// canonical order fixes the summation order of every sum over the
+// cells. Bucket sizes come from counts the callers already hold
+// (dictionary counts, the generated-side histogram), which must be the
+// exact per-code row counts of the columns. Linear in rows plus codes;
+// the buffers are reused across calls, so use one counter per thread.
+class JointCounter {
+ public:
+  // Groups the rows of `b` by code; b_counts[y] is the number of rows
+  // whose b code is y. Stays valid across ForEachJointCount calls.
+  template <typename Count>
+  void BucketRowsBy(const CodeColumnView& b, const Count* b_counts,
+                    uint32_t num_b) {
+    const size_t n = b.size;
+    METALEAK_DCHECK(n < std::numeric_limits<uint32_t>::max());
+    rows_by_b_.resize(n);
+    b_ends_.resize(num_b);
+    StartOffsets(b_counts, num_b, b_ends_.data());
     b.With([&](const auto* bp) {
       for (size_t r = 0; r < n; ++r) {
-        joint[(uint64_t{ap[r]} << 32) | bp[r]]++;
+        rows_by_b_[b_ends_[bp[r]]++] = static_cast<uint32_t>(r);
       }
     });
-  });
-  for (const auto& [key, count] : joint) {
-    sink(static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key),
-         count);
+    METALEAK_DCHECK(num_b == 0 || b_ends_[num_b - 1] == n);
   }
-}
 
-// H(a, b) - H(a) over all rows, NULL (code 0) participating as its own
-// symbol. Clamped at 0: the difference is mathematically non-negative
-// but the two log-sums round independently.
-double ConditionalEntropyBits(const EncodedRelation& real, size_t lhs,
-                              size_t rhs) {
-  const ColumnDictionary& dict_a = real.dictionary(lhs);
-  const ColumnDictionary& dict_b = real.dictionary(rhs);
-  std::vector<size_t> joint_counts;
-  ForEachJointCount(real.column_view(lhs), dict_a.num_codes(),
-                    real.column_view(rhs), dict_b.num_codes(),
-                    [&](uint32_t, uint32_t, uint32_t count) {
-                      joint_counts.push_back(count);
-                    });
-  std::vector<size_t> lhs_counts(dict_a.num_codes());
-  for (uint32_t code = 0; code < dict_a.num_codes(); ++code) {
-    lhs_counts[code] = dict_a.count(code);
+  // Hands sink(x, y, count) every nonzero joint count of (a, b) in
+  // ascending (x, y) order, b being the column last bucketed;
+  // a_counts[x] is the number of rows whose a code is x.
+  template <typename Count, typename Sink>
+  void ForEachJointCount(const CodeColumnView& a, const Count* a_counts,
+                         uint32_t num_a, Sink&& sink) {
+    METALEAK_DCHECK(a.size == rows_by_b_.size());
+    b_by_a_.resize(a.size);
+    a_ends_.resize(num_a);
+    StartOffsets(a_counts, num_a, a_ends_.data());
+    a.With([&](const auto* ap) {
+      uint32_t i = 0;
+      for (uint32_t y = 0; y < b_ends_.size(); ++y) {
+        for (const uint32_t end = b_ends_[y]; i < end; ++i) {
+          b_by_a_[a_ends_[ap[rows_by_b_[i]]]++] = y;
+        }
+      }
+    });
+    METALEAK_DCHECK(num_a == 0 || a_ends_[num_a - 1] == a.size);
+    uint32_t i = 0;
+    for (uint32_t x = 0; x < num_a; ++x) {
+      const uint32_t end = a_ends_[x];
+      while (i < end) {
+        const uint32_t y = b_by_a_[i];
+        const uint32_t run_start = i;
+        while (++i < end && b_by_a_[i] == y) {
+        }
+        sink(x, y, i - run_start);
+      }
+    }
   }
-  return std::max(0.0, ShannonEntropyBits(joint_counts) -
-                           ShannonEntropyBits(lhs_counts));
+
+ private:
+  // offsets[k] = counts[0] + ... + counts[k - 1]: bucket k's first slot.
+  template <typename Count>
+  static void StartOffsets(const Count* counts, uint32_t num,
+                           uint32_t* offsets) {
+    uint32_t total = 0;
+    for (uint32_t k = 0; k < num; ++k) {
+      offsets[k] = total;
+      total += static_cast<uint32_t>(counts[k]);
+    }
+  }
+
+  std::vector<uint32_t> rows_by_b_;  // row ids grouped by b code
+  std::vector<uint32_t> b_by_a_;     // b codes grouped by a code
+  std::vector<uint32_t> b_ends_;     // per b code, its bucket's end
+  std::vector<uint32_t> a_ends_;     // per a code, write cursor, then end
+};
+
+JointCounter& ThreadJointCounter() {
+  thread_local JointCounter counter;
+  return counter;
 }
 
 // Entropy of the disclosed non-null marginal (codes 1..K), matching the
@@ -120,15 +142,41 @@ RiskMeasureCell EntropyCell(const EncodedRelation& real, size_t c) {
   return RiskMeasureCell{MarginalEntropyBits(real.dictionary(c)), true};
 }
 
+// min over the disclosed single-attribute LHSs a of c of
+// H(a, c) - H(a), over all rows with NULL (code 0) participating as its
+// own symbol. Each distinct LHS is scored once (FD, OD and ND on one
+// pair bound the same quantity), all against one bucketing of c's rows.
 RiskMeasureCell CondEntropyCell(const EncodedRelation& real,
                                 const MetadataPackage* metadata, size_t c) {
   RiskMeasureCell cell;
   if (metadata == nullptr) return cell;
+  std::vector<size_t> lhss;
   for (const Dependency& dep : metadata->dependencies.all()) {
     if (dep.rhs != c || dep.lhs.size() != 1) continue;
     const size_t lhs = dep.lhs.ToIndices()[0];
-    if (lhs >= real.num_columns()) continue;
-    const double h = ConditionalEntropyBits(real, lhs, c);
+    if (lhs < real.num_columns()) lhss.push_back(lhs);
+  }
+  if (lhss.empty()) return cell;
+  std::sort(lhss.begin(), lhss.end());
+  lhss.erase(std::unique(lhss.begin(), lhss.end()), lhss.end());
+
+  const ColumnDictionary& dict_b = real.dictionary(c);
+  JointCounter& joint = ThreadJointCounter();
+  joint.BucketRowsBy(real.column_view(c), dict_b.counts().data(),
+                     dict_b.num_codes());
+  std::vector<size_t> joint_counts;
+  for (const size_t lhs : lhss) {
+    const ColumnDictionary& dict_a = real.dictionary(lhs);
+    joint_counts.clear();
+    joint.ForEachJointCount(real.column_view(lhs), dict_a.counts().data(),
+                            dict_a.num_codes(),
+                            [&](uint32_t, uint32_t, uint32_t count) {
+                              joint_counts.push_back(count);
+                            });
+    // Clamped at 0: the difference is mathematically non-negative but
+    // the two log-sums round independently.
+    const double h = std::max(0.0, ShannonEntropyBits(joint_counts) -
+                                       ShannonEntropyBits(dict_a.counts()));
     if (!cell.present || h < cell.value) cell = RiskMeasureCell{h, true};
   }
   return cell;
@@ -209,22 +257,20 @@ class InfoTheoreticBound : public BoundRiskEstimator {
     CodeColumnView real_codes;
     uint32_t real_num_codes = 0;
     uint32_t syn_num_codes = 0;
-    std::vector<uint64_t> real_counts;  // dict counts incl. NULL
+    const size_t* real_counts = nullptr;  // dict counts incl. NULL
     // Bin MI inputs (real-stored columns).
     std::vector<uint32_t> real_bins;  // per row; kSkipBin = NULL/non-num
     double bin_lo = 0.0;
     double bin_inv_width = 0.0;  // 0 = degenerate range, everything bin 0
   };
 
-  explicit InfoTheoreticBound(std::vector<Attr> attrs)
-      : attrs_(std::move(attrs)) {}
+  InfoTheoreticBound(std::vector<Attr> attrs, size_t num_rows)
+      : attrs_(std::move(attrs)), num_rows_(num_rows) {}
 
   Status Evaluate(const EncodedBatch& batch,
                   RiskMeasureCell* cells) const override {
     const size_t m = attrs_.size();
-    if (batch.num_columns() != m) {
-      return Status::Invalid("relations have different arity");
-    }
+    METALEAK_RETURN_NOT_OK(CheckAlignedBatch(batch, m, num_rows_));
     for (size_t c = 0; c < m; ++c) {
       const Attr& attr = attrs_[c];
       cells[InfoTheoreticEstimator::kEntropyIndex * m + c] = attr.entropy;
@@ -248,12 +294,14 @@ class InfoTheoreticBound : public BoundRiskEstimator {
     // marginal straight off the dictionary counts.
     thread_local std::vector<uint32_t> syn_counts;
     syn_counts.assign(num_b, 0);
-    HistogramCodes(ActiveSimdLevel(), batch.code_view(c), num_b,
-                   syn_counts.data());
+    const CodeColumnView syn = batch.code_view(c);
+    HistogramCodes(ActiveSimdLevel(), syn, num_b, syn_counts.data());
     const double dn = static_cast<double>(n);
     double mi = 0.0;
-    ForEachJointCount(
-        attr.real_codes, num_a, batch.code_view(c), num_b,
+    JointCounter& joint = ThreadJointCounter();
+    joint.BucketRowsBy(syn, syn_counts.data(), num_b);
+    joint.ForEachJointCount(
+        attr.real_codes, attr.real_counts, num_a,
         [&](uint32_t x, uint32_t y, uint32_t count) {
           const double cxy = static_cast<double>(count);
           mi += (cxy / dn) *
@@ -268,7 +316,7 @@ class InfoTheoreticBound : public BoundRiskEstimator {
                size_t c) const {
     constexpr uint32_t kBins = InfoTheoreticEstimator::kMiBins;
     const std::vector<double>& syn = batch.reals(c);
-    const size_t n = std::min(syn.size(), attr.real_bins.size());
+    const size_t n = attr.real_bins.size();
     thread_local std::vector<uint32_t> joint;
     joint.assign(static_cast<size_t>(kBins) * kBins, 0);
     uint64_t included = 0;
@@ -294,6 +342,7 @@ class InfoTheoreticBound : public BoundRiskEstimator {
   }
 
   std::vector<Attr> attrs_;
+  size_t num_rows_;
 };
 
 // --- NnLinkageEstimator --------------------------------------------------
@@ -308,15 +357,13 @@ class NnLinkageBound : public BoundRiskEstimator {
     std::vector<double> code_numeric;  // syn code -> numeric, NaN = NULL
   };
 
-  explicit NnLinkageBound(std::vector<Attr> attrs)
-      : attrs_(std::move(attrs)) {}
+  NnLinkageBound(std::vector<Attr> attrs, size_t num_rows)
+      : attrs_(std::move(attrs)), num_rows_(num_rows) {}
 
   Status Evaluate(const EncodedBatch& batch,
                   RiskMeasureCell* cells) const override {
     const size_t m = attrs_.size();
-    if (batch.num_columns() != m) {
-      return Status::Invalid("relations have different arity");
-    }
+    METALEAK_RETURN_NOT_OK(CheckAlignedBatch(batch, m, num_rows_));
     for (size_t c = 0; c < m; ++c) {
       const Attr& attr = attrs_[c];
       RiskMeasureCell& eps_cell =
@@ -357,8 +404,7 @@ class NnLinkageBound : public BoundRiskEstimator {
     }
     std::sort(sorted.begin(), sorted.end());
     if (sorted.empty()) return;
-    const size_t rows = std::min(n, attr.real_numeric.size());
-    for (size_t r = 0; r < rows; ++r) {
+    for (size_t r = 0; r < n; ++r) {
       const double x = attr.real_numeric[r];
       if (std::isnan(x)) continue;
       auto it = std::lower_bound(sorted.begin(), sorted.end(), x);
@@ -378,6 +424,7 @@ class NnLinkageBound : public BoundRiskEstimator {
   }
 
   std::vector<Attr> attrs_;
+  size_t num_rows_;
 };
 
 }  // namespace
@@ -454,10 +501,7 @@ Result<std::unique_ptr<BoundRiskEstimator>> InfoTheoreticEstimator::Bind(
       attr.real_num_codes = dict.num_codes();
       attr.syn_num_codes =
           static_cast<uint32_t>((*ctx.domains)[c].values().size()) + 1;
-      attr.real_counts.resize(dict.num_codes());
-      for (uint32_t code = 0; code < dict.num_codes(); ++code) {
-        attr.real_counts[code] = dict.count(code);
-      }
+      attr.real_counts = dict.counts().data();
     } else {
       const Domain& domain = (*ctx.domains)[c];
       attr.bin_lo = domain.lo();
@@ -478,7 +522,7 @@ Result<std::unique_ptr<BoundRiskEstimator>> InfoTheoreticEstimator::Bind(
     }
   }
   return std::unique_ptr<BoundRiskEstimator>(
-      new InfoTheoreticBound(std::move(attrs)));
+      new InfoTheoreticBound(std::move(attrs), real.num_rows()));
 }
 
 // --- NnLinkageEstimator --------------------------------------------------
@@ -542,7 +586,7 @@ Result<std::unique_ptr<BoundRiskEstimator>> NnLinkageEstimator::Bind(
     }
   }
   return std::unique_ptr<BoundRiskEstimator>(
-      new NnLinkageBound(std::move(attrs)));
+      new NnLinkageBound(std::move(attrs), real.num_rows()));
 }
 
 // --- Registry ------------------------------------------------------------

@@ -8,14 +8,22 @@
 // closed-form entropy / conditional-entropy / mutual-information
 // answers on planted fixtures; (3) the NN-linkage adversary scores
 // known-answer batches exactly; (4) the measure columns flow through
-// replay and the profile diff. Runs under TSan in CI next to the
-// leakage_codepath suite.
+// replay and the profile diff; (5) the conditional-entropy and MI cells
+// are bit-identical to the same formulas over the ordered std::map joint
+// counts of tests/reference, at every code width and on joints far
+// larger than the row count; (6) every estimator rejects a batch whose
+// row count differs from the bound relation's. Runs under TSan in CI
+// next to the leakage_codepath suite.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/random.h"
+#include "data/code_column.h"
 #include "data/datasets/employee.h"
 #include "data/domain.h"
 #include "data/encoded_batch.h"
@@ -27,6 +35,7 @@
 #include "privacy/experiment.h"
 #include "privacy/leakage_delta.h"
 #include "privacy/risk_estimator.h"
+#include "reference/joint_count_reference.h"
 
 namespace metaleak {
 namespace {
@@ -358,6 +367,260 @@ TEST(RiskEstimatorTest, NnLinkageKnownAnswers) {
   ASSERT_TRUE((*bound)->Evaluate(batch, cells.data()).ok());
   EXPECT_DOUBLE_EQ(eps0.value, 0.0);
   EXPECT_DOUBLE_EQ(top0.value, 1.0);
+}
+
+// --- Joint-count oracle parity -----------------------------------------------
+
+// Two narrow and two wide categorical columns over kOracleRows rows: the
+// narrow pairs' code products sit below the row count, the wide pair's
+// (~3000^2 codes with NULLs, ~4000^2 without) far above 2^22.
+constexpr size_t kOracleRows = 8000;
+const std::vector<size_t> kOracleCardinalities = {5, 40, 4000, 4000};
+
+// Random categorical columns with the given distinct-value bounds; each
+// cell is NULL with probability null_rate.
+Relation RandomCategorical(double null_rate, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Attribute> attributes;
+  std::vector<std::vector<Value>> columns;
+  for (size_t c = 0; c < kOracleCardinalities.size(); ++c) {
+    attributes.push_back({"c" + std::to_string(c), DataType::kInt64,
+                          SemanticType::kCategorical});
+    std::vector<Value> column;
+    column.reserve(kOracleRows);
+    for (size_t r = 0; r < kOracleRows; ++r) {
+      column.push_back(rng.Bernoulli(null_rate)
+                           ? Value::Null()
+                           : Value::Int(static_cast<int64_t>(
+                                 rng.UniformIndex(kOracleCardinalities[c]))));
+    }
+    columns.push_back(std::move(column));
+  }
+  return std::move(Relation::Make(Schema(std::move(attributes)),
+                                  std::move(columns)))
+      .ValueOrDie();
+}
+
+// The natural widths (u8 narrow, u16 wide columns), then u16 and u32
+// forced everywhere.
+const std::vector<std::optional<CodeWidth>> kWidthFloors = {
+    std::nullopt, CodeWidth::kU16, CodeWidth::kU32};
+
+void SetWidthFloor(std::optional<CodeWidth> floor) {
+  if (floor) {
+    SetCodeWidthFloorOverride(*floor);
+  } else {
+    ClearCodeWidthFloorOverride();
+  }
+}
+
+class RiskEstimatorOracleTest : public ::testing::Test {
+ protected:
+  void TearDown() override { ClearCodeWidthFloorOverride(); }
+};
+
+TEST_F(RiskEstimatorOracleTest, ConditionalEntropyBitIdenticalToOracle) {
+  std::set<CodeWidth> widths_seen;
+  for (double null_rate : {0.0, 0.3}) {
+    Relation relation = RandomCategorical(null_rate, 11);
+    for (std::optional<CodeWidth> floor : kWidthFloors) {
+      SetWidthFloor(floor);
+      EncodedRelation encoded = EncodedRelation::Encode(relation);
+      const size_t m = encoded.num_columns();
+      for (size_t rhs = 0; rhs < m; ++rhs) {
+        widths_seen.insert(encoded.column_view(rhs).width);
+        for (size_t lhs = 0; lhs < m; ++lhs) {
+          if (lhs == rhs) continue;
+          SCOPED_TRACE(testing::Message()
+                       << "null " << null_rate << " lhs " << lhs << " rhs "
+                       << rhs << " width "
+                       << CodeWidthName(encoded.column_view(rhs).width));
+          MetadataPackage metadata;
+          metadata.schema = relation.schema();
+          metadata.num_rows = relation.num_rows();
+          metadata.dependencies.Add(
+              Dependency::Fd(AttributeSet::Single(lhs), rhs));
+          auto measures = ComputeProfileMeasures(encoded, metadata);
+          ASSERT_TRUE(measures.ok());
+          const RiskMeasureCell& cell = (*measures)[1].cells[rhs];
+          ASSERT_TRUE(cell.present);
+          EXPECT_EQ(cell.value, reference::ConditionalEntropyBits(
+                                    encoded.column_view(lhs),
+                                    encoded.column_view(rhs)));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(widths_seen.size(), 3u);
+}
+
+TEST_F(RiskEstimatorOracleTest, MutualInformationBitIdenticalToOracle) {
+  for (double null_rate : {0.0, 0.3}) {
+    Relation relation = RandomCategorical(null_rate, 12);
+    MetadataPackage metadata = PackageFor(relation);
+    const std::vector<Domain> domains = metadata.RequireDomains().ValueOrDie();
+    for (std::optional<CodeWidth> floor : kWidthFloors) {
+      SetWidthFloor(floor);
+      EncodedRelation encoded = EncodedRelation::Encode(relation);
+      const size_t m = encoded.num_columns();
+      RiskContext ctx;
+      ctx.real = &encoded;
+      ctx.syn_schema = &relation.schema();
+      ctx.domains = &domains;
+      ctx.metadata = &metadata;
+      auto bound = InfoTheoreticEstimator::Instance().Bind(ctx);
+      ASSERT_TRUE(bound.ok());
+
+      // Each generated cell copies the real code (domain codes and
+      // dictionary codes coincide: both number the sorted distinct
+      // values from 1) with probability `copy`, else draws uniformly
+      // over the domain plus NULL.
+      Rng rng(13);
+      for (double copy : {0.0, 0.5}) {
+        EncodedBatch batch;
+        batch.Configure(ColumnKindsForDomains(domains),
+                        CodeWidthsForDomains(domains));
+        batch.ResetRows(kOracleRows);
+        for (size_t c = 0; c < m; ++c) {
+          const CodeColumnView real = encoded.column_view(c);
+          for (size_t r = 0; r < kOracleRows; ++r) {
+            batch.set_code(
+                c, r,
+                rng.Bernoulli(copy)
+                    ? real.at(r)
+                    : static_cast<uint32_t>(
+                          rng.UniformIndex(domains[c].values().size() + 1)));
+          }
+        }
+        std::vector<RiskMeasureCell> cells(3 * m);
+        ASSERT_TRUE((*bound)->Evaluate(batch, cells.data()).ok());
+        for (size_t c = 0; c < m; ++c) {
+          SCOPED_TRACE(testing::Message()
+                       << "null " << null_rate << " copy " << copy
+                       << " attr " << c << " width "
+                       << CodeWidthName(encoded.column_view(c).width));
+          const RiskMeasureCell& mi =
+              cells[InfoTheoreticEstimator::kMiIndex * m + c];
+          ASSERT_TRUE(mi.present);
+          EXPECT_EQ(mi.value,
+                    reference::MutualInformationBits(encoded.column_view(c),
+                                                     batch.code_view(c)));
+        }
+      }
+    }
+  }
+}
+
+TEST(RiskEstimatorTest, RepeatedDisclosureOfOnePairScoresLikeOneFd) {
+  Relation relation = RandomCategorical(0.3, 14);
+  EncodedRelation encoded = EncodedRelation::Encode(relation);
+  auto package = [&](const std::vector<Dependency>& deps) {
+    MetadataPackage metadata;
+    metadata.schema = relation.schema();
+    metadata.num_rows = relation.num_rows();
+    for (const Dependency& d : deps) metadata.dependencies.Add(d);
+    return metadata;
+  };
+  // One wide and one narrow LHS for attribute 3, so the cell is a min.
+  const MetadataPackage fd_only =
+      package({Dependency::Fd(AttributeSet::Single(2), 3),
+               Dependency::Fd(AttributeSet::Single(1), 3)});
+  const MetadataPackage fd_od_nd =
+      package({Dependency::Fd(AttributeSet::Single(2), 3),
+               Dependency::Od(2, 3), Dependency::Nd(2, 3, 7),
+               Dependency::Fd(AttributeSet::Single(1), 3),
+               Dependency::Od(1, 3)});
+  ASSERT_EQ(fd_od_nd.dependencies.size(), 5u);
+  auto once = ComputeProfileMeasures(encoded, fd_only);
+  auto repeated = ComputeProfileMeasures(encoded, fd_od_nd);
+  ASSERT_TRUE(once.ok() && repeated.ok());
+  const RiskMeasureCell& a = (*once)[1].cells[3];
+  const RiskMeasureCell& b = (*repeated)[1].cells[3];
+  ASSERT_TRUE(a.present && b.present);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.value, std::min(reference::ConditionalEntropyBits(
+                                  encoded.column_view(2),
+                                  encoded.column_view(3)),
+                              reference::ConditionalEntropyBits(
+                                  encoded.column_view(1),
+                                  encoded.column_view(3))));
+}
+
+TEST(RiskEstimatorTest, EngineMeasuresThreadInvariantOnWideJoints) {
+  Relation relation = RandomCategorical(0.3, 15);
+  MetadataPackage metadata = PackageFor(relation);
+  metadata.dependencies.Add(Dependency::Fd(AttributeSet::Single(2), 3));
+  metadata.dependencies.Add(Dependency::Fd(AttributeSet::Single(0), 1));
+  ExperimentEngine engine(relation, metadata);
+  ExperimentConfig config;
+  config.rounds = 6;
+  config.estimators = &RiskEstimatorRegistry::All();
+  config.threads = 1;
+  auto one = engine.Run(GenerationMethod::kRandom, config);
+  config.threads = 8;
+  auto eight = engine.Run(GenerationMethod::kRandom, config);
+  ASSERT_TRUE(one.ok() && eight.ok());
+  ASSERT_EQ(one->measures.size(), eight->measures.size());
+  for (size_t j = 0; j < one->measures.size(); ++j) {
+    const RiskMeasureStats& x = one->measures[j];
+    const RiskMeasureStats& y = eight->measures[j];
+    SCOPED_TRACE(x.estimator + "/" + x.measure);
+    EXPECT_TRUE(x.active);
+    EXPECT_EQ(x.active, y.active);
+    EXPECT_EQ(x.mean, y.mean);
+    EXPECT_EQ(x.stddev, y.stddev);
+    EXPECT_EQ(x.rounds, y.rounds);
+  }
+}
+
+// --- Row-count guard ---------------------------------------------------------
+
+TEST(RiskEstimatorTest, EveryEstimatorRejectsRowCountMismatch) {
+  // One real-stored continuous column and one coded categorical column,
+  // so every estimator's per-row path is live.
+  Schema schema({{"num", DataType::kDouble, SemanticType::kContinuous},
+                 {"cat", DataType::kInt64, SemanticType::kCategorical}});
+  std::vector<Value> num, cat;
+  const size_t n = 64;
+  for (size_t r = 0; r < n; ++r) {
+    num.push_back(Value::Real(static_cast<double>(r)));
+    cat.push_back(Value::Int(static_cast<int64_t>(r % 5)));
+  }
+  auto relation = Relation::Make(schema, {std::move(num), std::move(cat)});
+  ASSERT_TRUE(relation.ok());
+  EncodedRelation encoded = EncodedRelation::Encode(*relation);
+  MetadataPackage metadata = PackageFor(*relation);
+  const std::vector<Domain> domains = metadata.RequireDomains().ValueOrDie();
+  RiskContext ctx;
+  ctx.real = &encoded;
+  ctx.syn_schema = &relation->schema();
+  ctx.domains = &domains;
+  ctx.metadata = &metadata;
+
+  const size_t m = 2;
+  for (const RiskEstimator* est : RiskEstimatorRegistry::All().estimators()) {
+    SCOPED_TRACE(est->name());
+    auto bound = est->Bind(ctx);
+    ASSERT_TRUE(bound.ok());
+    std::vector<RiskMeasureCell> cells(est->measures().size() * m);
+    for (size_t rows : {n - 1, n + 1, n}) {
+      SCOPED_TRACE(rows);
+      EncodedBatch batch;
+      batch.Configure(ColumnKindsForDomains(domains),
+                      CodeWidthsForDomains(domains));
+      batch.ResetRows(rows);
+      for (size_t r = 0; r < rows; ++r) {
+        batch.reals(0)[r] = static_cast<double>(r % n);
+        batch.set_code(1, r, 1 + static_cast<uint32_t>(r % 5));
+      }
+      const Status status = (*bound)->Evaluate(batch, cells.data());
+      if (rows == n) {
+        EXPECT_TRUE(status.ok()) << status.ToString();
+      } else {
+        EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+      }
+    }
+  }
 }
 
 // --- Replay and profile diff -------------------------------------------------
