@@ -1,6 +1,6 @@
 #include "common/random.h"
 
-#include <unordered_set>
+#include "common/flat_id_table.h"
 
 namespace metaleak {
 
@@ -35,22 +35,27 @@ double Rng::Normal(double mean, double stddev) {
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
+  std::vector<size_t> out(k);
+  SampleWithoutReplacement(n, k, out.data());
+  return out;
+}
+
+void Rng::SampleWithoutReplacement(size_t n, size_t k, size_t* out) {
   METALEAK_DCHECK(k <= n);
-  // Floyd's algorithm: O(k) expected insertions regardless of n.
-  std::unordered_set<size_t> chosen;
-  chosen.reserve(k);
-  std::vector<size_t> out;
-  out.reserve(k);
-  for (size_t j = n - k; j < n; ++j) {
-    size_t t = UniformIndex(j + 1);
-    if (chosen.insert(t).second) {
-      out.push_back(t);
+  // Floyd's algorithm: O(k) expected insertions regardless of n. After i
+  // picks the table holds i keys, so a new key gets id i. Every earlier
+  // pick is at most j - 1, so j itself is always new.
+  thread_local FlatIdTable chosen;
+  chosen.Reset(k);
+  for (size_t j = n - k, i = 0; j < n; ++j, ++i) {
+    const size_t t = UniformIndex(j + 1);
+    if (chosen.IdOf(t) == i) {
+      out[i] = t;
     } else {
-      chosen.insert(j);
-      out.push_back(j);
+      chosen.IdOf(j);
+      out[i] = j;
     }
   }
-  return out;
 }
 
 Rng Rng::Fork() { return Rng(ForkSeed()); }

@@ -43,6 +43,11 @@ class Rng {
   /// (Floyd's algorithm). Requires k <= n. Order is unspecified.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
+  /// The same draw into out[0, k): identical RNG consumption and output
+  /// sequence. Allocates nothing once this thread's chosen-index table
+  /// has grown to the largest k it has seen.
+  void SampleWithoutReplacement(size_t n, size_t k, size_t* out);
+
   /// Fisher-Yates shuffle of `values` in place.
   template <typename T>
   void Shuffle(std::vector<T>* values) {

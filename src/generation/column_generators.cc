@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_id_table.h"
 #include "common/macros.h"
+#include "common/radix_sort.h"
 
 namespace metaleak {
 
@@ -44,19 +45,17 @@ std::pair<std::vector<uint32_t>, uint32_t> FoldLhsGroups(
     size_t num_rows) {
   std::vector<uint32_t> ids(num_rows, 0);
   uint32_t num_groups = 1;
+  FlatIdTable groups;
   for (const std::vector<Value>* col : lhs_columns) {
     std::vector<Value> distinct = SortedDistinct(*col);
     std::vector<uint32_t> codes = EncodeByRank(*col, distinct);
-    std::unordered_map<uint64_t, uint32_t> remap;
-    remap.reserve(num_rows);
+    groups.Reset(std::min<uint64_t>(
+        num_rows, static_cast<uint64_t>(num_groups) * distinct.size()));
     for (size_t r = 0; r < num_rows; ++r) {
-      uint64_t key = static_cast<uint64_t>(ids[r]) * distinct.size() +
-                     codes[r];
-      auto it = remap.emplace(key, static_cast<uint32_t>(remap.size()))
-                    .first;
-      ids[r] = it->second;
+      ids[r] = groups.IdOf(static_cast<uint64_t>(ids[r]) * distinct.size() +
+                           codes[r]);
     }
-    num_groups = static_cast<uint32_t>(remap.size());
+    num_groups = groups.size();
   }
   return {std::move(ids), num_groups};
 }
@@ -294,16 +293,15 @@ namespace {
 // after the first allocation-free (same idiom as the PliCache scratch).
 struct EncodedScratch {
   std::vector<uint32_t> code_rank;    // per-code rank table (kCodes LHS)
-  std::vector<double> sorted_reals;   // sorted distinct doubles (kReals LHS)
   std::vector<uint32_t> ranks;        // per-row rank of one LHS column
   std::vector<uint32_t> ids;          // folded composite-LHS group ids
-  std::unordered_map<uint64_t, uint32_t> remap;
+  FlatIdTable groups;                 // composite key -> group id
   std::vector<char> flags;            // lazily-sampled / lazily-filled bits
   std::vector<uint32_t> code_map;     // FD group -> code mapping
   std::vector<double> real_map;       // FD group -> double mapping
   std::vector<uint32_t> code_pool;    // ND flat pools (codes)
   std::vector<double> real_pool;      // ND flat pools (doubles)
-  std::vector<size_t> idx;            // order-statistic index draws
+  std::vector<size_t> idx;            // order-statistic / Floyd draws
   std::vector<uint32_t> target_codes; // OD/OFD rank -> code targets
   std::vector<double> target_reals;   // OD/OFD rank -> double targets
   std::vector<size_t> order;          // DD row order
@@ -314,72 +312,56 @@ EncodedScratch& Scratch() {
   return scratch;
 }
 
-// Rank-compresses one already-generated batch column into s.ranks:
-// ranks[r] is the rank of row r's value among the column's distinct
-// values, ascending. Codes are assigned in ascending Value order, so
-// ranking codes (or raw doubles) reproduces EncodeByRank(SortedDistinct)
-// on the decoded column exactly. Returns the distinct count.
+}  // namespace
+
 uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
-                           size_t num_rows, EncodedScratch& s) {
-  s.ranks.resize(num_rows);
+                           size_t num_rows, std::vector<uint32_t>* ranks) {
+  ranks->resize(num_rows);
   if (batch.kind(col) == EncodedBatch::ColumnKind::kCodes) {
+    std::vector<uint32_t>& code_rank = Scratch().code_rank;
     return batch.WithCodes(col, [&](const auto* codes) -> uint32_t {
       uint32_t max_code = 0;
       for (size_t r = 0; r < num_rows; ++r) {
         max_code = std::max<uint32_t>(max_code, codes[r]);
       }
-      s.code_rank.assign(static_cast<size_t>(max_code) + 1, 0);
-      for (size_t r = 0; r < num_rows; ++r) s.code_rank[codes[r]] = 1;
+      code_rank.assign(static_cast<size_t>(max_code) + 1, 0);
+      for (size_t r = 0; r < num_rows; ++r) code_rank[codes[r]] = 1;
       uint32_t running = 0;
       for (uint32_t c = 0; c <= max_code; ++c) {
-        uint32_t present = s.code_rank[c];
-        s.code_rank[c] = running;
+        uint32_t present = code_rank[c];
+        code_rank[c] = running;
         running += present;
       }
       for (size_t r = 0; r < num_rows; ++r) {
-        s.ranks[r] = s.code_rank[codes[r]];
+        (*ranks)[r] = code_rank[codes[r]];
       }
       return running;
     });
   }
-  const std::vector<double>& reals = batch.reals(col);
-  s.sorted_reals.assign(reals.begin(), reals.begin() + num_rows);
-  std::sort(s.sorted_reals.begin(), s.sorted_reals.end());
-  s.sorted_reals.erase(
-      std::unique(s.sorted_reals.begin(), s.sorted_reals.end()),
-      s.sorted_reals.end());
-  for (size_t r = 0; r < num_rows; ++r) {
-    s.ranks[r] = static_cast<uint32_t>(
-        std::lower_bound(s.sorted_reals.begin(), s.sorted_reals.end(),
-                         reals[r]) -
-        s.sorted_reals.begin());
-  }
-  return static_cast<uint32_t>(s.sorted_reals.size());
+  return RadixRankDoubles(batch.reals(col).data(), num_rows, ranks->data());
 }
 
-// FoldLhsGroups on batch columns: same fold, same first-occurrence group
-// numbering, so lazy sampling keyed by id hits the RNG in identical
-// row-scan order. Result lands in s.ids; returns the group count.
 uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
                               const std::vector<size_t>& lhs_columns,
-                              size_t num_rows, EncodedScratch& s) {
-  s.ids.assign(num_rows, 0);
+                              size_t num_rows, std::vector<uint32_t>* ids) {
+  EncodedScratch& s = Scratch();
+  ids->assign(num_rows, 0);
   uint32_t num_groups = 1;
   for (size_t col : lhs_columns) {
-    uint32_t distinct = RankEncodedColumn(batch, col, num_rows, s);
-    s.remap.clear();
-    s.remap.reserve(num_rows);
+    const uint32_t distinct =
+        RankEncodedColumn(batch, col, num_rows, &s.ranks);
+    s.groups.Reset(std::min<uint64_t>(
+        num_rows, static_cast<uint64_t>(num_groups) * distinct));
     for (size_t r = 0; r < num_rows; ++r) {
-      uint64_t key = static_cast<uint64_t>(s.ids[r]) * distinct +
-                     s.ranks[r];
-      auto it = s.remap.emplace(key, static_cast<uint32_t>(s.remap.size()))
-                    .first;
-      s.ids[r] = it->second;
+      (*ids)[r] = s.groups.IdOf(
+          static_cast<uint64_t>((*ids)[r]) * distinct + s.ranks[r]);
     }
-    num_groups = static_cast<uint32_t>(s.remap.size());
+    num_groups = s.groups.size();
   }
   return num_groups;
 }
+
+namespace {
 
 // SortedSamples into s.target_codes / s.target_reals.
 void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
@@ -389,7 +371,7 @@ void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
     for (double& x : s.target_reals) {
       x = rng->UniformDouble(domain.lo(), domain.hi());
     }
-    std::sort(s.target_reals.begin(), s.target_reals.end());
+    RadixSortDoubles(s.target_reals.data(), count);
     return;
   }
   const size_t k = domain.values().size();
@@ -412,11 +394,12 @@ void StrictSortedSamplesEncoded(const Domain& domain, size_t count,
   }
   const size_t k = domain.values().size();
   if (k >= count) {
-    std::vector<size_t> picked = rng->SampleWithoutReplacement(k, count);
-    std::sort(picked.begin(), picked.end());
+    s.idx.resize(count);
+    rng->SampleWithoutReplacement(k, count, s.idx.data());
+    std::sort(s.idx.begin(), s.idx.end());
     s.target_codes.resize(count);
     for (size_t i = 0; i < count; ++i) {
-      s.target_codes[i] = static_cast<uint32_t>(picked[i]) + 1;
+      s.target_codes[i] = static_cast<uint32_t>(s.idx[i]) + 1;
     }
     return;
   }
@@ -428,7 +411,8 @@ void GenerateOrderedColumnEncoded(size_t lhs_column, const Domain& domain,
                                   EncodedBatch* batch, size_t target) {
   METALEAK_DCHECK(rng != nullptr);
   EncodedScratch& s = Scratch();
-  uint32_t distinct = RankEncodedColumn(*batch, lhs_column, num_rows, s);
+  uint32_t distinct = RankEncodedColumn(*batch, lhs_column, num_rows,
+                                        &s.ranks);
   if (strict) {
     StrictSortedSamplesEncoded(domain, distinct, rng, s);
   } else {
@@ -477,7 +461,7 @@ void GenerateFdColumnEncoded(const std::vector<size_t>& lhs_columns,
   METALEAK_DCHECK(rng != nullptr);
   EncodedScratch& s = Scratch();
   uint32_t num_groups = FoldLhsGroupsEncoded(*batch, lhs_columns, num_rows,
-                                             s);
+                                             &s.ids);
   s.flags.assign(num_groups, 0);
   if (batch->kind(target) == EncodedBatch::ColumnKind::kCodes) {
     const size_t k = domain.values().size();
@@ -538,7 +522,8 @@ void GenerateNdColumnEncoded(size_t lhs_column, const Domain& domain,
   METALEAK_DCHECK(rng != nullptr);
   EncodedScratch& s = Scratch();
   const size_t k = std::max<size_t>(1, max_fanout);
-  uint32_t distinct = RankEncodedColumn(*batch, lhs_column, num_rows, s);
+  uint32_t distinct = RankEncodedColumn(*batch, lhs_column, num_rows,
+                                        &s.ranks);
   const bool categorical = domain.is_categorical();
   const size_t take =
       categorical ? std::min(k, domain.values().size()) : k;
@@ -546,6 +531,7 @@ void GenerateNdColumnEncoded(size_t lhs_column, const Domain& domain,
   if (categorical) {
     const size_t domain_size = domain.values().size();
     s.code_pool.assign(static_cast<size_t>(distinct) * take, 0);
+    s.idx.resize(take);
     batch->WithMutableCodes(target, [&](auto* out) {
       for (size_t r = 0; r < num_rows; ++r) {
         const uint32_t rank = s.ranks[r];
@@ -553,9 +539,9 @@ void GenerateNdColumnEncoded(size_t lhs_column, const Domain& domain,
             s.code_pool.data() + static_cast<size_t>(rank) * take;
         if (!s.flags[rank]) {
           s.flags[rank] = 1;
-          size_t j = 0;
-          for (size_t i : rng->SampleWithoutReplacement(domain_size, take)) {
-            pool[j++] = static_cast<uint32_t>(i) + 1;
+          rng->SampleWithoutReplacement(domain_size, take, s.idx.data());
+          for (size_t j = 0; j < take; ++j) {
+            pool[j] = static_cast<uint32_t>(s.idx[j]) + 1;
           }
         }
         out[r] = pool[rng->UniformIndex(take)];

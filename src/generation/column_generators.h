@@ -97,6 +97,22 @@ Result<std::vector<Value>> GenerateDdColumn(
 /// which is what makes the Monte-Carlo loop allocation-free after the
 /// first round on each worker thread.
 
+/// Dense ascending ranks of batch column `col` over rows [0, num_rows)
+/// into (*ranks)[0, num_rows): code columns rank by code, real columns by
+/// value with -0.0 == +0.0 (the Value order, so the ranks match ranking
+/// the decoded column). Returns the distinct count. Real columns go
+/// through RadixRankDoubles and must be NaN-free.
+uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
+                           size_t num_rows, std::vector<uint32_t>* ranks);
+
+/// One group id per row for the composite LHS `lhs_columns` (the fold of
+/// PositionListIndex::FromEncoded), numbered by first occurrence in row
+/// order so lazy sampling keyed by id draws in row-scan order. The empty
+/// LHS is one group. Writes (*ids)[0, num_rows); returns the group count.
+uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
+                              const std::vector<size_t>& lhs_columns,
+                              size_t num_rows, std::vector<uint32_t>* ids);
+
 /// Root: i.i.d. uniform draws from the domain.
 void GenerateRootColumnEncoded(const Domain& domain, size_t num_rows,
                                Rng* rng, EncodedBatch* batch,

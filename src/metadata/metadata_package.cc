@@ -1,5 +1,6 @@
 #include "metadata/metadata_package.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -48,7 +49,18 @@ Result<std::vector<Domain>> MetadataPackage::RequireDomains() const {
   }
   std::vector<Domain> out;
   out.reserve(domains.size());
-  for (const auto& d : domains) out.push_back(*d);
+  for (size_t c = 0; c < domains.size(); ++c) {
+    const Domain& d = *domains[c];
+    // Generation draws from [lo, hi) and Def 2.3 scales epsilon by the
+    // range, so an infinite bound would make every measure meaningless.
+    if (d.is_continuous() &&
+        !(std::isfinite(d.lo()) && std::isfinite(d.hi()))) {
+      return Status::Invalid("continuous domain of attribute '" +
+                             schema.attribute(c).name +
+                             "' has a non-finite bound");
+    }
+    out.push_back(d);
+  }
   return out;
 }
 

@@ -53,7 +53,9 @@ struct MetadataPackage {
   /// True when every attribute has a disclosed domain.
   bool HasAllDomains() const;
 
-  /// The domains as a dense vector; fails if any is missing.
+  /// The domains as a dense vector; fails if any is missing or if a
+  /// continuous domain has a non-finite bound. Generation (both paths)
+  /// and the audit's analytical side take their domains from here.
   Result<std::vector<Domain>> RequireDomains() const;
 
   /// Copy with everything above `level` stripped out.

@@ -1,6 +1,7 @@
 #include "privacy/risk_estimator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/radix_sort.h"
 #include "common/simd.h"
 #include "data/code_column.h"
 #include "metadata/dependency.h"
@@ -352,7 +354,12 @@ class NnLinkageBound : public BoundRiskEstimator {
   struct Attr {
     bool active = false;  // continuous attributes only
     double epsilon = 0.0;
-    std::vector<double> real_numeric;  // per row, NaN = skip
+    CodeColumnView real_codes;
+    // Real code -> numeric, NaN for NULL and non-numeric codes. The
+    // dictionary numbers codes in ascending Value order, so the non-NaN
+    // entries ascend: walking codes 1..K visits the real values in order.
+    std::vector<double> real_by_code;
+    const size_t* real_counts = nullptr;  // rows per real code
     bool coded = false;
     std::vector<double> code_numeric;  // syn code -> numeric, NaN = NULL
   };
@@ -385,42 +392,78 @@ class NnLinkageBound : public BoundRiskEstimator {
   }
 
  private:
-  // Synthetic value of row r, NaN when the generator emitted NULL.
-  double SynAt(const Attr& attr, const EncodedBatch& batch, size_t c,
-               size_t r) const {
-    return attr.coded ? attr.code_numeric[batch.code_at(c, r)]
-                      : batch.reals(c)[r];
+  // Invokes fn with a row -> synthetic value accessor for column c (NaN
+  // where the generator emitted NULL), dispatching once on the storage.
+  template <typename Fn>
+  static void WithSynValues(const Attr& attr, const EncodedBatch& batch,
+                            size_t c, Fn&& fn) {
+    if (attr.coded) {
+      batch.WithCodes(c, [&](const auto* codes) {
+        fn([&](size_t r) { return attr.code_numeric[codes[r]]; });
+      });
+    } else {
+      const double* reals = batch.reals(c).data();
+      fn([&](size_t r) { return reals[r]; });
+    }
   }
 
+  // Sorts the non-NULL generated values as ordered keys, then one merge
+  // walk over the real codes in ascending value order gives each code its
+  // nearest-neighbor distance: the first generated value not below x and
+  // the last one below it, the two neighbors std::lower_bound would find.
+  // Epsilon links add the code's row count; top-1 hits need the aligned
+  // generated value, so one row pass reads each row's code distance.
   void ScoreAttribute(const Attr& attr, const EncodedBatch& batch, size_t c,
                       size_t* eps_matches, size_t* top1_hits) const {
     const size_t n = batch.num_rows();
-    thread_local std::vector<double> sorted;
-    sorted.clear();
-    sorted.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      const double s = SynAt(attr, batch, c, r);
-      if (!std::isnan(s)) sorted.push_back(s);
-    }
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.empty()) return;
-    for (size_t r = 0; r < n; ++r) {
-      const double x = attr.real_numeric[r];
+    // keys: the sorted generated values. words: the radix scratch, then
+    // the per-code distances (bit_cast doubles), which is why it holds
+    // max(n, codes) words.
+    thread_local std::vector<uint64_t> keys;
+    thread_local std::vector<uint64_t> words;
+    keys.resize(n);
+    size_t len = 0;
+    WithSynValues(attr, batch, c, [&](auto syn_at) {
+      for (size_t r = 0; r < n; ++r) {
+        const double s = syn_at(r);
+        if (!std::isnan(s)) keys[len++] = OrderedKey(s);
+      }
+    });
+    if (len == 0) return;
+    const size_t num_codes = attr.real_by_code.size();
+    words.resize(std::max(len, num_codes));
+    RadixSortKeys(keys.data(), words.data(), len);
+
+    size_t p = 0;
+    for (size_t code = 0; code < num_codes; ++code) {
+      const double x = attr.real_by_code[code];
       if (std::isnan(x)) continue;
-      auto it = std::lower_bound(sorted.begin(), sorted.end(), x);
+      while (p < len && FromOrderedKey(keys[p]) < x) ++p;
       double mindist = std::numeric_limits<double>::infinity();
-      if (it != sorted.end()) mindist = *it - x;
-      if (it != sorted.begin()) {
-        mindist = std::min(mindist, x - *(it - 1));
-      }
-      if (mindist <= attr.epsilon) ++*eps_matches;
-      const double aligned = SynAt(attr, batch, c, r);
-      // The adversary's top-1 link is correct when the index-aligned
-      // value ties the nearest-neighbor distance (ties count).
-      if (!std::isnan(aligned) && std::abs(x - aligned) <= mindist) {
-        ++*top1_hits;
-      }
+      if (p < len) mindist = FromOrderedKey(keys[p]) - x;
+      if (p > 0) mindist = std::min(mindist, x - FromOrderedKey(keys[p - 1]));
+      if (mindist <= attr.epsilon) *eps_matches += attr.real_counts[code];
+      words[code] = std::bit_cast<uint64_t>(mindist);
     }
+
+    WithSynValues(attr, batch, c, [&](auto syn_at) {
+      attr.real_codes.With([&](const auto* real) {
+        size_t hits = 0;
+        for (size_t r = 0; r < n; ++r) {
+          const uint32_t code = real[r];
+          const double x = attr.real_by_code[code];
+          if (std::isnan(x)) continue;
+          const double aligned = syn_at(r);
+          // The adversary's top-1 link is correct when the index-aligned
+          // value ties the nearest-neighbor distance (ties count).
+          if (!std::isnan(aligned) &&
+              std::abs(x - aligned) <= std::bit_cast<double>(words[code])) {
+            ++hits;
+          }
+        }
+        *top1_hits = hits;
+      });
+    });
   }
 
   std::vector<Attr> attrs_;
@@ -567,12 +610,10 @@ Result<std::unique_ptr<BoundRiskEstimator>> NnLinkageEstimator::Bind(
       attr.epsilon =
           domain.ok() ? ctx.leakage.epsilon_fraction * domain->range() : 0.0;
     }
-    const std::vector<double> by_code = real.dictionary(c).NumericByCode();
-    const CodeColumnView col = real.column_view(c);
-    attr.real_numeric.resize(real.num_rows());
-    for (size_t r = 0; r < real.num_rows(); ++r) {
-      attr.real_numeric[r] = by_code[col.at(r)];
-    }
+    const ColumnDictionary& dict = real.dictionary(c);
+    attr.real_codes = real.column_view(c);
+    attr.real_by_code = dict.NumericByCode();
+    attr.real_counts = dict.counts().data();
     if (kinds[c] == EncodedBatch::ColumnKind::kCodes) {
       attr.coded = true;
       const std::vector<Value>& domain_values = (*ctx.domains)[c].values();

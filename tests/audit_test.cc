@@ -1,6 +1,10 @@
 // Tests for the one-call audit pipeline (privacy/audit).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "privacy/audit.h"
@@ -11,6 +15,30 @@ namespace {
 TEST(AuditTest, RejectsEmptyRelation) {
   Relation empty = Relation::Empty(Schema(std::vector<Attribute>{}));
   EXPECT_FALSE(RunAudit(empty).ok());
+}
+
+TEST(AuditTest, RejectsNonFiniteContinuousDomain) {
+  // An infinite cell makes the disclosed domain [lo, inf) or (-inf, hi]:
+  // epsilon scales with an infinite range and generation draws from it,
+  // so the audit must refuse rather than report meaningless numbers.
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    Schema schema({{"k", DataType::kInt64, SemanticType::kCategorical},
+                   {"x", DataType::kDouble, SemanticType::kContinuous}});
+    std::vector<Value> k, x;
+    for (int r = 0; r < 200; ++r) {
+      k.push_back(Value::Int(r % 7));
+      x.push_back(Value::Real(r == 17 ? bad : r * 0.5));
+    }
+    auto relation = Relation::Make(schema, {std::move(k), std::move(x)});
+    ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+    auto audit = RunAudit(*relation);
+    ASSERT_FALSE(audit.ok());
+    EXPECT_TRUE(audit.status().IsInvalid()) << audit.status().ToString();
+    EXPECT_NE(audit.status().message().find("'x'"), std::string::npos)
+        << audit.status().ToString();
+  }
 }
 
 TEST(AuditTest, EmployeeAuditFlagsSmallDomains) {

@@ -15,12 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/math_util.h"
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
+#include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "discovery/discovery_engine.h"
 #include "generation/generation_engine.h"
@@ -142,6 +145,84 @@ TEST(LeakageCodepathTest, GoldenParityPlantedSynthetic) {
   auto report = ProfileRelation(*relation, options);
   ASSERT_TRUE(report.ok());
   CheckGoldenParity(*relation, report->metadata, 12);
+}
+
+// The e2e attack workload's fixture (bench_generation_perf's planted
+// relation) at 5k rows: a 16-value categorical base, a continuous base
+// on [0, 1000], a monotone derivation of it and a bounded-fanout
+// derivation of the categorical one. Profiled with the default options,
+// its FD/OD/ND plans key on the continuous column, so the real-column
+// radix rank and the composite fold run on a 5k-value key every round.
+TEST(LeakageCodepathTest, GoldenParityAttackFixture) {
+  using Kind = datasets::SyntheticAttribute::Kind;
+  datasets::SyntheticConfig config;
+  config.num_rows = 5000;
+  config.seed = 21;
+  config.attributes = {
+      {.name = "a", .kind = Kind::kCategoricalBase, .domain_size = 16},
+      {.name = "b", .kind = Kind::kContinuousBase, .lo = 0.0, .hi = 1000.0},
+      {.name = "c", .kind = Kind::kDerivedMonotone, .source = 1},
+      {.name = "d",
+       .kind = Kind::kDerivedBoundedFanout,
+       .domain_size = 24,
+       .source = 0,
+       .fanout = 3},
+  };
+  auto relation = datasets::Synthetic(config);
+  ASSERT_TRUE(relation.ok());
+  auto report = ProfileRelation(*relation);
+  ASSERT_TRUE(report.ok());
+  bool keyed_on_b = false;
+  for (const Dependency& dep : report->metadata.dependencies) {
+    keyed_on_b |= dep.lhs.Contains(1);
+  }
+  ASSERT_TRUE(keyed_on_b) << "no disclosed dependency keys on b";
+  CheckGoldenParity(*relation, report->metadata, 6);
+}
+
+// A continuous column holding an infinity discloses a non-finite domain.
+// Both generation paths refuse it with the same Status.
+TEST(LeakageCodepathTest, NonFiniteDomainRejectedOnBothPaths) {
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    Schema schema({{"k", DataType::kInt64, SemanticType::kCategorical},
+                   {"x", DataType::kDouble, SemanticType::kContinuous}});
+    std::vector<Value> k, x;
+    for (int r = 0; r < 200; ++r) {
+      k.push_back(Value::Int(r % 7));
+      x.push_back(Value::Real(r == 3 ? bad : r * 0.5));
+    }
+    auto relation = Relation::Make(schema, {std::move(k), std::move(x)});
+    ASSERT_TRUE(relation.ok());
+    // Encoding an infinity stays legal; only the disclosed domain is bad.
+    EXPECT_EQ(EncodedRelation::Encode(*relation).num_rows(), 200u);
+    auto report = ProfileRelation(*relation);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    ExperimentConfig config;
+    config.rounds = 2;
+    std::vector<Status> statuses;
+    for (bool value_path : {false, true}) {
+      config.use_value_path = value_path;
+      statuses.push_back(
+          RunExperiment(*relation, report->metadata, kAllMethods, config)
+              .status());
+    }
+    Rng code_rng(1);
+    Rng value_rng(1);
+    statuses.push_back(
+        GenerateSynthetic(report->metadata, 200, &code_rng).status());
+    statuses.push_back(
+        GenerateSyntheticValuePath(report->metadata, 200, &value_rng)
+            .status());
+    for (const Status& st : statuses) {
+      EXPECT_TRUE(st.IsInvalid()) << st.ToString();
+      EXPECT_EQ(st.ToString(), statuses[0].ToString());
+    }
+    EXPECT_NE(statuses[0].message().find("'x'"), std::string::npos)
+        << statuses[0].ToString();
+  }
 }
 
 // --- Synthetic-NULL non-match semantics --------------------------------------

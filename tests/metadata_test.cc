@@ -2,6 +2,11 @@
 // DependencyGraph, MetadataPackage (restriction + serialization).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "data/datasets/employee.h"
 #include "data/domain.h"
 #include "metadata/dependency.h"
@@ -273,6 +278,23 @@ TEST(MetadataPackageTest, RequireDomainsFailsWhenMissing) {
   pkg.domains[2] = std::nullopt;
   EXPECT_FALSE(pkg.RequireDomains().ok());
   EXPECT_FALSE(pkg.HasAllDomains());
+}
+
+TEST(MetadataPackageTest, RequireDomainsRejectsNonFiniteContinuousBound) {
+  Schema schema({{"x", DataType::kDouble, SemanticType::kContinuous}});
+  MetadataPackage pkg;
+  pkg.schema = schema;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto [lo, hi] : {std::pair{0.0, inf}, std::pair{-inf, 1.0},
+                        std::pair{-inf, inf}}) {
+    pkg.domains = {Domain::Continuous(lo, hi)};
+    Result<std::vector<Domain>> domains = pkg.RequireDomains();
+    ASSERT_FALSE(domains.ok());
+    EXPECT_TRUE(domains.status().IsInvalid());
+    EXPECT_NE(domains.status().message().find("'x'"), std::string::npos);
+  }
+  pkg.domains = {Domain::Continuous(-1e300, 1e300)};
+  EXPECT_TRUE(pkg.RequireDomains().ok());
 }
 
 TEST(MetadataPackageTest, ValuesWithSpacesSurviveRoundTrip) {

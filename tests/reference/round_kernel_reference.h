@@ -1,0 +1,63 @@
+// Reference Monte-Carlo round kernels: the test oracles for the sampler,
+// the generators' rank and fold kernels, the radix sort and the
+// NN-linkage estimator.
+//
+// Each function is the implementation the library used before those
+// kernels went linear: Floyd's algorithm over a std::unordered_set, ranks
+// by copy + std::sort + std::unique + a std::lower_bound per row, the
+// composite-LHS fold through a std::unordered_map, std::sort for order
+// statistics, and the NN-linkage adversary as a per-row binary search over
+// the sorted generated values. The library must reproduce them bit for
+// bit: the same draws in the same order, the same ranks, group ids and
+// counts.
+#ifndef METALEAK_TESTS_REFERENCE_ROUND_KERNEL_REFERENCE_H_
+#define METALEAK_TESTS_REFERENCE_ROUND_KERNEL_REFERENCE_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "common/random.h"
+#include "data/domain.h"
+#include "data/encoded_batch.h"
+#include "data/encoded_relation.h"
+#include "privacy/leakage.h"
+
+namespace metaleak {
+namespace reference {
+
+/// Floyd's algorithm with a std::unordered_set of chosen indices.
+std::vector<size_t> SampleWithoutReplacement(Rng* rng, size_t n, size_t k);
+
+/// Dense ascending ranks of xs by copy + sort + unique + lower_bound.
+/// Returns the distinct count.
+uint32_t RankReals(const std::vector<double>& xs,
+                   std::vector<uint32_t>* ranks);
+
+/// Ranks of one batch column over rows [0, num_rows): a per-code rank
+/// table for code columns, RankReals for real columns.
+uint32_t RankBatchColumn(const EncodedBatch& batch, size_t col,
+                         size_t num_rows, std::vector<uint32_t>* ranks);
+
+/// First-occurrence composite group ids through a std::unordered_map.
+/// Returns the group count.
+uint32_t FoldLhsGroups(const EncodedBatch& batch,
+                       const std::vector<size_t>& lhs_columns,
+                       size_t num_rows, std::vector<uint32_t>* ids);
+
+/// std::sort, ascending.
+void SortReals(std::vector<double>* xs);
+
+/// NN-linkage cells for every attribute of `real` against `batch`, laid
+/// out like NnLinkageEstimator's block: the eps-match column, then the
+/// top-1 column, one cell per attribute. `domains` are the generation
+/// domains the batch is coded against.
+std::vector<double> NnLinkageCells(const EncodedRelation& real,
+                                   const std::vector<Domain>& domains,
+                                   const LeakageOptions& options,
+                                   const EncodedBatch& batch,
+                                   std::vector<bool>* present);
+
+}  // namespace reference
+}  // namespace metaleak
+
+#endif  // METALEAK_TESTS_REFERENCE_ROUND_KERNEL_REFERENCE_H_
