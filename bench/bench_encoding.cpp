@@ -50,9 +50,10 @@ void BM_PliFromColumnCodePath(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 1, 0,
                                  64);
   EncodedRelation encoded = EncodedRelation::Encode(rel);
+  const std::vector<uint32_t> codes = encoded.column(0).ToU32();
   for (auto _ : state) {
     PositionListIndex pli = PositionListIndex::FromCodes(
-        encoded.codes(0), encoded.dictionary(0).num_codes());
+        codes, encoded.dictionary(0).num_codes());
     benchmark::DoNotOptimize(pli.num_clusters());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -104,11 +105,13 @@ void BM_G3CodePath(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 2, 0,
                                  16);
   EncodedRelation encoded = EncodedRelation::Encode(rel);
+  const std::vector<uint32_t> x_codes = encoded.column(0).ToU32();
+  const std::vector<uint32_t> a_codes = encoded.column(1).ToU32();
   for (auto _ : state) {
     PositionListIndex x = PositionListIndex::FromCodes(
-        encoded.codes(0), encoded.dictionary(0).num_codes());
+        x_codes, encoded.dictionary(0).num_codes());
     PositionListIndex a = PositionListIndex::FromCodes(
-        encoded.codes(1), encoded.dictionary(1).num_codes());
+        a_codes, encoded.dictionary(1).num_codes());
     benchmark::DoNotOptimize(x.G3Error(a));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -12,14 +12,14 @@
 // count (the acceptance number is the 50k-row entry).
 //
 // Two further axes ride along. The SIMD axis forces the kernels to
-// scalar versus the best host level and checks the outputs are
-// bit-identical; only the bit-parallel low-cardinality counting path is
-// timed (the gather-bound intersect/sweep timings it used to report sat
-// at ~1.0x and were retired). The streaming axis A/Bs the cache
-// refinements — software prefetch in the probe gathers and the
-// radix-partitioned scatter in FromCodes — on a high-cardinality
-// fixture, plus the tiled counting sweep against the cached-PLI
-// extension sweep.
+// scalar versus the best host level (AVX2 where the CPU has it) and
+// checks the outputs are bit-identical; only the bit-parallel
+// low-cardinality counting path is timed (the gather-bound
+// intersect/sweep timings it used to report sat at ~1.0x and were
+// retired). The sweep axis times the tiled counting sweep against the
+// cached-PLI extension sweep. The nested engine reads u32 code vectors,
+// as it did before the adaptive-width columns; they are widened once per
+// fixture so its timings exclude the copy.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/random.h"
 #include "common/simd.h"
 #include "data/datasets/synthetic.h"
 #include "data/encoded_relation.h"
@@ -107,19 +106,30 @@ LegacyPli LegacyFromCodes(const std::vector<uint32_t>& codes,
   return out;
 }
 
+// Every column of `relation` as a u32 code vector.
+std::vector<std::vector<uint32_t>> WidenedColumns(
+    const EncodedRelation& relation) {
+  std::vector<std::vector<uint32_t>> wide;
+  for (size_t c = 0; c < relation.num_columns(); ++c) {
+    wide.push_back(relation.column(c).ToU32());
+  }
+  return wide;
+}
+
 LegacyPli LegacyFromEncoded(const EncodedRelation& relation,
+                            const std::vector<std::vector<uint32_t>>& wide,
                             const std::vector<size_t>& columns) {
   if (columns.size() == 1) {
-    return LegacyFromCodes(relation.codes(columns[0]),
+    return LegacyFromCodes(wide[columns[0]],
                            relation.dictionary(columns[0]).num_codes());
   }
   const size_t n = relation.num_rows();
-  std::vector<uint64_t> ids(relation.codes(columns[0]).begin(),
-                            relation.codes(columns[0]).end());
+  std::vector<uint64_t> ids(wide[columns[0]].begin(),
+                            wide[columns[0]].end());
   uint64_t num_groups = relation.dictionary(columns[0]).num_codes();
   std::unordered_map<uint64_t, uint64_t> remap;
   for (size_t i = 1; i < columns.size(); ++i) {
-    const std::vector<uint32_t>& codes = relation.codes(columns[i]);
+    const std::vector<uint32_t>& codes = wide[columns[i]];
     const uint64_t nc = relation.dictionary(columns[i]).num_codes();
     remap.clear();
     remap.reserve(n);
@@ -169,8 +179,10 @@ LegacyPli LegacyIntersect(const LegacyPli& a, const LegacyPli& b) {
 
 // The pre-CSR identifiability sweep: one full FromEncoded rebuild per
 // width-2 subset, parallelized exactly like the old IdentifiableRows.
-std::vector<char> SweepByRebuild(const EncodedRelation& enc,
-                                 const std::vector<AttributeSet>& subsets) {
+std::vector<char> SweepByRebuild(
+    const EncodedRelation& enc,
+    const std::vector<std::vector<uint32_t>>& wide,
+    const std::vector<AttributeSet>& subsets) {
   const size_t n = enc.num_rows();
   const size_t grain = subsets.size() / 256 > 0 ? subsets.size() / 256 : 1;
   return ParallelReduce<std::vector<char>>(
@@ -178,7 +190,8 @@ std::vector<char> SweepByRebuild(const EncodedRelation& enc,
       [&](size_t lo, size_t hi) {
         std::vector<char> bits(n, 0);
         for (size_t s = lo; s < hi; ++s) {
-          LegacyPli pli = LegacyFromEncoded(enc, subsets[s].ToIndices());
+          LegacyPli pli =
+              LegacyFromEncoded(enc, wide, subsets[s].ToIndices());
           std::vector<char> in_cluster(n, 0);
           for (const auto& cluster : pli.clusters) {
             for (size_t row : cluster) in_cluster[row] = 1;
@@ -268,28 +281,11 @@ double TimeCountingQueries(const std::vector<PositionListIndex>& singles) {
   });
 }
 
-double TimePairIntersects(const std::vector<PositionListIndex>& singles) {
-  IntersectionScratch scratch;
-  return TimeMs([&] {
-    size_t total = 0;
-    for (size_t a = 0; a < singles.size(); ++a) {
-      for (size_t b = 0; b < singles.size(); ++b) {
-        if (a == b) continue;
-        total +=
-            singles[a].Intersect(singles[b], &scratch).num_clusters();
-      }
-    }
-    if (total == SIZE_MAX) std::abort();
-  });
-}
-
 int Main() {
   const std::vector<size_t> kRowCounts = {10000, 50000, 200000};
   std::vector<BenchRecord> records;
   double speedup_50k = 0.0;
   double tiled_sweep_50k = 0.0;
-  double prefetch_intersect_200k = 0.0;
-  double radix_build_4m = 0.0;
   double simd_lowcard_50k = 0.0;
   bool simd_parity_ok = true;
 
@@ -300,13 +296,14 @@ int Main() {
                                       /*domain_size=*/48, /*seed=*/7))
                             .ValueOrDie();
     EncodedRelation enc = EncodedRelation::Encode(relation);
+    const std::vector<std::vector<uint32_t>> wide = WidenedColumns(enc);
     const size_t m = enc.num_columns();
     std::printf("dataset: synthetic uniform, %zu rows x %zu attrs\n",
                 enc.num_rows(), m);
 
     // --- Parity: both layouts must agree bit-for-bit ------------------
     for (size_t c = 0; c < m; ++c) {
-      LegacyPli legacy = LegacyFromEncoded(enc, {c});
+      LegacyPli legacy = LegacyFromEncoded(enc, wide, {c});
       PositionListIndex csr = PositionListIndex::FromEncoded(enc, {c});
       if (legacy.clusters != csr.ToNestedClusters()) {
         std::fprintf(stderr, "parity FAILED: column %zu clusters\n", c);
@@ -314,7 +311,7 @@ int Main() {
       }
     }
     const std::vector<AttributeSet> subsets = Width2Subsets(m);
-    std::vector<char> rebuild_bits = SweepByRebuild(enc, subsets);
+    std::vector<char> rebuild_bits = SweepByRebuild(enc, wide, subsets);
     {
       PliCache cache(&enc);
       auto extend = IdentifiableRowsForSubsets(cache, subsets);
@@ -331,7 +328,7 @@ int Main() {
     double nested_build = TimeMs([&] {
       size_t total = 0;
       for (size_t c = 0; c < m; ++c) {
-        total += LegacyFromEncoded(enc, {c}).clusters.size();
+        total += LegacyFromEncoded(enc, wide, {c}).clusters.size();
       }
       if (total == SIZE_MAX) std::abort();  // keep the loop observable
     });
@@ -347,7 +344,7 @@ int Main() {
     std::vector<LegacyPli> legacy_singles;
     std::vector<PositionListIndex> csr_singles;
     for (size_t c = 0; c < m; ++c) {
-      legacy_singles.push_back(LegacyFromEncoded(enc, {c}));
+      legacy_singles.push_back(LegacyFromEncoded(enc, wide, {c}));
       csr_singles.push_back(PositionListIndex::FromEncoded(enc, {c}));
       (void)csr_singles.back().probe_table();  // warm the cached probes
     }
@@ -379,7 +376,8 @@ int Main() {
     // --- sweep: width-2 identifiability -------------------------------
     // Cold cache per repetition: the number measured is "build every
     // width-2 partition and mark unique rows", rebuild versus extension.
-    double sweep_rebuild = TimeMs([&] { SweepByRebuild(enc, subsets); });
+    double sweep_rebuild =
+        TimeMs([&] { SweepByRebuild(enc, wide, subsets); });
     double sweep_extend = TimeMs([&] {
       PliCache cache(&enc);
       auto result = IdentifiableRowsForSubsets(cache, subsets);
@@ -479,81 +477,6 @@ int Main() {
         {"counting_lowcard", "scalar_kernels", rows, scalar_lowcard_ms});
     records.push_back(
         {"counting_lowcard", "simd_kernels", rows, simd_lowcard_ms});
-
-    // --- streaming axis: probe-gather prefetch A/B --------------------
-    // A high-cardinality fixture (domain ~rows/2) makes the probe-table
-    // gathers cache-miss bound, which is where the software prefetch
-    // earns its keep — the effect only shows once the probe tables
-    // outgrow L2, so the acceptance key is the 200k-row entry. The
-    // prefetch may not change any output.
-    EncodedRelation highcard = EncodedRelation::Encode(
-        std::move(datasets::SyntheticUniform(
-                      rows, /*num_categorical=*/4, /*num_continuous=*/0,
-                      /*domain_size=*/rows / 2, /*seed=*/17))
-            .ValueOrDie());
-    SetStreamingOptsEnabled(false);
-    std::vector<PositionListIndex> plain_singles = WarmSingles(highcard);
-    const std::vector<uint32_t> plain_digest = PairDigest(plain_singles);
-    const double plain_intersect_ms = TimePairIntersects(plain_singles);
-
-    SetStreamingOptsEnabled(true);
-    std::vector<PositionListIndex> stream_singles = WarmSingles(highcard);
-    if (PairDigest(stream_singles) != plain_digest) {
-      std::fprintf(stderr, "streaming parity FAILED: highcard digests\n");
-      simd_parity_ok = false;
-    }
-    const double stream_intersect_ms = TimePairIntersects(stream_singles);
-
-    const double pf = plain_intersect_ms / stream_intersect_ms;
-    if (rows == 200000) prefetch_intersect_200k = pf;
-    std::printf(
-        "  streaming highcard intersect %6.2f -> %6.2f ms (%.2fx)\n\n",
-        plain_intersect_ms, stream_intersect_ms, pf);
-
-    records.push_back(
-        {"intersect_highcard", "no_prefetch", rows, plain_intersect_ms});
-    records.push_back(
-        {"intersect_highcard", "prefetch", rows, stream_intersect_ms});
-  }
-
-  // --- radix scatter A/B: FromCodes at the scale where it engages -----
-  // The radix-partitioned scatter only switches on past ~1M distinct
-  // codes with n >= 2x codes (below that the direct scatter's cursor
-  // tables still fit in cache), so it gets its own fixture: 4M rows over
-  // a 2M-code domain, raw codes with no Relation behind them. The two
-  // paths must produce bit-identical CSR arenas.
-  {
-    const size_t n = 4000000;
-    const uint32_t num_codes = 2000000;
-    std::vector<uint32_t> codes(n);
-    Rng rng(19);
-    for (size_t i = 0; i < n; ++i) {
-      codes[i] = static_cast<uint32_t>(rng.UniformIndex(num_codes));
-    }
-    SetStreamingOptsEnabled(false);
-    PositionListIndex direct = PositionListIndex::FromCodes(codes, num_codes);
-    const double direct_ms = TimeMs([&] {
-      if (PositionListIndex::FromCodes(codes, num_codes).num_rows() != n) {
-        std::abort();
-      }
-    });
-    SetStreamingOptsEnabled(true);
-    PositionListIndex radix = PositionListIndex::FromCodes(codes, num_codes);
-    if (radix.rows() != direct.rows() ||
-        radix.cluster_offsets() != direct.cluster_offsets()) {
-      std::fprintf(stderr, "streaming parity FAILED: radix scatter arena\n");
-      simd_parity_ok = false;
-    }
-    const double radix_ms = TimeMs([&] {
-      if (PositionListIndex::FromCodes(codes, num_codes).num_rows() != n) {
-        std::abort();
-      }
-    });
-    radix_build_4m = direct_ms / radix_ms;
-    std::printf("radix scatter 4M rows / 2M codes: %.2f -> %.2f ms (%.2fx)\n",
-                direct_ms, radix_ms, radix_build_4m);
-    records.push_back({"build_highcard", "direct_scatter", n, direct_ms});
-    records.push_back({"build_highcard", "radix_scatter", n, radix_ms});
   }
 
   std::ofstream json("BENCH_partition.json");
@@ -562,9 +485,6 @@ int Main() {
        << ",\n  \"simd_parity\": \""
        << (simd_parity_ok ? "ok" : "MISMATCH")
        << "\",\n  \"tiled_sweep_speedup_50k\": " << tiled_sweep_50k
-       << ",\n  \"prefetch_intersect_speedup_200k\": "
-       << prefetch_intersect_200k
-       << ",\n  \"radix_build_speedup_4m\": " << radix_build_4m
        << ",\n  \"simd_lowcard_speedup_50k\": " << simd_lowcard_50k
        << ",\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {

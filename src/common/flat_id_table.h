@@ -1,13 +1,14 @@
 // FlatIdTable: numbers 64-bit keys by first occurrence.
 //
-// The Monte-Carlo rounds need this in two hot loops: Floyd's sampler
-// (is this index new?) and the generators' composite-LHS fold (which
-// group does this key belong to?). Both know a bound on the distinct keys
-// before they start, so the table is sized once per use and never grows:
-// linear probing over a power-of-two array of ids with Fibonacci hashing,
-// and each id's key in a dense array, so a slot costs four bytes. Reset()
-// empties it in O(bound), which lets one thread-local table serve every
-// call without allocating once it has reached its largest size.
+// Three loops need this: Floyd's sampler (is this index new?), the
+// generators' composite-LHS fold and PositionListIndex::FromEncoded's
+// multi-column fold (which group does this key belong to?). All know a
+// bound on the distinct keys before they start, so the table is sized
+// once per use and never grows: linear probing over a power-of-two array
+// of ids with Fibonacci hashing, and each id's key in a dense array, so a
+// slot costs four bytes. Reset() empties it in O(bound), which lets one
+// thread-local table serve every call without allocating once it has
+// reached its largest size.
 #ifndef METALEAK_COMMON_FLAT_ID_TABLE_H_
 #define METALEAK_COMMON_FLAT_ID_TABLE_H_
 

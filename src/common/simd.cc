@@ -89,32 +89,14 @@ void ScalarHistogramT(const Code* codes, size_t n, uint32_t* counts) {
   for (size_t r = 0; r < n; ++r) ++counts[codes[r]];
 }
 
-// Software-prefetch distance (in gathered elements) for the probe-table
-// gathers. The index stream is sequential but the table accesses are
-// random; issuing the loads this far ahead hides most of the miss
-// latency on large tables and is harmless on small ones. Prefetching
-// never changes the gathered values, so both paths stay bit-identical
-// with and without it.
-constexpr size_t kGatherPrefetchAhead = 16;
-
 void ScalarGatherI32(const int32_t* table, const uint32_t* idx, size_t n,
                      int32_t* out) {
-  const bool prefetch = StreamingOptsEnabled();
-  for (size_t k = 0; k < n; ++k) {
-    if (prefetch && k + kGatherPrefetchAhead < n) {
-      __builtin_prefetch(table + idx[k + kGatherPrefetchAhead]);
-    }
-    out[k] = table[idx[k]];
-  }
+  for (size_t k = 0; k < n; ++k) out[k] = table[idx[k]];
 }
 
 bool ScalarAllGatherEqualI32(const int32_t* table, const uint32_t* idx,
                              size_t n, int32_t expect) {
-  const bool prefetch = StreamingOptsEnabled();
   for (size_t k = 0; k < n; ++k) {
-    if (prefetch && k + kGatherPrefetchAhead < n) {
-      __builtin_prefetch(table + idx[k + kGatherPrefetchAhead]);
-    }
     if (table[idx[k]] != expect) return false;
   }
   return true;
@@ -187,243 +169,6 @@ inline uint32_t CodeAtWidth(const void* codes, int width, size_t r) {
     default:
       return static_cast<const uint32_t*>(codes)[r];
   }
-}
-
-// --- SSE4.2 kernels (128-bit lanes) -------------------------------------
-
-__attribute__((target("sse4.2"))) size_t Sse42CountEqualU32(
-    const uint32_t* a, const uint32_t* b, size_t n) {
-  size_t count = 0;
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + r));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + r));
-    const int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(va, vb)));
-    count += static_cast<size_t>(__builtin_popcount(mask));
-  }
-  for (; r < n; ++r) count += a[r] == b[r];
-  return count;
-}
-
-__attribute__((target("sse4.2"))) size_t Sse42CountEqualF64(
-    const double* a, const double* b, size_t n) {
-  size_t count = 0;
-  size_t r = 0;
-  for (; r + 2 <= n; r += 2) {
-    const __m128d va = _mm_loadu_pd(a + r);
-    const __m128d vb = _mm_loadu_pd(b + r);
-    const int mask = _mm_movemask_pd(_mm_cmpeq_pd(va, vb));
-    count += static_cast<size_t>(__builtin_popcount(mask));
-  }
-  for (; r < n; ++r) count += a[r] == b[r];
-  return count;
-}
-
-__attribute__((target("sse4.2"))) size_t Sse42CountEqualU16(
-    const uint16_t* a, const uint16_t* b, size_t n) {
-  size_t count = 0;
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + r));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + r));
-    // movemask_epi8 yields 2 identical bits per 16-bit lane.
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi16(va, vb));
-    count += static_cast<size_t>(__builtin_popcount(mask)) / 2;
-  }
-  for (; r < n; ++r) count += a[r] == b[r];
-  return count;
-}
-
-__attribute__((target("sse4.2"))) size_t Sse42CountEqualU8(
-    const uint8_t* a, const uint8_t* b, size_t n) {
-  size_t count = 0;
-  size_t r = 0;
-  for (; r + 16 <= n; r += 16) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + r));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + r));
-    const int mask = _mm_movemask_epi8(_mm_cmpeq_epi8(va, vb));
-    count += static_cast<size_t>(__builtin_popcount(mask));
-  }
-  for (; r < n; ++r) count += a[r] == b[r];
-  return count;
-}
-
-__attribute__((target("sse4.2"))) void Sse42EpsilonBallMseInto(
-    const double* real, const double* syn, size_t n, double eps,
-    EpsilonBallStats* outp) {
-  EpsilonBallStats& out = *outp;
-  const __m128d veps = _mm_set1_pd(eps);
-  const __m128d sign_mask = _mm_set1_pd(-0.0);
-  size_t r = 0;
-  alignas(16) double sq[2];
-  for (; r + 2 <= n; r += 2) {
-    const __m128d vr = _mm_loadu_pd(real + r);
-    const __m128d vs = _mm_loadu_pd(syn + r);
-    // Ordered compare over the real side only: the reference scan skips
-    // NaN real cells but lets a NaN synthetic value flow into the sum.
-    const __m128d ord = _mm_cmpord_pd(vr, vr);
-    const __m128d d = _mm_sub_pd(vr, vs);
-    const __m128d ad = _mm_andnot_pd(sign_mask, d);
-    // NaN fails <=, so the match mask needs no explicit ordering test.
-    const __m128d mle = _mm_cmple_pd(ad, veps);
-    out.matches += static_cast<size_t>(
-        __builtin_popcount(_mm_movemask_pd(mle)));
-    out.compared += static_cast<size_t>(
-        __builtin_popcount(_mm_movemask_pd(ord)));
-    // Masked squares: +0.0 in the skipped lanes. Adding +0.0 leaves the
-    // accumulator bit-identical (it is never -0.0: it starts at +0.0 and
-    // only non-negative squares are added — until a NaN arrives, after
-    // which every add preserves the NaN exactly like the reference), so
-    // the lane-order adds below round exactly like the sequential sum.
-    _mm_store_pd(sq, _mm_and_pd(_mm_mul_pd(d, d), ord));
-    out.sum_squares += sq[0];
-    out.sum_squares += sq[1];
-  }
-  for (; r < n; ++r) {
-    const double rv = real[r];
-    if (std::isnan(rv)) continue;
-    const double d = rv - syn[r];
-    if (std::abs(d) <= eps) ++out.matches;
-    out.sum_squares += d * d;
-    ++out.compared;
-  }
-}
-
-__attribute__((target("sse4.2"))) bool Sse42OdViolationInRange(
-    const uint64_t* pairs, size_t lo, size_t hi, bool strict) {
-  const __m128i lo32 = _mm_set1_epi64x(0xFFFFFFFFll);
-  size_t i = lo;
-  for (; i + 2 <= hi; i += 2) {
-    const __m128i prev =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pairs + i - 1));
-    const __m128i cur =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pairs + i));
-    // Codes are < 2^32, so the unpacked halves are non-negative 64-bit
-    // values and the signed 64-bit compares below are exact.
-    const __m128i px = _mm_srli_epi64(prev, 32);
-    const __m128i py = _mm_and_si128(prev, lo32);
-    const __m128i cx = _mm_srli_epi64(cur, 32);
-    const __m128i cy = _mm_and_si128(cur, lo32);
-    const __m128i eqx = _mm_cmpeq_epi64(px, cx);
-    const __m128i eqy = _mm_cmpeq_epi64(py, cy);
-    const __m128i tie_viol = _mm_andnot_si128(eqy, eqx);
-    __m128i step_viol;
-    if (strict) {
-      // Violation on an lhs step: !(cy > py).
-      step_viol = _mm_andnot_si128(_mm_cmpgt_epi64(cy, py),
-                                   _mm_andnot_si128(eqx, _mm_set1_epi8(-1)));
-    } else {
-      // Violation on an lhs step: cy < py.
-      step_viol = _mm_andnot_si128(eqx, _mm_cmpgt_epi64(py, cy));
-    }
-    if (_mm_movemask_epi8(_mm_or_si128(tie_viol, step_viol)) != 0) {
-      return true;
-    }
-  }
-  return ScalarOdViolationInRange(pairs, i, hi, strict);
-}
-
-__attribute__((target("sse4.2"))) void Sse42AccumulateEqualU32(
-    const uint32_t* a, const uint32_t* b, size_t n, uint32_t* acc) {
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + r));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + r));
-    __m128i vacc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + r));
-    // The equality mask is -1 per matching lane; subtracting adds 1.
-    vacc = _mm_sub_epi32(vacc, _mm_cmpeq_epi32(va, vb));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-__attribute__((target("sse4.2"))) void Sse42AccumulateEqualU16(
-    const uint16_t* a, const uint16_t* b, size_t n, uint32_t* acc) {
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    // Widen 4 codes per side in-register; the compare/accumulate is then
-    // exactly the u32 kernel reading half the bytes.
-    const __m128i va = _mm_cvtepu16_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + r)));
-    const __m128i vb = _mm_cvtepu16_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + r)));
-    __m128i vacc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + r));
-    vacc = _mm_sub_epi32(vacc, _mm_cmpeq_epi32(va, vb));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-__attribute__((target("sse4.2"))) void Sse42AccumulateEqualU8(
-    const uint8_t* a, const uint8_t* b, size_t n, uint32_t* acc) {
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    int ia;
-    int ib;
-    std::memcpy(&ia, a + r, 4);
-    std::memcpy(&ib, b + r, 4);
-    const __m128i va = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(ia));
-    const __m128i vb = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(ib));
-    __m128i vacc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + r));
-    vacc = _mm_sub_epi32(vacc, _mm_cmpeq_epi32(va, vb));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-__attribute__((target("sse4.2"))) void Sse42AccumulateNonNull(
-    const uint32_t* codes, size_t n, uint32_t* acc) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i ones = _mm_set1_epi32(1);
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m128i vc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + r));
-    __m128i vacc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + r));
-    // 1 + (codes == 0 ? -1 : 0) = the non-NULL indicator.
-    vacc = _mm_add_epi32(vacc, _mm_add_epi32(ones, _mm_cmpeq_epi32(vc, zero)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += codes[r] != 0;
-}
-
-__attribute__((target("sse4.2"))) void Sse42AccumulateNonNullU16(
-    const uint16_t* codes, size_t n, uint32_t* acc) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i ones = _mm_set1_epi32(1);
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m128i vc = _mm_cvtepu16_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + r)));
-    __m128i vacc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + r));
-    vacc = _mm_add_epi32(vacc, _mm_add_epi32(ones, _mm_cmpeq_epi32(vc, zero)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += codes[r] != 0;
-}
-
-__attribute__((target("sse4.2"))) void Sse42AccumulateNonNullU8(
-    const uint8_t* codes, size_t n, uint32_t* acc) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i ones = _mm_set1_epi32(1);
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    int ic;
-    std::memcpy(&ic, codes + r, 4);
-    const __m128i vc = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(ic));
-    __m128i vacc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + r));
-    vacc = _mm_add_epi32(vacc, _mm_add_epi32(ones, _mm_cmpeq_epi32(vc, zero)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += codes[r] != 0;
 }
 
 // --- AVX2 kernels (256-bit lanes, hardware gathers) ---------------------
@@ -553,8 +298,11 @@ __attribute__((target("avx2"))) void Avx2EpsilonBallMseBody(
         static_cast<size_t>(__builtin_popcount(_mm256_movemask_pd(mle)));
     out.compared +=
         static_cast<size_t>(__builtin_popcount(_mm256_movemask_pd(ord)));
-    // Masked squares added in lane order: bit-identical to the
-    // sequential reference (see the SSE4.2 variant for the argument).
+    // Masked squares: +0.0 in the skipped lanes. Adding +0.0 leaves the
+    // accumulator bit-identical (it is never -0.0: it starts at +0.0 and
+    // only non-negative squares are added — until a NaN arrives, after
+    // which every add preserves the NaN exactly like the reference), so
+    // the lane-order adds below round exactly like the sequential sum.
     _mm256_store_pd(sq, _mm256_and_pd(_mm256_mul_pd(d, d), ord));
     out.sum_squares += sq[0];
     out.sum_squares += sq[1];
@@ -577,14 +325,8 @@ __attribute__((target("avx2"))) void Avx2EpsilonBallMseBody(
 __attribute__((target("avx2"))) void Avx2GatherI32(const int32_t* table,
                                                    const uint32_t* idx,
                                                    size_t n, int32_t* out) {
-  const bool prefetch = StreamingOptsEnabled();
   size_t k = 0;
   for (; k + 8 <= n; k += 8) {
-    if (prefetch && k + kGatherPrefetchAhead + 8 <= n) {
-      for (size_t j = 0; j < 8; ++j) {
-        __builtin_prefetch(table + idx[k + kGatherPrefetchAhead + j]);
-      }
-    }
     const __m256i vidx =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
     const __m256i vals = _mm256_mask_i32gather_epi32(
@@ -861,7 +603,6 @@ void HistogramDispatchT(SimdLevel level, const Code* codes, size_t n,
 SimdLevel DetectSupportedLevel() {
 #if METALEAK_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse42;
 #endif
   return SimdLevel::kScalar;
 }
@@ -883,14 +624,12 @@ const EnvResolution& ResolveEnv() {
       for (char& ch : v) ch = static_cast<char>(std::tolower(ch));
       if (v == "off" || v == "scalar" || v == "0" || v == "none") {
         r.level = SimdLevel::kScalar;
-      } else if (v == "sse4.2" || v == "sse42" || v == "sse4") {
-        r.level = std::min(supported, SimdLevel::kSse42);
       } else if (v == "avx2") {
         r.level = std::min(supported, SimdLevel::kAvx2);
       } else if (v != "auto") {
         METALEAK_LOG(kWarning)
             << "unrecognized METALEAK_SIMD value \"" << env
-            << "\" (expected off|sse4.2|avx2|auto); using auto";
+            << "\" (expected off|avx2|auto); using auto";
       }
     }
     METALEAK_LOG(kInfo) << "SIMD dispatch: " << SimdLevelName(r.level)
@@ -924,8 +663,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse42:
-      return "sse4.2";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -953,18 +690,6 @@ void SetSimdLevelOverride(SimdLevel level) {
 
 void ClearSimdLevelOverride() {
   g_level_override.store(-1, std::memory_order_relaxed);
-}
-
-namespace {
-std::atomic<bool> g_streaming_opts{true};
-}  // namespace
-
-void SetStreamingOptsEnabled(bool enabled) {
-  g_streaming_opts.store(enabled, std::memory_order_relaxed);
-}
-
-bool StreamingOptsEnabled() {
-  return g_streaming_opts.load(std::memory_order_relaxed);
 }
 
 HostInfo QueryHostInfo() {
@@ -1049,13 +774,8 @@ std::string BenchMetadataJson() {
 size_t CountEqualU32(SimdLevel level, const uint32_t* a, const uint32_t* b,
                      size_t n) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return Avx2CountEqualU32(a, b, n);
-    case SimdLevel::kSse42:
-      return Sse42CountEqualU32(a, b, n);
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    return Avx2CountEqualU32(a, b, n);
   }
 #else
   (void)level;
@@ -1066,13 +786,8 @@ size_t CountEqualU32(SimdLevel level, const uint32_t* a, const uint32_t* b,
 size_t CountEqualU16(SimdLevel level, const uint16_t* a, const uint16_t* b,
                      size_t n) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return Avx2CountEqualU16(a, b, n);
-    case SimdLevel::kSse42:
-      return Sse42CountEqualU16(a, b, n);
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    return Avx2CountEqualU16(a, b, n);
   }
 #else
   (void)level;
@@ -1083,13 +798,8 @@ size_t CountEqualU16(SimdLevel level, const uint16_t* a, const uint16_t* b,
 size_t CountEqualU8(SimdLevel level, const uint8_t* a, const uint8_t* b,
                     size_t n) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return Avx2CountEqualU8(a, b, n);
-    case SimdLevel::kSse42:
-      return Sse42CountEqualU8(a, b, n);
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    return Avx2CountEqualU8(a, b, n);
   }
 #else
   (void)level;
@@ -1100,13 +810,8 @@ size_t CountEqualU8(SimdLevel level, const uint8_t* a, const uint8_t* b,
 size_t CountEqualF64(SimdLevel level, const double* a, const double* b,
                      size_t n) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return Avx2CountEqualF64(a, b, n);
-    case SimdLevel::kSse42:
-      return Sse42CountEqualF64(a, b, n);
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    return Avx2CountEqualF64(a, b, n);
   }
 #else
   (void)level;
@@ -1118,27 +823,14 @@ void EpsilonBallMseInto(SimdLevel level, const double* real,
                         const double* syn, size_t n, double eps,
                         EpsilonBallStats* stats) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      Avx2EpsilonBallMseBody(real, syn, nullptr, 4, nullptr, n, eps, stats);
-      return;
-    case SimdLevel::kSse42:
-      Sse42EpsilonBallMseInto(real, syn, n, eps, stats);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    Avx2EpsilonBallMseBody(real, syn, nullptr, 4, nullptr, n, eps, stats);
+    return;
   }
 #else
   (void)level;
 #endif
   ScalarEpsilonBallMseInto(real, syn, n, eps, stats);
-}
-
-EpsilonBallStats EpsilonBallMse(SimdLevel level, const double* real,
-                                const double* syn, size_t n, double eps) {
-  EpsilonBallStats out;
-  EpsilonBallMseInto(level, real, syn, n, eps, &out);
-  return out;
 }
 
 namespace {
@@ -1158,7 +850,6 @@ void EpsilonBallMseCodedIntoDispatch(SimdLevel level, const double* real,
 #else
   (void)level;
 #endif
-  // No hardware gather below AVX2; the scalar loop is the best option.
   ScalarEpsilonBallMseCodedInto(real, syn_codes, code_numeric, n, eps,
                                 stats);
 }
@@ -1187,16 +878,6 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              double eps, EpsilonBallStats* stats) {
   EpsilonBallMseCodedIntoDispatch(level, real, syn_codes, code_numeric, n,
                                   eps, stats);
-}
-
-EpsilonBallStats EpsilonBallMseCoded(SimdLevel level, const double* real,
-                                     const uint32_t* syn_codes,
-                                     const double* code_numeric, size_t n,
-                                     double eps) {
-  EpsilonBallStats out;
-  EpsilonBallMseCodedInto(level, real, syn_codes, code_numeric, n, eps,
-                          &out);
-  return out;
 }
 
 void HistogramU32(SimdLevel level, const uint32_t* codes, size_t n,
@@ -1243,13 +924,8 @@ bool OdViolationInRange(SimdLevel level, const uint64_t* pairs, size_t lo,
                         size_t hi, bool strict) {
   METALEAK_DCHECK(lo >= 1);
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return Avx2OdViolationInRange(pairs, lo, hi, strict);
-    case SimdLevel::kSse42:
-      return Sse42OdViolationInRange(pairs, lo, hi, strict);
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    return Avx2OdViolationInRange(pairs, lo, hi, strict);
   }
 #else
   (void)level;
@@ -1260,15 +936,9 @@ bool OdViolationInRange(SimdLevel level, const uint64_t* pairs, size_t lo,
 void AccumulateEqualU32(SimdLevel level, const uint32_t* a,
                         const uint32_t* b, size_t n, uint32_t* acc) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      Avx2AccumulateEqualU32(a, b, n, acc);
-      return;
-    case SimdLevel::kSse42:
-      Sse42AccumulateEqualU32(a, b, n, acc);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    Avx2AccumulateEqualU32(a, b, n, acc);
+    return;
   }
 #else
   (void)level;
@@ -1279,15 +949,9 @@ void AccumulateEqualU32(SimdLevel level, const uint32_t* a,
 void AccumulateEqualU16(SimdLevel level, const uint16_t* a,
                         const uint16_t* b, size_t n, uint32_t* acc) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      Avx2AccumulateEqualU16(a, b, n, acc);
-      return;
-    case SimdLevel::kSse42:
-      Sse42AccumulateEqualU16(a, b, n, acc);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    Avx2AccumulateEqualU16(a, b, n, acc);
+    return;
   }
 #else
   (void)level;
@@ -1298,15 +962,9 @@ void AccumulateEqualU16(SimdLevel level, const uint16_t* a,
 void AccumulateEqualU8(SimdLevel level, const uint8_t* a, const uint8_t* b,
                        size_t n, uint32_t* acc) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      Avx2AccumulateEqualU8(a, b, n, acc);
-      return;
-    case SimdLevel::kSse42:
-      Sse42AccumulateEqualU8(a, b, n, acc);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    Avx2AccumulateEqualU8(a, b, n, acc);
+    return;
   }
 #else
   (void)level;
@@ -1392,15 +1050,9 @@ void AccumulateEpsilonMatchCoded(SimdLevel level, const double* real,
 void AccumulateNonNull(SimdLevel level, const uint32_t* codes, size_t n,
                        uint32_t* acc) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      Avx2AccumulateNonNull(codes, n, acc);
-      return;
-    case SimdLevel::kSse42:
-      Sse42AccumulateNonNull(codes, n, acc);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    Avx2AccumulateNonNull(codes, n, acc);
+    return;
   }
 #else
   (void)level;
@@ -1411,15 +1063,9 @@ void AccumulateNonNull(SimdLevel level, const uint32_t* codes, size_t n,
 void AccumulateNonNull(SimdLevel level, const uint16_t* codes, size_t n,
                        uint32_t* acc) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      Avx2AccumulateNonNullU16(codes, n, acc);
-      return;
-    case SimdLevel::kSse42:
-      Sse42AccumulateNonNullU16(codes, n, acc);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    Avx2AccumulateNonNullU16(codes, n, acc);
+    return;
   }
 #else
   (void)level;
@@ -1430,15 +1076,9 @@ void AccumulateNonNull(SimdLevel level, const uint16_t* codes, size_t n,
 void AccumulateNonNull(SimdLevel level, const uint8_t* codes, size_t n,
                        uint32_t* acc) {
 #if METALEAK_SIMD_X86
-  switch (level) {
-    case SimdLevel::kAvx2:
-      Avx2AccumulateNonNullU8(codes, n, acc);
-      return;
-    case SimdLevel::kSse42:
-      Sse42AccumulateNonNullU8(codes, n, acc);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (level == SimdLevel::kAvx2) {
+    Avx2AccumulateNonNullU8(codes, n, acc);
+    return;
   }
 #else
   (void)level;
@@ -1456,30 +1096,11 @@ void BitsetOrNotInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t w = 0; w < words; ++w) dst[w] |= ~src[w];
 }
 
-size_t BitsetAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                      size_t words) {
-  size_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    const uint64_t v = a[w] & b[w];
-    dst[w] = v;
-    count += static_cast<size_t>(__builtin_popcountll(v));
-  }
-  return count;
-}
-
 size_t BitsetAndPopcount(const uint64_t* a, const uint64_t* b,
                          size_t words) {
   size_t count = 0;
   for (size_t w = 0; w < words; ++w) {
     count += static_cast<size_t>(__builtin_popcountll(a[w] & b[w]));
-  }
-  return count;
-}
-
-size_t BitsetCount(const uint64_t* words_ptr, size_t words) {
-  size_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<size_t>(__builtin_popcountll(words_ptr[w]));
   }
   return count;
 }

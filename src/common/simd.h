@@ -4,39 +4,42 @@
 // doubles (CSR probe tables, the fused Def 2.2/2.3 match+MSE scan,
 // lexicographic OD/OFD pair scans, identifiability bitmaps). This layer
 // provides the handful of primitives those scans actually need, each in
-// up to three codegen variants:
+// two codegen variants:
 //
-//   * an always-available scalar reference (the semantics oracle),
-//   * an SSE4.2 path (128-bit lanes), and
+//   * an always-available scalar reference (the semantics oracle), and
 //   * an AVX2 path (256-bit lanes, hardware gathers),
 //
-// selected at runtime by CPU feature detection. The vector paths are
+// selected at runtime by CPU feature detection. The AVX2 paths are
 // compiled with per-function target attributes, so the library binary
 // stays generic-arch: an AVX2 kernel is *present* in every build but only
-// *dispatched* on hardware that supports it.
+// *dispatched* on hardware that supports it. A host without AVX2 runs
+// the scalar kernels.
 //
 // Parity contract: every kernel returns byte-identical results to its
 // scalar reference on every input — including NaN handling and the order
 // of floating-point accumulation (the epsilon-ball kernel adds masked
 // squares in row order precisely so the MSE sum rounds exactly like the
-// sequential reference; see EpsilonBallMse in simd.cc). Consumers
-// therefore keep the library-wide bit-identical guarantees (code path ==
-// value path, threads-1 == threads-8) at any dispatch level, and the
-// golden-parity suites double as the gate for these kernels.
+// sequential reference; see Avx2EpsilonBallMseBody in simd.cc).
+// Consumers therefore keep the library-wide bit-identical guarantees
+// (code path == value path, threads-1 == threads-8) at any dispatch
+// level, and the golden-parity suites double as the gate for these
+// kernels.
 //
-// Dispatch control: `METALEAK_SIMD` caps the level ("off"/"scalar",
-// "sse4.2", "avx2"; unset/"auto" picks the best supported). The resolved
-// level is logged once (INFO) on first use and surfaced in the audit
-// markdown and the bench JSON metadata. Tests and benches can force a
-// level in-process with SetSimdLevelOverride.
+// Dispatch control: `METALEAK_SIMD` caps the level ("off"/"scalar" or
+// "avx2"; unset/"auto" picks the best supported). The resolved level is
+// logged once (INFO) on first use and surfaced in the audit markdown and
+// the bench JSON metadata. Tests and benches can force a level
+// in-process with SetSimdLevelOverride.
 //
 // Bit-parallel row sets: cluster membership and identifiability bitmaps
 // are packed 64 rows to a word, so OR/AND-NOT merges and popcounts touch
 // 1/64th of the memory the byte bitmaps did. The word helpers have no
-// dispatch level — word-parallelism is available everywhere — but the
-// low-cardinality bitset Intersect fast path that builds on them is
-// gated off when METALEAK_SIMD=off so the scalar configuration measures
-// the pure reference engine.
+// dispatch level — word-parallelism is available everywhere. Two
+// integer fast paths do follow the level: the bit-parallel counting
+// queries of the partition engine (G3Error / MaxFanout / Refines on
+// low-cardinality partitions) and the sliced histogram are gated off at
+// the scalar level, so METALEAK_SIMD=off measures the pure reference
+// engine.
 #ifndef METALEAK_COMMON_SIMD_H_
 #define METALEAK_COMMON_SIMD_H_
 
@@ -50,11 +53,10 @@ namespace metaleak {
 /// every level below it.
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Human-readable level name: "scalar", "sse4.2", "avx2".
+/// Human-readable level name: "scalar", "avx2".
 const char* SimdLevelName(SimdLevel level);
 
 /// Best level this CPU can execute (cached after the first query).
@@ -76,15 +78,6 @@ void SetSimdLevelOverride(SimdLevel level);
 
 /// Removes the override installed by SetSimdLevelOverride.
 void ClearSimdLevelOverride();
-
-/// Bench hook: enables/disables the cache-streaming refinements — the
-/// software prefetch in the probe-table gather kernels and the
-/// radix-partitioned scatter in PositionListIndex::FromCodes — so the
-/// partition bench can A/B them in one process. Neither refinement
-/// changes any output, only timing. Enabled by default; must not be
-/// flipped while kernels are running on other threads.
-void SetStreamingOptsEnabled(bool enabled);
-bool StreamingOptsEnabled();
 
 // --- Host observability --------------------------------------------------
 
@@ -145,9 +138,6 @@ struct EpsilonBallStats {
   double sum_squares = 0.0;
 };
 
-EpsilonBallStats EpsilonBallMse(SimdLevel level, const double* real,
-                                const double* syn, size_t n, double eps);
-
 /// Carried-accumulator form for cache-tiled scans: continues counting and
 /// summing into *stats. Splitting a scan into tiles whose lengths are
 /// multiples of 4 and chaining the calls is bit-identical to one full
@@ -162,15 +152,9 @@ void EpsilonBallMseInto(SimdLevel level, const double* real,
 /// syn value of row r is code_numeric[syn_codes[r]] (NaN = NULL or
 /// non-numeric). Here a NaN on *either* side skips the row (the coded
 /// reference loop's predicate). code_numeric must have an entry for
-/// every code.
-EpsilonBallStats EpsilonBallMseCoded(SimdLevel level, const double* real,
-                                     const uint32_t* syn_codes,
-                                     const double* code_numeric, size_t n,
-                                     double eps);
-
-/// Carried-accumulator forms of the coded scan, one per code width (the
-/// narrow variants widen 4 indices per vector in-register before the
-/// gather). Same tiling contract as EpsilonBallMseInto.
+/// every code. One overload per code width (the narrow variants widen 4
+/// indices per vector in-register before the gather); same tiling
+/// contract as EpsilonBallMseInto.
 void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              const uint32_t* syn_codes,
                              const double* code_numeric, size_t n,
@@ -292,19 +276,11 @@ void BitsetOrInto(uint64_t* dst, const uint64_t* src, size_t words);
 /// with BitsetTailMask afterwards.
 void BitsetOrNotInto(uint64_t* dst, const uint64_t* src, size_t words);
 
-/// dst = a & b, word-wise; returns the popcount of the result (the
-/// AND+popcount cluster intersection).
-size_t BitsetAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                      size_t words);
-
 /// Popcount of a & b without materializing the AND — the counting form
 /// of the cluster intersection (g3, fan-out, refinement checks need only
 /// the overlap size, never the rows).
 size_t BitsetAndPopcount(const uint64_t* a, const uint64_t* b,
                          size_t words);
-
-/// Total set bits.
-size_t BitsetCount(const uint64_t* words_ptr, size_t words);
 
 /// Invokes fn(row) for every set bit, in ascending row order.
 template <typename Fn>

@@ -163,15 +163,8 @@ class CodeColumn {
 
   CodeColumnView view() const;
 
-  /// Widened u32 copy (compatibility shims and tests).
+  /// Widened u32 copy.
   std::vector<uint32_t> ToU32() const;
-
-  /// The native u32 vector; only valid when width() == kU32. Lets the
-  /// u32 compatibility accessors hand out the storage without a copy.
-  const std::vector<uint32_t>& u32_vector() const {
-    METALEAK_DCHECK(width_ == CodeWidth::kU32);
-    return v32_;
-  }
 
   /// Invokes fn with the typed const pointer.
   template <typename Fn>

@@ -179,44 +179,6 @@ void EncodeColumn(const std::vector<Value>& column, ColumnDictionary* dict,
 
 }  // namespace
 
-EncodedRelation::EncodedRelation(const EncodedRelation& other)
-    : schema_(other.schema_),
-      num_rows_(other.num_rows_),
-      columns_(other.columns_),
-      dicts_(other.dicts_),
-      fingerprint_(other.fingerprint_),
-      source_(other.source_) {
-  InitU32Cache();
-}
-
-EncodedRelation& EncodedRelation::operator=(const EncodedRelation& other) {
-  if (this == &other) return *this;
-  schema_ = other.schema_;
-  num_rows_ = other.num_rows_;
-  columns_ = other.columns_;
-  dicts_ = other.dicts_;
-  fingerprint_ = other.fingerprint_;
-  source_ = other.source_;
-  InitU32Cache();
-  return *this;
-}
-
-void EncodedRelation::InitU32Cache() {
-  u32_cache_.clear();
-  u32_cache_.reserve(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    u32_cache_.push_back(std::make_unique<LazyU32>());
-  }
-}
-
-const std::vector<uint32_t>& EncodedRelation::codes(size_t c) const {
-  const CodeColumn& col = columns_[c];
-  if (col.width() == CodeWidth::kU32) return col.u32_vector();
-  LazyU32* cache = u32_cache_[c].get();
-  std::call_once(cache->once, [&] { cache->codes = col.ToU32(); });
-  return cache->codes;
-}
-
 uint64_t EncodedRelation::ComputeFingerprint() const {
   uint64_t fp = MixInto(0x6D657461ull, num_rows_);
   fp = MixInto(fp, columns_.size());
@@ -257,7 +219,6 @@ EncodedRelation EncodedRelation::Encode(const Relation& relation) {
     }
   }
   out.fingerprint_ = out.ComputeFingerprint();
-  out.InitU32Cache();
   return out;
 }
 
@@ -301,7 +262,6 @@ EncodedRelation EncodedRelation::FromParts(Schema schema,
   // Same mixing sequence as Encode, so FromParts of canonical parts is
   // fingerprint-identical to encoding the decoded relation from scratch.
   out.fingerprint_ = out.ComputeFingerprint();
-  out.InitU32Cache();
   return out;
 }
 

@@ -8,9 +8,7 @@
 // that coding once per relation and lets every consumer run on dense
 // integer codes. Columns are stored at the narrowest code width that
 // fits their dictionary (see data/code_column.h), so scans stream 1-4
-// bytes per cell instead of a fixed 4; consumers that still need a
-// `uint32_t` vector get one through a per-column lazily materialized
-// cache.
+// bytes per cell instead of a fixed 4.
 //
 // Coding scheme, per column:
 //   * code 0 is reserved for NULL (whether or not the column contains
@@ -33,8 +31,6 @@
 #define METALEAK_DATA_ENCODED_RELATION_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/result.h"
@@ -114,13 +110,6 @@ class EncodedRelation {
  public:
   EncodedRelation() = default;
 
-  // Copies deep-copy the narrow columns but start with a fresh (empty)
-  // u32 compatibility cache; moves carry the cache along.
-  EncodedRelation(const EncodedRelation& other);
-  EncodedRelation& operator=(const EncodedRelation& other);
-  EncodedRelation(EncodedRelation&&) = default;
-  EncodedRelation& operator=(EncodedRelation&&) = default;
-
   /// Encodes `relation`. Never fails: every Value is encodable.
   static EncodedRelation Encode(const Relation& relation);
 
@@ -155,15 +144,9 @@ class EncodedRelation {
   /// The source relation this encoding was built from (non-owning).
   const Relation* source() const { return source_; }
 
-  /// Dense code vector of column `c` widened to u32 (one code per row).
-  /// For u32-width columns this is the native storage; narrower columns
-  /// materialize a widened copy on first use and cache it for the
-  /// encoding's lifetime. Hot paths should prefer column_view(c), which
-  /// streams the narrow bytes directly. Thread-safe.
-  const std::vector<uint32_t>& codes(size_t c) const;
-
   /// Width-tagged view of column `c`'s native narrow storage — the
-  /// bandwidth-proportional access path.
+  /// bandwidth-proportional access path every consumer reads codes
+  /// through.
   CodeColumnView column_view(size_t c) const { return columns_[c].view(); }
 
   /// Column `c`'s narrow storage.
@@ -202,17 +185,6 @@ class EncodedRelation {
   Result<std::vector<Domain>> Domains() const;
 
  private:
-  // Lazily materialized u32 widening of one narrow column, for the
-  // codes(c) compatibility accessor. Heap-allocated so the containing
-  // vector stays movable despite std::once_flag being immovable.
-  struct LazyU32 {
-    std::once_flag once;
-    std::vector<uint32_t> codes;
-  };
-
-  // (Re)creates one empty cache slot per column.
-  void InitU32Cache();
-
   // Mixes schema shape, dictionaries, and code vectors with Encode's
   // sequence. Codes are mixed as widened u64 values, so the fingerprint
   // is independent of storage width.
@@ -224,7 +196,6 @@ class EncodedRelation {
   std::vector<ColumnDictionary> dicts_;
   uint64_t fingerprint_ = 0;
   const Relation* source_ = nullptr;
-  mutable std::vector<std::unique_ptr<LazyU32>> u32_cache_;
 };
 
 }  // namespace metaleak

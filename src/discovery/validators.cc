@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <vector>
 
 #include "common/macros.h"
@@ -65,19 +64,41 @@ bool ValueLt(const Value& a, const Value& b) { return a < b; }
 // the sort-by-(lhs, rhs) the Value path performs — on plain integers.
 std::vector<uint64_t> SortedCodePairs(const EncodedRelation& relation,
                                       size_t lhs, size_t rhs) {
-  const std::vector<uint32_t>& x = relation.codes(lhs);
-  const std::vector<uint32_t>& y = relation.codes(rhs);
+  const size_t n = relation.num_rows();
   std::vector<uint64_t> pairs;
-  pairs.reserve(x.size());
-  for (size_t r = 0; r < x.size(); ++r) {
-    if (x[r] == ColumnDictionary::kNullCode ||
-        y[r] == ColumnDictionary::kNullCode) {
-      continue;
-    }
-    pairs.push_back((static_cast<uint64_t>(x[r]) << 32) | y[r]);
-  }
+  pairs.reserve(n);
+  relation.column_view(lhs).With([&](const auto* x) {
+    relation.column_view(rhs).With([&](const auto* y) {
+      for (size_t r = 0; r < n; ++r) {
+        if (x[r] == ColumnDictionary::kNullCode ||
+            y[r] == ColumnDictionary::kNullCode) {
+          continue;
+        }
+        pairs.push_back((static_cast<uint64_t>(x[r]) << 32) | y[r]);
+      }
+    });
+  });
   std::sort(pairs.begin(), pairs.end());
   return pairs;
+}
+
+// Rows with no NULL code in any of `cols`, ascending: the rows the
+// multi-attribute OD/OFD and DD checks compare.
+std::vector<size_t> NonNullRows(const EncodedRelation& relation,
+                                const std::vector<size_t>& cols) {
+  std::vector<char> keep(relation.num_rows(), 1);
+  for (size_t c : cols) {
+    relation.column_view(c).With([&](const auto* p) {
+      for (size_t r = 0; r < keep.size(); ++r) {
+        if (p[r] == ColumnDictionary::kNullCode) keep[r] = 0;
+      }
+    });
+  }
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < keep.size(); ++r) {
+    if (keep[r]) rows.push_back(r);
+  }
+  return rows;
 }
 
 }  // namespace
@@ -169,23 +190,16 @@ std::vector<uint32_t> SortedCodeTuples(const EncodedRelation& relation,
                                        size_t rhs, size_t* width_out) {
   const size_t width = lhs.size() + 1;
   *width_out = width;
-  std::vector<const std::vector<uint32_t>*> cols;
-  cols.reserve(width);
-  for (size_t a : lhs) cols.push_back(&relation.codes(a));
-  cols.push_back(&relation.codes(rhs));
-  std::vector<uint32_t> flat;
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    bool keep = true;
-    for (const auto* c : cols) {
-      if ((*c)[r] == ColumnDictionary::kNullCode) {
-        keep = false;
-        break;
-      }
-    }
-    if (!keep) continue;
-    for (const auto* c : cols) flat.push_back((*c)[r]);
+  std::vector<size_t> cols = lhs;
+  cols.push_back(rhs);
+  const std::vector<size_t> rows = NonNullRows(relation, cols);
+  const size_t n = rows.size();
+  std::vector<uint32_t> flat(n * width);
+  for (size_t k = 0; k < width; ++k) {
+    relation.column_view(cols[k]).With([&](const auto* p) {
+      for (size_t i = 0; i < n; ++i) flat[i * width + k] = p[rows[i]];
+    });
   }
-  const size_t n = flat.size() / width;
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -354,34 +368,29 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
   // on the small per-column lookup tables. NaN marks non-numeric entries
   // so the type error matches the Value path (raised only when such a
   // value occurs in a row whose partner is non-null).
-  auto numeric_table = [&](size_t col) {
-    const ColumnDictionary& dict = relation.dictionary(col);
-    std::vector<double> table(dict.num_codes(),
-                              std::numeric_limits<double>::quiet_NaN());
-    for (uint32_t code = 1; code < dict.num_codes(); ++code) {
-      const Value& v = dict.decode(code);
-      if (v.is_numeric()) table[code] = v.AsNumeric();
-    }
-    return table;
-  };
-  const std::vector<double> xt = numeric_table(lhs);
-  const std::vector<double> yt = numeric_table(rhs);
-  const std::vector<uint32_t>& x = relation.codes(lhs);
-  const std::vector<uint32_t>& y = relation.codes(rhs);
+  const std::vector<double> xt = relation.dictionary(lhs).NumericByCode();
+  const std::vector<double> yt = relation.dictionary(rhs).NumericByCode();
+  const size_t n = relation.num_rows();
   std::vector<std::pair<double, double>> pts;
-  pts.reserve(x.size());
-  for (size_t r = 0; r < x.size(); ++r) {
-    if (x[r] == ColumnDictionary::kNullCode ||
-        y[r] == ColumnDictionary::kNullCode) {
-      continue;
-    }
-    double xv = xt[x[r]];
-    double yv = yt[y[r]];
-    if (std::isnan(xv) || std::isnan(yv)) {
-      return Status::TypeError(
-          "differential dependencies require numeric attributes");
-    }
-    pts.emplace_back(xv, yv);
+  pts.reserve(n);
+  const bool numeric = relation.column_view(lhs).With([&](const auto* x) {
+    return relation.column_view(rhs).With([&](const auto* y) {
+      for (size_t r = 0; r < n; ++r) {
+        if (x[r] == ColumnDictionary::kNullCode ||
+            y[r] == ColumnDictionary::kNullCode) {
+          continue;
+        }
+        const double xv = xt[x[r]];
+        const double yv = yt[y[r]];
+        if (std::isnan(xv) || std::isnan(yv)) return false;
+        pts.emplace_back(xv, yv);
+      }
+      return true;
+    });
+  });
+  if (!numeric) {
+    return Status::TypeError(
+        "differential dependencies require numeric attributes");
   }
   return MinimalDeltaOverPoints(std::move(pts), eps);
 }
@@ -410,49 +419,32 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
       return Status::Invalid("differential epsilon must be non-negative");
     }
   }
-  auto numeric_table = [&](size_t col) {
-    const ColumnDictionary& dict = relation.dictionary(col);
-    std::vector<double> table(dict.num_codes(),
-                              std::numeric_limits<double>::quiet_NaN());
-    for (uint32_t code = 1; code < dict.num_codes(); ++code) {
-      const Value& v = dict.decode(code);
-      if (v.is_numeric()) table[code] = v.AsNumeric();
-    }
-    return table;
-  };
   // Qualifying rows flattened as (lhs numerics..., rhs numeric). A tuple
   // pair is in the conjunctive window when every lhs coordinate differs
   // by at most its eps; the minimal delta is the largest rhs gap over
   // the window.
   const size_t width = xs.size() + 1;
-  std::vector<std::vector<double>> tables;
-  std::vector<const std::vector<uint32_t>*> cols;
-  for (size_t a : xs) {
-    tables.push_back(numeric_table(a));
-    cols.push_back(&relation.codes(a));
-  }
-  tables.push_back(numeric_table(rhs));
-  cols.push_back(&relation.codes(rhs));
-  std::vector<double> flat;
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    bool keep = true;
-    for (const auto* c : cols) {
-      if ((*c)[r] == ColumnDictionary::kNullCode) {
-        keep = false;
-        break;
+  std::vector<size_t> cols = xs;
+  cols.push_back(rhs);
+  const std::vector<size_t> rows = NonNullRows(relation, cols);
+  const size_t n = rows.size();
+  std::vector<double> flat(n * width);
+  for (size_t k = 0; k < width; ++k) {
+    const std::vector<double> table =
+        relation.dictionary(cols[k]).NumericByCode();
+    const bool numeric = relation.column_view(cols[k]).With([&](const auto* p) {
+      for (size_t i = 0; i < n; ++i) {
+        const double v = table[p[rows[i]]];
+        if (std::isnan(v)) return false;
+        flat[i * width + k] = v;
       }
-    }
-    if (!keep) continue;
-    for (size_t k = 0; k < width; ++k) {
-      double v = tables[k][(*cols[k])[r]];
-      if (std::isnan(v)) {
-        return Status::TypeError(
-            "differential dependencies require numeric attributes");
-      }
-      flat.push_back(v);
+      return true;
+    });
+    if (!numeric) {
+      return Status::TypeError(
+          "differential dependencies require numeric attributes");
     }
   }
-  const size_t n = flat.size() / width;
   if (n < 2) return 0.0;
   // The conjunctive window has no 1-D sort that makes it contiguous, so
   // every unordered pair is checked directly. Chunking the i-range keeps

@@ -7,19 +7,21 @@
 
 namespace metaleak {
 
-MutableColumnPartition::MutableColumnPartition(
-    const std::vector<uint32_t>& codes, uint32_t num_codes)
-    : num_rows_(codes.size()) {
-  METALEAK_DCHECK(codes.size() < UINT32_MAX);
+MutableColumnPartition::MutableColumnPartition(const CodeColumnView& codes,
+                                               uint32_t num_codes)
+    : num_rows_(codes.size) {
+  METALEAK_DCHECK(codes.size < UINT32_MAX);
   buckets_.resize(num_codes);
-  std::vector<uint32_t> counts(num_codes, 0);
-  for (uint32_t code : codes) ++counts[code];
-  for (uint32_t code = 0; code < num_codes; ++code) {
-    buckets_[code].reserve(counts[code]);
-  }
-  for (size_t r = 0; r < codes.size(); ++r) {
-    buckets_[codes[r]].push_back(static_cast<PositionListIndex::Row>(r));
-  }
+  codes.With([&](const auto* p) {
+    std::vector<uint32_t> counts(num_codes, 0);
+    for (size_t r = 0; r < num_rows_; ++r) ++counts[p[r]];
+    for (uint32_t code = 0; code < num_codes; ++code) {
+      buckets_[code].reserve(counts[code]);
+    }
+    for (size_t r = 0; r < num_rows_; ++r) {
+      buckets_[p[r]].push_back(static_cast<PositionListIndex::Row>(r));
+    }
+  });
 }
 
 void MutableColumnPartition::ApplyBatch(
@@ -104,7 +106,7 @@ PositionListIndex MutableColumnPartition::ToPli() const {
 PliMaintenance::PliMaintenance(const EncodedRelation& snapshot) {
   columns_.reserve(snapshot.num_columns());
   for (size_t c = 0; c < snapshot.num_columns(); ++c) {
-    columns_.emplace_back(snapshot.codes(c),
+    columns_.emplace_back(snapshot.column_view(c),
                           snapshot.dictionary(c).num_codes());
   }
 }

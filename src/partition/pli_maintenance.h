@@ -30,9 +30,9 @@ namespace metaleak {
 /// space; RenumberCodes realigns after each canonical publish.
 class MutableColumnPartition {
  public:
-  /// Seeds from a column's code vector (one bucket per code).
-  MutableColumnPartition(const std::vector<uint32_t>& codes,
-                         uint32_t num_codes);
+  /// Seeds from a column's codes, read at their stored width (one
+  /// bucket per code).
+  MutableColumnPartition(const CodeColumnView& codes, uint32_t num_codes);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_codes() const { return buckets_.size(); }

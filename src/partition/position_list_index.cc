@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "common/flat_id_table.h"
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -113,25 +114,6 @@ PositionListIndex PositionListIndex::FromCodes(
                    num_codes);
 }
 
-namespace {
-
-// Above this dictionary size the slot/cursor tables of the scatter pass
-// (4 bytes each per code) outgrow the last-level cache slice and the
-// random-access writes start missing; FromCodes switches to the
-// radix-partitioned scatter. Measured on this substrate the crossover
-// is late: the radix pass's extra packed copy only pays for itself once
-// the cursor tables reach ~4 MB AND the row count amortizes the second
-// pass (n >= 2x codes) — below that, the direct scatter's working set
-// still mostly lives in cache and radix is a net loss. Narrow (u8/u16)
-// columns are always far below the threshold by construction.
-constexpr uint32_t kRadixScatterMinCodes = 1u << 20;
-
-// Bucket-count cap for the radix scatter: >= num_codes / 1024 codes per
-// bucket keeps each per-bucket table slice within a few KiB.
-constexpr uint32_t kRadixMaxBuckets = 1024;
-
-}  // namespace
-
 PositionListIndex PositionListIndex::FromCodes(const CodeColumnView& codes,
                                                uint32_t num_codes) {
   const size_t n = codes.size;
@@ -161,56 +143,12 @@ PositionListIndex PositionListIndex::FromCodes(const CodeColumnView& codes,
   // cluster's members in ascending order.
   std::vector<Row> rows(total);
   std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  if (num_codes >= kRadixScatterMinCodes && n >= 2 * size_t{num_codes} &&
-      StreamingOptsEnabled()) {
-    // Radix-partitioned scatter. Stable-bucket the (code, row) pairs by
-    // code high bits, then scatter bucket by bucket: each bucket's codes
-    // span a contiguous [b << shift, (b + 1) << shift) slice of the
-    // slot/cursor tables, so the random writes stay cache-resident. A
-    // code maps to exactly one bucket and the bucketing preserves row
-    // order, so every cluster is filled in the same ascending-row order
-    // as the direct scatter — the arena is bit-identical.
-    int shift = 0;
-    while ((static_cast<uint64_t>(num_codes - 1) >> shift) >=
-           kRadixMaxBuckets) {
-      ++shift;
+  codes.With([&](const auto* p) {
+    for (size_t r = 0; r < n; ++r) {
+      const uint32_t s = slot[p[r]];
+      if (s != kNoSlot) rows[cursor[s]++] = static_cast<Row>(r);
     }
-    const uint32_t buckets =
-        static_cast<uint32_t>(((num_codes - 1) >> shift) + 1);
-    std::vector<uint32_t> bucket_start(buckets + 1, 0);
-    codes.With([&](const auto* p) {
-      for (size_t r = 0; r < n; ++r) {
-        ++bucket_start[(static_cast<uint32_t>(p[r]) >> shift) + 1];
-      }
-    });
-    for (uint32_t b = 0; b < buckets; ++b) {
-      bucket_start[b + 1] += bucket_start[b];
-    }
-    std::vector<uint64_t> packed(n);  // code << 32 | row, bucket-major
-    std::vector<uint32_t> bucket_cursor(bucket_start.begin(),
-                                        bucket_start.end() - 1);
-    codes.With([&](const auto* p) {
-      for (size_t r = 0; r < n; ++r) {
-        const uint32_t code = static_cast<uint32_t>(p[r]);
-        packed[bucket_cursor[code >> shift]++] =
-            (static_cast<uint64_t>(code) << 32) | static_cast<uint32_t>(r);
-      }
-    });
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t code = static_cast<uint32_t>(packed[i] >> 32);
-      const uint32_t s = slot[code];
-      if (s != kNoSlot) {
-        rows[cursor[s]++] = static_cast<Row>(packed[i]);
-      }
-    }
-  } else {
-    codes.With([&](const auto* p) {
-      for (size_t r = 0; r < n; ++r) {
-        const uint32_t s = slot[p[r]];
-        if (s != kNoSlot) rows[cursor[s]++] = static_cast<Row>(r);
-      }
-    });
-  }
+  });
   return PositionListIndex(std::move(rows), std::move(offsets), n);
 }
 
@@ -240,38 +178,35 @@ PositionListIndex PositionListIndex::FromEncoded(
     return Identity(n);
   }
   METALEAK_DCHECK(n < UINT32_MAX);
-  // Fold columns into running group ids. After each renumbering pass the
+  // Fold columns into running group ids numbered by first occurrence in
+  // row order, the fold FoldLhsGroupsEncoded runs. After each pass the
   // ids are dense in [0, num_groups) with num_groups <= n, so the
   // combined key id * num_codes + code stays well below 2^64.
-  std::vector<uint64_t> ids(n);
+  std::vector<uint32_t> ids(n);
   relation.column_view(columns[0]).With([&](const auto* p) {
     for (size_t r = 0; r < n; ++r) ids[r] = p[r];
   });
-  uint64_t num_groups = relation.dictionary(columns[0]).num_codes();
-  std::unordered_map<uint64_t, uint64_t> remap;
+  uint32_t num_groups = relation.dictionary(columns[0]).num_codes();
+  FlatIdTable groups;
   for (size_t i = 1; i < columns.size(); ++i) {
-    const CodeColumnView codes = relation.column_view(columns[i]);
     const uint64_t nc = relation.dictionary(columns[i]).num_codes();
-    remap.clear();
-    remap.reserve(n);
-    codes.With([&](const auto* p) {
+    groups.Reset(std::min<uint64_t>(n, num_groups * nc));
+    relation.column_view(columns[i]).With([&](const auto* p) {
       for (size_t r = 0; r < n; ++r) {
-        uint64_t key = ids[r] * nc + p[r];
-        auto it = remap.emplace(key, remap.size()).first;
-        ids[r] = it->second;
+        ids[r] = groups.IdOf(ids[r] * nc + p[r]);
       }
     });
-    num_groups = remap.size();
+    num_groups = groups.size();
   }
   // Final grouping over the dense ids, mirroring FromCodes.
   std::vector<uint32_t> counts(num_groups, 0);
-  for (uint64_t id : ids) ++counts[id];
+  for (uint32_t id : ids) ++counts[id];
   std::vector<uint32_t> slot(num_groups, kNoSlot);
   std::vector<uint32_t> offsets;
   offsets.push_back(0);
   uint32_t next_slot = 0;
   uint32_t total = 0;
-  for (uint64_t g = 0; g < num_groups; ++g) {
+  for (uint32_t g = 0; g < num_groups; ++g) {
     if (counts[g] >= 2) {
       slot[g] = next_slot++;
       total += counts[g];

@@ -149,20 +149,16 @@ class PositionListIndex {
                                      uint32_t num_codes);
 
   /// Width-tagged variant of FromCodes streaming the codes at their
-  /// stored width (u8/u16/u32). High-cardinality columns (dictionaries
-  /// too large for the slot/cursor tables to stay cache-resident) take a
-  /// radix-partitioned scatter: rows are bucketed by code high bits, so
-  /// each per-bucket pass touches only a cache-sized slice of the
-  /// tables. The bucketing is stable and each code lives in exactly one
-  /// bucket, so the resulting arena is bit-identical to the direct
-  /// scatter. The u32-vector overload above forwards here.
+  /// stored width (u8/u16/u32). The u32-vector overload above forwards
+  /// here.
   static PositionListIndex FromCodes(const CodeColumnView& codes,
                                      uint32_t num_codes);
 
   /// Builds the PLI of a set of columns of an encoded relation. Single
   /// columns use FromCodes; larger sets fold the per-column codes into
-  /// dense group ids column by column (renumbering keeps ids < N, so the
-  /// fold never overflows and never hashes a `Value`).
+  /// dense group ids column by column, numbered by first occurrence
+  /// through a FlatIdTable (renumbering keeps ids < N, so the fold never
+  /// overflows and never hashes a `Value`).
   static PositionListIndex FromEncoded(const EncodedRelation& relation,
                                        const std::vector<size_t>& columns);
 

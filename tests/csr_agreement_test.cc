@@ -69,16 +69,16 @@ LegacyPli LegacyFromCodes(const std::vector<uint32_t>& codes,
 LegacyPli LegacyFromEncoded(const EncodedRelation& relation,
                             const std::vector<size_t>& columns) {
   if (columns.size() == 1) {
-    return LegacyFromCodes(relation.codes(columns[0]),
+    return LegacyFromCodes(relation.column(columns[0]).ToU32(),
                            relation.dictionary(columns[0]).num_codes());
   }
   const size_t n = relation.num_rows();
-  std::vector<uint64_t> ids(relation.codes(columns[0]).begin(),
-                            relation.codes(columns[0]).end());
+  const std::vector<uint32_t> first = relation.column(columns[0]).ToU32();
+  std::vector<uint64_t> ids(first.begin(), first.end());
   uint64_t num_groups = relation.dictionary(columns[0]).num_codes();
   std::unordered_map<uint64_t, uint64_t> remap;
   for (size_t i = 1; i < columns.size(); ++i) {
-    const std::vector<uint32_t>& codes = relation.codes(columns[i]);
+    const std::vector<uint32_t> codes = relation.column(columns[i]).ToU32();
     const uint64_t nc = relation.dictionary(columns[i]).num_codes();
     remap.clear();
     for (size_t r = 0; r < n; ++r) {

@@ -131,7 +131,7 @@ TEST(EncodedRelationTest, AllNullColumnHasOnlyTheNullCode) {
   for (size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(encoded.dictionary(c).num_distinct(), 0u);
     EXPECT_EQ(encoded.dictionary(c).null_count(), 2u);
-    for (uint32_t code : encoded.codes(c)) {
+    for (uint32_t code : encoded.column(c).ToU32()) {
       EXPECT_EQ(code, ColumnDictionary::kNullCode);
     }
   }
@@ -219,7 +219,7 @@ TEST(EncodingAgreementTest, SingleColumnPlisAgree) {
       PositionListIndex value_path =
           PositionListIndex::FromColumn(rel.column(c));
       PositionListIndex code_path = PositionListIndex::FromCodes(
-          encoded.codes(c), encoded.dictionary(c).num_codes());
+          encoded.column(c).ToU32(), encoded.dictionary(c).num_codes());
       EXPECT_EQ(Canonical(value_path), Canonical(code_path));
       EXPECT_EQ(value_path.num_rows(), code_path.num_rows());
     }

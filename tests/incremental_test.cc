@@ -107,7 +107,8 @@ void ExpectEncodingsIdentical(const EncodedRelation& incremental,
   ASSERT_EQ(incremental.num_columns(), scratch.num_columns());
   EXPECT_EQ(incremental.Fingerprint(), scratch.Fingerprint());
   for (size_t c = 0; c < scratch.num_columns(); ++c) {
-    EXPECT_EQ(incremental.codes(c), scratch.codes(c)) << "column " << c;
+    EXPECT_EQ(incremental.column(c).ToU32(), scratch.column(c).ToU32())
+        << "column " << c;
     const ColumnDictionary& a = incremental.dictionary(c);
     const ColumnDictionary& b = scratch.dictionary(c);
     ASSERT_EQ(a.num_codes(), b.num_codes()) << "column " << c;
@@ -126,7 +127,7 @@ void ExpectPlisIdentical(const PliMaintenance& maintained,
   for (size_t c = 0; c < scratch.num_columns(); ++c) {
     PositionListIndex incremental = maintained.ToPli(c);
     PositionListIndex rebuilt = PositionListIndex::FromCodes(
-        scratch.codes(c), scratch.dictionary(c).num_codes());
+        scratch.column(c).ToU32(), scratch.dictionary(c).num_codes());
     EXPECT_EQ(incremental.rows(), rebuilt.rows()) << "column " << c;
     EXPECT_EQ(incremental.cluster_offsets(), rebuilt.cluster_offsets())
         << "column " << c;

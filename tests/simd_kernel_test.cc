@@ -41,9 +41,6 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (SupportedSimdLevel() >= SimdLevel::kSse42) {
-    levels.push_back(SimdLevel::kSse42);
-  }
   if (SupportedSimdLevel() >= SimdLevel::kAvx2) {
     levels.push_back(SimdLevel::kAvx2);
   }
@@ -59,6 +56,33 @@ std::vector<SimdLevel> SupportedLevels() {
   if (ua == ub) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << a << " and " << b << " differ bitwise";
+}
+
+// One uncarried epsilon-ball scan through the carried-accumulator form.
+EpsilonBallStats ScanEpsilonBall(SimdLevel level, const double* real,
+                                 const double* syn, size_t n, double eps) {
+  EpsilonBallStats out;
+  EpsilonBallMseInto(level, real, syn, n, eps, &out);
+  return out;
+}
+
+EpsilonBallStats ScanEpsilonBallCoded(SimdLevel level, const double* real,
+                                      const uint32_t* syn_codes,
+                                      const double* code_numeric, size_t n,
+                                      double eps) {
+  EpsilonBallStats out;
+  EpsilonBallMseCodedInto(level, real, syn_codes, code_numeric, n, eps,
+                          &out);
+  return out;
+}
+
+// Set bits across a row set's words.
+size_t PopCount(const std::vector<uint64_t>& words) {
+  size_t count = 0;
+  for (uint64_t w : words) {
+    count += static_cast<size_t>(__builtin_popcountll(w));
+  }
+  return count;
 }
 
 // The array sizes every kernel loop shape must survive: empty, below one
@@ -77,7 +101,6 @@ std::vector<size_t> EdgeSizes() {
 
 TEST(SimdDispatchTest, LevelNamesAndOrdering) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(SimdLevelName(SimdLevel::kSse42), "sse4.2");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
   EXPECT_GE(SupportedSimdLevel(), SimdLevel::kScalar);
   EXPECT_LE(ActiveSimdLevel(), SupportedSimdLevel());
@@ -166,7 +189,7 @@ TEST(SimdKernelTest, EpsilonBallMseSkipsRealNanOnly) {
   const std::vector<double> syn = {1.05, 2.0, kNaN, 4.2};
   for (SimdLevel level : SupportedLevels()) {
     const EpsilonBallStats s =
-        EpsilonBallMse(level, real.data(), syn.data(), real.size(), 0.1);
+        ScanEpsilonBall(level, real.data(), syn.data(), real.size(), 0.1);
     EXPECT_EQ(s.compared, 3u) << SimdLevelName(level);
     EXPECT_EQ(s.matches, 1u) << SimdLevelName(level);
     EXPECT_TRUE(std::isnan(s.sum_squares)) << SimdLevelName(level);
@@ -183,11 +206,11 @@ TEST(SimdKernelTest, EpsilonBallMseFuzzBitwise) {
             rng.Bernoulli(0.15) ? kNaN : rng.UniformDouble(0.0, 10.0);
         syn[r] = rng.Bernoulli(0.1) ? kNaN : rng.UniformDouble(0.0, 10.0);
       }
-      const EpsilonBallStats expect = EpsilonBallMse(
+      const EpsilonBallStats expect = ScanEpsilonBall(
           SimdLevel::kScalar, real.data(), syn.data(), n, 0.5);
       for (SimdLevel level : SupportedLevels()) {
         const EpsilonBallStats got =
-            EpsilonBallMse(level, real.data(), syn.data(), n, 0.5);
+            ScanEpsilonBall(level, real.data(), syn.data(), n, 0.5);
         EXPECT_EQ(got.matches, expect.matches);
         EXPECT_EQ(got.compared, expect.compared);
         EXPECT_TRUE(BitEqual(got.sum_squares, expect.sum_squares))
@@ -205,8 +228,8 @@ TEST(SimdKernelTest, EpsilonBallMseCodedSkipsEitherNan) {
   const std::vector<uint32_t> codes = {1, 1, 0, 2};
   for (SimdLevel level : SupportedLevels()) {
     const EpsilonBallStats s =
-        EpsilonBallMseCoded(level, real.data(), codes.data(),
-                            code_numeric.data(), real.size(), 0.1);
+        ScanEpsilonBallCoded(level, real.data(), codes.data(),
+                             code_numeric.data(), real.size(), 0.1);
     EXPECT_EQ(s.compared, 2u) << SimdLevelName(level);
     EXPECT_EQ(s.matches, 1u) << SimdLevelName(level);
     EXPECT_FALSE(std::isnan(s.sum_squares)) << SimdLevelName(level);
@@ -230,12 +253,12 @@ TEST(SimdKernelTest, EpsilonBallMseCodedFuzzBitwise) {
           static_cast<uint32_t>(rng.UniformIndex(code_numeric.size()));
     }
     const EpsilonBallStats expect =
-        EpsilonBallMseCoded(SimdLevel::kScalar, real.data(), codes.data(),
-                            code_numeric.data(), n, 0.4);
+        ScanEpsilonBallCoded(SimdLevel::kScalar, real.data(), codes.data(),
+                             code_numeric.data(), n, 0.4);
     for (SimdLevel level : SupportedLevels()) {
       const EpsilonBallStats got =
-          EpsilonBallMseCoded(level, real.data(), codes.data(),
-                              code_numeric.data(), n, 0.4);
+          ScanEpsilonBallCoded(level, real.data(), codes.data(),
+                               code_numeric.data(), n, 0.4);
       EXPECT_EQ(got.matches, expect.matches);
       EXPECT_EQ(got.compared, expect.compared);
       EXPECT_TRUE(BitEqual(got.sum_squares, expect.sum_squares))
@@ -445,18 +468,16 @@ TEST(SimdKernelTest, BitsetHelpers) {
   std::vector<uint64_t> bits(words, 0);
   BitsetOrNotInto(bits.data(), in_cluster.data(), words);
   bits[words - 1] &= BitsetTailMask(n);
-  EXPECT_EQ(BitsetCount(bits.data(), words), n - 3);
+  EXPECT_EQ(PopCount(bits), n - 3);
 
   // AND + popcount, and ascending enumeration.
   std::vector<uint64_t> other(words, 0);
   for (size_t row : {3u, 5u, 64u}) {
     other[row >> 6] |= uint64_t{1} << (row & 63);
   }
+  EXPECT_EQ(BitsetAndPopcount(in_cluster.data(), other.data(), words), 2u);
   std::vector<uint64_t> product(words);
-  EXPECT_EQ(
-      BitsetAndCount(product.data(), in_cluster.data(), other.data(),
-                     words),
-      2u);
+  for (size_t w = 0; w < words; ++w) product[w] = in_cluster[w] & other[w];
   std::vector<size_t> rows;
   BitsetForEach(product.data(), words,
                 [&](size_t row) { rows.push_back(row); });
@@ -464,7 +485,7 @@ TEST(SimdKernelTest, BitsetHelpers) {
 
   // OR-merge.
   BitsetOrInto(other.data(), in_cluster.data(), words);
-  EXPECT_EQ(BitsetCount(other.data(), words), 4u);
+  EXPECT_EQ(PopCount(other), 4u);
 }
 
 // --- Consumer parity: scalar vs best supported level ---------------------

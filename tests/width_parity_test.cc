@@ -3,8 +3,10 @@
 // dispatch forced to {scalar, best}, and {1, 8} worker threads must
 // produce identical results at every layer an attacker or auditor can
 // observe — encoding fingerprints, width-2 identifiability verdicts,
-// discovered metadata, the analytical leakage profile, and a seeded
-// Def 2.2/2.3 Monte-Carlo experiment (matches exactly, MSE bitwise).
+// discovered metadata (at the default max_lhs = 1 and with OD/OFD and
+// DD searched up to two LHS attributes), the analytical leakage profile,
+// and a seeded Def 2.2/2.3 Monte-Carlo experiment (matches exactly, MSE
+// bitwise).
 //
 // Width only changes how codes are STORED; the reference cell is the
 // natural-width / scalar / single-threaded run and every other cell in
@@ -40,6 +42,7 @@ struct PipelineObservation {
   std::vector<CodeWidth> widths;
   std::vector<bool> identifiable;
   std::string metadata;
+  std::string metadata_lhs2;  // OD/OFD and DD searched up to |LHS| = 2
   std::vector<double> leakage_numbers;  // compared bitwise below
   std::vector<uint64_t> experiment_bits;
 };
@@ -86,6 +89,17 @@ PipelineObservation RunPipeline(const Relation& relation) {
   EXPECT_TRUE(report.ok());
   if (!report.ok()) return out;
   out.metadata = report->metadata.Serialize();
+
+  // The multi-attribute OD/OFD tuple scan and the conjunctive DD delta
+  // only run above the default max_lhs = 1.
+  DiscoveryOptions wide_lhs;
+  wide_lhs.od.max_lhs = 2;
+  wide_lhs.dd.max_lhs = 2;
+  Result<DiscoveryReport> wide_report = ProfileRelation(encoded, wide_lhs);
+  EXPECT_TRUE(wide_report.ok());
+  if (wide_report.ok()) {
+    out.metadata_lhs2 = wide_report->metadata.Serialize();
+  }
 
   LeakageOptions leakage_options;
   Result<LeakageProfile> profile =
@@ -151,6 +165,7 @@ void RunMatrix(const Relation& relation) {
   SetGlobalThreadCount(1);
   const PipelineObservation ref = RunPipeline(relation);
   ASSERT_FALSE(ref.metadata.empty());
+  ASSERT_FALSE(ref.metadata_lhs2.empty());
 
   for (const MatrixCell& cell : Matrix()) {
     if (cell.floor) {
@@ -171,6 +186,7 @@ void RunMatrix(const Relation& relation) {
     }
     EXPECT_EQ(got.identifiable, ref.identifiable) << name;
     EXPECT_EQ(got.metadata, ref.metadata) << name;
+    EXPECT_EQ(got.metadata_lhs2, ref.metadata_lhs2) << name;
     EXPECT_TRUE(BitwiseEqual(got.leakage_numbers, ref.leakage_numbers))
         << name;
     EXPECT_EQ(got.experiment_bits, ref.experiment_bits) << name;
