@@ -102,24 +102,6 @@ bool ScalarAllGatherEqualI32(const int32_t* table, const uint32_t* idx,
   return true;
 }
 
-bool ScalarOdViolationInRange(const uint64_t* pairs, size_t lo, size_t hi,
-                              bool strict) {
-  for (size_t i = lo; i < hi; ++i) {
-    const uint32_t px = static_cast<uint32_t>(pairs[i - 1] >> 32);
-    const uint32_t py = static_cast<uint32_t>(pairs[i - 1]);
-    const uint32_t cx = static_cast<uint32_t>(pairs[i] >> 32);
-    const uint32_t cy = static_cast<uint32_t>(pairs[i]);
-    if (cx == px) {
-      if (cy != py) return true;
-    } else if (strict) {
-      if (cy <= py) return true;
-    } else {
-      if (cy < py) return true;
-    }
-  }
-  return false;
-}
-
 template <typename Code>
 void ScalarAccumulateEqualT(const Code* a, const Code* b, size_t n,
                             uint32_t* acc) {
@@ -353,37 +335,6 @@ __attribute__((target("avx2"))) bool Avx2AllGatherEqualI32(
     if (table[idx[k]] != expect) return false;
   }
   return true;
-}
-
-__attribute__((target("avx2"))) bool Avx2OdViolationInRange(
-    const uint64_t* pairs, size_t lo, size_t hi, bool strict) {
-  const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFll);
-  const __m256i all_ones = _mm256_set1_epi8(-1);
-  size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    const __m256i prev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pairs + i - 1));
-    const __m256i cur =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pairs + i));
-    const __m256i px = _mm256_srli_epi64(prev, 32);
-    const __m256i py = _mm256_and_si256(prev, lo32);
-    const __m256i cx = _mm256_srli_epi64(cur, 32);
-    const __m256i cy = _mm256_and_si256(cur, lo32);
-    const __m256i eqx = _mm256_cmpeq_epi64(px, cx);
-    const __m256i eqy = _mm256_cmpeq_epi64(py, cy);
-    const __m256i tie_viol = _mm256_andnot_si256(eqy, eqx);
-    __m256i step_viol;
-    if (strict) {
-      step_viol = _mm256_andnot_si256(_mm256_cmpgt_epi64(cy, py),
-                                      _mm256_andnot_si256(eqx, all_ones));
-    } else {
-      step_viol = _mm256_andnot_si256(eqx, _mm256_cmpgt_epi64(py, cy));
-    }
-    if (_mm256_movemask_epi8(_mm256_or_si256(tie_viol, step_viol)) != 0) {
-      return true;
-    }
-  }
-  return ScalarOdViolationInRange(pairs, i, hi, strict);
 }
 
 __attribute__((target("avx2"))) void Avx2AccumulateEqualU32(
@@ -918,19 +869,6 @@ bool AllGatherEqualI32(SimdLevel level, const int32_t* table,
   (void)level;
 #endif
   return ScalarAllGatherEqualI32(table, idx, n, expect);
-}
-
-bool OdViolationInRange(SimdLevel level, const uint64_t* pairs, size_t lo,
-                        size_t hi, bool strict) {
-  METALEAK_DCHECK(lo >= 1);
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    return Avx2OdViolationInRange(pairs, lo, hi, strict);
-  }
-#else
-  (void)level;
-#endif
-  return ScalarOdViolationInRange(pairs, lo, hi, strict);
 }
 
 void AccumulateEqualU32(SimdLevel level, const uint32_t* a,

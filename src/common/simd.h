@@ -2,9 +2,8 @@
 //
 // Every hot path in MetaLeak is a flat scan over dense int32 codes or
 // doubles (CSR probe tables, the fused Def 2.2/2.3 match+MSE scan,
-// lexicographic OD/OFD pair scans, identifiability bitmaps). This layer
-// provides the handful of primitives those scans actually need, each in
-// two codegen variants:
+// identifiability bitmaps). This layer provides the handful of
+// primitives those scans actually need, each in two codegen variants:
 //
 //   * an always-available scalar reference (the semantics oracle), and
 //   * an AVX2 path (256-bit lanes, hardware gathers),
@@ -194,16 +193,6 @@ void GatherI32(SimdLevel level, const int32_t* table, const uint32_t* idx,
 /// of PositionListIndex::Refines. Index bound as in GatherI32.
 bool AllGatherEqualI32(SimdLevel level, const int32_t* table,
                        const uint32_t* idx, size_t n, int32_t expect);
-
-// --- Sorted-pair scan (OD/OFD) -------------------------------------------
-
-/// Scans sorted packed (lhs << 32 | rhs) code pairs for an order
-/// violation: for every i in [lo, hi), compares pairs[i-1] and pairs[i]
-/// and reports true if (lhs tie and rhs differs) or (lhs increased and
-/// rhs decreased — or failed to strictly increase, when `strict`).
-/// Requires lo >= 1. The pairs array must be sorted ascending.
-bool OdViolationInRange(SimdLevel level, const uint64_t* pairs, size_t lo,
-                        size_t hi, bool strict);
 
 // --- Per-row accumulation kernels (tuple risk) ---------------------------
 

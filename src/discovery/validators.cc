@@ -7,7 +7,6 @@
 
 #include "common/macros.h"
 #include "common/parallel.h"
-#include "common/simd.h"
 
 namespace metaleak {
 
@@ -38,50 +37,6 @@ size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs) {
 
 namespace {
 
-// Non-null (lhs, rhs) pairs sorted by lhs (then rhs for determinism).
-std::vector<std::pair<Value, Value>> SortedPairs(const Relation& relation,
-                                                 size_t lhs, size_t rhs) {
-  std::vector<std::pair<Value, Value>> pairs;
-  pairs.reserve(relation.num_rows());
-  const std::vector<Value>& x = relation.column(lhs);
-  const std::vector<Value>& y = relation.column(rhs);
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    if (x[r].is_null() || y[r].is_null()) continue;
-    pairs.emplace_back(x[r], y[r]);
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;
-  });
-  return pairs;
-}
-
-bool ValueEq(const Value& a, const Value& b) { return a == b; }
-bool ValueLt(const Value& a, const Value& b) { return a < b; }
-
-// Non-null (lhs, rhs) code pairs packed as (lhs << 32 | rhs), sorted.
-// Codes are order-preserving per column, so sorting the packed pairs is
-// the sort-by-(lhs, rhs) the Value path performs — on plain integers.
-std::vector<uint64_t> SortedCodePairs(const EncodedRelation& relation,
-                                      size_t lhs, size_t rhs) {
-  const size_t n = relation.num_rows();
-  std::vector<uint64_t> pairs;
-  pairs.reserve(n);
-  relation.column_view(lhs).With([&](const auto* x) {
-    relation.column_view(rhs).With([&](const auto* y) {
-      for (size_t r = 0; r < n; ++r) {
-        if (x[r] == ColumnDictionary::kNullCode ||
-            y[r] == ColumnDictionary::kNullCode) {
-          continue;
-        }
-        pairs.push_back((static_cast<uint64_t>(x[r]) << 32) | y[r]);
-      }
-    });
-  });
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
-
 // Rows with no NULL code in any of `cols`, ascending: the rows the
 // multi-attribute OD/OFD and DD checks compare.
 std::vector<size_t> NonNullRows(const EncodedRelation& relation,
@@ -101,90 +56,78 @@ std::vector<size_t> NonNullRows(const EncodedRelation& relation,
   return rows;
 }
 
+// Single-attribute OD/OFD in one pass over the rows and one walk over the
+// lhs codes, O(n + D_X). first[x] is the rhs code of the first row with
+// lhs code x and a non-NULL rhs; the NULL code 0 doubles as "unseen". A
+// later row with lhs x and a different rhs is an lhs tie with differing
+// rhs, which both rules reject. Once rhs is a function of lhs, walking
+// the lhs codes ascending walks the lhs values in order (codes are
+// order-preserving), so the rule reduces to the rhs codes never falling
+// (OD) or strictly rising (OFD) from one seen lhs code to the next.
+// Serial: the lattice already validates candidates concurrently.
+template <typename X, typename Y>
+bool OrderHolds(const X* x, const Y* y, size_t n, uint32_t num_lhs_codes,
+                bool strict) {
+  constexpr Y kNull = ColumnDictionary::kNullCode;
+  std::vector<Y> first(num_lhs_codes, kNull);
+  for (size_t r = 0; r < n; ++r) {
+    if (x[r] == kNull || y[r] == kNull) continue;
+    Y& seen = first[x[r]];
+    if (seen == kNull) {
+      seen = y[r];
+    } else if (seen != y[r]) {
+      return false;
+    }
+  }
+  Y prev = kNull;
+  for (Y cur : first) {
+    if (cur == kNull) continue;
+    if (cur < prev || (strict && cur == prev)) return false;
+    prev = cur;
+  }
+  return true;
+}
+
+bool OrderHolds(const EncodedRelation& relation, size_t lhs, size_t rhs,
+                bool strict) {
+  const uint32_t num_lhs_codes = relation.dictionary(lhs).num_codes();
+  return relation.column_view(lhs).With([&](const auto* x) {
+    return relation.column_view(rhs).With([&](const auto* y) {
+      return OrderHolds(x, y, relation.num_rows(), num_lhs_codes, strict);
+    });
+  });
+}
+
 }  // namespace
 
 bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs) {
-  std::vector<std::pair<Value, Value>> pairs =
-      SortedPairs(relation, lhs, rhs);
-  for (size_t i = 1; i < pairs.size(); ++i) {
-    const auto& prev = pairs[i - 1];
-    const auto& cur = pairs[i];
-    if (ValueEq(prev.first, cur.first)) {
-      // lhs tie: both directions of the implication force rhs equality.
-      if (!ValueEq(prev.second, cur.second)) return false;
-    } else {
-      // lhs strictly increased: rhs must not decrease.
-      if (ValueLt(cur.second, prev.second)) return false;
-    }
-  }
-  return true;
+  return ValidateOd(EncodedRelation::Encode(relation), lhs, rhs);
 }
 
 bool ValidateOfd(const Relation& relation, size_t lhs, size_t rhs) {
-  std::vector<std::pair<Value, Value>> pairs =
-      SortedPairs(relation, lhs, rhs);
-  for (size_t i = 1; i < pairs.size(); ++i) {
-    const auto& prev = pairs[i - 1];
-    const auto& cur = pairs[i];
-    if (ValueEq(prev.first, cur.first)) {
-      if (!ValueEq(prev.second, cur.second)) return false;  // FD part
-    } else {
-      // Strict order preservation.
-      if (!ValueLt(prev.second, cur.second)) return false;
-    }
-  }
-  return true;
+  return ValidateOfd(EncodedRelation::Encode(relation), lhs, rhs);
 }
 
-namespace {
-
-// Adjacent-pair scan grain for the chunked OD/OFD checks: large enough
-// that chunk dispatch is noise next to the scan, fixed so chunking (and
-// hence the verdict) never depends on the thread count.
-constexpr size_t kPairScanGrain = 16384;
-
-}  // namespace
-
 bool ValidateOd(const EncodedRelation& relation, size_t lhs, size_t rhs) {
-  std::vector<uint64_t> pairs = SortedCodePairs(relation, lhs, rhs);
-  if (pairs.size() < 2) return true;
-  // Every adjacent pair (i-1, i) is checked by the chunk owning index i;
-  // chunks partition [1, n), so each pair is seen exactly once and the
-  // AND-reduction over chunk verdicts equals the serial scan. The chunk
-  // body is the vectorized sorted-pair violation kernel (lhs tie with
-  // differing rhs, or lhs step with decreasing rhs).
-  const SimdLevel level = ActiveSimdLevel();
-  return ParallelReduce<bool>(
-      1, pairs.size(), kPairScanGrain, true,
-      [&](size_t lo, size_t hi) {
-        return !OdViolationInRange(level, pairs.data(), lo, hi,
-                                   /*strict=*/false);
-      },
-      [](bool a, bool b) { return a && b; });
+  return OrderHolds(relation, lhs, rhs, /*strict=*/false);
 }
 
 bool ValidateOfd(const EncodedRelation& relation, size_t lhs, size_t rhs) {
-  std::vector<uint64_t> pairs = SortedCodePairs(relation, lhs, rhs);
-  if (pairs.size() < 2) return true;
-  // As ValidateOd, with the strict rule: on an lhs step the rhs must
-  // strictly increase.
-  const SimdLevel level = ActiveSimdLevel();
-  return ParallelReduce<bool>(
-      1, pairs.size(), kPairScanGrain, true,
-      [&](size_t lo, size_t hi) {
-        return !OdViolationInRange(level, pairs.data(), lo, hi,
-                                   /*strict=*/true);
-      },
-      [](bool a, bool b) { return a && b; });
+  return OrderHolds(relation, lhs, rhs, /*strict=*/true);
 }
 
 namespace {
 
-// Multi-attribute analogue of SortedCodePairs: for every row with no
-// NULL among lhs ∪ {rhs}, a fixed-width tuple (lhs codes in ascending
-// attribute order, then the rhs code), flattened and sorted
-// lexicographically. Codes are order-preserving, so tuple order is the
-// lexicographic `Value` order.
+// Adjacent-tuple scan grain for the chunked multi-attribute OD/OFD
+// checks: large enough that chunk dispatch is noise next to the scan,
+// fixed so chunking (and hence the verdict) never depends on the thread
+// count.
+constexpr size_t kTupleScanGrain = 16384;
+
+// For every row with no NULL among lhs ∪ {rhs}, a fixed-width tuple (lhs
+// codes in ascending attribute order, then the rhs code), flattened and
+// sorted lexicographically. Codes are order-preserving, so tuple order
+// is the lexicographic `Value` order.
 std::vector<uint32_t> SortedCodeTuples(const EncodedRelation& relation,
                                        const std::vector<size_t>& lhs,
                                        size_t rhs, size_t* width_out) {
@@ -224,7 +167,7 @@ bool ScanSortedTuples(const std::vector<uint32_t>& tuples, size_t width,
   const size_t n = tuples.size() / width;
   if (n < 2) return true;
   return ParallelReduce<bool>(
-      1, n, kPairScanGrain, true,
+      1, n, kTupleScanGrain, true,
       [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
           const uint32_t* prev = tuples.data() + (i - 1) * width;

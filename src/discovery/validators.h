@@ -38,26 +38,32 @@ size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs);
 /// True iff the order dependency lhs -> rhs holds: for all tuples t, u,
 /// t[lhs] <= u[lhs] implies t[rhs] <= u[rhs]. Note this entails equal rhs
 /// values on lhs ties, i.e. OD implies FD on the non-null rows.
-/// Legacy `Value` path, agreement-tested against the encoded overload.
-bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs);
-
-/// OD check on the dictionary-encoded view: codes are order-preserving,
-/// so the whole scan runs on packed uint32 pairs.
+///
+/// One serial O(n + D) pass for D distinct lhs values: it records the
+/// first rhs code seen per lhs code, fails at the first row that
+/// disagrees, then walks the lhs codes in ascending (= value) order and
+/// checks that the rhs codes never fall.
 bool ValidateOd(const EncodedRelation& relation, size_t lhs, size_t rhs);
+
+/// Encodes `relation` and runs the encoded check. Exact, because columns
+/// are uniformly typed and NaN-free, so codes order the values.
+bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs);
 
 /// Multi-attribute OD: the LHS orders rows lexicographically by the
 /// attributes in ascending index order; rows with a NULL in any involved
-/// column are skipped. |lhs| == 1 is exactly the single-attribute check.
+/// column are skipped. |lhs| == 1 is exactly the single-attribute check;
+/// wider LHSes sort the code tuples and scan adjacent ones.
 bool ValidateOd(const EncodedRelation& relation, AttributeSet lhs,
                 size_t rhs);
 
 /// True iff the ordered functional dependency holds: the FD plus strict
-/// order preservation (t[lhs] < u[lhs] implies t[rhs] < u[rhs]).
-/// Legacy `Value` path, agreement-tested against the encoded overload.
-bool ValidateOfd(const Relation& relation, size_t lhs, size_t rhs);
-
-/// OFD check on the encoded view (see the OD overload).
+/// order preservation (t[lhs] < u[lhs] implies t[rhs] < u[rhs]). The
+/// same single pass as the OD check, with the walk requiring the rhs
+/// codes to strictly rise.
 bool ValidateOfd(const EncodedRelation& relation, size_t lhs, size_t rhs);
+
+/// Encodes `relation` and runs the encoded check (see the OD overload).
+bool ValidateOfd(const Relation& relation, size_t lhs, size_t rhs);
 
 /// Multi-attribute OFD under the same lexicographic LHS order as the OD
 /// overload above.

@@ -1,8 +1,8 @@
 // Tests for the dictionary-encoding layer (EncodedRelation) and for the
 // agreement between the legacy Value paths and the code paths built on
-// top of the encoding: PLI construction, order-dependency validation,
-// minimal-delta computation and full FD discovery must produce identical
-// results on both representations.
+// top of the encoding: PLI construction, order-dependency validation
+// (against the sorted-pair oracle), minimal-delta computation and full
+// FD discovery must produce identical results on both representations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +31,7 @@
 #include "partition/position_list_index.h"
 #include "privacy/identifiability.h"
 #include "reference/encode_reference.h"
+#include "reference/order_reference.h"
 
 namespace metaleak {
 namespace {
@@ -250,9 +251,11 @@ TEST(EncodingAgreementTest, OdAndOfdValidationAgrees) {
     for (size_t x = 0; x < rel.num_columns(); ++x) {
       for (size_t y = 0; y < rel.num_columns(); ++y) {
         if (x == y) continue;
-        EXPECT_EQ(ValidateOd(rel, x, y), ValidateOd(encoded, x, y))
+        EXPECT_EQ(reference::ValidateOd(rel, x, y),
+                  ValidateOd(encoded, x, y))
             << "OD " << x << " -> " << y;
-        EXPECT_EQ(ValidateOfd(rel, x, y), ValidateOfd(encoded, x, y))
+        EXPECT_EQ(reference::ValidateOfd(rel, x, y),
+                  ValidateOfd(encoded, x, y))
             << "OFD " << x << " -> " << y;
       }
     }

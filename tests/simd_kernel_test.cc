@@ -8,9 +8,9 @@
 // doubles, since the parity contract is byte-identical output. (2)
 // Consumer-level: the PLI engine (Intersect, plus Refines / G3Error /
 // MaxFanout including their bit-parallel low-cardinality paths), the
-// OD/OFD pair scans, the identifiability sweep, and the fused leakage scan are run
-// with the dispatch level forced to scalar and to the best supported
-// level, at 1 and 8 threads, asserting identical results.
+// identifiability sweep, and the fused leakage scan are run with the
+// dispatch level forced to scalar and to the best supported level, at 1
+// and 8 threads, asserting identical results.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,7 +27,6 @@
 #include "data/domain.h"
 #include "data/encoded_batch.h"
 #include "data/encoded_relation.h"
-#include "discovery/validators.h"
 #include "partition/attribute_set.h"
 #include "partition/pli_cache.h"
 #include "partition/position_list_index.h"
@@ -346,68 +345,6 @@ TEST(SimdKernelTest, AllGatherEqualI32Fuzz) {
   }
 }
 
-TEST(SimdKernelTest, OdViolationKnownAnswers) {
-  auto pack = [](uint32_t x, uint32_t y) {
-    return (static_cast<uint64_t>(x) << 32) | y;
-  };
-  // Sorted, order-preserving: no violation in either mode except the
-  // non-strict plateau (y repeats across an x step), which only the
-  // strict rule rejects.
-  const std::vector<uint64_t> plateau = {pack(1, 5), pack(2, 5),
-                                         pack(3, 6)};
-  // lhs tie with differing rhs: violation in both modes.
-  const std::vector<uint64_t> tie = {pack(1, 5), pack(1, 6), pack(2, 7)};
-  // rhs decreases across an x step: violation in both modes.
-  const std::vector<uint64_t> drop = {pack(1, 5), pack(2, 4), pack(3, 6)};
-  for (SimdLevel level : SupportedLevels()) {
-    EXPECT_FALSE(OdViolationInRange(level, plateau.data(), 1,
-                                    plateau.size(), false));
-    EXPECT_TRUE(OdViolationInRange(level, plateau.data(), 1,
-                                   plateau.size(), true));
-    EXPECT_TRUE(
-        OdViolationInRange(level, tie.data(), 1, tie.size(), false));
-    EXPECT_TRUE(
-        OdViolationInRange(level, tie.data(), 1, tie.size(), true));
-    EXPECT_TRUE(
-        OdViolationInRange(level, drop.data(), 1, drop.size(), false));
-    EXPECT_TRUE(
-        OdViolationInRange(level, drop.data(), 1, drop.size(), true));
-    // Empty range: lo == hi.
-    EXPECT_FALSE(OdViolationInRange(level, tie.data(), 1, 1, false));
-  }
-}
-
-TEST(SimdKernelTest, OdViolationFuzz) {
-  Rng rng(108);
-  for (int trial = 0; trial < 60; ++trial) {
-    const size_t n = 2 + rng.UniformIndex(120);
-    std::vector<uint64_t> pairs(n);
-    for (size_t i = 0; i < n; ++i) {
-      // Small ranges make ties, plateaus, and drops all likely; sorting
-      // gives the precondition the kernel requires.
-      const uint64_t x = rng.UniformIndex(6);
-      const uint64_t y = rng.UniformIndex(6);
-      pairs[i] = (x << 32) | y;
-    }
-    std::sort(pairs.begin(), pairs.end());
-    // Scan sub-ranges too: chunked ParallelReduce calls the kernel with
-    // interior lo/hi.
-    const size_t lo = 1 + rng.UniformIndex(n - 1);
-    const size_t hi = lo + rng.UniformIndex(n - lo + 1);
-    for (bool strict : {false, true}) {
-      const bool expect = OdViolationInRange(SimdLevel::kScalar,
-                                             pairs.data(), lo, hi, strict);
-      for (SimdLevel level : SupportedLevels()) {
-        EXPECT_EQ(
-            OdViolationInRange(level, pairs.data(), lo, hi, strict),
-            expect)
-            << "n=" << n << " lo=" << lo << " hi=" << hi
-            << " strict=" << strict << " level=" << SimdLevelName(level);
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, AccumulateKernelsFuzz) {
   Rng rng(109);
   std::vector<double> code_numeric = {kNaN, 0.5, 3.5, 7.0};
@@ -570,25 +507,6 @@ datasets::SyntheticConfig PlantedConfig(size_t rows) {
   d.domain_size = 4;
   config.attributes = {a, b, c, d};
   return config;
-}
-
-TEST_P(SimdConsumerParityTest, OdOfdValidatorsMatchScalar) {
-  Result<Relation> relation = datasets::Synthetic(PlantedConfig(3000));
-  ASSERT_TRUE(relation.ok());
-  EncodedRelation encoded = EncodedRelation::Encode(*relation);
-  for (size_t lhs = 0; lhs < encoded.num_columns(); ++lhs) {
-    for (size_t rhs = 0; rhs < encoded.num_columns(); ++rhs) {
-      if (lhs == rhs) continue;
-      auto [scalar, vector] = AtBothLevels([&] {
-        return std::make_pair(ValidateOd(encoded, lhs, rhs),
-                              ValidateOfd(encoded, lhs, rhs));
-      });
-      EXPECT_EQ(scalar, vector) << "lhs=" << lhs << " rhs=" << rhs;
-    }
-  }
-  // The planted monotone map b -> c must actually hold, so the parity
-  // above is not vacuously all-false.
-  EXPECT_TRUE(ValidateOd(encoded, 1, 2));
 }
 
 TEST_P(SimdConsumerParityTest, IdentifiabilitySweepMatchesScalar) {
