@@ -1,10 +1,12 @@
 // Thread-scaling bench for the shared parallel runtime (common/parallel.h).
 //
-// Times three representative hot paths — TANE lattice search, DD minimal-
-// delta validation, and the Monte-Carlo experiment runner — at 1/2/4/8
-// pool threads on synthetic data, and writes the measurements to
-// BENCH_parallel.json in the working directory (one record per op x
-// thread count: op, rows, threads, ms, speedup vs 1 thread).
+// Times five representative hot paths — TANE lattice search, DD minimal-
+// delta validation, the Monte-Carlo experiment runner, and two per-column
+// set-up stages (dictionary encoding, and the three estimator binds on a
+// discovered package) — at 1/2/4/8 pool threads on synthetic data, and
+// writes the measurements to BENCH_parallel.json in the working directory
+// (one record per op x thread count: op, rows, threads, ms, speedup vs 1
+// thread).
 //
 // Results are workload-identical across thread counts (chunking depends
 // only on the grain), so the numbers measure pure scheduling/scaling
@@ -24,7 +26,9 @@
 #include "discovery/discovery_engine.h"
 #include "discovery/tane.h"
 #include "discovery/validators.h"
+#include "generation/generation_engine.h"
 #include "privacy/experiment.h"
+#include "privacy/risk_estimator.h"
 
 namespace metaleak {
 namespace {
@@ -133,6 +137,45 @@ int Main() {
         auto result = RunMethod(exp_rel, report->metadata,
                                 GenerationMethod::kRandom, config);
         if (!result.ok()) std::abort();
+      },
+      records);
+
+  // --- Per-column set-up: encode ----------------------------------------
+  constexpr size_t kEncodeRows = 200000;
+  Relation encode_rel =
+      std::move(datasets::SyntheticZipfScale(kEncodeRows, /*seed=*/21))
+          .ValueOrDie();
+  RunOp(
+      "encode", kEncodeRows,
+      [&] {
+        EncodedRelation encoded = EncodedRelation::Encode(encode_rel);
+        if (encoded.num_rows() != kEncodeRows) std::abort();
+      },
+      records);
+
+  // --- Per-column set-up: the three estimator binds ---------------------
+  // On a discovered package, as every audited method binds them.
+  constexpr size_t kBindRows = 100000;
+  Relation bind_rel =
+      std::move(datasets::SyntheticZipfScale(kBindRows, /*seed=*/21))
+          .ValueOrDie();
+  EncodedRelation bind_enc = EncodedRelation::Encode(bind_rel);
+  auto bind_report = ProfileRelation(bind_enc);
+  if (!bind_report.ok()) std::abort();
+  auto gen = GenerationContext::Build(bind_report->metadata);
+  if (!gen.ok()) std::abort();
+  RiskContext rctx;
+  rctx.real = &bind_enc;
+  rctx.syn_schema = &gen->schema();
+  rctx.domains = &gen->domains();
+  rctx.metadata = &bind_report->metadata;
+  RunOp(
+      "estimator_bind", kBindRows,
+      [&] {
+        for (const RiskEstimator* est :
+             RiskEstimatorRegistry::All().estimators()) {
+          if (!est->Bind(rctx).ok()) std::abort();
+        }
       },
       records);
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/parallel.h"
 
 namespace metaleak {
 
@@ -203,8 +204,10 @@ EncodedRelation EncodedRelation::Encode(const Relation& relation) {
   out.dicts_.resize(m);
 
   // Relation::Make / AppendRow guarantee uniformly typed columns, so one
-  // dispatch on the attribute type picks the raw key for every row.
-  for (size_t c = 0; c < m; ++c) {
+  // dispatch on the attribute type picks the raw key for every row. One
+  // pool task per column, each writing only its own column's slots; the
+  // fingerprint is a serial fold over the finished columns.
+  ParallelFor(0, m, 1, [&](size_t c) {
     const std::vector<Value>& column = relation.column(c);
     switch (out.schema_.attribute(c).type) {
       case DataType::kInt64:
@@ -217,7 +220,7 @@ EncodedRelation EncodedRelation::Encode(const Relation& relation) {
         EncodeColumn<StringKeys>(column, &out.dicts_[c], &out.columns_[c]);
         break;
     }
-  }
+  });
   out.fingerprint_ = out.ComputeFingerprint();
   return out;
 }

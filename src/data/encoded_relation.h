@@ -102,10 +102,10 @@ class ColumnDictionary {
 /// The dictionary-encoded relation. Construction (`Encode`) is
 /// O(n + D log D) per column for n rows and D distinct values: a typed
 /// hash-dedup pass, a sort of the D distinct values only, and a linear
-/// code-emit pass. Afterwards every consumer works on dense codes. The
-/// source relation must outlive the encoding (the encoding keeps a
-/// non-owning pointer for consumers that still need raw values, e.g. CFD
-/// discovery).
+/// code-emit pass, with one pool task per column. Afterwards every
+/// consumer works on dense codes. The source relation must outlive the
+/// encoding (the encoding keeps a non-owning pointer for consumers that
+/// still need raw values, e.g. CFD discovery).
 class EncodedRelation {
  public:
   EncodedRelation() = default;

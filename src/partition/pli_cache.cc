@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/parallel.h"
+
 namespace metaleak {
 
 PliCache::PliCache(const EncodedRelation* encoded) : encoded_(encoded) {
@@ -49,9 +51,10 @@ PliCache::PliCache(const EncodedRelation* encoded,
 void PliCache::BuildSingletons() {
   METALEAK_DCHECK(encoded_->num_columns() <= AttributeSet::kMaxAttributes);
   Get(AttributeSet());
-  for (size_t c = 0; c < encoded_->num_columns(); ++c) {
-    Get(AttributeSet::Single(c));
-  }
+  // One pool task per column: Get is single-flight and each column's
+  // entry is its own key, so the tasks never build the same PLI twice.
+  ParallelFor(0, encoded_->num_columns(), 1,
+              [this](size_t c) { Get(AttributeSet::Single(c)); });
   // The eager build is construction noise; counters report Get traffic.
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);

@@ -60,8 +60,8 @@ class PliCache {
  public:
   /// Builds over an existing encoding (shared across consumers of one
   /// pipeline entry point). The encoding must outlive the cache.
-  /// Single-attribute PLIs are built eagerly from the code vectors;
-  /// composite PLIs on demand.
+  /// Single-attribute PLIs are built eagerly from the code vectors, one
+  /// pool task per column; composite PLIs on demand.
   explicit PliCache(const EncodedRelation* encoded);
 
   /// Convenience: encodes `relation` internally and owns the encoding.

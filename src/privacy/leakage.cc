@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/parallel.h"
 #include "common/simd.h"
 #include "data/domain.h"
 
@@ -217,15 +218,16 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
   ctx.num_rows_ = real.num_rows();
   const std::vector<EncodedBatch::ColumnKind> kinds =
       ColumnKindsForDomains(domains);
-  auto mark_unsupported = [&ctx](const char* reason) {
-    if (ctx.supported_) {
-      ctx.supported_ = false;
-      ctx.fallback_reason_ = reason;
-    }
-  };
 
+  // One pool task per column, each writing only its own plan and its own
+  // first fallback reason; the reasons fold in column order below, so
+  // the lowest unsupported column names the fallback at every pool size.
   ctx.attrs_.resize(m);
-  for (size_t c = 0; c < m; ++c) {
+  std::vector<const char*> fallback(m, nullptr);
+  ParallelFor(0, m, 1, [&](size_t c) {
+    auto mark_unsupported = [&fallback, c](const char* reason) {
+      if (fallback[c] == nullptr) fallback[c] = reason;
+    };
     const ColumnDictionary& dict = real.dictionary(c);
     const CodeColumnView real_column = real.column_view(c);
     AttrPlan& plan = ctx.attrs_[c];
@@ -300,7 +302,7 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
       for (size_t r = 0; r < real.num_rows(); ++r) {
         plan.real_codes.push_back(translate[real_column.at(r)]);
       }
-      continue;
+      return;
     }
 
     // Numeric comparisons: per-row real numeric view (NaN = the row is
@@ -341,6 +343,13 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
           }
         }
       }
+    }
+  });
+  for (const char* reason : fallback) {
+    if (reason != nullptr) {
+      ctx.supported_ = false;
+      ctx.fallback_reason_ = reason;
+      break;
     }
   }
   return ctx;

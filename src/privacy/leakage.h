@@ -135,7 +135,9 @@ LeakageReport AssembleLeakageReport(
 /// structural mismatch (arity, attribute names). Value patterns the code
 /// path cannot reproduce bit-for-bit (a real value matching several
 /// domain entries cross-type, NaNs feeding the MSE) clear supported()
-/// instead, and callers fall back to the value path.
+/// instead, and callers fall back to the value path. Build() resolves
+/// one attribute per pool task; fallback_reason() names the lowest
+/// unsupported attribute's first reason, as a serial build would.
 class EncodedLeakageContext {
  public:
   /// Sentinel for real cells with no generation-domain code (NULLs and

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/parallel.h"
 #include "common/radix_sort.h"
 #include "common/simd.h"
 #include "data/code_column.h"
@@ -144,23 +145,54 @@ RiskMeasureCell EntropyCell(const EncodedRelation& real, size_t c) {
   return RiskMeasureCell{MarginalEntropyBits(real.dictionary(c)), true};
 }
 
+// What the conditional-entropy cells read besides the joint counts:
+// per attribute, its distinct disclosed single-attribute LHSs in
+// ascending order (FD, OD and ND on one pair bound the same quantity, so
+// each LHS is scored once), and per LHS column, H over all its codes
+// with NULL (code 0) as its own symbol. Each H is computed once per
+// column rather than once per (rhs, lhs) pair.
+struct CondEntropyInputs {
+  std::vector<std::vector<size_t>> lhss;  // [rhs]
+  std::vector<double> lhs_entropy;        // [column], LHS columns only
+};
+
+// Collects the LHS lists serially, then computes the LHS entropies as
+// one pool task per column. No metadata means no cells.
+CondEntropyInputs PlanCondEntropy(const EncodedRelation& real,
+                                  const MetadataPackage* metadata) {
+  const size_t m = real.num_columns();
+  CondEntropyInputs in;
+  in.lhss.resize(m);
+  in.lhs_entropy.assign(m, 0.0);
+  if (metadata == nullptr) return in;
+  std::vector<bool> is_lhs(m, false);
+  for (const Dependency& dep : metadata->dependencies.all()) {
+    if (dep.rhs >= m || dep.lhs.size() != 1) continue;
+    const size_t lhs = dep.lhs.ToIndices()[0];
+    if (lhs >= m) continue;
+    in.lhss[dep.rhs].push_back(lhs);
+    is_lhs[lhs] = true;
+  }
+  for (std::vector<size_t>& lhss : in.lhss) {
+    std::sort(lhss.begin(), lhss.end());
+    lhss.erase(std::unique(lhss.begin(), lhss.end()), lhss.end());
+  }
+  ParallelFor(0, m, 1, [&](size_t c) {
+    if (is_lhs[c]) {
+      in.lhs_entropy[c] = ShannonEntropyBits(real.dictionary(c).counts());
+    }
+  });
+  return in;
+}
+
 // min over the disclosed single-attribute LHSs a of c of
 // H(a, c) - H(a), over all rows with NULL (code 0) participating as its
-// own symbol. Each distinct LHS is scored once (FD, OD and ND on one
-// pair bound the same quantity), all against one bucketing of c's rows.
+// own symbol, all against one bucketing of c's rows.
 RiskMeasureCell CondEntropyCell(const EncodedRelation& real,
-                                const MetadataPackage* metadata, size_t c) {
+                                const CondEntropyInputs& in, size_t c) {
   RiskMeasureCell cell;
-  if (metadata == nullptr) return cell;
-  std::vector<size_t> lhss;
-  for (const Dependency& dep : metadata->dependencies.all()) {
-    if (dep.rhs != c || dep.lhs.size() != 1) continue;
-    const size_t lhs = dep.lhs.ToIndices()[0];
-    if (lhs < real.num_columns()) lhss.push_back(lhs);
-  }
+  const std::vector<size_t>& lhss = in.lhss[c];
   if (lhss.empty()) return cell;
-  std::sort(lhss.begin(), lhss.end());
-  lhss.erase(std::unique(lhss.begin(), lhss.end()), lhss.end());
 
   const ColumnDictionary& dict_b = real.dictionary(c);
   JointCounter& joint = ThreadJointCounter();
@@ -177,8 +209,8 @@ RiskMeasureCell CondEntropyCell(const EncodedRelation& real,
                             });
     // Clamped at 0: the difference is mathematically non-negative but
     // the two log-sums round independently.
-    const double h = std::max(0.0, ShannonEntropyBits(joint_counts) -
-                                       ShannonEntropyBits(dict_a.counts()));
+    const double h = std::max(
+        0.0, ShannonEntropyBits(joint_counts) - in.lhs_entropy[lhs]);
     if (!cell.present || h < cell.value) cell = RiskMeasureCell{h, true};
   }
   return cell;
@@ -532,12 +564,14 @@ Result<std::unique_ptr<BoundRiskEstimator>> InfoTheoreticEstimator::Bind(
   const size_t m = real.num_columns();
   const std::vector<EncodedBatch::ColumnKind> kinds =
       ColumnKindsForDomains(*ctx.domains);
+  const CondEntropyInputs cond = PlanCondEntropy(real, ctx.metadata);
+  // One pool task per column, each writing only its own Attr.
   std::vector<InfoTheoreticBound::Attr> attrs(m);
-  for (size_t c = 0; c < m; ++c) {
+  ParallelFor(0, m, 1, [&](size_t c) {
     InfoTheoreticBound::Attr& attr = attrs[c];
     const ColumnDictionary& dict = real.dictionary(c);
     attr.entropy = EntropyCell(real, c);
-    attr.cond_entropy = CondEntropyCell(real, ctx.metadata, c);
+    attr.cond_entropy = CondEntropyCell(real, cond, c);
     if (kinds[c] == EncodedBatch::ColumnKind::kCodes) {
       attr.mi_codes = true;
       attr.real_codes = real.column_view(c);
@@ -563,7 +597,7 @@ Result<std::unique_ptr<BoundRiskEstimator>> InfoTheoreticEstimator::Bind(
                 : MiBinOf(attr.bin_lo, attr.bin_inv_width, x);
       }
     }
-  }
+  });
   return std::unique_ptr<BoundRiskEstimator>(
       new InfoTheoreticBound(std::move(attrs), real.num_rows()));
 }
@@ -595,10 +629,11 @@ Result<std::unique_ptr<BoundRiskEstimator>> NnLinkageEstimator::Bind(
   const size_t m = real.num_columns();
   const std::vector<EncodedBatch::ColumnKind> kinds =
       ColumnKindsForDomains(*ctx.domains);
+  // One pool task per column, each writing only its own Attr.
   std::vector<NnLinkageBound::Attr> attrs(m);
-  for (size_t c = 0; c < m; ++c) {
+  ParallelFor(0, m, 1, [&](size_t c) {
     if (real.schema().attribute(c).semantic != SemanticType::kContinuous) {
-      continue;
+      return;
     }
     NnLinkageBound::Attr& attr = attrs[c];
     attr.active = true;
@@ -625,7 +660,7 @@ Result<std::unique_ptr<BoundRiskEstimator>> NnLinkageEstimator::Bind(
         }
       }
     }
-  }
+  });
   return std::unique_ptr<BoundRiskEstimator>(
       new NnLinkageBound(std::move(attrs), real.num_rows()));
 }
@@ -676,10 +711,11 @@ Result<std::vector<RiskProfileMeasure>> ComputeProfileMeasures(
                      .measures()[InfoTheoreticEstimator::kCondEntropyIndex]
                      .key;
   cond.cells.resize(m);
-  for (size_t c = 0; c < m; ++c) {
+  const CondEntropyInputs inputs = PlanCondEntropy(real, &metadata);
+  ParallelFor(0, m, 1, [&](size_t c) {
     entropy.cells[c] = EntropyCell(real, c);
-    cond.cells[c] = CondEntropyCell(real, &metadata, c);
-  }
+    cond.cells[c] = CondEntropyCell(real, inputs, c);
+  });
   std::vector<RiskProfileMeasure> out;
   out.push_back(std::move(entropy));
   out.push_back(std::move(cond));
