@@ -7,7 +7,10 @@
 // bit-identical experiment results (same per-round seeds, means,
 // stddevs, MSEs); any disagreement exits non-zero. Results go to
 // BENCH_generation.json, including the code-path speedup at each row
-// count (the acceptance number is the 50k-row entry).
+// count (the acceptance number is the 50k-row entry). One more record,
+// nd_plan_zipf_100k, times ND generation alone on the package the
+// deps_audit_100k workload profiles: GenerateEncoded rounds on the
+// ND-only plan of SyntheticZipfScale(100000, 21), one thread.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -186,6 +189,40 @@ LeakageScanAxis TimeLeakageScan(const Fixture& fixture, size_t rounds) {
   return axis;
 }
 
+// Times `rounds` GenerateEncoded calls on the ND-only plan of the
+// profiled SyntheticZipfScale(rows, 21) package.
+BenchRecord TimeNdPlan(size_t rows, size_t rounds) {
+  Relation real =
+      std::move(datasets::SyntheticZipfScale(rows, /*seed=*/21)).ValueOrDie();
+  MetadataPackage metadata =
+      std::move(ProfileRelation(real, DiscoveryOptions{}))
+          .ValueOrDie()
+          .metadata;
+  GenerationOptions options;
+  options.allowed_kinds = {DependencyKind::kNumerical};
+  GenerationContext gen =
+      std::move(GenerationContext::Build(metadata, options)).ValueOrDie();
+  if (!gen.encodable()) std::abort();
+
+  EncodedBatch batch;
+  Rng rng(21);
+  auto start = std::chrono::steady_clock::now();
+  for (size_t round = 0; round < rounds; ++round) {
+    Rng round_rng = rng.Fork();
+    if (!GenerateEncoded(gen, rows, &round_rng, &batch).ok()) std::abort();
+  }
+  auto stop = std::chrono::steady_clock::now();
+  BenchRecord r;
+  r.path = "nd_plan_zipf_100k";
+  r.rows = rows;
+  r.rounds = rounds;
+  r.ms = std::chrono::duration<double, std::milli>(stop - start).count();
+  r.rounds_per_sec = static_cast<double>(rounds) / (r.ms / 1000.0);
+  r.rows_per_sec =
+      static_cast<double>(rounds * rows) / (r.ms / 1000.0);
+  return r;
+}
+
 int Main() {
   struct Size {
     size_t rows;
@@ -290,6 +327,11 @@ int Main() {
     scan_record("leakage_scan_scalar", scan.scalar_ms);
     scan_record("leakage_scan_simd", scan.simd_ms);
   }
+
+  const BenchRecord nd = TimeNdPlan(100000, 10);
+  std::printf("ND plan, zipf 100k x %zu rounds: %.1f ms (%.1f ms/round)\n",
+              nd.rounds, nd.ms, nd.ms / static_cast<double>(nd.rounds));
+  records.push_back(nd);
 
   std::ofstream json("BENCH_generation.json");
   json << "{\n  " << BenchMetadataJson()

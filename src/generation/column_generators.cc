@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/flat_id_table.h"
 #include "common/macros.h"
@@ -109,6 +110,127 @@ std::vector<Value> StrictSortedSamples(const Domain& domain, size_t count,
   return SortedSamples(domain, count, rng);
 }
 
+// Per-thread scratch for the generators. The Monte-Carlo loop calls them
+// thousands of times; reusing the arenas makes every call after the
+// first allocation-free (same idiom as the PliCache scratch).
+struct GeneratorScratch {
+  std::vector<uint32_t> code_rank;    // per-code rank table (kCodes LHS)
+  std::vector<uint32_t> ranks;        // per-row rank of one LHS column
+  std::vector<uint32_t> ids;          // folded composite-LHS group ids
+  FlatIdTable groups;                 // composite key -> group id
+  std::vector<char> flags;            // lazily-sampled bits
+  std::vector<uint32_t> code_map;     // FD group -> code mapping
+  std::vector<double> real_map;       // FD group -> double mapping
+  std::vector<uint32_t> group_end;    // ND rank -> end of its rows
+  std::vector<uint32_t> by_group;     // ND rows bucketed by LHS rank
+  FlatIdTable moved;                  // ND Fisher-Yates position -> id
+  std::vector<uint32_t> moved_index;  // ND id -> domain index there now
+  std::vector<uint32_t> pool_codes;   // ND filled slots of one group
+  std::vector<double> pool_reals;     // ND filled slots of one group
+  std::vector<size_t> idx;            // order-statistic / Floyd draws
+  std::vector<uint32_t> target_codes; // OD/OFD rank -> code targets
+  std::vector<double> target_reals;   // OD/OFD rank -> double targets
+  std::vector<size_t> order;          // DD row order
+};
+
+GeneratorScratch& Scratch() {
+  thread_local GeneratorScratch scratch;
+  return scratch;
+}
+
+// The ND kernel both twins call: writes out[r] for the LHS ranks
+// ranks[0, num_rows) over `distinct` values. T is double for a
+// continuous domain and a code type (code = domain index + 1) for a
+// categorical one.
+//
+// Rows are bucketed by rank with a counting sort and visited group by
+// group in ascending rank, in row order within a group. A group's pool
+// of `take` slots fills lazily: its filled slots are the prefix
+// pool[0, f). A row draws u = UniformIndex(take) and reuses slot u if
+// u < f; otherwise it fills slot f. The first row of a group always
+// fills, so it draws no u. A categorical fill is one step of a sparse
+// Fisher-Yates shuffle of the domain indices: positions [0, f) hold the
+// group's values so far, and the step swaps position
+// f + UniformIndex(|Dom(Y)| - f) into position f. Only moved positions
+// are stored, at most two per fill. A continuous fill is a fresh
+// UniformDouble.
+template <typename T>
+void LazyNdPools(const uint32_t* ranks, uint32_t distinct, size_t num_rows,
+                 const Domain& domain, size_t max_fanout, Rng* rng,
+                 T* out) {
+  constexpr bool kReal = std::is_same_v<T, double>;
+  METALEAK_DCHECK(domain.is_continuous() == kReal);
+  GeneratorScratch& s = Scratch();
+  const size_t k = std::max<size_t>(1, max_fanout);
+  const size_t domain_size = kReal ? 0 : domain.values().size();
+  const size_t take = kReal ? k : std::min(k, domain_size);
+  METALEAK_DCHECK(take > 0 || num_rows == 0);
+
+  // Counting sort; afterwards group_end[g] is one past group g's rows.
+  s.group_end.assign(static_cast<size_t>(distinct) + 1, 0);
+  for (size_t r = 0; r < num_rows; ++r) ++s.group_end[ranks[r] + 1];
+  for (uint32_t g = 0; g < distinct; ++g) {
+    s.group_end[g + 1] += s.group_end[g];
+  }
+  s.by_group.resize(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    s.by_group[s.group_end[ranks[r]]++] = static_cast<uint32_t>(r);
+  }
+
+  // Id of Fisher-Yates position p, seeded with p on its first touch.
+  auto position = [&s](size_t p) {
+    const uint32_t id = s.moved.IdOf(p);
+    if (id == s.moved_index.size()) {
+      s.moved_index.push_back(static_cast<uint32_t>(p));
+    }
+    return id;
+  };
+  auto fill = [&](size_t f) {
+    if constexpr (kReal) {
+      return rng->UniformDouble(domain.lo(), domain.hi());
+    } else {
+      const uint32_t at_pos =
+          position(f + rng->UniformIndex(domain_size - f));
+      const uint32_t at_f = position(f);
+      const uint32_t index = s.moved_index[at_pos];
+      s.moved_index[at_pos] = s.moved_index[at_f];
+      return index + 1;
+    }
+  };
+  auto& pool = [&s]() -> auto& {
+    if constexpr (kReal) {
+      return s.pool_reals;
+    } else {
+      return s.pool_codes;
+    }
+  }();
+
+  size_t begin = 0;
+  for (uint32_t g = 0; g < distinct; ++g) {
+    const size_t end = s.group_end[g];
+    const size_t slots = std::min(take, end - begin);
+    if (pool.size() < slots) pool.resize(slots);
+    if constexpr (!kReal) {
+      s.moved.Reset(2 * slots);
+      s.moved_index.clear();
+    }
+    size_t f = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t row = s.by_group[i];
+      if (f > 0) {
+        const size_t u = rng->UniformIndex(take);
+        if (u < f) {
+          out[row] = static_cast<T>(pool[u]);
+          continue;
+        }
+      }
+      pool[f] = fill(f);
+      out[row] = static_cast<T>(pool[f++]);
+    }
+    begin = end;
+  }
+}
+
 }  // namespace
 
 std::vector<Value> GenerateRootColumn(const Domain& domain, size_t num_rows,
@@ -161,39 +283,21 @@ std::vector<Value> GenerateNdColumn(const std::vector<Value>& lhs_column,
                                     size_t max_fanout, Rng* rng) {
   METALEAK_DCHECK(rng != nullptr);
   METALEAK_DCHECK(lhs_column.size() == num_rows);
-  size_t k = std::max<size_t>(1, max_fanout);
-  std::vector<Value> distinct = SortedDistinct(lhs_column);
-  std::vector<uint32_t> codes = EncodeByRank(lhs_column, distinct);
-  // Per-LHS-value pools in one flat arena with constant stride: every
-  // pool has the same size (min(k, |Dom(Y)|) when categorical, k
-  // otherwise), so pool i is pools[i*take, (i+1)*take). Pools fill
-  // lazily in row-scan order, so RNG consumption is identical to the
-  // per-pool-vector layout this replaces.
-  const size_t take = domain.is_categorical()
-                          ? std::min(k, domain.values().size())
-                          : k;
-  std::vector<Value> pools(distinct.size() * take, Value::Null());
-  std::vector<char> filled(distinct.size(), 0);
+  const std::vector<Value> distinct = SortedDistinct(lhs_column);
+  const std::vector<uint32_t> ranks = EncodeByRank(lhs_column, distinct);
+  const uint32_t num_distinct = static_cast<uint32_t>(distinct.size());
   std::vector<Value> out;
   out.reserve(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    const uint32_t code = codes[r];
-    Value* pool = pools.data() + code * take;
-    if (!filled[code]) {
-      filled[code] = 1;
-      if (domain.is_categorical()) {
-        const std::vector<Value>& vals = domain.values();
-        // Sampling without replacement from Dom(Y): the hyper-geometric
-        // selection in the paper's ND analysis.
-        size_t j = 0;
-        for (size_t i : rng->SampleWithoutReplacement(vals.size(), take)) {
-          pool[j++] = vals[i];
-        }
-      } else {
-        for (size_t i = 0; i < take; ++i) pool[i] = domain.Sample(rng);
-      }
-    }
-    out.push_back(pool[rng->UniformIndex(take)]);
+  if (domain.is_categorical()) {
+    std::vector<uint32_t> codes(num_rows);
+    LazyNdPools(ranks.data(), num_distinct, num_rows, domain, max_fanout,
+                rng, codes.data());
+    for (uint32_t code : codes) out.push_back(domain.values()[code - 1]);
+  } else {
+    std::vector<double> xs(num_rows);
+    LazyNdPools(ranks.data(), num_distinct, num_rows, domain, max_fanout,
+                rng, xs.data());
+    for (double x : xs) out.push_back(Value::Real(x));
   }
   return out;
 }
@@ -286,34 +390,6 @@ Result<std::vector<Value>> GenerateDdColumn(
 
 // --- Encoded (code-path) generators --------------------------------------
 
-namespace {
-
-// Per-thread scratch for the encoded generators. The Monte-Carlo loop
-// calls these thousands of times; reusing the arenas makes every call
-// after the first allocation-free (same idiom as the PliCache scratch).
-struct EncodedScratch {
-  std::vector<uint32_t> code_rank;    // per-code rank table (kCodes LHS)
-  std::vector<uint32_t> ranks;        // per-row rank of one LHS column
-  std::vector<uint32_t> ids;          // folded composite-LHS group ids
-  FlatIdTable groups;                 // composite key -> group id
-  std::vector<char> flags;            // lazily-sampled / lazily-filled bits
-  std::vector<uint32_t> code_map;     // FD group -> code mapping
-  std::vector<double> real_map;       // FD group -> double mapping
-  std::vector<uint32_t> code_pool;    // ND flat pools (codes)
-  std::vector<double> real_pool;      // ND flat pools (doubles)
-  std::vector<size_t> idx;            // order-statistic / Floyd draws
-  std::vector<uint32_t> target_codes; // OD/OFD rank -> code targets
-  std::vector<double> target_reals;   // OD/OFD rank -> double targets
-  std::vector<size_t> order;          // DD row order
-};
-
-EncodedScratch& Scratch() {
-  thread_local EncodedScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
 uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
                            size_t num_rows, std::vector<uint32_t>* ranks) {
   ranks->resize(num_rows);
@@ -344,7 +420,7 @@ uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
 uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
                               const std::vector<size_t>& lhs_columns,
                               size_t num_rows, std::vector<uint32_t>* ids) {
-  EncodedScratch& s = Scratch();
+  GeneratorScratch& s = Scratch();
   ids->assign(num_rows, 0);
   uint32_t num_groups = 1;
   for (size_t col : lhs_columns) {
@@ -365,7 +441,7 @@ namespace {
 
 // SortedSamples into s.target_codes / s.target_reals.
 void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
-                          EncodedScratch& s) {
+                          GeneratorScratch& s) {
   if (domain.is_continuous()) {
     s.target_reals.resize(count);
     for (double& x : s.target_reals) {
@@ -387,7 +463,7 @@ void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
 
 // StrictSortedSamples into s.target_codes / s.target_reals.
 void StrictSortedSamplesEncoded(const Domain& domain, size_t count,
-                                Rng* rng, EncodedScratch& s) {
+                                Rng* rng, GeneratorScratch& s) {
   if (domain.is_continuous()) {
     SortedSamplesEncoded(domain, count, rng, s);
     return;
@@ -410,7 +486,7 @@ void GenerateOrderedColumnEncoded(size_t lhs_column, const Domain& domain,
                                   size_t num_rows, bool strict, Rng* rng,
                                   EncodedBatch* batch, size_t target) {
   METALEAK_DCHECK(rng != nullptr);
-  EncodedScratch& s = Scratch();
+  GeneratorScratch& s = Scratch();
   uint32_t distinct = RankEncodedColumn(*batch, lhs_column, num_rows,
                                         &s.ranks);
   if (strict) {
@@ -459,7 +535,7 @@ void GenerateFdColumnEncoded(const std::vector<size_t>& lhs_columns,
                              Rng* rng, EncodedBatch* batch,
                              size_t target) {
   METALEAK_DCHECK(rng != nullptr);
-  EncodedScratch& s = Scratch();
+  GeneratorScratch& s = Scratch();
   uint32_t num_groups = FoldLhsGroupsEncoded(*batch, lhs_columns, num_rows,
                                              &s.ids);
   s.flags.assign(num_groups, 0);
@@ -520,47 +596,17 @@ void GenerateNdColumnEncoded(size_t lhs_column, const Domain& domain,
                              size_t num_rows, size_t max_fanout, Rng* rng,
                              EncodedBatch* batch, size_t target) {
   METALEAK_DCHECK(rng != nullptr);
-  EncodedScratch& s = Scratch();
-  const size_t k = std::max<size_t>(1, max_fanout);
-  uint32_t distinct = RankEncodedColumn(*batch, lhs_column, num_rows,
-                                        &s.ranks);
-  const bool categorical = domain.is_categorical();
-  const size_t take =
-      categorical ? std::min(k, domain.values().size()) : k;
-  s.flags.assign(distinct, 0);
-  if (categorical) {
-    const size_t domain_size = domain.values().size();
-    s.code_pool.assign(static_cast<size_t>(distinct) * take, 0);
-    s.idx.resize(take);
+  GeneratorScratch& s = Scratch();
+  const uint32_t distinct =
+      RankEncodedColumn(*batch, lhs_column, num_rows, &s.ranks);
+  if (batch->kind(target) == EncodedBatch::ColumnKind::kCodes) {
     batch->WithMutableCodes(target, [&](auto* out) {
-      for (size_t r = 0; r < num_rows; ++r) {
-        const uint32_t rank = s.ranks[r];
-        uint32_t* pool =
-            s.code_pool.data() + static_cast<size_t>(rank) * take;
-        if (!s.flags[rank]) {
-          s.flags[rank] = 1;
-          rng->SampleWithoutReplacement(domain_size, take, s.idx.data());
-          for (size_t j = 0; j < take; ++j) {
-            pool[j] = static_cast<uint32_t>(s.idx[j]) + 1;
-          }
-        }
-        out[r] = pool[rng->UniformIndex(take)];
-      }
+      LazyNdPools(s.ranks.data(), distinct, num_rows, domain, max_fanout,
+                  rng, out);
     });
   } else {
-    s.real_pool.assign(static_cast<size_t>(distinct) * take, 0.0);
-    std::vector<double>& out = batch->reals(target);
-    for (size_t r = 0; r < num_rows; ++r) {
-      const uint32_t rank = s.ranks[r];
-      double* pool = s.real_pool.data() + static_cast<size_t>(rank) * take;
-      if (!s.flags[rank]) {
-        s.flags[rank] = 1;
-        for (size_t i = 0; i < take; ++i) {
-          pool[i] = rng->UniformDouble(domain.lo(), domain.hi());
-        }
-      }
-      out[r] = pool[rng->UniformIndex(take)];
-    }
+    LazyNdPools(s.ranks.data(), distinct, num_rows, domain, max_fanout, rng,
+                batch->reals(target).data());
   }
 }
 
@@ -588,7 +634,7 @@ Status GenerateDdColumnEncoded(size_t lhs_column, const Domain& domain,
     return Status::TypeError(
         "differential generation requires a continuous target domain");
   }
-  EncodedScratch& s = Scratch();
+  GeneratorScratch& s = Scratch();
   s.order.resize(num_rows);
   for (size_t i = 0; i < num_rows; ++i) s.order[i] = i;
   const bool lhs_codes =

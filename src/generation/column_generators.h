@@ -54,9 +54,14 @@ std::vector<Value> GenerateAfdColumn(
     const std::vector<const std::vector<Value>*>& lhs_columns,
     const Domain& domain, size_t num_rows, double g3_error, Rng* rng);
 
-/// ND lhs ->(<=K) target: per distinct LHS value a pool of up to
-/// `max_fanout` distinct domain values; rows draw uniformly from the pool.
-/// Continuous domains draw the pool i.i.d. (a.s. distinct).
+/// ND lhs ->(<=K) target: each distinct LHS value owns a pool of
+/// take = min(max(1, max_fanout), |Dom(Y)|) distinct domain values
+/// (`max_fanout` i.i.d. draws, a.s. distinct, for a continuous domain),
+/// and each row draws a slot of its group's pool uniformly. Pools fill
+/// lazily: rows are visited group by group in ascending LHS order, and a
+/// row that draws an empty slot fills it with a value its group has not
+/// used yet. That is the pool-first process's distribution at no more
+/// than 2 * num_rows draws (DESIGN.md section 15).
 std::vector<Value> GenerateNdColumn(const std::vector<Value>& lhs_column,
                                     const Domain& domain, size_t num_rows,
                                     size_t max_fanout, Rng* rng);
@@ -93,7 +98,8 @@ Result<std::vector<Value>> GenerateDdColumn(
 /// Configure()d with ColumnKindsForDomains of the generation domains and
 /// ResetRows() to `num_rows` before any generator runs; LHS columns are
 /// read back out of the same batch by index. Internal scratch (rank
-/// maps, group ids, ND pools) is thread-local and reused across calls,
+/// maps, group ids, ND row buckets) is thread-local and reused across
+/// calls,
 /// which is what makes the Monte-Carlo loop allocation-free after the
 /// first round on each worker thread.
 
@@ -130,7 +136,8 @@ void GenerateAfdColumnEncoded(const std::vector<size_t>& lhs_columns,
                               double g3_error, Rng* rng,
                               EncodedBatch* batch, size_t target);
 
-/// ND: per distinct LHS value a pool of up to `max_fanout` values.
+/// ND: GenerateNdColumn's lazy pools over the ranks of batch column
+/// `lhs_column`. Both run one kernel, so they draw alike by construction.
 void GenerateNdColumnEncoded(size_t lhs_column, const Domain& domain,
                              size_t num_rows, size_t max_fanout, Rng* rng,
                              EncodedBatch* batch, size_t target);

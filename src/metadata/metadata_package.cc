@@ -51,13 +51,22 @@ Result<std::vector<Domain>> MetadataPackage::RequireDomains() const {
   out.reserve(domains.size());
   for (size_t c = 0; c < domains.size(); ++c) {
     const Domain& d = *domains[c];
+    const std::string& name = schema.attribute(c).name;
     // Generation draws from [lo, hi) and Def 2.3 scales epsilon by the
     // range, so an infinite bound would make every measure meaningless.
     if (d.is_continuous() &&
         !(std::isfinite(d.lo()) && std::isfinite(d.hi()))) {
-      return Status::Invalid("continuous domain of attribute '" +
-                             schema.attribute(c).name +
+      return Status::Invalid("continuous domain of attribute '" + name +
                              "' has a non-finite bound");
+    }
+    if (d.is_continuous() && d.lo() > d.hi()) {
+      return Status::Invalid("continuous domain of attribute '" + name +
+                             "' has lo > hi");
+    }
+    // Generation draws a uniform index into the values.
+    if (d.is_categorical() && d.values().empty()) {
+      return Status::Invalid("categorical domain of attribute '" + name +
+                             "' is empty");
     }
     out.push_back(d);
   }
@@ -257,7 +266,10 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
         if (f.size() != 5) return Status::IoError("bad continuous domain");
         auto lo = ParseDouble(f[3]);
         auto hi = ParseDouble(f[4]);
-        if (!lo || !hi) return Status::IoError("bad domain bounds");
+        // !(lo <= hi) also turns away a NaN bound.
+        if (!lo || !hi || !(*lo <= *hi)) {
+          return Status::IoError("bad domain bounds");
+        }
         parsed_domains.emplace_back(static_cast<size_t>(*idx),
                                     Domain::Continuous(*lo, *hi));
       } else {

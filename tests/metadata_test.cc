@@ -297,6 +297,66 @@ TEST(MetadataPackageTest, RequireDomainsRejectsNonFiniteContinuousBound) {
   EXPECT_TRUE(pkg.RequireDomains().ok());
 }
 
+// A one-attribute package whose continuous domain record reads lo, hi.
+std::string ContinuousPackageText(const std::string& lo,
+                                  const std::string& hi) {
+  MetadataPackage pkg;
+  pkg.schema = Schema({{"x", DataType::kDouble, SemanticType::kContinuous}});
+  pkg.domains = {Domain::Continuous(1.0, 5.0)};
+  std::string text = pkg.Serialize();
+  const std::string record = "domain\t0\tcontinuous\t";
+  const size_t begin = text.find(record) + record.size();
+  return text.replace(begin, text.find('\n', begin) - begin,
+                      lo + "\t" + hi);
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsInvertedContinuousBounds) {
+  ASSERT_TRUE(MetadataPackage::Deserialize(ContinuousPackageText("1", "5"))
+                  .ok());
+  ASSERT_TRUE(MetadataPackage::Deserialize(ContinuousPackageText("5", "5"))
+                  .ok());
+  auto parsed = MetadataPackage::Deserialize(ContinuousPackageText("5", "1"));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsIoError());
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsNanContinuousBound) {
+  for (auto [lo, hi] : {std::pair{"nan", "1"}, std::pair{"0", "nan"}}) {
+    auto parsed = MetadataPackage::Deserialize(ContinuousPackageText(lo, hi));
+    ASSERT_FALSE(parsed.ok()) << lo << " " << hi;
+    EXPECT_TRUE(parsed.status().IsIoError());
+  }
+}
+
+TEST(MetadataPackageTest, RequireDomainsRejectsInvertedContinuousRange) {
+  // A debug build stops an inverted range where it is built; a release
+  // build lets a hand-built package carry one, and RequireDomains must
+  // turn it away before generation draws from it.
+  EXPECT_DEBUG_DEATH(Domain::Continuous(5.0, 1.0), "lo <= hi");
+#ifdef NDEBUG
+  MetadataPackage pkg;
+  pkg.schema = Schema({{"x", DataType::kDouble, SemanticType::kContinuous}});
+  pkg.domains = {Domain::Continuous(5.0, 1.0)};
+  Result<std::vector<Domain>> domains = pkg.RequireDomains();
+  ASSERT_FALSE(domains.ok());
+  EXPECT_TRUE(domains.status().IsInvalid());
+  EXPECT_NE(domains.status().message().find("'x'"), std::string::npos);
+#endif
+}
+
+TEST(MetadataPackageTest, RequireDomainsRejectsEmptyCategoricalDomain) {
+  MetadataPackage pkg;
+  pkg.schema = Schema({{"x", DataType::kDouble, SemanticType::kContinuous},
+                       {"c", DataType::kInt64, SemanticType::kCategorical}});
+  pkg.domains = {Domain::Continuous(0.0, 1.0), Domain::Categorical({})};
+  Result<std::vector<Domain>> domains = pkg.RequireDomains();
+  ASSERT_FALSE(domains.ok());
+  EXPECT_TRUE(domains.status().IsInvalid());
+  EXPECT_NE(domains.status().message().find("'c'"), std::string::npos);
+  pkg.domains[1] = Domain::Categorical({Value::Int(1)});
+  EXPECT_TRUE(pkg.RequireDomains().ok());
+}
+
 TEST(MetadataPackageTest, ValuesWithSpacesSurviveRoundTrip) {
   // "Customer Service" in the Department domain has a space.
   MetadataPackage pkg = EmployeeMetadata();

@@ -92,6 +92,46 @@ uint32_t FoldLhsGroups(const EncodedBatch& batch,
 
 void SortReals(std::vector<double>* xs) { std::sort(xs->begin(), xs->end()); }
 
+std::vector<Value> PoolFirstNdColumn(const std::vector<Value>& lhs_column,
+                                     const Domain& domain, size_t num_rows,
+                                     size_t max_fanout, Rng* rng) {
+  METALEAK_DCHECK(lhs_column.size() == num_rows);
+  const size_t k = std::max<size_t>(1, max_fanout);
+  std::vector<Value> distinct = lhs_column;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  // One flat arena with constant stride: pool i is
+  // pools[i * take, (i + 1) * take).
+  const size_t take = domain.is_categorical()
+                          ? std::min(k, domain.values().size())
+                          : k;
+  std::vector<Value> pools(distinct.size() * take, Value::Null());
+  std::vector<char> filled(distinct.size(), 0);
+  std::vector<Value> out;
+  out.reserve(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const size_t code =
+        std::lower_bound(distinct.begin(), distinct.end(), lhs_column[r]) -
+        distinct.begin();
+    Value* pool = pools.data() + code * take;
+    if (!filled[code]) {
+      filled[code] = 1;
+      if (domain.is_categorical()) {
+        const std::vector<Value>& vals = domain.values();
+        size_t j = 0;
+        for (size_t i : rng->SampleWithoutReplacement(vals.size(), take)) {
+          pool[j++] = vals[i];
+        }
+      } else {
+        for (size_t i = 0; i < take; ++i) pool[i] = domain.Sample(rng);
+      }
+    }
+    out.push_back(pool[rng->UniformIndex(take)]);
+  }
+  return out;
+}
+
 namespace {
 
 // One continuous attribute's eps-match and top-1 counts: every real row

@@ -1,6 +1,6 @@
 // Reference Monte-Carlo round kernels: the test oracles for the sampler,
 // the generators' rank and fold kernels, the radix sort and the
-// NN-linkage estimator.
+// NN-linkage estimator, plus the pool-first ND generator.
 //
 // Each function is the implementation the library used before those
 // kernels went linear: Floyd's algorithm over a std::unordered_set, ranks
@@ -9,7 +9,9 @@
 // statistics, and the NN-linkage adversary as a per-row binary search over
 // the sorted generated values. The library must reproduce them bit for
 // bit: the same draws in the same order, the same ranks, group ids and
-// counts.
+// counts. The ND generator is the exception: the library's lazy pools
+// draw in a different order, so the pool-first generator is an oracle
+// for the distribution only (tests/nd_distribution_test.cc).
 #ifndef METALEAK_TESTS_REFERENCE_ROUND_KERNEL_REFERENCE_H_
 #define METALEAK_TESTS_REFERENCE_ROUND_KERNEL_REFERENCE_H_
 
@@ -46,6 +48,15 @@ uint32_t FoldLhsGroups(const EncodedBatch& batch,
 
 /// std::sort, ascending.
 void SortReals(std::vector<double>* xs);
+
+/// The pool-first ND generator: the first row of each distinct LHS value
+/// fills that value's whole pool of take = min(max(1, max_fanout),
+/// |Dom(Y)|) slots (Floyd's draw without replacement for a categorical
+/// domain, `take` = K i.i.d. draws for a continuous one), then every row
+/// draws a slot with UniformIndex(take).
+std::vector<Value> PoolFirstNdColumn(const std::vector<Value>& lhs_column,
+                                     const Domain& domain, size_t num_rows,
+                                     size_t max_fanout, Rng* rng);
 
 /// NN-linkage cells for every attribute of `real` against `batch`, laid
 /// out like NnLinkageEstimator's block: the eps-match column, then the
