@@ -154,7 +154,8 @@ int Main() {
       records);
 
   // --- Per-column set-up: the three estimator binds ---------------------
-  // On a discovered package, as every audited method binds them.
+  // On a discovered package, as an audit binds them once for all its
+  // methods.
   constexpr size_t kBindRows = 100000;
   Relation bind_rel =
       std::move(datasets::SyntheticZipfScale(kBindRows, /*seed=*/21))

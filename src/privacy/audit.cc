@@ -29,9 +29,10 @@ Result<AuditResult> RunAudit(const Relation& relation,
   return RunAuditProfiled(cache, report, options);
 }
 
-Result<AuditResult> RunAuditProfiled(PliCache& cache,
-                                     const DiscoveryReport& profile,
-                                     const AuditOptions& options) {
+Result<AuditResult> RunAuditProfiled(
+    PliCache& cache, const DiscoveryReport& profile,
+    const AuditOptions& options,
+    const std::vector<RiskProfileMeasure>* risk_measures) {
   const EncodedRelation& encoded = cache.encoded();
   if (encoded.num_rows() == 0 || encoded.num_columns() == 0) {
     return Status::Invalid("cannot audit an empty relation");
@@ -55,16 +56,18 @@ Result<AuditResult> RunAuditProfiled(PliCache& cache,
   for (GenerationMethod m : options.methods) {
     if (m != GenerationMethod::kRandom) methods.push_back(m);
   }
-  // One engine across all methods, borrowing the snapshot's encoding:
-  // each method's rounds stream through the code path (see experiment.h).
-  // The audit runs every shipped risk estimator unless the caller pinned
-  // a registry; estimators draw no randomness, so the match/MSE columns
-  // (and every verdict below) are unchanged by the wider registry.
+  // One engine across all methods, borrowing the snapshot's encoding
+  // and cached profile measures: RunAll binds each estimator once and
+  // each method's rounds stream through the code path (see
+  // experiment.h). The audit runs every shipped risk estimator unless
+  // the caller pinned a registry; estimators draw no randomness, so the
+  // match/MSE columns (and every verdict below) are unchanged by the
+  // wider registry.
   ExperimentConfig experiment = options.experiment;
   if (experiment.estimators == nullptr) {
     experiment.estimators = &RiskEstimatorRegistry::All();
   }
-  ExperimentEngine engine(encoded, result.metadata);
+  ExperimentEngine engine(encoded, result.metadata, risk_measures);
   METALEAK_ASSIGN_OR_RETURN(result.method_results,
                             engine.RunAll(methods, experiment));
 

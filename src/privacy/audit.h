@@ -97,9 +97,15 @@ Result<AuditResult> RunAudit(const Relation& relation,
 /// a live source Relation) and `profile` must be that snapshot's
 /// discovery output; only identifiability, the Monte-Carlo experiment,
 /// and the verdicts run here. `AuditOptions::discovery` is ignored.
-Result<AuditResult> RunAuditProfiled(PliCache& cache,
-                                     const DiscoveryReport& profile,
-                                     const AuditOptions& options = {});
+/// `risk_measures`, when non-null, is the snapshot's cached
+/// ComputeProfileMeasures output over `profile.metadata` (its
+/// LeakageProfile::risk_measures): the info-theoretic estimator takes
+/// its entropy cells from it rather than recomputing them, and a
+/// profile missing a column or a cell fails the audit with Invalid.
+Result<AuditResult> RunAuditProfiled(
+    PliCache& cache, const DiscoveryReport& profile,
+    const AuditOptions& options = {},
+    const std::vector<RiskProfileMeasure>* risk_measures = nullptr);
 
 }  // namespace metaleak
 

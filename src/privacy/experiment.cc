@@ -75,6 +75,22 @@ GenerationOptions OptionsForMethod(GenerationMethod method) {
   return out;
 }
 
+// The config's registry, or the default. The engine reads the leading
+// match-rate estimator for the path decision and replay.
+Result<const RiskEstimatorRegistry*> RegistryFor(
+    const ExperimentConfig& config) {
+  const RiskEstimatorRegistry* registry =
+      config.estimators != nullptr ? config.estimators
+                                   : &RiskEstimatorRegistry::Default();
+  if (registry->estimators().empty() ||
+      registry->estimators().front()->name() !=
+          MatchRateEstimator::Instance().name()) {
+    return Status::Invalid(
+        "risk estimator registry must lead with match_rate");
+  }
+  return registry;
+}
+
 }  // namespace
 
 Result<double> RiskMeasureStats::MeanFor(size_t attribute) const {
@@ -109,30 +125,44 @@ Result<MethodAttributeResult> MethodResult::ForAttribute(
                             std::to_string(attribute));
 }
 
-// Everything one method's rounds share, resolved before any RNG draw:
-// the generation context, the CFD chase plan, the bound risk estimators
-// (the match-rate estimator owns the fused Def 2.2/2.3 evaluator), and
-// the decision which path runs. The plan is RNG-independent, so `covered`
-// comes from it up front and every round — including round 0 — fans out.
+// Everything one method's rounds share besides the bound estimators,
+// resolved before any RNG draw: the generation context, the CFD chase
+// plan, and whether the code path can generate the method's batches.
+// The plan is RNG-independent, so `covered` comes from it up front and
+// every round — including round 0 — fans out.
 struct ExperimentEngine::MethodPlan {
   GenerationOptions gen_options;
   std::optional<GenerationContext> ctx;
   std::optional<EncodedCfdPlan> cfd_plan;
-  /// The config's registry (or the default), plus one bound instance
-  /// per estimator in registry order — match-rate first.
+  bool use_code = false;
+  std::vector<bool> covered;
+};
+
+// The risk estimators bound once against the real relation and the
+// disclosed package. Nothing Bind() reads depends on the method, so one
+// set serves every method of a RunAll; the bound estimators copy what
+// they keep, so the set outlives the generation context it was bound
+// against.
+struct ExperimentEngine::BoundSet {
+  /// The bound registry, and one bound instance per estimator in
+  /// registry order — match-rate first.
   const RiskEstimatorRegistry* registry = nullptr;
   std::vector<std::unique_ptr<BoundRiskEstimator>> bound;
   /// Measure-axis offset of each estimator's cell block, and the total
   /// measure count across the registry.
   std::vector<size_t> measure_offset;
   size_t total_measures = 0;
-  bool use_code = false;
-  std::vector<bool> covered;
 
   /// The fused Def 2.2/2.3 context, owned by the bound match-rate
   /// estimator.
   const EncodedLeakageContext* leakage_ctx() const {
     return bound.empty() ? nullptr : bound.front()->leakage_context();
+  }
+  /// True when the plan's batches are scored on the code path: the plan
+  /// can generate codes and the fused scan supports the relation.
+  bool UsesCode(const MethodPlan& plan) const {
+    const EncodedLeakageContext* scan = leakage_ctx();
+    return plan.use_code && scan != nullptr && scan->supported();
   }
 };
 
@@ -143,11 +173,13 @@ ExperimentEngine::ExperimentEngine(const Relation& real,
       owned_encoding_(EncodedRelation::Encode(real)),
       encoded_real_(&*owned_encoding_) {}
 
-ExperimentEngine::ExperimentEngine(const EncodedRelation& encoded,
-                                   const MetadataPackage& metadata)
+ExperimentEngine::ExperimentEngine(
+    const EncodedRelation& encoded, const MetadataPackage& metadata,
+    const std::vector<RiskProfileMeasure>* profile_measures)
     : real_(encoded.source()),
       metadata_(&metadata),
-      encoded_real_(&encoded) {
+      encoded_real_(&encoded),
+      profile_measures_(profile_measures) {
   METALEAK_DCHECK(real_ != nullptr);
 }
 
@@ -186,43 +218,53 @@ Result<ExperimentEngine::MethodPlan> ExperimentEngine::PlanFor(
       plan.use_code = false;
     }
   }
-  plan.registry = config.estimators != nullptr
-                      ? config.estimators
-                      : &RiskEstimatorRegistry::Default();
-  if (plan.registry->estimators().empty() ||
-      plan.registry->estimators().front()->name() !=
-          MatchRateEstimator::Instance().name()) {
-    return Status::Invalid(
-        "risk estimator registry must lead with match_rate");
-  }
+  return plan;
+}
+
+Result<ExperimentEngine::BoundSet> ExperimentEngine::BindEstimators(
+    const RiskEstimatorRegistry& registry, const GenerationContext& layout,
+    const LeakageOptions& leakage) const {
   RiskContext rctx;
   rctx.real = encoded_real_;
-  rctx.syn_schema = &plan.ctx->schema();
-  rctx.domains = &plan.ctx->domains();
+  rctx.syn_schema = &layout.schema();
+  rctx.domains = &layout.domains();
   rctx.metadata = metadata_;
-  rctx.leakage = config.leakage;
-  for (const RiskEstimator* est : plan.registry->estimators()) {
+  rctx.leakage = leakage;
+  rctx.profile_measures = profile_measures_;
+  BoundSet set;
+  set.registry = &registry;
+  for (const RiskEstimator* est : registry.estimators()) {
     METALEAK_ASSIGN_OR_RETURN(std::unique_ptr<BoundRiskEstimator> bound,
                               est->Bind(rctx));
-    plan.measure_offset.push_back(plan.total_measures);
-    plan.total_measures += est->measures().size();
-    plan.bound.push_back(std::move(bound));
+    set.measure_offset.push_back(set.total_measures);
+    set.total_measures += est->measures().size();
+    set.bound.push_back(std::move(bound));
   }
-  if (plan.use_code) {
-    const EncodedLeakageContext* leakage_ctx = plan.leakage_ctx();
-    if (leakage_ctx == nullptr || !leakage_ctx->supported()) {
-      plan.use_code = false;
-    }
-  }
-  return plan;
+  return set;
 }
 
 Result<MethodResult> ExperimentEngine::Run(
     GenerationMethod method, const ExperimentConfig& config) const {
+  std::optional<BoundSet> bound;
+  return RunMethodWith(method, config, &bound);
+}
+
+Result<MethodResult> ExperimentEngine::RunMethodWith(
+    GenerationMethod method, const ExperimentConfig& config,
+    std::optional<BoundSet>* bound_set) const {
   if (config.rounds == 0) {
     return Status::Invalid("experiment needs at least one round");
   }
   METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
+  if (!bound_set->has_value()) {
+    METALEAK_ASSIGN_OR_RETURN(const RiskEstimatorRegistry* registry,
+                              RegistryFor(config));
+    METALEAK_ASSIGN_OR_RETURN(
+        BoundSet set, BindEstimators(*registry, *plan.ctx, config.leakage));
+    bound_set->emplace(std::move(set));
+  }
+  const BoundSet& bound = **bound_set;
+  const bool use_code = bound.UsesCode(plan);
   const size_t m = real_->num_columns();
 
   // Per-round seeds drawn up front so the outcome is identical for any
@@ -239,7 +281,7 @@ Result<MethodResult> ExperimentEngine::Run(
   // order, so the aggregate is bit-identical across paths and thread
   // counts. The match-rate estimator's cells carry exactly the values
   // the fused scan's AttributeRoundStats did.
-  const size_t total = plan.total_measures;
+  const size_t total = bound.total_measures;
   std::vector<RiskMeasureCell> cells(config.rounds * total * m);
   auto run_round_code = [&](size_t round) -> Status {
     Rng round_rng(round_seeds[round]);
@@ -251,9 +293,9 @@ Result<MethodResult> ExperimentEngine::Run(
           ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
     }
     RiskMeasureCell* round_cells = cells.data() + round * total * m;
-    for (size_t e = 0; e < plan.bound.size(); ++e) {
-      METALEAK_RETURN_NOT_OK(plan.bound[e]->Evaluate(
-          batch, round_cells + plan.measure_offset[e] * m));
+    for (size_t e = 0; e < bound.bound.size(); ++e) {
+      METALEAK_RETURN_NOT_OK(bound.bound[e]->Evaluate(
+          batch, round_cells + bound.measure_offset[e] * m));
     }
     return Status::OK();
   };
@@ -287,7 +329,7 @@ Result<MethodResult> ExperimentEngine::Run(
     return Status::OK();
   };
   auto run_round = [&](size_t round) -> Status {
-    return plan.use_code ? run_round_code(round) : run_round_value(round);
+    return use_code ? run_round_code(round) : run_round_value(round);
   };
 
   size_t threads = config.threads;
@@ -317,9 +359,9 @@ Result<MethodResult> ExperimentEngine::Run(
   // uniformly to all registered estimators. Absent cells are skipped,
   // like the has_mse flag was.
   result.measures.reserve(total);
-  for (size_t e = 0; e < plan.bound.size(); ++e) {
-    const RiskEstimator* est = plan.registry->estimators()[e];
-    const bool active = plan.use_code || e == 0;
+  for (size_t e = 0; e < bound.bound.size(); ++e) {
+    const RiskEstimator* est = bound.registry->estimators()[e];
+    const bool active = use_code || e == 0;
     for (size_t j = 0; j < est->measures().size(); ++j) {
       RiskMeasureStats ms;
       ms.estimator = est->name();
@@ -329,7 +371,7 @@ Result<MethodResult> ExperimentEngine::Run(
       ms.stddev.assign(m, 0.0);
       ms.rounds.assign(m, 0);
       if (active) {
-        const size_t off = (plan.measure_offset[e] + j) * m;
+        const size_t off = (bound.measure_offset[e] + j) * m;
         for (size_t c = 0; c < m; ++c) {
           WelfordAccumulator acc;
           for (size_t round = 0; round < config.rounds; ++round) {
@@ -374,11 +416,14 @@ Result<std::vector<MethodResult>> ExperimentEngine::RunAll(
     const ExperimentConfig& config) const {
   std::vector<MethodResult> out;
   out.reserve(methods.size());
+  // Bound by the first method, then shared by every later one.
+  std::optional<BoundSet> bound;
   Rng seeder(config.seed);
   for (GenerationMethod method : methods) {
     ExperimentConfig method_config = config;
     method_config.seed = seeder.Fork().engine()();
-    METALEAK_ASSIGN_OR_RETURN(MethodResult r, Run(method, method_config));
+    METALEAK_ASSIGN_OR_RETURN(MethodResult r,
+                              RunMethodWith(method, method_config, &bound));
     out.push_back(std::move(r));
   }
   return out;
@@ -388,8 +433,14 @@ Result<LeakageReport> ExperimentEngine::ReplayRound(
     GenerationMethod method, uint64_t round_seed,
     const ExperimentConfig& config) const {
   METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
+  // The report reads only the fused match-rate scan: check the config's
+  // registry, but bind the match-rate estimator alone.
+  METALEAK_RETURN_NOT_OK(RegistryFor(config).status());
+  METALEAK_ASSIGN_OR_RETURN(BoundSet bound,
+                            BindEstimators(RiskEstimatorRegistry::Default(),
+                                           *plan.ctx, config.leakage));
   Rng round_rng(round_seed);
-  if (plan.use_code) {
+  if (bound.UsesCode(plan)) {
     EncodedBatch batch;
     METALEAK_RETURN_NOT_OK(
         GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
@@ -397,7 +448,7 @@ Result<LeakageReport> ExperimentEngine::ReplayRound(
       METALEAK_RETURN_NOT_OK(
           ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
     }
-    return plan.leakage_ctx()->EvaluateReport(batch);
+    return bound.leakage_ctx()->EvaluateReport(batch);
   }
   METALEAK_ASSIGN_OR_RETURN(
       GenerationOutcome outcome,
@@ -417,11 +468,16 @@ ExperimentEngine::ReplayRoundMeasures(GenerationMethod method,
                                       uint64_t round_seed,
                                       const ExperimentConfig& config) const {
   METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
+  METALEAK_ASSIGN_OR_RETURN(const RiskEstimatorRegistry* registry,
+                            RegistryFor(config));
+  METALEAK_ASSIGN_OR_RETURN(
+      BoundSet bound, BindEstimators(*registry, *plan.ctx, config.leakage));
+  const bool use_code = bound.UsesCode(plan);
   const size_t m = real_->num_columns();
   Rng round_rng(round_seed);
-  std::vector<RiskMeasureCell> cells(plan.total_measures * m);
-  size_t emitted = plan.use_code ? plan.bound.size() : 1;
-  if (plan.use_code) {
+  std::vector<RiskMeasureCell> cells(bound.total_measures * m);
+  size_t emitted = use_code ? bound.bound.size() : 1;
+  if (use_code) {
     EncodedBatch batch;
     METALEAK_RETURN_NOT_OK(
         GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
@@ -429,9 +485,9 @@ ExperimentEngine::ReplayRoundMeasures(GenerationMethod method,
       METALEAK_RETURN_NOT_OK(
           ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
     }
-    for (size_t e = 0; e < plan.bound.size(); ++e) {
-      METALEAK_RETURN_NOT_OK(plan.bound[e]->Evaluate(
-          batch, cells.data() + plan.measure_offset[e] * m));
+    for (size_t e = 0; e < bound.bound.size(); ++e) {
+      METALEAK_RETURN_NOT_OK(bound.bound[e]->Evaluate(
+          batch, cells.data() + bound.measure_offset[e] * m));
     }
   } else {
     METALEAK_ASSIGN_OR_RETURN(
@@ -458,12 +514,12 @@ ExperimentEngine::ReplayRoundMeasures(GenerationMethod method,
   }
   std::vector<RoundMeasureValues> out;
   for (size_t e = 0; e < emitted; ++e) {
-    const RiskEstimator* est = plan.registry->estimators()[e];
+    const RiskEstimator* est = bound.registry->estimators()[e];
     for (size_t j = 0; j < est->measures().size(); ++j) {
       RoundMeasureValues values;
       values.estimator = est->name();
       values.measure = est->measures()[j].key;
-      const size_t off = (plan.measure_offset[e] + j) * m;
+      const size_t off = (bound.measure_offset[e] + j) * m;
       values.cells.assign(cells.begin() + off, cells.begin() + off + m);
       out.push_back(std::move(values));
     }

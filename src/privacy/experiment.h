@@ -13,6 +13,12 @@
 // Packages the code path cannot represent fall back to the boxed-Value
 // reference pipeline; both paths reduce rounds to the same stats array
 // and share the same fold, so their results are bit-identical.
+//
+// The risk estimators are bound once per call and shared by every
+// method the call runs: Bind() reads the real encoding, the package's
+// schema and domains, the package and the leakage options, none of
+// which depends on the method. RunAll therefore binds each estimator
+// once for all its methods; Run and the replays bind once per call.
 #ifndef METALEAK_PRIVACY_EXPERIMENT_H_
 #define METALEAK_PRIVACY_EXPERIMENT_H_
 
@@ -29,6 +35,8 @@
 #include "privacy/risk_estimator.h"
 
 namespace metaleak {
+
+class GenerationContext;
 
 /// Which generation process produces R_syn. Each non-random method uses
 /// only dependencies of its class (plus names and domains).
@@ -150,9 +158,15 @@ class ExperimentEngine {
   /// relation — the warm-snapshot path. `encoded.source()` must be
   /// non-null (the value-path fallback and per-attribute naming still
   /// read the backing relation) and outlive the engine, as must
-  /// `encoded` and `metadata`.
-  ExperimentEngine(const EncodedRelation& encoded,
-                   const MetadataPackage& metadata);
+  /// `encoded` and `metadata`. `profile_measures`, when non-null, is
+  /// ComputeProfileMeasures(encoded, metadata) already at hand (a
+  /// snapshot's LeakageProfile::risk_measures); the info-theoretic
+  /// estimator binds its entropy and conditional-entropy cells from it
+  /// instead of recomputing them, and the engine fails with Invalid
+  /// when it lacks a column or a cell. Borrowed like `metadata`.
+  ExperimentEngine(
+      const EncodedRelation& encoded, const MetadataPackage& metadata,
+      const std::vector<RiskProfileMeasure>* profile_measures = nullptr);
 
   /// Runs one method. `metadata` must disclose all domains; dependency
   /// classes other than the method's are ignored.
@@ -161,6 +175,9 @@ class ExperimentEngine {
 
   /// Runs several methods under the same config (fresh derived RNG
   /// streams per method, so methods are independent but reproducible).
+  /// Binds each estimator once and scores every method with it; the
+  /// results equal Run on each method with its derived seed, bit for
+  /// bit.
   Result<std::vector<MethodResult>> RunAll(
       const std::vector<GenerationMethod>& methods,
       const ExperimentConfig& config = {}) const;
@@ -168,6 +185,8 @@ class ExperimentEngine {
   /// Re-executes a single recorded Monte-Carlo round (see
   /// MethodResult::round_seeds) and returns its full per-attribute
   /// report — the round's exact contribution to the recorded means.
+  /// The report reads only the match-rate scan, so only the match-rate
+  /// estimator is bound (the config's registry is still checked).
   Result<LeakageReport> ReplayRound(GenerationMethod method,
                                     uint64_t round_seed,
                                     const ExperimentConfig& config = {}) const;
@@ -183,8 +202,19 @@ class ExperimentEngine {
 
  private:
   struct MethodPlan;
+  struct BoundSet;
   Result<MethodPlan> PlanFor(GenerationMethod method,
                              const ExperimentConfig& config) const;
+  /// Binds every estimator of `registry` against the schema and domains
+  /// of `layout`. Every method's GenerationContext carries the same ones
+  /// (both come from the package alone), so any method's serves.
+  Result<BoundSet> BindEstimators(const RiskEstimatorRegistry& registry,
+                                  const GenerationContext& layout,
+                                  const LeakageOptions& leakage) const;
+  /// Runs one method against `*bound`, binding it first when empty.
+  Result<MethodResult> RunMethodWith(GenerationMethod method,
+                                     const ExperimentConfig& config,
+                                     std::optional<BoundSet>* bound) const;
 
   const Relation* real_;
   const MetadataPackage* metadata_;
@@ -192,6 +222,7 @@ class ExperimentEngine {
   /// constructor borrows the caller's encoding instead.
   std::optional<EncodedRelation> owned_encoding_;
   const EncodedRelation* encoded_real_;
+  const std::vector<RiskProfileMeasure>* profile_measures_ = nullptr;
 };
 
 /// One-shot wrapper around ExperimentEngine::Run.

@@ -138,13 +138,6 @@ double MarginalEntropyBits(const ColumnDictionary& dict) {
   return ShannonEntropyBits(counts);
 }
 
-// The batch-independent info-theoretic cells for one attribute, shared
-// by InfoTheoreticEstimator::Bind and ComputeProfileMeasures so the
-// per-round estimator and the cached profile can never disagree.
-RiskMeasureCell EntropyCell(const EncodedRelation& real, size_t c) {
-  return RiskMeasureCell{MarginalEntropyBits(real.dictionary(c)), true};
-}
-
 // What the conditional-entropy cells read besides the joint counts:
 // per attribute, its distinct disclosed single-attribute LHSs in
 // ascending order (FD, OD and ND on one pair bound the same quantity, so
@@ -214,6 +207,53 @@ RiskMeasureCell CondEntropyCell(const EncodedRelation& real,
     if (!cell.present || h < cell.value) cell = RiskMeasureCell{h, true};
   }
   return cell;
+}
+
+// The batch-independent info-theoretic columns over `real`, entropy
+// then conditional entropy, one pool task per column. The bound
+// estimator and the cached profile both read them from here, so they
+// can never disagree. No package means no conditional-entropy cells.
+std::vector<RiskProfileMeasure> ProfileMeasures(
+    const EncodedRelation& real, const MetadataPackage* metadata) {
+  const size_t m = real.num_columns();
+  const InfoTheoreticEstimator& info = InfoTheoreticEstimator::Instance();
+  std::vector<RiskProfileMeasure> out(2);
+  RiskProfileMeasure& entropy = out[0];
+  RiskProfileMeasure& cond = out[1];
+  entropy.estimator = info.name();
+  entropy.measure = info.measures()[InfoTheoreticEstimator::kEntropyIndex].key;
+  entropy.cells.resize(m);
+  cond.estimator = info.name();
+  cond.measure =
+      info.measures()[InfoTheoreticEstimator::kCondEntropyIndex].key;
+  cond.cells.resize(m);
+  const CondEntropyInputs inputs = PlanCondEntropy(real, metadata);
+  ParallelFor(0, m, 1, [&](size_t c) {
+    entropy.cells[c] =
+        RiskMeasureCell{MarginalEntropyBits(real.dictionary(c)), true};
+    cond.cells[c] = CondEntropyCell(real, inputs, c);
+  });
+  return out;
+}
+
+// The cells of the info-theoretic measure `index` in `profile`; Invalid
+// when the column is missing or does not hold one cell per attribute.
+Result<const std::vector<RiskMeasureCell>*> ProfileColumn(
+    const std::vector<RiskProfileMeasure>& profile, size_t index,
+    size_t num_attributes) {
+  const InfoTheoreticEstimator& info = InfoTheoreticEstimator::Instance();
+  const std::string& key = info.measures()[index].key;
+  for (const RiskProfileMeasure& column : profile) {
+    if (column.estimator != info.name() || column.measure != key) continue;
+    if (column.cells.size() != num_attributes) {
+      return Status::Invalid("profile measure " + key + " has " +
+                             std::to_string(column.cells.size()) +
+                             " cells for " + std::to_string(num_attributes) +
+                             " attributes");
+    }
+    return &column.cells;
+  }
+  return Status::Invalid("profile measures lack " + info.name() + "/" + key);
 }
 
 // Equi-width generation-domain bin of x, clamped into [0, kMiBins).
@@ -564,14 +604,23 @@ Result<std::unique_ptr<BoundRiskEstimator>> InfoTheoreticEstimator::Bind(
   const size_t m = real.num_columns();
   const std::vector<EncodedBatch::ColumnKind> kinds =
       ColumnKindsForDomains(*ctx.domains);
-  const CondEntropyInputs cond = PlanCondEntropy(real, ctx.metadata);
+  std::vector<RiskProfileMeasure> computed;
+  const std::vector<RiskProfileMeasure>* profile = ctx.profile_measures;
+  if (profile == nullptr) {
+    computed = ProfileMeasures(real, ctx.metadata);
+    profile = &computed;
+  }
+  METALEAK_ASSIGN_OR_RETURN(const std::vector<RiskMeasureCell>* entropy,
+                            ProfileColumn(*profile, kEntropyIndex, m));
+  METALEAK_ASSIGN_OR_RETURN(const std::vector<RiskMeasureCell>* cond,
+                            ProfileColumn(*profile, kCondEntropyIndex, m));
   // One pool task per column, each writing only its own Attr.
   std::vector<InfoTheoreticBound::Attr> attrs(m);
   ParallelFor(0, m, 1, [&](size_t c) {
     InfoTheoreticBound::Attr& attr = attrs[c];
     const ColumnDictionary& dict = real.dictionary(c);
-    attr.entropy = EntropyCell(real, c);
-    attr.cond_entropy = CondEntropyCell(real, cond, c);
+    attr.entropy = (*entropy)[c];
+    attr.cond_entropy = (*cond)[c];
     if (kinds[c] == EncodedBatch::ColumnKind::kCodes) {
       attr.mi_codes = true;
       attr.real_codes = real.column_view(c);
@@ -697,29 +746,7 @@ size_t RiskEstimatorRegistry::total_measures() const {
 
 Result<std::vector<RiskProfileMeasure>> ComputeProfileMeasures(
     const EncodedRelation& real, const MetadataPackage& metadata) {
-  const size_t m = real.num_columns();
-  RiskProfileMeasure entropy;
-  entropy.estimator = InfoTheoreticEstimator::Instance().name();
-  entropy.measure =
-      InfoTheoreticEstimator::Instance()
-          .measures()[InfoTheoreticEstimator::kEntropyIndex]
-          .key;
-  entropy.cells.resize(m);
-  RiskProfileMeasure cond;
-  cond.estimator = entropy.estimator;
-  cond.measure = InfoTheoreticEstimator::Instance()
-                     .measures()[InfoTheoreticEstimator::kCondEntropyIndex]
-                     .key;
-  cond.cells.resize(m);
-  const CondEntropyInputs inputs = PlanCondEntropy(real, &metadata);
-  ParallelFor(0, m, 1, [&](size_t c) {
-    entropy.cells[c] = EntropyCell(real, c);
-    cond.cells[c] = CondEntropyCell(real, inputs, c);
-  });
-  std::vector<RiskProfileMeasure> out;
-  out.push_back(std::move(entropy));
-  out.push_back(std::move(cond));
-  return out;
+  return ProfileMeasures(real, &metadata);
 }
 
 }  // namespace metaleak

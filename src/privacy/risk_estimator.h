@@ -10,8 +10,9 @@
 // is a RiskEstimator:
 //
 //   * Bind() resolves everything the per-round evaluation needs against
-//     the real relation and the generation layout once (mirroring
-//     EncodedLeakageContext::Build), and returns a BoundRiskEstimator.
+//     the real relation and the disclosed package once (mirroring
+//     EncodedLeakageContext::Build), and returns a BoundRiskEstimator
+//     that every generation method of the audit shares.
 //   * Evaluate() scores one generated EncodedBatch into named
 //     RiskMeasureCell columns — one cell per (measure, attribute).
 //
@@ -58,8 +59,23 @@ struct RiskMeasureCell {
   bool present = false;
 };
 
-/// Everything Bind() may resolve against. All pointers are borrowed and
-/// must outlive the bound estimator.
+/// One batch-independent measure column over a relation: the slice of
+/// estimator output that depends only on R_real and its disclosed
+/// metadata (entropy, conditional entropy). Cached in leakage profiles
+/// / audit snapshots and diffed by LeakageDelta.
+struct RiskProfileMeasure {
+  std::string estimator;
+  std::string measure;
+  /// One cell per attribute.
+  std::vector<RiskMeasureCell> cells;
+};
+
+/// Everything Bind() may resolve against. None of it depends on the
+/// generation method: the schema and domains come from the disclosed
+/// package alone, so one bind serves every method scored against the
+/// package. `real` is borrowed for the bound estimator's lifetime; the
+/// other pointers are read during Bind() only, and the bound estimator
+/// copies what it keeps.
 struct RiskContext {
   /// The encoded real relation R_real.
   const EncodedRelation* real = nullptr;
@@ -70,11 +86,17 @@ struct RiskContext {
   /// The disclosed package (dependencies drive conditional entropy).
   const MetadataPackage* metadata = nullptr;
   LeakageOptions leakage;
+  /// Optional: ComputeProfileMeasures(*real, *metadata) computed
+  /// earlier, such as a snapshot's cached LeakageProfile::risk_measures.
+  /// The info-theoretic estimator takes its batch-independent cells from
+  /// it instead of recomputing them; nullptr means compute them.
+  const std::vector<RiskProfileMeasure>* profile_measures = nullptr;
 };
 
-/// An estimator resolved against one (real relation, generation layout)
-/// pair. Evaluate() is const and thread-safe: rounds running on
-/// different threads share one bound instance.
+/// An estimator resolved against one real relation and disclosed
+/// package. Evaluate() is const and thread-safe: rounds running on
+/// different threads, for any generation method, share one bound
+/// instance.
 class BoundRiskEstimator {
  public:
   virtual ~BoundRiskEstimator() = default;
@@ -105,9 +127,10 @@ class RiskEstimator {
   /// The measure columns every bound instance emits, in cell order.
   virtual const std::vector<RiskMeasureSpec>& measures() const = 0;
 
-  /// Resolves the estimator against one real relation + generation
-  /// layout. Fails only on structural mismatch (arity, names) — the
-  /// Status EncodedLeakageContext::Build would produce.
+  /// Resolves the estimator against one real relation + disclosed
+  /// package. Fails on structural mismatch (arity, names) — the Status
+  /// EncodedLeakageContext::Build would produce — and on malformed
+  /// ctx.profile_measures (see InfoTheoreticEstimator).
   virtual Result<std::unique_ptr<BoundRiskEstimator>> Bind(
       const RiskContext& ctx) const = 0;
 };
@@ -143,6 +166,13 @@ class MatchRateEstimator : public RiskEstimator {
 ///     residual uncertainty the dependency leaves an adversary. NULL
 ///     participates as its own symbol. Absent when no such dependency
 ///     is disclosed; multi-attribute LHSs and CFDs are out of scope.
+///
+///     Both columns depend only on R_real and the package, so Bind()
+///     takes them from ctx.profile_measures when one is passed and
+///     from ComputeProfileMeasures otherwise — one code path for both.
+///     A passed profile lacking either column, or holding a column
+///     whose cell count is not the relation's arity, fails Bind() with
+///     Invalid; it is never silently recomputed.
 ///   * "mi_bits" — per-round mutual information between the real column
 ///     and the generated column: joint over (real dictionary code,
 ///     generated domain code) pairs for code-stored columns (the
@@ -219,17 +249,6 @@ class RiskEstimatorRegistry {
 
  private:
   std::vector<const RiskEstimator*> estimators_;
-};
-
-/// One batch-independent measure column over a relation: the slice of
-/// estimator output that depends only on R_real and its disclosed
-/// metadata (entropy, conditional entropy). Cached in leakage profiles
-/// / audit snapshots and diffed by LeakageDelta.
-struct RiskProfileMeasure {
-  std::string estimator;
-  std::string measure;
-  /// One cell per attribute.
-  std::vector<RiskMeasureCell> cells;
 };
 
 /// Computes every batch-independent measure the shipped estimators

@@ -144,7 +144,8 @@ Result<AuditResult> AuditService::Audit(SessionId id,
                             CurrentSnapshot(id));
   METALEAK_ASSIGN_OR_RETURN(
       AuditResult result,
-      RunAuditProfiled(snap->pli_cache(), snap->profile(), options));
+      RunAuditProfiled(snap->pli_cache(), snap->profile(), options,
+                       &snap->leakage().risk_measures));
   ServiceStats s = stats();
   if (!result.cache_stats.has_value()) result.cache_stats.emplace();
   result.cache_stats->snapshot_hits = s.snapshot_hits;
@@ -157,7 +158,8 @@ Result<MethodResult> AuditService::MeasureLeakage(
     SessionId id, GenerationMethod method, const ExperimentConfig& config) {
   METALEAK_ASSIGN_OR_RETURN(std::shared_ptr<const RelationSnapshot> snap,
                             CurrentSnapshot(id));
-  ExperimentEngine engine(snap->encoding(), snap->profile().metadata);
+  ExperimentEngine engine(snap->encoding(), snap->profile().metadata,
+                          &snap->leakage().risk_measures);
   return engine.Run(method, config);
 }
 

@@ -92,12 +92,14 @@ class AuditService {
   Result<LeakageDelta> ApplyBatch(SessionId id, const RowBatch& batch);
 
   /// Full audit of the current snapshot — the warm path of RunAudit: no
-  /// re-encoding, no re-discovery, shared subset partitions. Cache
+  /// re-encoding, no re-discovery, shared subset partitions, and the
+  /// entropy cells read from the snapshot's leakage profile. Cache
   /// counters (PLI + snapshot) are filled into the result.
   Result<AuditResult> Audit(SessionId id, const AuditOptions& options = {});
 
   /// Monte-Carlo leakage of one generation method against the current
-  /// snapshot (Defs 2.2/2.3, Tables III/IV semantics).
+  /// snapshot (Defs 2.2/2.3, Tables III/IV semantics); like Audit, it
+  /// reads the entropy cells from the snapshot's leakage profile.
   Result<MethodResult> MeasureLeakage(SessionId id, GenerationMethod method,
                                       const ExperimentConfig& config = {});
 

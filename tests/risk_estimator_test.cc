@@ -12,24 +12,34 @@
 // are bit-identical to the same formulas over the ordered std::map joint
 // counts of tests/reference, at every code width and on joints far
 // larger than the row count; (6) every estimator rejects a batch whose
-// row count differs from the bound relation's. Runs under TSan in CI
-// next to the leakage_codepath suite.
+// row count differs from the bound relation's; (7) RunAll binds each
+// estimator once for all its methods, Run and ReplayRoundMeasures once
+// per call and ReplayRound only the match-rate estimator, and the
+// shared bind scores every method exactly as a per-method bind does.
+// Runs under TSan in CI next to the leakage_codepath suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/math_util.h"
 #include "common/random.h"
 #include "data/code_column.h"
+#include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
+#include "data/datasets/synthetic.h"
 #include "data/domain.h"
 #include "data/encoded_batch.h"
 #include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "discovery/discovery_engine.h"
+#include "metadata/conditional_fd.h"
 #include "metadata/metadata_package.h"
 #include "metadata/value_distribution.h"
 #include "privacy/experiment.h"
@@ -618,6 +628,212 @@ TEST(RiskEstimatorTest, EveryEstimatorRejectsRowCountMismatch) {
         EXPECT_TRUE(status.ok()) << status.ToString();
       } else {
         EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+      }
+    }
+  }
+}
+
+// --- One bind per call ------------------------------------------------------
+
+// A test-only estimator that counts its binds. Its one column is never
+// present, so it leaves every other measure untouched.
+class BindCountingEstimator : public RiskEstimator {
+ public:
+  const std::string& name() const override {
+    static const std::string name = "bind_counter";
+    return name;
+  }
+  const std::vector<RiskMeasureSpec>& measures() const override {
+    static const std::vector<RiskMeasureSpec> specs = {{"none", "none"}};
+    return specs;
+  }
+  Result<std::unique_ptr<BoundRiskEstimator>> Bind(
+      const RiskContext& ctx) const override {
+    binds_.fetch_add(1);
+    return std::unique_ptr<BoundRiskEstimator>(
+        new Bound(ctx.real->num_columns()));
+  }
+
+  size_t TakeBinds() const { return binds_.exchange(0); }
+
+ private:
+  class Bound : public BoundRiskEstimator {
+   public:
+    explicit Bound(size_t num_attributes) : m_(num_attributes) {}
+    Status Evaluate(const EncodedBatch&,
+                    RiskMeasureCell* cells) const override {
+      std::fill(cells, cells + m_, RiskMeasureCell{});
+      return Status::OK();
+    }
+
+   private:
+    size_t m_;
+  };
+
+  mutable std::atomic<size_t> binds_{0};
+};
+
+TEST(RiskEstimatorTest, EachCallBindsEveryEstimatorOnce) {
+  Relation employee = datasets::Employee();
+  auto report = ProfileRelation(employee);
+  ASSERT_TRUE(report.ok());
+  ExperimentEngine engine(employee, report->metadata);
+  BindCountingEstimator counter;
+  RiskEstimatorRegistry registry({&MatchRateEstimator::Instance(), &counter});
+  ExperimentConfig config;
+  config.rounds = 3;
+  config.estimators = &registry;
+
+  const std::vector<GenerationMethod> methods = {
+      GenerationMethod::kRandom, GenerationMethod::kFd,
+      GenerationMethod::kOd, GenerationMethod::kNd};
+  auto all = engine.RunAll(methods, config);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), methods.size());
+  EXPECT_EQ(counter.TakeBinds(), 1u);
+
+  auto one = engine.Run(GenerationMethod::kFd, config);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(counter.TakeBinds(), 1u);
+  ASSERT_EQ(one->measures.size(), registry.total_measures());
+
+  auto cells = engine.ReplayRoundMeasures(GenerationMethod::kFd,
+                                          one->round_seeds[0], config);
+  ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+  EXPECT_EQ(counter.TakeBinds(), 1u);
+
+  // The report reads only the match-rate scan.
+  auto round = engine.ReplayRound(GenerationMethod::kFd,
+                                  one->round_seeds[0], config);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(counter.TakeBinds(), 0u);
+}
+
+TEST(RiskEstimatorTest, SharedBindKeepsTheStatusOrder) {
+  Relation employee = datasets::Employee();
+  auto report = ProfileRelation(employee);
+  ASSERT_TRUE(report.ok());
+  MetadataPackage no_domains = report->metadata;
+  no_domains.domains.clear();
+  RiskEstimatorRegistry bad({&InfoTheoreticEstimator::Instance()});
+  const std::vector<GenerationMethod> methods = {GenerationMethod::kRandom,
+                                                 GenerationMethod::kFd};
+  const std::string kRounds = "experiment needs at least one round";
+  const std::string kDomains =
+      "metadata package does not disclose every attribute domain";
+  const std::string kRegistry =
+      "risk estimator registry must lead with match_rate";
+
+  ExperimentConfig config;
+  config.estimators = &bad;
+  config.rounds = 0;
+  ExperimentEngine missing(employee, no_domains);
+  EXPECT_EQ(missing.RunAll(methods, config).status().message(), kRounds);
+  EXPECT_EQ(missing.Run(GenerationMethod::kFd, config).status().message(),
+            kRounds);
+  config.rounds = 1;
+  EXPECT_EQ(missing.RunAll(methods, config).status().message(), kDomains);
+  EXPECT_EQ(missing.Run(GenerationMethod::kFd, config).status().message(),
+            kDomains);
+  EXPECT_EQ(missing.ReplayRound(GenerationMethod::kFd, 1, config)
+                .status()
+                .message(),
+            kDomains);
+
+  ExperimentEngine engine(employee, report->metadata);
+  EXPECT_EQ(engine.RunAll(methods, config).status().message(), kRegistry);
+  EXPECT_EQ(engine.Run(GenerationMethod::kFd, config).status().message(),
+            kRegistry);
+  EXPECT_EQ(engine.ReplayRound(GenerationMethod::kFd, 1, config)
+                .status()
+                .message(),
+            kRegistry);
+  EXPECT_EQ(engine.ReplayRoundMeasures(GenerationMethod::kFd, 1, config)
+                .status()
+                .message(),
+            kRegistry);
+  // No method, nothing to check: the empty run succeeds.
+  config.rounds = 0;
+  auto none = engine.RunAll({}, config);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+}
+
+void ExpectMeasuresIdentical(const MethodResult& a, const MethodResult& b) {
+  EXPECT_EQ(a.method, b.method);
+  EXPECT_EQ(a.round_seeds, b.round_seeds);
+  ASSERT_EQ(a.measures.size(), b.measures.size());
+  for (size_t j = 0; j < a.measures.size(); ++j) {
+    const RiskMeasureStats& x = a.measures[j];
+    const RiskMeasureStats& y = b.measures[j];
+    SCOPED_TRACE(x.estimator + "/" + x.measure);
+    EXPECT_EQ(x.estimator, y.estimator);
+    EXPECT_EQ(x.measure, y.measure);
+    EXPECT_EQ(x.active, y.active);
+    EXPECT_EQ(x.mean, y.mean);
+    EXPECT_EQ(x.stddev, y.stddev);
+    EXPECT_EQ(x.rounds, y.rounds);
+  }
+}
+
+TEST(RiskEstimatorTest, SharedBindMatchesPerMethodBind) {
+  struct Case {
+    std::string name;
+    Relation relation;
+    MetadataPackage metadata;
+    bool cfd_on_code_path;
+  };
+  std::vector<Case> cases;
+  auto add = [&](std::string name, Relation relation,
+                 const DiscoveryOptions& discovery) {
+    auto report = ProfileRelation(relation, discovery);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    cases.push_back({std::move(name), std::move(relation),
+                     std::move(report->metadata), true});
+  };
+  DiscoveryOptions with_cfds;
+  with_cfds.discover_cfds = true;
+  with_cfds.cfd.min_support = 2;
+  add("employee", datasets::Employee(), with_cfds);
+  add("echocardiogram", datasets::Echocardiogram(), {});
+  add("zipf5k",
+      std::move(datasets::SyntheticZipfScale(5000, /*seed=*/21)).ValueOrDie(),
+      {});
+  ASSERT_EQ(cases.size(), 3u);
+  ASSERT_FALSE(cases[0].metadata.conditional_fds.empty());
+  // A constant outside the Name domain sends the CFD method down the
+  // value path while every other method stays on the code path.
+  Case value_cfd{"employee_value_cfd", datasets::Employee(),
+                 cases[0].metadata, false};
+  value_cfd.metadata.conditional_fds.push_back(ConditionalFd::Constant(
+      2, Value::Str("Sales"), 0, Value::Str("Zed"), 2));
+  cases.push_back(std::move(value_cfd));
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExperimentEngine engine(c.relation, c.metadata);
+    for (size_t threads : {1u, 8u}) {
+      SCOPED_TRACE(threads);
+      ExperimentConfig config;
+      config.rounds = 4;
+      config.estimators = &RiskEstimatorRegistry::All();
+      config.threads = threads;
+      auto shared = engine.RunAll(kAllMethods, config);
+      ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+      ASSERT_EQ(shared->size(), kAllMethods.size());
+      // RunAll's per-method seed derivation, one Run (one bind) each.
+      Rng seeder(config.seed);
+      for (size_t i = 0; i < kAllMethods.size(); ++i) {
+        SCOPED_TRACE(GenerationMethodToString(kAllMethods[i]));
+        ExperimentConfig method_config = config;
+        method_config.seed = seeder.Fork().engine()();
+        auto alone = engine.Run(kAllMethods[i], method_config);
+        ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+        ExpectMeasuresIdentical((*shared)[i], *alone);
+        // Beyond match-rate, a column is active only on the code path.
+        const bool code_path = kAllMethods[i] != GenerationMethod::kCfd ||
+                               c.cfd_on_code_path;
+        EXPECT_EQ((*shared)[i].measures.back().active, code_path);
       }
     }
   }

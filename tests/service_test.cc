@@ -1,7 +1,10 @@
 // AuditService behavior: session lifecycle, snapshot-cache hits and LRU
-// eviction, warm-audit parity with the one-shot RunAudit path, and
-// incremental batches matching a from-scratch registration.
+// eviction, warm-audit parity with the one-shot RunAudit path (the warm
+// path reads the snapshot's cached entropy cells, the cold one computes
+// them), rejection of a malformed cached profile, and incremental
+// batches matching a from-scratch registration.
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,43 +26,177 @@ AuditOptions SmallAudit() {
   return options;
 }
 
+// Every measure column bit for bit: EXPECT_EQ on double vectors is
+// exact equality.
+void ExpectMeasuresIdentical(const MethodResult& a, const MethodResult& b) {
+  EXPECT_EQ(a.round_seeds, b.round_seeds);
+  ASSERT_EQ(a.measures.size(), b.measures.size());
+  for (size_t j = 0; j < a.measures.size(); ++j) {
+    const RiskMeasureStats& x = a.measures[j];
+    const RiskMeasureStats& y = b.measures[j];
+    SCOPED_TRACE(x.estimator + "/" + x.measure);
+    EXPECT_EQ(x.estimator, y.estimator);
+    EXPECT_EQ(x.measure, y.measure);
+    EXPECT_EQ(x.active, y.active);
+    EXPECT_EQ(x.mean, y.mean);
+    EXPECT_EQ(x.stddev, y.stddev);
+    EXPECT_EQ(x.rounds, y.rounds);
+  }
+}
+
 TEST(AuditServiceTest, WarmAuditMatchesOneShotRunAudit) {
-  Relation relation = datasets::Employee();
+  for (const Relation& relation :
+       {datasets::Employee(), datasets::Echocardiogram()}) {
+    AuditService service;
+    Result<SessionId> session = service.Register(relation);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+    // The warm audit reads H and H(attr | dep) from the snapshot's
+    // profile; the cold one computes them in the bind.
+    AuditOptions options = SmallAudit();
+    Result<AuditResult> warm = service.Audit(*session, options);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    Result<AuditResult> cold = RunAudit(relation, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+    EXPECT_EQ(warm->metadata.Serialize(), cold->metadata.Serialize());
+    EXPECT_EQ(warm->identifiable_fraction, cold->identifiable_fraction);
+    ASSERT_EQ(warm->method_results.size(), cold->method_results.size());
+    for (size_t m = 0; m < warm->method_results.size(); ++m) {
+      const MethodResult& a = warm->method_results[m];
+      const MethodResult& b = cold->method_results[m];
+      SCOPED_TRACE(GenerationMethodToString(a.method));
+      ExpectMeasuresIdentical(a, b);
+      ASSERT_EQ(a.attributes.size(), b.attributes.size());
+      for (size_t c = 0; c < a.attributes.size(); ++c) {
+        EXPECT_EQ(a.attributes[c].mean_matches, b.attributes[c].mean_matches);
+      }
+    }
+    ASSERT_EQ(warm->attributes.size(), cold->attributes.size());
+    for (size_t c = 0; c < warm->attributes.size(); ++c) {
+      EXPECT_EQ(warm->attributes[c].expected_random_matches,
+                cold->attributes[c].expected_random_matches);
+      EXPECT_EQ(warm->attributes[c].dependency_adds_leakage,
+                cold->attributes[c].dependency_adds_leakage);
+    }
+
+    // The service fills the snapshot counters; the markdown renders them.
+    // Everything before that section matches the one-shot report.
+    ASSERT_TRUE(warm->cache_stats.has_value());
+    EXPECT_EQ(warm->cache_stats->snapshot_misses, 1u);
+    const std::string warm_md = warm->ToMarkdown();
+    const std::string cold_md = cold->ToMarkdown();
+    const size_t cut = warm_md.find("## Cache observability");
+    ASSERT_NE(cut, std::string::npos);
+    EXPECT_EQ(warm_md.substr(0, cut), cold_md.substr(0, cut));
+  }
+}
+
+TEST(AuditServiceTest, MeasureLeakageMatchesAnEngineWithoutProfile) {
+  Relation relation = datasets::Echocardiogram();
   AuditService service;
   Result<SessionId> session = service.Register(relation);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<std::shared_ptr<const RelationSnapshot>> snap =
+      service.Snapshot(*session);
+  ASSERT_TRUE(snap.ok());
+  ExperimentEngine fresh((*snap)->encoding(), (*snap)->profile().metadata);
 
-  AuditOptions options = SmallAudit();
-  Result<AuditResult> warm = service.Audit(*session, options);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  Result<AuditResult> cold = RunAudit(relation, options);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ExperimentConfig config;
+  config.rounds = 6;
+  config.estimators = &RiskEstimatorRegistry::All();
+  for (GenerationMethod method :
+       {GenerationMethod::kRandom, GenerationMethod::kFd,
+        GenerationMethod::kNd}) {
+    SCOPED_TRACE(GenerationMethodToString(method));
+    Result<MethodResult> warm = service.MeasureLeakage(*session, method,
+                                                       config);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    Result<MethodResult> cold = fresh.Run(method, config);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    ExpectMeasuresIdentical(*warm, *cold);
+  }
+}
 
-  EXPECT_EQ(warm->metadata.Serialize(), cold->metadata.Serialize());
-  EXPECT_EQ(warm->identifiable_fraction, cold->identifiable_fraction);
-  ASSERT_EQ(warm->method_results.size(), cold->method_results.size());
-  for (size_t m = 0; m < warm->method_results.size(); ++m) {
-    const MethodResult& a = warm->method_results[m];
-    const MethodResult& b = cold->method_results[m];
-    EXPECT_EQ(a.round_seeds, b.round_seeds);
-    ASSERT_EQ(a.attributes.size(), b.attributes.size());
-    for (size_t c = 0; c < a.attributes.size(); ++c) {
-      EXPECT_EQ(a.attributes[c].mean_matches, b.attributes[c].mean_matches);
+// Runs the profiled audit of the registered Employee snapshot against
+// `edit` applied to a copy of the snapshot's cached profile measures.
+Result<AuditResult> AuditWithEditedProfile(
+    const std::function<void(std::vector<RiskProfileMeasure>*)>& edit) {
+  AuditService service;
+  Result<SessionId> session = service.Register(datasets::Employee());
+  if (!session.ok()) return session.status();
+  Result<std::shared_ptr<const RelationSnapshot>> snap =
+      service.Snapshot(*session);
+  if (!snap.ok()) return snap.status();
+  std::vector<RiskProfileMeasure> measures =
+      (*snap)->leakage().risk_measures;
+  edit(&measures);
+  return RunAuditProfiled((*snap)->pli_cache(), (*snap)->profile(),
+                          SmallAudit(), &measures);
+}
+
+void DropMeasure(std::vector<RiskProfileMeasure>* measures,
+                 const std::string& key) {
+  const size_t before = measures->size();
+  measures->erase(std::remove_if(measures->begin(), measures->end(),
+                                 [&](const RiskProfileMeasure& m) {
+                                   return m.measure == key;
+                                 }),
+                  measures->end());
+  ASSERT_EQ(measures->size() + 1, before);
+}
+
+TEST(AuditServiceTest, ProfiledAuditReadsTheHandedProfile) {
+  Result<AuditResult> audit =
+      AuditWithEditedProfile([](std::vector<RiskProfileMeasure>* measures) {
+        for (RiskProfileMeasure& m : *measures) {
+          if (m.measure != "entropy_bits") continue;
+          for (RiskMeasureCell& cell : m.cells) cell = {42.0, true};
+        }
+      });
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+  for (const MethodResult& result : audit->method_results) {
+    Result<RiskMeasureStats> entropy =
+        result.ForMeasure("info_theoretic", "entropy_bits");
+    ASSERT_TRUE(entropy.ok());
+    for (double mean : entropy->mean) EXPECT_EQ(mean, 42.0);
+  }
+}
+
+TEST(AuditServiceTest, ProfiledAuditRejectsProfileWithoutEntropy) {
+  Result<AuditResult> audit =
+      AuditWithEditedProfile([](std::vector<RiskProfileMeasure>* measures) {
+        DropMeasure(measures, "entropy_bits");
+      });
+  EXPECT_TRUE(audit.status().IsInvalid()) << audit.status().ToString();
+}
+
+TEST(AuditServiceTest, ProfiledAuditRejectsProfileWithoutCondEntropy) {
+  Result<AuditResult> audit =
+      AuditWithEditedProfile([](std::vector<RiskProfileMeasure>* measures) {
+        DropMeasure(measures, "cond_entropy_bits");
+      });
+  EXPECT_TRUE(audit.status().IsInvalid()) << audit.status().ToString();
+}
+
+TEST(AuditServiceTest, ProfiledAuditRejectsProfileWithWrongCellCount) {
+  for (const std::string key : {"entropy_bits", "cond_entropy_bits"}) {
+    for (bool extra : {false, true}) {
+      SCOPED_TRACE(key + (extra ? " +1" : " -1"));
+      Result<AuditResult> audit = AuditWithEditedProfile(
+          [&](std::vector<RiskProfileMeasure>* measures) {
+            for (RiskProfileMeasure& m : *measures) {
+              if (m.measure != key) continue;
+              if (extra) {
+                m.cells.push_back(RiskMeasureCell{});
+              } else {
+                m.cells.pop_back();
+              }
+            }
+          });
+      EXPECT_TRUE(audit.status().IsInvalid()) << audit.status().ToString();
     }
   }
-  ASSERT_EQ(warm->attributes.size(), cold->attributes.size());
-  for (size_t c = 0; c < warm->attributes.size(); ++c) {
-    EXPECT_EQ(warm->attributes[c].expected_random_matches,
-              cold->attributes[c].expected_random_matches);
-    EXPECT_EQ(warm->attributes[c].dependency_adds_leakage,
-              cold->attributes[c].dependency_adds_leakage);
-  }
-
-  // The service fills the snapshot counters; the markdown renders them.
-  ASSERT_TRUE(warm->cache_stats.has_value());
-  EXPECT_EQ(warm->cache_stats->snapshot_misses, 1u);
-  EXPECT_NE(warm->ToMarkdown().find("Cache observability"),
-            std::string::npos);
 }
 
 TEST(AuditServiceTest, EqualContentHitsTheSnapshotCache) {
