@@ -10,13 +10,21 @@
 // count (the acceptance number is the 50k-row entry). One more record,
 // nd_plan_zipf_100k, times ND generation alone on the package the
 // deps_audit_100k workload profiles: GenerateEncoded rounds on the
-// ND-only plan of SyntheticZipfScale(100000, 21), one thread.
+// ND-only plan of SyntheticZipfScale(100000, 21), one thread. Two more,
+// rng_draws and rng_draws_std, time 10M mixed UniformIndex(16) /
+// UniformDouble draws through Rng and through std::mt19937_64 with the
+// standard distributions, the oracle Rng reproduces; "rng_parity" is "ok"
+// only when the two streams are equal, and the bench exits non-zero
+// otherwise.
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -114,6 +122,7 @@ struct BenchRecord {
   double ms = 0.0;
   double rounds_per_sec = 0.0;
   double rows_per_sec = 0.0;
+  double ns_per_draw = 0.0;  // the RNG records only
 };
 
 // Times the fused Def 2.2/2.3 leakage scan (EncodedLeakageContext::
@@ -189,6 +198,51 @@ LeakageScanAxis TimeLeakageScan(const Fixture& fixture, size_t rounds) {
   return axis;
 }
 
+// Times `draws` mixed draws, UniformIndex(16) then UniformDouble(0, 1000),
+// through Rng and through its standard-library oracle. Each side records
+// its outputs (a double as its bits) into a block; the blocks are
+// compared off the clock.
+struct RngDrawAxis {
+  double rng_ms = 0.0;
+  double std_ms = 0.0;
+  bool parity_ok = true;
+};
+
+RngDrawAxis TimeRngDraws(size_t draws) {
+  constexpr size_t kBlock = size_t{1} << 16;
+  std::vector<uint64_t> lib(kBlock);
+  std::vector<uint64_t> oracle(kBlock);
+  Rng rng(21);
+  std::mt19937_64 engine(21);
+  std::uniform_int_distribution<size_t> index(0, 15);
+  std::uniform_real_distribution<double> real(0.0, 1000.0);
+  RngDrawAxis axis;
+  auto ms_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  for (size_t done = 0; done < draws; done += kBlock) {
+    const size_t n = std::min(kBlock, draws - done) & ~size_t{1};
+    auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < n; i += 2) {
+      lib[i] = rng.UniformIndex(16);
+      lib[i + 1] = std::bit_cast<uint64_t>(rng.UniformDouble(0.0, 1000.0));
+    }
+    axis.rng_ms += ms_since(start);
+    start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < n; i += 2) {
+      oracle[i] = index(engine);
+      oracle[i + 1] = std::bit_cast<uint64_t>(real(engine));
+    }
+    axis.std_ms += ms_since(start);
+    if (!std::equal(lib.begin(), lib.begin() + n, oracle.begin())) {
+      axis.parity_ok = false;
+    }
+  }
+  return axis;
+}
+
 // Times `rounds` GenerateEncoded calls on the ND-only plan of the
 // profiled SyntheticZipfScale(rows, 21) package.
 BenchRecord TimeNdPlan(size_t rows, size_t rounds) {
@@ -233,6 +287,29 @@ int Main() {
   double speedup_50k = 0.0;
   double simd_scan_50k = 0.0;
   bool simd_parity_ok = true;
+
+  constexpr size_t kRngDraws = 10000000;
+  const RngDrawAxis draws = TimeRngDraws(kRngDraws);
+  if (!draws.parity_ok) {
+    std::fprintf(stderr, "RNG parity FAILED: Rng and its std oracle drew "
+                         "different streams\n");
+  }
+  for (auto [path, ms] : {std::pair{"rng_draws", draws.rng_ms},
+                          std::pair{"rng_draws_std", draws.std_ms}}) {
+    BenchRecord r;
+    r.path = path;
+    r.rows = kRngDraws;
+    r.rounds = 1;
+    r.ms = ms;
+    r.rounds_per_sec = 1000.0 / ms;
+    r.rows_per_sec = static_cast<double>(kRngDraws) / (ms / 1000.0);
+    r.ns_per_draw = ms * 1e6 / static_cast<double>(kRngDraws);
+    records.push_back(std::move(r));
+  }
+  std::printf("RNG, %zu mixed draws: Rng %.2f ns | std %.2f ns a draw "
+              "(%.2fx)\n\n",
+              kRngDraws, records[0].ns_per_draw, records[1].ns_per_draw,
+              draws.std_ms / draws.rng_ms);
 
   for (const Size& size : kSizes) {
     Fixture fixture = MakeFixture(size.rows);
@@ -339,20 +416,24 @@ int Main() {
        << ",\n  \"simd_parity\": \""
        << (simd_parity_ok ? "ok" : "MISMATCH")
        << "\",\n  \"simd_leakage_scan_speedup_50k\": " << simd_scan_50k
-       << ",\n  \"benchmarks\": [\n";
+       << ",\n  \"rng_parity\": \""
+       << (draws.parity_ok ? "ok" : "MISMATCH")
+       << "\",\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
     json << "    {\"path\": \"" << r.path << "\", \"rows\": " << r.rows
          << ", \"rounds\": " << r.rounds << ", \"ms\": " << r.ms
          << ", \"rounds_per_sec\": " << r.rounds_per_sec
-         << ", \"rows_per_sec\": " << r.rows_per_sec << "}"
+         << ", \"rows_per_sec\": " << r.rows_per_sec;
+    if (r.ns_per_draw > 0.0) json << ", \"ns_per_draw\": " << r.ns_per_draw;
+    json << "}"
          << (i + 1 < records.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::printf("wrote BENCH_generation.json (%zu records, 50k speedup "
               "%.2fx, 50k simd scan %.2fx)\n",
               records.size(), speedup_50k, simd_scan_50k);
-  return simd_parity_ok ? 0 : 1;
+  return simd_parity_ok && draws.parity_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // the relation in each of them). The footer prints the cache counters so
 // the sharing is visible. Without an argument it audits the bundled
 // echocardiogram replica.
+#include <cmath>
 #include <cstdio>
 #include <string>
 

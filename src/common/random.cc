@@ -1,31 +1,46 @@
 #include "common/random.h"
 
+#include <random>
+
 #include "common/flat_id_table.h"
 
 namespace metaleak {
 
+MersenneTwister64::MersenneTwister64(uint64_t seed) {
+  state_[0] = seed;
+  for (size_t i = 1; i < kStateSize; ++i) {
+    const uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+  pos_ = kStateSize;
+}
+
+void MersenneTwister64::Twist() {
+  constexpr size_t kShift = 156;  // the recurrence's middle offset m
+  constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+  constexpr uint64_t kLower = ~kUpper;
+  // x[k] = x[k + m] ^ (y >> 1) ^ (a if y is odd), y = the upper 33 bits
+  // of x[k] over the lower 31 of x[k + 1]; all 64 bits of 0 - (y & 1) are
+  // y's low bit, so the mask selects a without a branch.
+  auto next = [](uint64_t cur, uint64_t succ, uint64_t far) {
+    const uint64_t y = (cur & kUpper) | (succ & kLower);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xB5026F5AA96619E9ULL);
+  };
+  for (size_t k = 0; k < kStateSize - kShift; ++k) {
+    state_[k] = next(state_[k], state_[k + 1], state_[k + kShift]);
+  }
+  for (size_t k = kStateSize - kShift; k < kStateSize - 1; ++k) {
+    state_[k] =
+        next(state_[k], state_[k + 1], state_[k + kShift - kStateSize]);
+  }
+  state_[kStateSize - 1] =
+      next(state_[kStateSize - 1], state_[0], state_[kShift - 1]);
+  pos_ = 0;
+}
+
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   METALEAK_DCHECK(lo <= hi);
   std::uniform_int_distribution<int64_t> dist(lo, hi);
-  return dist(engine_);
-}
-
-size_t Rng::UniformIndex(size_t n) {
-  METALEAK_DCHECK(n > 0);
-  std::uniform_int_distribution<size_t> dist(0, n - 1);
-  return dist(engine_);
-}
-
-double Rng::UniformDouble(double lo, double hi) {
-  METALEAK_DCHECK(lo <= hi);
-  if (lo == hi) return lo;
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
-}
-
-bool Rng::Bernoulli(double p) {
-  METALEAK_DCHECK(p >= 0.0 && p <= 1.0);
-  std::bernoulli_distribution dist(p);
   return dist(engine_);
 }
 

@@ -1,6 +1,7 @@
 #include "metadata/value_distribution.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
 #include "common/math_util.h"
@@ -25,6 +26,11 @@ Result<ValueDistribution> ValueDistribution::Continuous(
     Histogram histogram) {
   if (histogram.counts.empty() || histogram.total() == 0) {
     return Status::Invalid("empty histogram");
+  }
+  // Sampling draws uniformly inside a bucket of [lo, hi], so a NaN or
+  // infinite bound would make the draws NaN or infinite.
+  if (!(std::isfinite(histogram.lo) && std::isfinite(histogram.hi))) {
+    return Status::Invalid("histogram has a non-finite bound");
   }
   if (histogram.hi < histogram.lo) {
     return Status::Invalid("inverted histogram range");

@@ -28,7 +28,8 @@ class ValueDistribution {
   /// Categorical marginal from an explicit frequency table.
   static Result<ValueDistribution> Categorical(FrequencyTable table);
 
-  /// Continuous marginal from an equi-width histogram.
+  /// Continuous marginal from an equi-width histogram. Invalid when it is
+  /// empty, inverted, or a bound is NaN or infinite.
   static Result<ValueDistribution> Continuous(Histogram histogram);
 
   /// Builds the marginal of one attribute: a frequency table for

@@ -1,7 +1,15 @@
-// Unit tests for src/common: Status/Result, strings, CSV, math, printer.
+// Unit tests for src/common: Status/Result, strings, CSV, math, printer,
+// and Rng held to the standard library's engine and distributions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <random>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/macros.h"
@@ -378,6 +386,249 @@ TEST(RngTest, ForkedStreamsDiffer) {
   }
   EXPECT_TRUE(any_diff);
 }
+
+// --- Rng against the standard library ------------------------------------
+//
+// Rng's engine is its own MT19937-64 and its hot primitives fix their
+// arithmetic inline; these oracles hold both to the standard library
+// output for output, so every seeded result stays where it was.
+
+const uint64_t kOracleSeeds[] = {0,    1,
+                                 21,   7777,
+                                 0x9E3779B97F4A7C15ULL, ~uint64_t{0}};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(RngOracleTest, EngineMatchesStdMt19937_64) {
+  constexpr size_t kDraws = 1000000;
+  for (uint64_t seed : kOracleSeeds) {
+    MersenneTwister64 engine(seed);
+    std::mt19937_64 oracle(seed);
+    size_t first_mismatch = kDraws;
+    for (size_t i = 0; i < kDraws; ++i) {
+      if (engine() != oracle()) {
+        first_mismatch = i;
+        break;
+      }
+    }
+    EXPECT_EQ(first_mismatch, kDraws) << "seed " << seed;
+  }
+}
+
+TEST(RngOracleTest, EngineMeetsStandardCheckValue) {
+  // [rand.predef]: the 10000th draw of mt19937_64 seeded with 5489.
+  MersenneTwister64 engine(5489);
+  for (int i = 1; i < 10000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(RngOracleTest, CopyContinuesTheStream) {
+  Rng rng(21);
+  for (int i = 0; i < 500; ++i) rng.UniformIndex(10);  // past one twist
+  Rng copy = rng;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(copy.engine()(), rng.engine()()) << "draw " << i;
+  }
+}
+
+#ifdef __GLIBCXX__
+// The primitives reproduce libstdc++'s distribution algorithms, which the
+// standard leaves to each library, so these oracles need libstdc++.
+
+TEST(RngOracleTest, RngIsTheSizeOfStdEngine) {
+  EXPECT_EQ(sizeof(Rng), sizeof(std::mt19937_64));
+}
+
+TEST(RngOracleTest, UniformIndexMatchesUniformIntDistribution) {
+  const size_t kSizes[] = {1,
+                           2,
+                           3,
+                           16,
+                           size_t{1} << 32,
+                           (size_t{1} << 32) + 1,
+                           (size_t{1} << 63) + 12345,
+                           ~size_t{0}};
+  for (uint64_t seed : kOracleSeeds) {
+    for (size_t n : kSizes) {
+      Rng rng(seed);
+      std::mt19937_64 oracle(seed);
+      std::uniform_int_distribution<size_t> dist(0, n - 1);
+      size_t mismatches = 0;
+      for (int i = 0; i < 20000; ++i) {
+        mismatches += rng.UniformIndex(n) != dist(oracle);
+      }
+      EXPECT_EQ(mismatches, 0u) << "seed " << seed << " n " << n;
+      EXPECT_EQ(rng.engine()(), oracle()) << "seed " << seed << " n " << n;
+    }
+  }
+}
+
+TEST(RngOracleTest, UniformDoubleMatchesUniformRealDistribution) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::pair<double, double> kRanges[] = {
+      {0.0, 1000.0},   {-1000.0, -3.5},
+      {-1.0, 1.0},     {0.0, 8 * tiny},
+      {-1e300, 1e300}, {1.0, std::nextafter(1.0, 2.0)}};
+  for (uint64_t seed : kOracleSeeds) {
+    for (auto [lo, hi] : kRanges) {
+      Rng rng(seed);
+      std::mt19937_64 oracle(seed);
+      std::mt19937_64 unit(seed);
+      std::uniform_real_distribution<double> dist(lo, hi);
+      size_t mismatches = 0;
+      size_t fused = 0;
+      for (int i = 0; i < 20000; ++i) {
+        const double want = dist(oracle);
+        mismatches += Bits(rng.UniformDouble(lo, hi)) != Bits(want);
+        // A volatile product rounds before the add. Were the expression
+        // fused into an FMA (a -march with FMA and no -ffp-contract=off),
+        // it would round once and differ from this.
+        volatile double scaled =
+            std::generate_canonical<double, 64>(unit) * (hi - lo);
+        fused += Bits(scaled + lo) != Bits(want);
+      }
+      EXPECT_EQ(mismatches, 0u) << "seed " << seed << " [" << lo << ", "
+                                << hi << ")";
+      EXPECT_EQ(fused, 0u) << "seed " << seed << " [" << lo << ", " << hi
+                           << ")";
+      EXPECT_EQ(rng.engine()(), oracle());
+    }
+    // An empty range returns lo without a draw.
+    Rng rng(seed);
+    EXPECT_EQ(rng.UniformDouble(-4.5, -4.5), -4.5);
+    EXPECT_EQ(rng.engine()(), std::mt19937_64(seed)());
+  }
+}
+
+TEST(RngOracleTest, BernoulliMatchesBernoulliDistribution) {
+  for (uint64_t seed : kOracleSeeds) {
+    for (double p : {0.0, 0.3, 1.0}) {
+      Rng rng(seed);
+      std::mt19937_64 oracle(seed);
+      std::bernoulli_distribution dist(p);
+      size_t mismatches = 0;
+      for (int i = 0; i < 20000; ++i) {
+        mismatches += rng.Bernoulli(p) != dist(oracle);
+      }
+      EXPECT_EQ(mismatches, 0u) << "seed " << seed << " p " << p;
+      EXPECT_EQ(rng.engine()(), oracle());
+    }
+  }
+}
+
+TEST(RngOracleTest, UniformIntMatchesUniformIntDistribution) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::pair<int64_t, int64_t> kRanges[] = {
+      {-5, 5}, {7, 7}, {-(int64_t{1} << 40), int64_t{1} << 40},
+      {kMin, kMin + 2}, {kMin, kMax}};
+  for (uint64_t seed : kOracleSeeds) {
+    for (auto [lo, hi] : kRanges) {
+      Rng rng(seed);
+      std::mt19937_64 oracle(seed);
+      std::uniform_int_distribution<int64_t> dist(lo, hi);
+      size_t mismatches = 0;
+      for (int i = 0; i < 20000; ++i) {
+        mismatches += rng.UniformInt(lo, hi) != dist(oracle);
+      }
+      EXPECT_EQ(mismatches, 0u) << "seed " << seed << " [" << lo << ", "
+                                << hi << "]";
+      EXPECT_EQ(rng.engine()(), oracle());
+    }
+  }
+}
+
+TEST(RngOracleTest, NormalMatchesNormalDistribution) {
+  for (uint64_t seed : kOracleSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    size_t mismatches = 0;
+    for (int i = 0; i < 20000; ++i) {
+      // A fresh distribution per draw, as Rng::Normal constructs one.
+      const double mean = i % 2 == 0 ? 0.0 : 10.0;
+      const double stddev = i % 2 == 0 ? 1.0 : 2.5;
+      mismatches += Bits(rng.Normal(mean, stddev)) !=
+                    Bits(std::normal_distribution<double>(mean,
+                                                          stddev)(oracle));
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    EXPECT_EQ(rng.engine()(), oracle());
+  }
+}
+
+// Floyd's algorithm over std::uniform_int_distribution, the draw
+// SampleWithoutReplacement keeps.
+std::vector<size_t> StdFloyd(std::mt19937_64* engine, size_t n, size_t k) {
+  std::vector<size_t> out;
+  std::unordered_set<size_t> chosen;
+  for (size_t j = n - k; j < n; ++j) {
+    const size_t t = std::uniform_int_distribution<size_t>(0, j)(*engine);
+    const size_t pick = chosen.insert(t).second ? t : j;
+    if (pick == j) chosen.insert(j);
+    out.push_back(pick);
+  }
+  return out;
+}
+
+TEST(RngOracleTest, SampleWithoutReplacementMatchesStdFloyd) {
+  const std::pair<size_t, size_t> kShapes[] = {
+      {10, 0}, {10, 3}, {10, 10}, {1000, 999}, {size_t{1} << 40, 69}};
+  for (uint64_t seed : kOracleSeeds) {
+    for (auto [n, k] : kShapes) {
+      Rng rng(seed);
+      std::mt19937_64 oracle(seed);
+      EXPECT_EQ(rng.SampleWithoutReplacement(n, k), StdFloyd(&oracle, n, k))
+          << "seed " << seed << " n " << n << " k " << k;
+      EXPECT_EQ(rng.engine()(), oracle());
+    }
+  }
+}
+
+TEST(RngOracleTest, ForkSeedAndForkMatchStdEngine) {
+  for (uint64_t seed : kOracleSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 4; ++i) {
+      const uint64_t a = oracle();
+      const uint64_t b = oracle();
+      const uint64_t child_seed =
+          a ^ (b * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL);
+      Rng child = i % 2 == 0 ? Rng(rng.ForkSeed()) : rng.Fork();
+      std::mt19937_64 child_oracle(child_seed);
+      for (int d = 0; d < 1000; ++d) {
+        ASSERT_EQ(child.engine()(), child_oracle()) << "seed " << seed;
+      }
+    }
+    EXPECT_EQ(rng.engine()(), oracle());
+  }
+}
+
+// A bit generator that returns one fixed value, to feed
+// std::generate_canonical the conversion's edge cases.
+struct FixedBits {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return bits; }
+  uint64_t bits;
+};
+
+TEST(RngOracleTest, CanonicalDoubleMatchesGenerateCanonical) {
+  const uint64_t p53 = uint64_t{1} << 53;
+  const uint64_t p63 = uint64_t{1} << 63;
+  const uint64_t top = ~uint64_t{0};
+  for (uint64_t bits : {uint64_t{0}, uint64_t{1}, p53 - 1, p53 + 1, p63,
+                        p63 + 1, top - 1024, top - 1023, top}) {
+    FixedBits engine{bits};
+    EXPECT_EQ(Bits(Rng::CanonicalDouble(bits)),
+              Bits(std::generate_canonical<double, 64>(engine)))
+        << bits;
+  }
+  // 2^64 - 1024 and 2^64 - 1 round to 1, which clamps below it.
+  EXPECT_EQ(Rng::CanonicalDouble(top - 1023), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(Rng::CanonicalDouble(top), std::nextafter(1.0, 0.0));
+}
+#endif  // __GLIBCXX__
 
 // --- TablePrinter -------------------------------------------------------------
 

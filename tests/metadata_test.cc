@@ -1,5 +1,6 @@
 // Unit tests for src/metadata: Dependency, DependencySet (closure, cover),
-// DependencyGraph, MetadataPackage (restriction + serialization).
+// DependencyGraph, MetadataPackage (restriction + serialization),
+// ValueDistribution's bound checks.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -9,10 +10,12 @@
 
 #include "data/datasets/employee.h"
 #include "data/domain.h"
+#include "data/statistics.h"
 #include "metadata/dependency.h"
 #include "metadata/dependency_graph.h"
 #include "metadata/dependency_set.h"
 #include "metadata/metadata_package.h"
+#include "metadata/value_distribution.h"
 
 namespace metaleak {
 namespace {
@@ -325,6 +328,63 @@ TEST(MetadataPackageTest, DeserializeRejectsNanContinuousBound) {
     auto parsed = MetadataPackage::Deserialize(ContinuousPackageText(lo, hi));
     ASSERT_FALSE(parsed.ok()) << lo << " " << hi;
     EXPECT_TRUE(parsed.status().IsIoError());
+  }
+}
+
+TEST(ValueDistributionTest, ContinuousRejectsNonFiniteBounds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto [lo, hi] : {std::pair{nan, 1.0}, std::pair{0.0, nan},
+                        std::pair{-inf, inf}, std::pair{0.0, inf}}) {
+    Histogram h;
+    h.lo = lo;
+    h.hi = hi;
+    h.counts = {2, 1};
+    Result<ValueDistribution> dist = ValueDistribution::Continuous(h);
+    ASSERT_FALSE(dist.ok()) << lo << " " << hi;
+    EXPECT_TRUE(dist.status().IsInvalid());
+  }
+  Histogram wide;
+  wide.lo = -1e300;
+  wide.hi = 1e300;
+  wide.counts = {1};
+  EXPECT_TRUE(ValueDistribution::Continuous(wide).ok());
+}
+
+// A one-attribute package whose continuous distribution record reads
+// lo, hi (its domain record stays 1..5).
+std::string ContinuousDistPackageText(const std::string& lo,
+                                      const std::string& hi) {
+  MetadataPackage pkg;
+  pkg.schema = Schema({{"x", DataType::kDouble, SemanticType::kContinuous}});
+  pkg.domains = {Domain::Continuous(1.0, 5.0)};
+  Histogram h;
+  h.lo = 1.0;
+  h.hi = 5.0;
+  h.counts = {3, 1};
+  pkg.distributions = {
+      std::move(ValueDistribution::Continuous(h)).ValueOrDie()};
+  std::string text = pkg.Serialize();
+  const std::string record = "dist\t0\tcontinuous\t";
+  const size_t begin = text.find(record) + record.size();
+  const size_t end = text.find('\t', text.find('\t', begin) + 1);
+  return text.replace(begin, end - begin, lo + "\t" + hi);
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsNonFiniteDistributionBound) {
+  auto valid =
+      MetadataPackage::Deserialize(ContinuousDistPackageText("1", "5"));
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  ASSERT_TRUE(valid->distributions[0].has_value());
+  EXPECT_EQ(valid->distributions[0]->histogram().lo, 1.0);
+  EXPECT_EQ(valid->distributions[0]->histogram().hi, 5.0);
+  EXPECT_EQ(valid->distributions[0]->histogram().counts,
+            (std::vector<size_t>{3, 1}));
+  for (auto [lo, hi] : {std::pair{"nan", "5"}, std::pair{"1", "nan"},
+                        std::pair{"-inf", "inf"}, std::pair{"1", "inf"}}) {
+    EXPECT_FALSE(
+        MetadataPackage::Deserialize(ContinuousDistPackageText(lo, hi)).ok())
+        << lo << " " << hi;
   }
 }
 

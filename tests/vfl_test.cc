@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/fintech.h"
