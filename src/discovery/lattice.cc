@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,34 @@ bool IsMinimalAgainst(const DependencySet& emitted, AttributeSet lhs,
     if (d.rhs == rhs && d.lhs == lhs) return false;
   }
   return true;
+}
+
+// The prior verdict of lhs -> rhs as this run may take it over, or
+// nullopt when the candidate must be validated again (LatticeReuse's
+// rules). A reused verdict's witness is translated into this run's row
+// ids, and dropped when one of its rows is gone.
+std::optional<CandidateValidator::Verdict> ReusedVerdict(
+    const LatticeReuse& reuse, const CandidateValidator& validator,
+    AttributeSet lhs, size_t rhs, const CandidateValidator::Verdict& prior) {
+  std::optional<PositionListIndex::RowPair> witness = prior.witness;
+  if (witness.has_value() && reuse.remap_row) {
+    std::optional<PositionListIndex::Row> first =
+        reuse.remap_row(witness->first);
+    std::optional<PositionListIndex::Row> second =
+        reuse.remap_row(witness->second);
+    witness.reset();
+    if (first.has_value() && second.has_value()) {
+      witness = PositionListIndex::RowPair{*first, *second};
+    }
+  }
+  const bool approved =
+      (reuse.reusable && reuse.reusable(lhs, rhs, prior)) ||
+      (!prior.holds && !prior.emit.has_value() && witness.has_value() &&
+       validator.WitnessViolates(lhs, rhs, *witness));
+  if (!approved) return std::nullopt;
+  CandidateValidator::Verdict verdict = prior;
+  verdict.witness = witness;
+  return verdict;
 }
 
 }  // namespace
@@ -101,16 +130,19 @@ Result<LatticeSearchResult> RunLatticeSearch(
         cand_lhs.size(), CandidateValidator::Verdict{});
     std::atomic<size_t> reused{0};
     ParallelFor(0, cand_lhs.size(), 1, [&](size_t i) {
-      if (reuse != nullptr && reuse->prior != nullptr && reuse->reusable) {
-        const CandidateValidator::Verdict* prior =
-            reuse->prior->Find(cand_lhs[i], cand_rhs[i]);
-        if (prior != nullptr &&
-            reuse->reusable(cand_lhs[i], cand_rhs[i], *prior)) {
-          verdicts[i] = *prior;
+      const CandidateValidator::Verdict* prior =
+          reuse != nullptr && reuse->prior != nullptr
+              ? reuse->prior->Find(cand_lhs[i], cand_rhs[i])
+              : nullptr;
+      if (prior != nullptr) {
+        std::optional<CandidateValidator::Verdict> kept = ReusedVerdict(
+            *reuse, *validator, cand_lhs[i], cand_rhs[i], *prior);
+        if (kept.has_value()) {
           reused.fetch_add(1, std::memory_order_relaxed);
           if (reuse->record != nullptr) {
-            reuse->record->Record(cand_lhs[i], cand_rhs[i], *prior);
+            reuse->record->Record(cand_lhs[i], cand_rhs[i], *kept);
           }
+          verdicts[i] = std::move(*kept);
           return;
         }
       }

@@ -98,6 +98,13 @@ class CandidateValidator {
     /// With holds == false this is a relaxed emission (e.g. an AFD under
     /// the g3 threshold) that does not prune the search.
     std::optional<Dependency> emit;
+    /// For a failed verdict, two rows whose values prove the failure
+    /// (FD: equal on the LHS, different RHS classes; single-attribute
+    /// DD: inside the LHS window with an RHS gap over the bound). The
+    /// validator names the same pair at every thread count, SIMD level
+    /// and code width. Revalidation reuses the failure while both rows
+    /// survive and still violate (see LatticeReuse).
+    std::optional<PositionListIndex::RowPair> witness;
   };
 
   virtual ~CandidateValidator() = default;
@@ -115,6 +122,18 @@ class CandidateValidator {
 
   /// The class predicate. Must be deterministic and thread-safe.
   virtual Result<Verdict> Validate(AttributeSet lhs, size_t rhs) = 0;
+
+  /// True when `rows` of this validator's relation still prove that
+  /// lhs -> rhs fails without an emission, by the exact predicates
+  /// Validate applies. Classes that name no witness, or whose failures
+  /// can emit (AFD), keep the default. Must be thread-safe.
+  virtual bool WitnessViolates(AttributeSet lhs, size_t rhs,
+                               PositionListIndex::RowPair rows) const {
+    (void)lhs;
+    (void)rhs;
+    (void)rows;
+    return false;
+  }
 
   /// Opt into TANE's full C+ rule (see the pruning contract above).
   /// Sound only when the class is transitive over growing LHS sets.
@@ -187,11 +206,23 @@ class VerdictMemo {
 /// delete-only deltas a hold can only persist). Soundness is the
 /// caller's contract: approve only candidates whose verdict provably
 /// equals a fresh validation.
+///
+/// Witnesses: a failed, non-emitting prior verdict the predicate
+/// declines is still reused when both of its witness rows survive
+/// `remap_row` and the validator's WitnessViolates confirms the
+/// translated pair on this run's relation. Every reused verdict carries
+/// its witness in this run's row ids (or none, when a row is gone), so
+/// the next round reads the rows it names.
 struct LatticeReuse {
   const VerdictMemo* prior = nullptr;
   std::function<bool(AttributeSet lhs, size_t rhs,
                      const CandidateValidator::Verdict& prior_verdict)>
       reusable;
+  /// Translates a row id of the prior run's relation into this run's, or
+  /// nullopt when the row was deleted. Unset means the rows are the same.
+  std::function<std::optional<PositionListIndex::Row>(
+      PositionListIndex::Row)>
+      remap_row;
   /// When set, every verdict of this run — reused or freshly computed —
   /// is recorded here for the next round. Must not alias `prior`.
   VerdictMemo* record = nullptr;

@@ -10,28 +10,41 @@ Result<DiscoveryReport> ProfileRelationIncremental(
     PliCache* cache, const DiscoveryOptions& options, const DeltaTouch& touch,
     DiscoveryMemo* memo) {
   METALEAK_DCHECK(memo != nullptr);
+  // This run's verdicts land in a fresh memo and swap into `memo` on
+  // success, so a failed search never poisons the carried state.
+  DiscoveryMemo next;
+  METALEAK_ASSIGN_OR_RETURN(
+      DiscoveryReport report,
+      ProfileRelationIncremental(cache, options, touch, *memo, &next));
+  memo->Swap(next);
+  return report;
+}
+
+Result<DiscoveryReport> ProfileRelationIncremental(
+    PliCache* cache, const DiscoveryOptions& options, const DeltaTouch& touch,
+    const DiscoveryMemo& prior, DiscoveryMemo* next) {
+  METALEAK_DCHECK(next != nullptr && next != &prior && next->size() == 0);
   METALEAK_DCHECK(touch.cluster_touched.size() ==
                   cache->encoded().num_columns());
   using Verdict = CandidateValidator::Verdict;
 
-  // This run's verdicts land in fresh memos and swap into `memo` on
-  // success, so a failed search never poisons the carried state.
-  DiscoveryMemo next;
-
   LatticeReuse fd;
-  fd.record = &next.fd;
+  fd.record = &next->fd;
   LatticeReuse od;
-  od.record = &next.od;
+  od.record = &next->od;
   LatticeReuse ofd;
-  ofd.record = &next.ofd;
+  ofd.record = &next->ofd;
   LatticeReuse nd;
-  nd.record = &next.nd;
+  nd.record = &next->nd;
   LatticeReuse dd;
-  dd.record = &next.dd;
+  dd.record = &next->dd;
 
-  if (memo->valid) {
+  if (prior.valid) {
     const bool afd_mode = options.discover_afds;
-    fd.prior = &memo->fd;
+    auto remap_row = [&touch](PositionListIndex::Row row) {
+      return touch.RemapRow(row);
+    };
+    fd.prior = &prior.fd;
     fd.reusable = [&touch, afd_mode](AttributeSet lhs, size_t /*rhs*/,
                                      const Verdict& /*prior*/) {
       if (!touch.any_change()) return true;
@@ -40,6 +53,7 @@ Result<DiscoveryReport> ProfileRelationIncremental(
       if (afd_mode || lhs.empty()) return false;
       return !touch.ClusterTouched(lhs);
     };
+    fd.remap_row = remap_row;
     auto order_reusable = [&touch](AttributeSet /*lhs*/, size_t /*rhs*/,
                                    const Verdict& prior) {
       if (!touch.any_change()) return true;
@@ -55,21 +69,22 @@ Result<DiscoveryReport> ProfileRelationIncremental(
       }
       return false;
     };
-    od.prior = &memo->od;
+    od.prior = &prior.od;
     od.reusable = order_reusable;
-    ofd.prior = &memo->ofd;
+    ofd.prior = &prior.ofd;
     ofd.reusable = order_reusable;
-    nd.prior = &memo->nd;
+    nd.prior = &prior.nd;
     nd.reusable = [&touch](AttributeSet lhs, size_t rhs,
                            const Verdict& /*prior*/) {
       if (!touch.any_change()) return true;
       return !touch.ClusterTouched(lhs) && !touch.dictionary_touched[rhs];
     };
-    dd.prior = &memo->dd;
+    dd.prior = &prior.dd;
     dd.reusable = [&touch](AttributeSet /*lhs*/, size_t /*rhs*/,
                            const Verdict& /*prior*/) {
       return !touch.any_change();
     };
+    dd.remap_row = remap_row;
   }
 
   DiscoveryReuse reuse;
@@ -81,12 +96,7 @@ Result<DiscoveryReport> ProfileRelationIncremental(
 
   METALEAK_ASSIGN_OR_RETURN(DiscoveryReport report,
                             ProfileRelation(cache, options, &reuse));
-  memo->fd.Swap(next.fd);
-  memo->od.Swap(next.od);
-  memo->ofd.Swap(next.ofd);
-  memo->nd.Swap(next.nd);
-  memo->dd.Swap(next.dd);
-  memo->valid = true;
+  next->valid = true;
   return report;
 }
 

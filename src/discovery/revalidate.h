@@ -11,10 +11,14 @@
 //         survive — a deleted/inserted member row would have touched the
 //         member column) and those rows' A-codes, which never change.
 //         Empty-LHS (constant column) verdicts read the whole column and
-//         reuse only when nothing changed.
+//         reuse only when nothing changed. A failure also reuses when
+//         both rows of its witness survive the window: they still agree
+//         on X and differ on A, so X -> A still fails, whatever else the
+//         batches touched.
 //   AFD   g3 = violations / N changes with the row count even for
 //         untouched clusters, so AFD-mode searches reuse only when
-//         nothing changed at all.
+//         nothing changed at all; a failure may turn into an AFD, so
+//         witnesses are not reused either.
 //   OD/OFD  Directional: an insert can only add order violations, so
 //         `holds == false` survives insert-only deltas; a delete can
 //         only remove them, so `holds == true` survives delete-only
@@ -25,10 +29,22 @@
 //         dictionary's live set is unchanged (the triviality thresholds
 //         scale with the RHS distinct count).
 //   DD    Epsilon and delta thresholds scale with the attribute ranges
-//         (dictionary min/max), so reuse only when nothing changed.
+//         (dictionary min/max), so a verdict reuses when nothing changed.
+//         A single-attribute failure also reuses when both witness rows
+//         survive, their LHS gap is within the new epsilon and their RHS
+//         gap exceeds the new bound: the minimal delta is at least that
+//         gap, so the DD still fails. Multi-attribute DDs name no
+//         witness.
+//
+// Every reused verdict is recorded with its witness translated into the
+// new snapshot's row ids (DeltaTouch::RemapRow), so the next window reads
+// the rows it names.
 #ifndef METALEAK_DISCOVERY_REVALIDATE_H_
 #define METALEAK_DISCOVERY_REVALIDATE_H_
 
+#include <algorithm>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -37,6 +53,7 @@
 #include "discovery/lattice.h"
 #include "partition/attribute_set.h"
 #include "partition/pli_cache.h"
+#include "partition/position_list_index.h"
 
 namespace metaleak {
 
@@ -50,6 +67,9 @@ struct DeltaTouch {
   std::vector<bool> dictionary_touched;
   bool had_inserts = false;
   bool had_deletes = false;
+  /// Each batch's sorted unique deleted rows, in batch order and in
+  /// that batch's pre-batch row ids (empty batches are skipped).
+  std::vector<std::vector<size_t>> batch_deletes;
 
   static DeltaTouch None(size_t num_columns) {
     DeltaTouch touch;
@@ -84,6 +104,24 @@ struct DeltaTouch {
     if (effects.remap.rows_after > effects.remap.rows_surviving) {
       had_inserts = true;
     }
+    if (!effects.sorted_deletes.empty()) {
+      batch_deletes.push_back(effects.sorted_deletes);
+    }
+  }
+
+  /// The id a row of the window's first relation has after every batch,
+  /// or nullopt when a batch deleted it. Deletes compact the survivors
+  /// in order and inserts append after them, so each batch lowers a
+  /// surviving row by the deletes below it: O(log d) per batch.
+  std::optional<PositionListIndex::Row> RemapRow(
+      PositionListIndex::Row row) const {
+    size_t r = row;
+    for (const std::vector<size_t>& deletes : batch_deletes) {
+      auto it = std::lower_bound(deletes.begin(), deletes.end(), r);
+      if (it != deletes.end() && *it == r) return std::nullopt;
+      r -= static_cast<size_t>(it - deletes.begin());
+    }
+    return static_cast<PositionListIndex::Row>(r);
   }
 };
 
@@ -101,6 +139,16 @@ struct DiscoveryMemo {
   size_t size() const {
     return fd.size() + od.size() + ofd.size() + nd.size() + dd.size();
   }
+
+  /// Exchanges contents with `other`.
+  void Swap(DiscoveryMemo& other) {
+    fd.Swap(other.fd);
+    od.Swap(other.od);
+    ofd.Swap(other.ofd);
+    nd.Swap(other.nd);
+    dd.Swap(other.dd);
+    std::swap(valid, other.valid);
+  }
 };
 
 /// Profiles the cache's snapshot exactly like ProfileRelation(cache,
@@ -112,6 +160,14 @@ struct DiscoveryMemo {
 Result<DiscoveryReport> ProfileRelationIncremental(
     PliCache* cache, const DiscoveryOptions& options, const DeltaTouch& touch,
     DiscoveryMemo* memo);
+
+/// The same with the memos apart: reads `prior`, and records this run's
+/// verdicts into `next` (which must be empty and not alias `prior`),
+/// marking it valid on success. A caller whose snapshot can still fail
+/// after profiling swaps `next` in only once the snapshot is built.
+Result<DiscoveryReport> ProfileRelationIncremental(
+    PliCache* cache, const DiscoveryOptions& options, const DeltaTouch& touch,
+    const DiscoveryMemo& prior, DiscoveryMemo* next);
 
 }  // namespace metaleak
 

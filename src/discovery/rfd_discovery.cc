@@ -1,5 +1,6 @@
 #include "discovery/rfd_discovery.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -90,7 +91,8 @@ class NdValidator final : public CandidateValidator {
 // the window (and hence the minimal delta), so — like ND — a failing
 // candidate may qualify at a superset and only the per-RHS prune is
 // sound. A qualifying delta holds and is emitted: supersets would be
-// trivially implied.
+// trivially implied. A single-attribute failure names the scan's first
+// pair over the bound as its witness.
 class DdValidator final : public CandidateValidator {
  public:
   DdValidator(const EncodedRelation& relation,
@@ -118,20 +120,52 @@ class DdValidator final : public CandidateValidator {
   bool AttributeEligible(size_t a) const override { return eligible_[a]; }
 
   Result<Verdict> Validate(AttributeSet lhs, size_t rhs) override {
+    const std::vector<size_t> xs = lhs.ToIndices();
     std::vector<double> eps;
-    eps.reserve(lhs.size());
-    for (size_t a : lhs.ToIndices()) eps.push_back(eps_[a]);
-    METALEAK_ASSIGN_OR_RETURN(
-        double delta, ComputeMinimalDelta(relation_, lhs, eps, rhs));
+    eps.reserve(xs.size());
+    for (size_t a : xs) eps.push_back(eps_[a]);
     Verdict v;
-    if (delta <= options_.max_delta_fraction * range_[rhs]) {
+    double delta = 0.0;
+    if (xs.size() == 1) {
+      METALEAK_ASSIGN_OR_RETURN(
+          DifferentialCheck check,
+          CheckDifferential(relation_, xs[0], rhs, eps[0], MaxDelta(rhs)));
+      delta = check.delta;
+      v.witness = check.witness;
+    } else {
+      METALEAK_ASSIGN_OR_RETURN(
+          delta, ComputeMinimalDelta(relation_, lhs, eps, rhs));
+    }
+    if (!v.witness.has_value() && delta <= MaxDelta(rhs)) {
       v.holds = true;
       v.emit = Dependency::Dd(lhs, rhs, std::move(eps), delta);
     }
     return v;
   }
 
+  /// The scan's own predicates on this relation's ranges: the rows are
+  /// inside the lhs window and their rhs gap exceeds the bound, so the
+  /// minimal delta does too.
+  bool WitnessViolates(AttributeSet lhs, size_t rhs,
+                       PositionListIndex::RowPair rows) const override {
+    if (lhs.size() != 1) return false;
+    const size_t x = lhs.ToIndices()[0];
+    const double dx = Numeric(x, rows.second) - Numeric(x, rows.first);
+    const double dy = Numeric(rhs, rows.second) - Numeric(rhs, rows.first);
+    return !(std::fabs(dx) > eps_[x]) && std::fabs(dy) > MaxDelta(rhs);
+  }
+
  private:
+  double MaxDelta(size_t rhs) const {
+    return options_.max_delta_fraction * range_[rhs];
+  }
+
+  double Numeric(size_t column, PositionListIndex::Row row) const {
+    return relation_.dictionary(column)
+        .decode(relation_.code_at(row, column))
+        .AsNumeric();
+  }
+
   const EncodedRelation& relation_;
   const DdDiscoveryOptions& options_;
   std::vector<bool> eligible_;

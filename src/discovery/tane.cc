@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/macros.h"
 #include "partition/attribute_set.h"
 #include "partition/position_list_index.h"
 
@@ -11,7 +12,9 @@ namespace {
 
 // FD/AFD predicate over stripped-partition refinement: an exact
 // refinement holds (and prunes transitively); otherwise, in threshold
-// mode, a g3 error under the bound emits an AFD without pruning.
+// mode, a g3 error under the bound emits an AFD without pruning. A
+// failure names the refinement's witness: two rows equal on the LHS
+// with different RHS classes.
 class FdValidator final : public CandidateValidator {
  public:
   FdValidator(PliCache* cache, const TaneOptions& options)
@@ -21,11 +24,13 @@ class FdValidator final : public CandidateValidator {
     const PositionListIndex* x_pli = cache_->Get(lhs);
     const PositionListIndex* a_pli = cache_->Get(AttributeSet::Single(rhs));
     Verdict v;
-    if (x_pli->Refines(*a_pli)) {
+    PositionListIndex::RowPair witness;
+    if (x_pli->Refines(*a_pli, &witness)) {
       v.holds = true;
       v.emit = Dependency::Fd(lhs, rhs);
       return v;
     }
+    v.witness = witness;
     if (options_.max_g3_error > 0.0) {
       double g3 = x_pli->G3Error(*a_pli);
       if (g3 <= options_.max_g3_error) {
@@ -35,10 +40,39 @@ class FdValidator final : public CandidateValidator {
     return v;
   }
 
+  /// Rows keep their values, so two surviving rows that agreed on the
+  /// LHS and differed on the RHS still do: the FD still fails. In AFD
+  /// mode the pair proves nothing about g3, which moves with every row
+  /// added or removed, so a failure is never confirmed.
+  bool WitnessViolates(AttributeSet lhs, size_t rhs,
+                       PositionListIndex::RowPair rows) const override {
+    if (options_.max_g3_error > 0.0) return false;
+    METALEAK_DCHECK(Splits(lhs, rhs, rows));
+    (void)lhs;
+    (void)rhs;
+    (void)rows;
+    return true;
+  }
+
   bool TransitivePruning() const override { return true; }
   bool RelaxedNeedsMinimality() const override { return true; }
 
  private:
+  // Whether `rows` agree on every LHS code and differ on the RHS code
+  // (the debug-build check of a translated witness).
+  bool Splits(AttributeSet lhs, size_t rhs,
+              PositionListIndex::RowPair rows) const {
+    const EncodedRelation& relation = cache_->encoded();
+    for (size_t a : lhs.ToIndices()) {
+      if (relation.code_at(rows.first, a) !=
+          relation.code_at(rows.second, a)) {
+        return false;
+      }
+    }
+    return relation.code_at(rows.first, rhs) !=
+           relation.code_at(rows.second, rhs);
+  }
+
   PliCache* cache_;
   const TaneOptions& options_;
 };

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -213,14 +216,24 @@ bool ValidateOfd(const EncodedRelation& relation, AttributeSet lhs,
 
 namespace {
 
-// Sliding-window scan of j in [jlo, jhi) over sorted points: for every
-// j, all i < j with x_j - x_i <= eps pair with j, and the deques hold
-// the window's y-min/max candidates. Seeding the deques from the window
-// content [lo, j) reproduces exactly the deque state the full serial
-// scan would have at j, so chunked scans cover the same (i, j) pairs.
-double MinimalDeltaScan(const std::vector<std::pair<double, double>>& pts,
-                        double eps, size_t jlo, size_t jhi) {
+// One chunk of the DD scan below: the largest rhs gap seen and, once a
+// gap exceeds the bound, the pair (earlier point, later point) that
+// showed it. The chunk stops at that pair.
+struct DeltaChunk {
   double delta = 0.0;
+  std::optional<std::pair<size_t, size_t>> over;
+};
+
+// Sliding-window scan of j in [jlo, jhi) over points sorted by x: for
+// every j, all i < j with x_j - x_i <= eps pair with j, and the deques
+// hold the window's y-min/max candidates (the min is tried first).
+// Seeding the deques from the window content [lo, j) reproduces exactly
+// the deque state the full serial scan would have at j, so chunked
+// scans cover the same (i, j) pairs and stop at the same first pair.
+DeltaChunk MinimalDeltaScan(const std::vector<std::pair<double, double>>& pts,
+                            double eps, double max_delta, size_t jlo,
+                            size_t jhi) {
+  DeltaChunk out;
   std::deque<size_t> min_dq;
   std::deque<size_t> max_dq;
   size_t lo = jlo;
@@ -246,88 +259,79 @@ double MinimalDeltaScan(const std::vector<std::pair<double, double>>& pts,
       ++lo;
     }
     if (!min_dq.empty()) {
-      delta = std::max(delta, pts[j].second - pts[min_dq.front()].second);
+      const double gap = pts[j].second - pts[min_dq.front()].second;
+      if (gap > max_delta) {
+        out.over.emplace(min_dq.front(), j);
+        return out;
+      }
+      out.delta = std::max(out.delta, gap);
     }
     if (!max_dq.empty()) {
-      delta = std::max(delta, pts[max_dq.front()].second - pts[j].second);
+      const double gap = pts[max_dq.front()].second - pts[j].second;
+      if (gap > max_delta) {
+        out.over.emplace(max_dq.front(), j);
+        return out;
+      }
+      out.delta = std::max(out.delta, gap);
     }
     push(j);
   }
-  return delta;
+  return out;
 }
 
-// Shared tail of ComputeMinimalDelta once the non-null numeric (x, y)
-// points are collected. For every j, all i with x_j - x_i <= eps pair
-// with j; the largest |y_i - y_j| within any such window is the minimal
-// delta. The j-range is chunked (fixed grain) and each chunk re-seeds
-// its own window, so the max-reduction over chunks examines exactly the
-// serial pair set — identical result at any thread count.
-double MinimalDeltaOverPoints(std::vector<std::pair<double, double>> pts,
-                              double eps) {
-  if (pts.size() < 2) return 0.0;
-  std::sort(pts.begin(), pts.end());
-  constexpr size_t kGrain = 8192;
-  return ParallelReduce<double>(
-      0, pts.size(), kGrain, 0.0,
-      [&](size_t jlo, size_t jhi) {
-        return MinimalDeltaScan(pts, eps, jlo, jhi);
-      },
-      [](double a, double b) { return std::max(a, b); });
+// Stable counting sort of `rows` by their code in `codes` (codes below
+// `num_codes`) into `out`.
+template <typename C>
+void CountingSortRows(const std::vector<uint32_t>& rows, const C* codes,
+                      uint32_t num_codes, std::vector<uint32_t>* out) {
+  std::vector<uint32_t> next(static_cast<size_t>(num_codes) + 1, 0);
+  for (uint32_t r : rows) ++next[codes[r] + 1];
+  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  out->resize(rows.size());
+  for (uint32_t r : rows) (*out)[next[codes[r]]++] = r;
 }
 
 }  // namespace
 
-Result<double> ComputeMinimalDelta(const Relation& relation, size_t lhs,
-                                   size_t rhs, double eps) {
+Result<DifferentialCheck> CheckDifferential(const EncodedRelation& relation,
+                                            size_t lhs, size_t rhs,
+                                            double eps, double max_delta) {
   if (lhs >= relation.num_columns() || rhs >= relation.num_columns()) {
     return Status::OutOfRange("attribute index out of range");
   }
   if (eps < 0.0) {
     return Status::Invalid("differential epsilon must be non-negative");
   }
-  std::vector<std::pair<double, double>> pts;
-  const std::vector<Value>& x = relation.column(lhs);
-  const std::vector<Value>& y = relation.column(rhs);
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    if (x[r].is_null() || y[r].is_null()) continue;
-    if (!x[r].is_numeric() || !y[r].is_numeric()) {
-      return Status::TypeError(
-          "differential dependencies require numeric attributes");
-    }
-    pts.emplace_back(x[r].AsNumeric(), y[r].AsNumeric());
-  }
-  return MinimalDeltaOverPoints(std::move(pts), eps);
-}
-
-Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
-                                   size_t lhs, size_t rhs, double eps) {
-  if (lhs >= relation.num_columns() || rhs >= relation.num_columns()) {
-    return Status::OutOfRange("attribute index out of range");
-  }
-  if (eps < 0.0) {
-    return Status::Invalid("differential epsilon must be non-negative");
-  }
-  // Decode each distinct value to a double once; the row scan then runs
-  // on the small per-column lookup tables. NaN marks non-numeric entries
-  // so the type error matches the Value path (raised only when such a
-  // value occurs in a row whose partner is non-null).
+  // Decode each distinct value to a double once; NaN marks non-numeric
+  // entries, which are a type error in any row whose partner is
+  // non-null.
   const std::vector<double> xt = relation.dictionary(lhs).NumericByCode();
   const std::vector<double> yt = relation.dictionary(rhs).NumericByCode();
-  const size_t n = relation.num_rows();
+  // Rows ordered by (lhs code, rhs code, row id): a stable counting pass
+  // on the rhs codes, then one on the lhs codes. Codes are
+  // order-preserving, so the points come out sorted by x, and the window
+  // pairs (hence the delta) are those of a sort by value.
+  std::vector<uint32_t> rows;
   std::vector<std::pair<double, double>> pts;
-  pts.reserve(n);
   const bool numeric = relation.column_view(lhs).With([&](const auto* x) {
     return relation.column_view(rhs).With([&](const auto* y) {
-      for (size_t r = 0; r < n; ++r) {
+      std::vector<uint32_t> pairs;
+      pairs.reserve(relation.num_rows());
+      for (size_t r = 0; r < relation.num_rows(); ++r) {
         if (x[r] == ColumnDictionary::kNullCode ||
             y[r] == ColumnDictionary::kNullCode) {
           continue;
         }
-        const double xv = xt[x[r]];
-        const double yv = yt[y[r]];
-        if (std::isnan(xv) || std::isnan(yv)) return false;
-        pts.emplace_back(xv, yv);
+        if (std::isnan(xt[x[r]]) || std::isnan(yt[y[r]])) return false;
+        pairs.push_back(static_cast<uint32_t>(r));
       }
+      std::vector<uint32_t> by_rhs;
+      CountingSortRows(pairs, y, relation.dictionary(rhs).num_codes(),
+                       &by_rhs);
+      CountingSortRows(by_rhs, x, relation.dictionary(lhs).num_codes(),
+                       &rows);
+      pts.reserve(rows.size());
+      for (uint32_t r : rows) pts.emplace_back(xt[x[r]], yt[y[r]]);
       return true;
     });
   });
@@ -335,7 +339,44 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
     return Status::TypeError(
         "differential dependencies require numeric attributes");
   }
-  return MinimalDeltaOverPoints(std::move(pts), eps);
+  DifferentialCheck check;
+  if (pts.size() < 2) return check;
+  // The j-range is chunked (fixed grain) and each chunk re-seeds its own
+  // window, so the chunks examine exactly the serial pair set; chunk
+  // results fold in order, so the first chunk that saw a gap over the
+  // bound names the pair and the result is the same at any thread count.
+  constexpr size_t kGrain = 8192;
+  const DeltaChunk scan = ParallelReduce<DeltaChunk>(
+      0, pts.size(), kGrain, DeltaChunk{},
+      [&](size_t jlo, size_t jhi) {
+        return MinimalDeltaScan(pts, eps, max_delta, jlo, jhi);
+      },
+      [](DeltaChunk acc, DeltaChunk chunk) {
+        if (acc.over.has_value()) return acc;
+        chunk.delta = std::max(acc.delta, chunk.delta);
+        return chunk;
+      });
+  check.delta = scan.delta;
+  if (scan.over.has_value()) {
+    check.witness = PositionListIndex::RowPair{rows[scan.over->first],
+                                               rows[scan.over->second]};
+  }
+  return check;
+}
+
+Result<double> ComputeMinimalDelta(const Relation& relation, size_t lhs,
+                                   size_t rhs, double eps) {
+  return ComputeMinimalDelta(EncodedRelation::Encode(relation), lhs, rhs,
+                             eps);
+}
+
+Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
+                                   size_t lhs, size_t rhs, double eps) {
+  METALEAK_ASSIGN_OR_RETURN(
+      DifferentialCheck check,
+      CheckDifferential(relation, lhs, rhs, eps,
+                        std::numeric_limits<double>::infinity()));
+  return check.delta;
 }
 
 Result<double> ComputeMinimalDelta(const EncodedRelation& relation,

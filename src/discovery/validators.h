@@ -8,6 +8,7 @@
 #define METALEAK_DISCOVERY_VALIDATORS_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -17,6 +18,7 @@
 #include "metadata/dependency_set.h"
 #include "partition/attribute_set.h"
 #include "partition/pli_cache.h"
+#include "partition/position_list_index.h"
 
 namespace metaleak {
 
@@ -73,14 +75,36 @@ bool ValidateOfd(const EncodedRelation& relation, AttributeSet lhs,
 /// Minimal delta such that the differential dependency
 /// |t[lhs]-u[lhs]| <= eps  =>  |t[rhs]-u[rhs]| <= delta holds over all
 /// tuple pairs. Both attributes must be numeric; fails otherwise.
-/// Returns 0 when fewer than two non-null rows exist.
+/// Returns 0 when fewer than two non-null rows exist. Encodes `relation`
+/// and runs the encoded scan (exact: codes order the values).
 Result<double> ComputeMinimalDelta(const Relation& relation, size_t lhs,
                                    size_t rhs, double eps);
 
-/// Minimal delta on the encoded view: numeric decoding happens once per
-/// distinct value (dictionary lookup) instead of once per row.
+/// Minimal delta on the encoded view: CheckDifferential with no bound.
 Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
                                    size_t lhs, size_t rhs, double eps);
+
+/// Outcome of a single-attribute DD scan against a bound on the rhs gap.
+struct DifferentialCheck {
+  /// The minimal delta when no pair's gap exceeds the bound; otherwise
+  /// the largest gap the scan saw before it stopped.
+  double delta = 0.0;
+  /// Set iff some pair inside the lhs window has an rhs gap over the
+  /// bound: the first such pair in scan order, with `first` the row of
+  /// the smaller (or equal) lhs value.
+  std::optional<PositionListIndex::RowPair> witness;
+};
+
+/// The scan behind ComputeMinimalDelta. Rows with no NULL on either side
+/// are ordered by (lhs code, rhs code, row id) with two counting passes,
+/// O(n + D_lhs + D_rhs); a sliding window then visits each row with the
+/// earlier rows within `eps` on the lhs, pairing it first with the
+/// window's smallest rhs, then its largest. The scan stops at the first
+/// pair whose gap exceeds `max_delta`, so the witness is the same at any
+/// thread count and code width.
+Result<DifferentialCheck> CheckDifferential(const EncodedRelation& relation,
+                                            size_t lhs, size_t rhs,
+                                            double eps, double max_delta);
 
 /// Multi-attribute minimal delta: a pair qualifies when every LHS
 /// attribute a_k is within its eps[k] (conjunctive window); `eps` is

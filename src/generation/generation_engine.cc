@@ -1,5 +1,6 @@
 #include "generation/generation_engine.h"
 
+#include <unordered_map>
 #include <utility>
 
 #include "common/macros.h"
@@ -9,49 +10,41 @@ namespace metaleak {
 
 namespace {
 
-// Maps one frequency-table value to its domain code: the unique domain
-// entry that equals it structurally. Returns 0 (never a valid non-null
-// frequency code unless the domain holds NULL itself at another slot)
-// via the `ok` flag when the value maps to zero or several entries.
-bool MapDistValueToCode(const Value& v, const std::vector<Value>& domain,
-                        uint32_t* code) {
-  bool found = false;
+// Maps each frequency-table value to its domain code: the unique domain
+// entry that equals it structurally, looked up in one hash of the domain
+// (O(D + F)). Returns false when some value matches no entry or several
+// (only possible with duplicate domain entries).
+bool MapDistValuesToCodes(const std::vector<Value>& values,
+                          const std::vector<Value>& domain,
+                          std::vector<uint32_t>* codes) {
+  constexpr uint32_t kAmbiguous = 0;  // domain codes start at 1
+  std::unordered_map<Value, uint32_t> code_of;
+  code_of.reserve(domain.size());
   for (size_t i = 0; i < domain.size(); ++i) {
-    if (domain[i] == v) {
-      if (found) return false;  // ambiguous
-      found = true;
-      *code = static_cast<uint32_t>(i) + 1;
-    }
+    auto [it, inserted] =
+        code_of.emplace(domain[i], static_cast<uint32_t>(i) + 1);
+    if (!inserted) it->second = kAmbiguous;
   }
-  return found;
+  codes->reserve(values.size());
+  for (const Value& v : values) {
+    auto it = code_of.find(v);
+    if (it == code_of.end() || it->second == kAmbiguous) return false;
+    codes->push_back(it->second);
+  }
+  return true;
 }
 
 }  // namespace
 
 uint32_t GenerationContext::DistSampler::SampleCode(Rng* rng) const {
   // Mirrors ValueDistribution::Sample (categorical branch) draw-for-draw.
-  size_t target = rng->UniformIndex(total);
-  size_t acc = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    acc += counts[i];
-    if (target < acc) return codes[i];
-  }
-  return codes.back();
+  return codes[DrawCumulative(cumulative, rng)];
 }
 
 double GenerationContext::DistSampler::SampleReal(Rng* rng) const {
   // Mirrors ValueDistribution::Sample (continuous branch) draw-for-draw.
-  size_t target = rng->UniformIndex(total);
-  size_t acc = 0;
-  size_t bucket = counts.size() - 1;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    acc += counts[i];
-    if (target < acc) {
-      bucket = i;
-      break;
-    }
-  }
-  double width = (hi - lo) / static_cast<double>(counts.size());
+  const size_t bucket = DrawCumulative(cumulative, rng);
+  double width = (hi - lo) / static_cast<double>(cumulative.size());
   double bucket_lo = lo + width * static_cast<double>(bucket);
   return rng->UniformDouble(bucket_lo, bucket_lo + width);
 }
@@ -105,21 +98,11 @@ Result<GenerationContext> GenerationContext::Build(
             "continuous distribution over a categorical domain";
         continue;
       }
-      const FrequencyTable& freq = dist.frequency_table();
       sampler.categorical = true;
-      sampler.counts = freq.counts;
-      sampler.total = freq.total();
-      sampler.codes.reserve(freq.values.size());
-      bool supported = true;
-      for (const Value& v : freq.values) {
-        uint32_t code = 0;
-        if (!MapDistValueToCode(v, ctx.domains_[target].values(), &code)) {
-          supported = false;
-          break;
-        }
-        sampler.codes.push_back(code);
-      }
-      if (!supported) {
+      sampler.cumulative = dist.cumulative_counts();
+      if (!MapDistValuesToCodes(dist.frequency_table().values,
+                                ctx.domains_[target].values(),
+                                &sampler.codes)) {
         ctx.encodable_ = false;
         ctx.fallback_reason_ =
             "distribution support does not map into the domain";
@@ -134,8 +117,7 @@ Result<GenerationContext> GenerationContext::Build(
       }
       const Histogram& hist = dist.histogram();
       sampler.categorical = false;
-      sampler.counts = hist.counts;
-      sampler.total = hist.total();
+      sampler.cumulative = dist.cumulative_counts();
       sampler.lo = hist.lo;
       sampler.hi = hist.hi;
     }

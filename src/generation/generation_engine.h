@@ -104,8 +104,7 @@ class GenerationContext {
   // raw doubles (histogram).
   struct DistSampler {
     bool categorical = false;
-    std::vector<size_t> counts;  // frequency counts / bucket masses
-    size_t total = 0;
+    std::vector<size_t> cumulative;  // running frequency / bucket counts
     std::vector<uint32_t> codes;  // frequency index -> domain code
     double lo = 0.0;              // histogram range
     double hi = 0.0;

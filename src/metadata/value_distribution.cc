@@ -8,6 +8,24 @@
 
 namespace metaleak {
 
+std::vector<size_t> CumulativeCounts(const std::vector<size_t>& counts) {
+  std::vector<size_t> cumulative(counts.size());
+  size_t acc = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    acc += counts[i];
+    cumulative[i] = acc;
+  }
+  return cumulative;
+}
+
+size_t DrawCumulative(const std::vector<size_t>& cumulative, Rng* rng) {
+  METALEAK_DCHECK(!cumulative.empty() && cumulative.back() > 0);
+  const size_t target = rng->UniformIndex(cumulative.back());
+  return static_cast<size_t>(
+      std::upper_bound(cumulative.begin(), cumulative.end(), target) -
+      cumulative.begin());
+}
+
 Result<ValueDistribution> ValueDistribution::Categorical(
     FrequencyTable table) {
   if (table.values.size() != table.counts.size()) {
@@ -18,6 +36,7 @@ Result<ValueDistribution> ValueDistribution::Categorical(
   }
   ValueDistribution d;
   d.categorical_ = true;
+  d.cumulative_ = CumulativeCounts(table.counts);
   d.freq_ = std::move(table);
   return d;
 }
@@ -37,6 +56,7 @@ Result<ValueDistribution> ValueDistribution::Continuous(
   }
   ValueDistribution d;
   d.categorical_ = false;
+  d.cumulative_ = CumulativeCounts(histogram.counts);
   d.hist_ = std::move(histogram);
   return d;
 }
@@ -104,32 +124,11 @@ Result<ValueDistribution> ValueDistribution::FromEncoded(
 
 Value ValueDistribution::Sample(Rng* rng) const {
   METALEAK_DCHECK(rng != nullptr);
-  if (categorical_) {
-    size_t total = freq_.total();
-    METALEAK_DCHECK(total > 0);
-    size_t target = rng->UniformIndex(total);
-    size_t acc = 0;
-    for (size_t i = 0; i < freq_.counts.size(); ++i) {
-      acc += freq_.counts[i];
-      if (target < acc) return freq_.values[i];
-    }
-    return freq_.values.back();
-  }
-  size_t total = hist_.total();
-  METALEAK_DCHECK(total > 0);
-  size_t target = rng->UniformIndex(total);
-  size_t acc = 0;
-  size_t bucket = hist_.counts.size() - 1;
-  for (size_t i = 0; i < hist_.counts.size(); ++i) {
-    acc += hist_.counts[i];
-    if (target < acc) {
-      bucket = i;
-      break;
-    }
-  }
+  const size_t index = DrawCumulative(cumulative_, rng);
+  if (categorical_) return freq_.values[index];
   double width =
       (hist_.hi - hist_.lo) / static_cast<double>(hist_.counts.size());
-  double lo = hist_.lo + width * static_cast<double>(bucket);
+  double lo = hist_.lo + width * static_cast<double>(index);
   return Value::Real(rng->UniformDouble(lo, lo + width));
 }
 

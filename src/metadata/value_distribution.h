@@ -21,6 +21,15 @@
 
 namespace metaleak {
 
+/// Running sums of `counts`: entry i is counts[0] + ... + counts[i].
+std::vector<size_t> CumulativeCounts(const std::vector<size_t>& counts);
+
+/// One weighted draw over the counts behind `cumulative` (non-empty, with
+/// a positive total): draws UniformIndex(total) and returns the first i
+/// with draw < cumulative[i], by binary search. That is the entry a walk
+/// summing the counts stops at, so zero-count entries are never picked.
+size_t DrawCumulative(const std::vector<size_t>& cumulative, Rng* rng);
+
 class ValueDistribution {
  public:
   ValueDistribution() = default;
@@ -49,10 +58,12 @@ class ValueDistribution {
   bool is_categorical() const { return categorical_; }
   const FrequencyTable& frequency_table() const { return freq_; }
   const Histogram& histogram() const { return hist_; }
+  /// CumulativeCounts of the frequency table's or the histogram's counts.
+  const std::vector<size_t>& cumulative_counts() const { return cumulative_; }
 
   /// Draws a value from the disclosed marginal: weighted choice for
   /// categorical; bucket by mass then uniform within the bucket for
-  /// continuous.
+  /// continuous. O(log entries) per draw (DrawCumulative).
   Value Sample(Rng* rng) const;
 
   /// Probability (mass) of drawing exactly `v` (categorical) or the
@@ -73,6 +84,7 @@ class ValueDistribution {
   bool categorical_ = true;
   FrequencyTable freq_;
   Histogram hist_;
+  std::vector<size_t> cumulative_;
 };
 
 }  // namespace metaleak

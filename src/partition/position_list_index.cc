@@ -366,7 +366,8 @@ bool PositionListIndex::BitsetCountingApplies(
   return (ca + cb + ca * cb) * words < rows_.size();
 }
 
-bool PositionListIndex::Refines(const PositionListIndex& other) const {
+bool PositionListIndex::Refines(const PositionListIndex& other,
+                                RowPair* witness) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
   if (BitsetCountingApplies(other, ActiveSimdLevel())) {
     // A cluster lies inside one class of `other` iff some other-cluster
@@ -380,18 +381,33 @@ bool PositionListIndex::Refines(const PositionListIndex& other) const {
     const size_t cb = other.num_clusters();
     for (size_t a = 0; a < num_clusters(); ++a) {
       const uint64_t* aw = abits.data() + a * words;
-      const size_t size = cluster(a).size();
+      const ClusterView cl = cluster(a);
       bool covered = false;
       for (size_t b = 0; b < cb; ++b) {
         const size_t overlap =
             BitsetAndPopcount(aw, bbits.data() + b * words, words);
-        if (overlap == size) {
+        if (overlap == cl.size()) {
           covered = true;
           break;
         }
         if (overlap > 0) break;  // straddles classes: violation
       }
-      if (!covered) return false;
+      if (covered) continue;
+      if (witness != nullptr) {
+        // The first row's other-cluster, by bit test; an other-unique
+        // first row differs from every later row.
+        auto has = [&](size_t b, size_t row) {
+          return ((bbits[b * words + (row >> 6)] >> (row & 63)) & 1) != 0;
+        };
+        size_t home = 0;
+        while (home < cb && !has(home, cl[0])) ++home;
+        size_t i = 1;
+        if (home < cb) {
+          while (has(home, cl[i])) ++i;
+        }
+        *witness = {static_cast<Row>(cl[0]), static_cast<Row>(cl[i])};
+      }
+      return false;
     }
     return true;
   }
@@ -401,11 +417,19 @@ bool PositionListIndex::Refines(const PositionListIndex& other) const {
     int32_t first = probe[cl[0]];
     // A stripped (size >= 2) cluster containing a row that is unique in
     // `other` has two rows disagreeing on the RHS: violation.
-    if (first == kUnique) return false;
-    if (!AllGatherEqualI32(gather_level, probe.data(), cl.begin() + 1,
-                           cl.size() - 1, first)) {
-      return false;
+    if (first != kUnique &&
+        AllGatherEqualI32(gather_level, probe.data(), cl.begin() + 1,
+                          cl.size() - 1, first)) {
+      continue;
     }
+    if (witness != nullptr) {
+      size_t i = 1;
+      if (first != kUnique) {
+        while (probe[cl[i]] == first) ++i;
+      }
+      *witness = {static_cast<Row>(cl[0]), static_cast<Row>(cl[i])};
+    }
+    return false;
   }
   return true;
 }

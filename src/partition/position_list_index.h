@@ -238,9 +238,25 @@ class PositionListIndex {
   /// side's bitmaps and popcount, never touching row ids.
   const std::vector<uint64_t>& cluster_bitmaps() const;
 
+  /// Two rows of one relation; a failed refinement names one as its
+  /// witness.
+  struct RowPair {
+    Row first = 0;
+    Row second = 0;
+    friend bool operator==(const RowPair& a, const RowPair& b) {
+      return a.first == b.first && a.second == b.second;
+    }
+  };
+
   /// True iff this partition refines `other`: every cluster of this lies
   /// inside one class of `other`. FD X->A holds iff pli(X).Refines(pli(A)).
-  bool Refines(const PositionListIndex& other) const;
+  /// On failure, a non-null `witness` receives two rows that agree on
+  /// this partition and lie in different classes of `other`: in the
+  /// first violating cluster (stored order), its first row and the first
+  /// later row whose `other`-class differs. The bit-parallel and the
+  /// gathered path name the same pair.
+  bool Refines(const PositionListIndex& other,
+               RowPair* witness = nullptr) const;
 
   /// g3 error of the FD (X = this) -> (A = other): the minimum fraction of
   /// rows that must be removed for the FD to hold (Kivinen–Mannila g3, the

@@ -107,6 +107,28 @@ Result<LeakageDelta> AuditService::ApplyBatch(SessionId id,
   }
   METALEAK_ASSIGN_OR_RETURN(BatchEffects effects,
                             session->delta.ApplyBatch(batch));
+  Result<std::shared_ptr<const RelationSnapshot>> next =
+      PublishBatch(session.get(), effects);
+  Result<LeakageDelta> delta =
+      next.ok() ? DiffLeakageProfiles(session->current->leakage(),
+                                      (*next)->leakage())
+                : Result<LeakageDelta>(next.status());
+  if (!delta.ok()) {
+    // The delta and the PLIs already moved past the snapshot that stays
+    // current; seed them from it again so the next batch's row ids and
+    // touch window are relative to the rows callers see. (The memo was
+    // left as it was.)
+    session->delta = DeltaRelation(session->current->encoding());
+    session->plis = PliMaintenance(session->current->encoding());
+    return delta.status();
+  }
+  CacheSnapshot(*next);
+  session->current = std::move(*next);
+  return delta;
+}
+
+Result<std::shared_ptr<const RelationSnapshot>> AuditService::PublishBatch(
+    Session* session, const BatchEffects& effects) {
   if (effects.remap.rows_after == 0) {
     return Status::Invalid("batch would empty the relation");
   }
@@ -122,20 +144,9 @@ Result<LeakageDelta> AuditService::ApplyBatch(SessionId id,
   for (size_t c = 0; c < session->plis.num_columns(); ++c) {
     singles.push_back(session->plis.ToPli(c));
   }
-
-  METALEAK_ASSIGN_OR_RETURN(
-      std::shared_ptr<const RelationSnapshot> next,
-      RelationSnapshot::FromPublished(
-          std::move(publish.encoded), std::move(singles),
-          options_.discovery, options_.leakage, touch,
-          session->memo.get()));
-
-  METALEAK_ASSIGN_OR_RETURN(
-      LeakageDelta delta,
-      DiffLeakageProfiles(session->current->leakage(), next->leakage()));
-  CacheSnapshot(next);
-  session->current = std::move(next);
-  return delta;
+  return RelationSnapshot::FromPublished(
+      std::move(publish.encoded), std::move(singles), options_.discovery,
+      options_.leakage, touch, session->memo.get());
 }
 
 Result<AuditResult> AuditService::Audit(SessionId id,

@@ -88,7 +88,9 @@ class AuditService {
   /// (bit-identical to a from-scratch rebuild of the post-batch rows),
   /// and returns what the batch changed about the leakage story.
   /// Batches against one session are serialized; queries keep running
-  /// against the previous snapshot meanwhile.
+  /// against the previous snapshot meanwhile. A batch that fails leaves
+  /// the session as it was: the next batch's row ids still index the
+  /// current snapshot.
   Result<LeakageDelta> ApplyBatch(SessionId id, const RowBatch& batch);
 
   /// Full audit of the current snapshot — the warm path of RunAudit: no
@@ -135,6 +137,10 @@ class AuditService {
   };
 
   Result<std::shared_ptr<Session>> FindSession(SessionId id);
+  /// The part of ApplyBatch after the delta took the batch: PLI upkeep,
+  /// canonical publish and the new snapshot. Must hold session->mutex.
+  Result<std::shared_ptr<const RelationSnapshot>> PublishBatch(
+      Session* session, const BatchEffects& effects);
   Result<std::shared_ptr<const RelationSnapshot>> CurrentSnapshot(
       SessionId id);
   /// Inserts (or refreshes) a cache slot for an already-built snapshot

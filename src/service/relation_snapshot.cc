@@ -63,12 +63,18 @@ Status RelationSnapshot::Finish(const DiscoveryOptions& discovery,
                                 const DeltaTouch& touch,
                                 DiscoveryMemo* memo) {
   fingerprint_ = encoded_->Fingerprint();
+  // The new verdicts replace `memo` only once the whole snapshot is
+  // built: a snapshot that fails here is never published, and the memo
+  // must keep matching the one that stays current.
+  DiscoveryMemo next;
   METALEAK_ASSIGN_OR_RETURN(
       profile_,
-      ProfileRelationIncremental(cache_.get(), discovery, touch, memo));
+      ProfileRelationIncremental(cache_.get(), discovery, touch, *memo,
+                                 &next));
   METALEAK_ASSIGN_OR_RETURN(
       leakage_,
       ComputeLeakageProfile(*encoded_, profile_.metadata, leakage));
+  memo->Swap(next);
   return Status::OK();
 }
 

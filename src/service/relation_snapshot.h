@@ -50,7 +50,9 @@ class RelationSnapshot {
   /// encoding, materializes (and owns) its decoded relation, seeds the
   /// partition cache with the incrementally maintained single-attribute
   /// PLIs, and re-profiles via targeted revalidation — only candidates
-  /// whose support sets `touch` reached are re-validated.
+  /// whose support sets `touch` reached are re-validated. Both factories
+  /// replace `memo`'s verdicts only when the snapshot is built; on
+  /// failure it is left as it was.
   static Result<std::shared_ptr<const RelationSnapshot>> FromPublished(
       EncodedRelation published, std::vector<PositionListIndex> singles,
       const DiscoveryOptions& discovery, const LeakageOptions& leakage,

@@ -307,6 +307,64 @@ TEST(AuditServiceTest, ApplyBatchMatchesFreshRegistration) {
             (*fresh_snap)->profile().metadata.Serialize());
 }
 
+// A batch that fails after the delta took it (here it deletes every
+// non-NULL value of categorical column b, so the new snapshot has no
+// domain for b) must leave the session on its current snapshot: the next
+// batch's row ids index the rows Snapshot() shows, and the snapshot it
+// publishes equals a from-scratch build of the expected rows.
+TEST(AuditServiceTest, FailedBatchLeavesTheSessionOnItsSnapshot) {
+  Schema schema({{"a", DataType::kInt64, SemanticType::kCategorical},
+                 {"b", DataType::kString, SemanticType::kCategorical},
+                 {"c", DataType::kDouble, SemanticType::kContinuous}});
+  Relation relation = Relation::Empty(schema);
+  for (int r = 0; r < 8; ++r) {
+    Value b = r == 0 ? Value::Str("x") : r == 1 ? Value::Str("y") : Value::Null();
+    ASSERT_TRUE(relation
+                    .AppendRow({Value::Int(r % 3), b, Value::Real(0.5 * r)})
+                    .ok());
+  }
+  AuditService service;
+  Result<SessionId> session = service.Register(relation);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<std::shared_ptr<const RelationSnapshot>> before =
+      service.Snapshot(*session);
+  ASSERT_TRUE(before.ok());
+
+  RowBatch emptying_b;
+  emptying_b.delete_rows = {0, 1};
+  Result<LeakageDelta> failed = service.ApplyBatch(*session, emptying_b);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().ToString().find("no non-null values"),
+            std::string::npos)
+      << failed.status().ToString();
+  Result<std::shared_ptr<const RelationSnapshot>> still =
+      service.Snapshot(*session);
+  ASSERT_TRUE(still.ok());
+  EXPECT_EQ(still->get(), before->get());
+
+  RowBatch last_row;
+  last_row.delete_rows = {7};
+  Result<LeakageDelta> delta = service.ApplyBatch(*session, last_row);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_EQ(delta->rows_delta, -1);
+
+  Relation expected = Relation::Empty(schema);
+  for (size_t r = 0; r < 7; ++r) {
+    ASSERT_TRUE(expected.AppendRow(relation.Row(r)).ok());
+  }
+  DiscoveryMemo memo;
+  Result<std::shared_ptr<const RelationSnapshot>> rebuilt =
+      RelationSnapshot::FromRelation(expected, ServiceOptions{}.discovery,
+                                     ServiceOptions{}.leakage, &memo);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  Result<std::shared_ptr<const RelationSnapshot>> after =
+      service.Snapshot(*session);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->fingerprint(), (*rebuilt)->fingerprint());
+  EXPECT_EQ((*after)->profile().metadata.Serialize(),
+            (*rebuilt)->profile().metadata.Serialize());
+}
+
 TEST(AuditServiceTest, EmptyBatchIsANoOp) {
   AuditService service;
   Result<SessionId> session = service.Register(datasets::Employee());
