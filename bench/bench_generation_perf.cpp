@@ -7,10 +7,12 @@
 // bit-identical experiment results (same per-round seeds, means,
 // stddevs, MSEs); any disagreement exits non-zero. Results go to
 // BENCH_generation.json, including the code-path speedup at each row
-// count (the acceptance number is the 50k-row entry). One more record,
-// nd_plan_zipf_100k, times ND generation alone on the package the
-// deps_audit_100k workload profiles: GenerateEncoded rounds on the
-// ND-only plan of SyntheticZipfScale(100000, 21), one thread. Two more,
+// count (the acceptance number is the 50k-row entry). Three records time
+// one generator class alone: GenerateEncoded rounds on a plan that keeps
+// only that class's dependencies, one thread. nd_plan_zipf_100k runs the
+// ND-only plan of SyntheticZipfScale(100000, 21), the package the
+// deps_audit_100k workload profiles; dd_plan_50k and fd_plan_50k run the
+// DD-only and FD-only plans of the 50k-row planted fixture. Two more,
 // rng_draws and rng_draws_std, time 10M mixed UniformIndex(16) /
 // UniformDouble draws through Rng and through std::mt19937_64 with the
 // standard distributions, the oracle Rng reproduces; "rng_parity" is "ok"
@@ -243,20 +245,22 @@ RngDrawAxis TimeRngDraws(size_t draws) {
   return axis;
 }
 
-// Times `rounds` GenerateEncoded calls on the ND-only plan of the
-// profiled SyntheticZipfScale(rows, 21) package.
-BenchRecord TimeNdPlan(size_t rows, size_t rounds) {
-  Relation real =
-      std::move(datasets::SyntheticZipfScale(rows, /*seed=*/21)).ValueOrDie();
-  MetadataPackage metadata =
-      std::move(ProfileRelation(real, DiscoveryOptions{}))
-          .ValueOrDie()
-          .metadata;
+// Times `rounds` GenerateEncoded calls of `rows` rows on the plan of
+// `metadata` that keeps only dependencies of `kind`. Exits if that plan
+// generates no column through such a dependency.
+BenchRecord TimePlan(const char* path, const MetadataPackage& metadata,
+                     DependencyKind kind, size_t rows, size_t rounds) {
   GenerationOptions options;
-  options.allowed_kinds = {DependencyKind::kNumerical};
+  options.allowed_kinds = {kind};
   GenerationContext gen =
       std::move(GenerationContext::Build(metadata, options)).ValueOrDie();
-  if (!gen.encodable()) std::abort();
+  const bool drives = std::any_of(
+      gen.plan().steps().begin(), gen.plan().steps().end(),
+      [](const GenerationStep& step) { return step.via.has_value(); });
+  if (!gen.encodable() || !drives) {
+    std::fprintf(stderr, "%s: no encodable plan step of its class\n", path);
+    std::exit(1);
+  }
 
   EncodedBatch batch;
   Rng rng(21);
@@ -267,7 +271,7 @@ BenchRecord TimeNdPlan(size_t rows, size_t rounds) {
   }
   auto stop = std::chrono::steady_clock::now();
   BenchRecord r;
-  r.path = "nd_plan_zipf_100k";
+  r.path = path;
   r.rows = rows;
   r.rounds = rounds;
   r.ms = std::chrono::duration<double, std::milli>(stop - start).count();
@@ -405,10 +409,27 @@ int Main() {
     scan_record("leakage_scan_simd", scan.simd_ms);
   }
 
-  const BenchRecord nd = TimeNdPlan(100000, 10);
-  std::printf("ND plan, zipf 100k x %zu rounds: %.1f ms (%.1f ms/round)\n",
-              nd.rounds, nd.ms, nd.ms / static_cast<double>(nd.rounds));
-  records.push_back(nd);
+  {
+    Relation zipf = std::move(datasets::SyntheticZipfScale(100000, 21))
+                        .ValueOrDie();
+    const MetadataPackage zipf_metadata =
+        std::move(ProfileRelation(zipf, DiscoveryOptions{}))
+            .ValueOrDie()
+            .metadata;
+    const Fixture planted = MakeFixture(50000);
+    for (const BenchRecord& r :
+         {TimePlan("nd_plan_zipf_100k", zipf_metadata,
+                   DependencyKind::kNumerical, 100000, 10),
+          TimePlan("dd_plan_50k", planted.metadata,
+                   DependencyKind::kDifferential, 50000, 100),
+          TimePlan("fd_plan_50k", planted.metadata,
+                   DependencyKind::kFunctional, 50000, 100)}) {
+      std::printf("%s x %zu rounds: %.1f ms (%.2f ms/round)\n",
+                  r.path.c_str(), r.rounds, r.ms,
+                  r.ms / static_cast<double>(r.rounds));
+      records.push_back(r);
+    }
+  }
 
   std::ofstream json("BENCH_generation.json");
   json << "{\n  " << BenchMetadataJson()

@@ -1,7 +1,7 @@
 // LSD radix sort over order-preserving 64-bit keys.
 //
 // The Monte-Carlo rounds order doubles in three places: ranking a
-// real-stored LHS column for the FD/AFD/ND/OD/OFD generators, sorting the
+// real-stored LHS column for the ND/OD/OFD/DD generators, sorting the
 // continuous order statistics OD and OFD assign, and sorting the
 // generated values the NN-linkage estimator merges against. Each maps its
 // doubles to 64-bit keys whose unsigned order is the IEEE order and sorts
@@ -34,8 +34,8 @@ inline double FromOrderedKey(uint64_t key) {
                                                 : ~key);
 }
 
-/// The key ranks use: -0.0 shares +0.0's key, because the two compare
-/// equal.
+/// The key ranks and the generators' LHS group fold use: -0.0 shares
+/// +0.0's key, because the two compare equal.
 inline uint64_t RankKey(double x) { return OrderedKey(x == 0.0 ? 0.0 : x); }
 
 /// Sorts keys[0, n) ascending. `scratch` must hold n words; its contents

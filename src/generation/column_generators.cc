@@ -121,8 +121,8 @@ struct GeneratorScratch {
   std::vector<char> flags;            // lazily-sampled bits
   std::vector<uint32_t> code_map;     // FD group -> code mapping
   std::vector<double> real_map;       // FD group -> double mapping
-  std::vector<uint32_t> group_end;    // ND rank -> end of its rows
-  std::vector<uint32_t> by_group;     // ND rows bucketed by LHS rank
+  std::vector<uint32_t> group_end;    // ND/DD rank -> end of its rows
+  std::vector<uint32_t> by_group;     // ND/DD rows bucketed by LHS rank
   FlatIdTable moved;                  // ND Fisher-Yates position -> id
   std::vector<uint32_t> moved_index;  // ND id -> domain index there now
   std::vector<uint32_t> pool_codes;   // ND filled slots of one group
@@ -130,12 +130,27 @@ struct GeneratorScratch {
   std::vector<size_t> idx;            // order-statistic / Floyd draws
   std::vector<uint32_t> target_codes; // OD/OFD rank -> code targets
   std::vector<double> target_reals;   // OD/OFD rank -> double targets
-  std::vector<size_t> order;          // DD row order
 };
 
 GeneratorScratch& Scratch() {
   thread_local GeneratorScratch scratch;
   return scratch;
+}
+
+// Counting sort of rows [0, num_rows) by rank: afterwards s.by_group
+// lists the rows in (rank, row) order and s.group_end[g] is one past
+// rank g's rows.
+void BucketRowsByRank(const uint32_t* ranks, uint32_t distinct,
+                      size_t num_rows, GeneratorScratch& s) {
+  s.group_end.assign(static_cast<size_t>(distinct) + 1, 0);
+  for (size_t r = 0; r < num_rows; ++r) ++s.group_end[ranks[r] + 1];
+  for (uint32_t g = 0; g < distinct; ++g) {
+    s.group_end[g + 1] += s.group_end[g];
+  }
+  s.by_group.resize(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    s.by_group[s.group_end[ranks[r]]++] = static_cast<uint32_t>(r);
+  }
 }
 
 // The ND kernel both twins call: writes out[r] for the LHS ranks
@@ -166,16 +181,7 @@ void LazyNdPools(const uint32_t* ranks, uint32_t distinct, size_t num_rows,
   const size_t take = kReal ? k : std::min(k, domain_size);
   METALEAK_DCHECK(take > 0 || num_rows == 0);
 
-  // Counting sort; afterwards group_end[g] is one past group g's rows.
-  s.group_end.assign(static_cast<size_t>(distinct) + 1, 0);
-  for (size_t r = 0; r < num_rows; ++r) ++s.group_end[ranks[r] + 1];
-  for (uint32_t g = 0; g < distinct; ++g) {
-    s.group_end[g + 1] += s.group_end[g];
-  }
-  s.by_group.resize(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    s.by_group[s.group_end[ranks[r]]++] = static_cast<uint32_t>(r);
-  }
+  BucketRowsByRank(ranks, distinct, num_rows, s);
 
   // Id of Fisher-Yates position p, seeded with p on its first touch.
   auto position = [&s](size_t p) {
@@ -226,6 +232,46 @@ void LazyNdPools(const uint32_t* ranks, uint32_t distinct, size_t num_rows,
       }
       pool[f] = fill(f);
       out[row] = static_cast<T>(pool[f++]);
+    }
+    begin = end;
+  }
+}
+
+// The DD kernel both twins call (Section IV-D): writes out[r] for the
+// LHS ranks ranks[0, num_rows) over `distinct` values. Rows are bucketed
+// by rank with a counting sort and walked in (LHS, row) order, so tied
+// rows take their steps in row order and the seed alone fixes the chain.
+// Each row draws one UniformDouble: from the rhs_delta ball around its
+// predecessor's RHS, clipped to the domain (the whole domain if the clip
+// is empty), when its LHS lies within lhs_epsilon of the predecessor's,
+// and from the whole domain otherwise. `x_of(row)` is a row's numeric
+// LHS; tied rows share it, so it is read once per rank.
+template <typename XOf>
+void DdChain(const uint32_t* ranks, uint32_t distinct, size_t num_rows,
+             XOf x_of, const Domain& domain, double lhs_epsilon,
+             double rhs_delta, Rng* rng, double* out) {
+  GeneratorScratch& s = Scratch();
+  BucketRowsByRank(ranks, distinct, num_rows, s);
+  double prev_x = 0.0;
+  double prev_y = 0.0;
+  size_t begin = 0;
+  for (uint32_t g = 0; g < distinct; ++g) {
+    const size_t end = s.group_end[g];
+    const double x = x_of(s.by_group[begin]);
+    for (size_t i = begin; i < end; ++i) {
+      double lo = domain.lo();
+      double hi = domain.hi();
+      if (i > 0 && std::abs(x - prev_x) <= lhs_epsilon) {
+        lo = std::max(domain.lo(), prev_y - rhs_delta);
+        hi = std::min(domain.hi(), prev_y + rhs_delta);
+        if (lo > hi) {
+          lo = domain.lo();
+          hi = domain.hi();
+        }
+      }
+      prev_y = rng->UniformDouble(lo, hi);
+      prev_x = x;
+      out[s.by_group[i]] = prev_y;
     }
     begin = end;
   }
@@ -352,39 +398,19 @@ Result<std::vector<Value>> GenerateDdColumn(
   if (lhs_column.size() != num_rows) {
     return Status::Invalid("LHS column size mismatch");
   }
-  // Order rows by LHS value; walk the chain generating each RHS relative
-  // to its predecessor when the LHS values are proximal (Markov process).
-  std::vector<size_t> order(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return lhs_column[a] < lhs_column[b];
-  });
-
-  std::vector<Value> out(num_rows);
-  double prev_x = 0.0;
-  double prev_y = 0.0;
-  bool has_prev = false;
-  for (size_t pos = 0; pos < num_rows; ++pos) {
-    size_t row = order[pos];
-    double x = lhs_column[row].is_numeric() ? lhs_column[row].AsNumeric()
-                                            : 0.0;
-    double y;
-    if (has_prev && std::abs(x - prev_x) <= lhs_epsilon) {
-      double lo = std::max(domain.lo(), prev_y - rhs_delta);
-      double hi = std::min(domain.hi(), prev_y + rhs_delta);
-      if (lo > hi) {
-        lo = domain.lo();
-        hi = domain.hi();
-      }
-      y = rng->UniformDouble(lo, hi);
-    } else {
-      y = rng->UniformDouble(domain.lo(), domain.hi());
-    }
-    out[row] = Value::Real(y);
-    prev_x = x;
-    prev_y = y;
-    has_prev = true;
-  }
+  const std::vector<Value> distinct = SortedDistinct(lhs_column);
+  const std::vector<uint32_t> ranks = EncodeByRank(lhs_column, distinct);
+  std::vector<double> ys(num_rows);
+  DdChain(
+      ranks.data(), static_cast<uint32_t>(distinct.size()), num_rows,
+      [&](uint32_t row) {
+        const Value& x = lhs_column[row];
+        return x.is_numeric() ? x.AsNumeric() : 0.0;
+      },
+      domain, lhs_epsilon, rhs_delta, rng, ys.data());
+  std::vector<Value> out;
+  out.reserve(num_rows);
+  for (double y : ys) out.push_back(Value::Real(y));
   return out;
 }
 
@@ -422,15 +448,39 @@ uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
                               size_t num_rows, std::vector<uint32_t>* ids) {
   GeneratorScratch& s = Scratch();
   ids->assign(num_rows, 0);
+  uint32_t* id = ids->data();
   uint32_t num_groups = 1;
   for (size_t col : lhs_columns) {
-    const uint32_t distinct =
-        RankEncodedColumn(batch, col, num_rows, &s.ranks);
-    s.groups.Reset(std::min<uint64_t>(
-        num_rows, static_cast<uint64_t>(num_groups) * distinct));
-    for (size_t r = 0; r < num_rows; ++r) {
-      (*ids)[r] = s.groups.IdOf(
-          static_cast<uint64_t>((*ids)[r]) * distinct + s.ranks[r]);
+    if (batch.kind(col) == EncodedBatch::ColumnKind::kCodes) {
+      batch.WithCodes(col, [&](const auto* codes) {
+        uint32_t max_code = 0;
+        for (size_t r = 0; r < num_rows; ++r) {
+          max_code = std::max<uint32_t>(max_code, codes[r]);
+        }
+        const uint64_t stride = uint64_t{max_code} + 1;
+        s.groups.Reset(std::min<uint64_t>(num_rows, num_groups * stride));
+        for (size_t r = 0; r < num_rows; ++r) {
+          id[r] = s.groups.IdOf(id[r] * stride + codes[r]);
+        }
+      });
+    } else {
+      // A double has no dense code, so number the column's values by
+      // first occurrence, then fold (group, value id) pairs. While every
+      // row is still in group 0, the value ids are the groups.
+      const double* xs = batch.reals(col).data();
+      s.ranks.resize(num_rows);
+      uint32_t* value_id = num_groups == 1 ? id : s.ranks.data();
+      s.groups.Reset(num_rows);
+      for (size_t r = 0; r < num_rows; ++r) {
+        value_id[r] = s.groups.IdOf(RankKey(xs[r]));
+      }
+      if (num_groups > 1) {
+        const uint64_t distinct = s.groups.size();
+        s.groups.Reset(std::min<uint64_t>(num_rows, num_groups * distinct));
+        for (size_t r = 0; r < num_rows; ++r) {
+          id[r] = s.groups.IdOf(id[r] * distinct + value_id[r]);
+        }
+      }
     }
     num_groups = s.groups.size();
   }
@@ -635,54 +685,21 @@ Status GenerateDdColumnEncoded(size_t lhs_column, const Domain& domain,
         "differential generation requires a continuous target domain");
   }
   GeneratorScratch& s = Scratch();
-  s.order.resize(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) s.order[i] = i;
-  const bool lhs_codes =
-      batch->kind(lhs_column) == EncodedBatch::ColumnKind::kCodes;
-  // Codes are assigned in ascending Value order, so sorting by code (or
-  // by raw double) makes every comparator decision identical to sorting
-  // the decoded Values — same permutation, same Markov chain.
-  if (lhs_codes) {
-    batch->WithCodes(lhs_column, [&](const auto* codes) {
-      std::sort(s.order.begin(), s.order.end(),
-                [&](size_t a, size_t b) { return codes[a] < codes[b]; });
-    });
+  const uint32_t distinct =
+      RankEncodedColumn(*batch, lhs_column, num_rows, &s.ranks);
+  double* out = batch->reals(target).data();
+  if (batch->kind(lhs_column) == EncodedBatch::ColumnKind::kCodes) {
+    const CodeColumnView view = batch->code_view(lhs_column);
+    DdChain(
+        s.ranks.data(), distinct, num_rows,
+        [&](uint32_t row) { return lhs_code_numeric[view.at(row)]; },
+        domain, lhs_epsilon, rhs_delta, rng, out);
   } else {
-    const std::vector<double>& xs = batch->reals(lhs_column);
-    std::sort(s.order.begin(), s.order.end(),
-              [&](size_t a, size_t b) { return xs[a] < xs[b]; });
-  }
-
-  const CodeColumnView lhs_view =
-      lhs_codes ? batch->code_view(lhs_column) : CodeColumnView{};
-  std::vector<double>& out = batch->reals(target);
-  double prev_x = 0.0;
-  double prev_y = 0.0;
-  bool has_prev = false;
-  for (size_t pos = 0; pos < num_rows; ++pos) {
-    size_t row = s.order[pos];
-    double x;
-    if (lhs_codes) {
-      x = lhs_code_numeric[lhs_view.at(row)];
-    } else {
-      x = batch->reals(lhs_column)[row];
-    }
-    double y;
-    if (has_prev && std::abs(x - prev_x) <= lhs_epsilon) {
-      double lo = std::max(domain.lo(), prev_y - rhs_delta);
-      double hi = std::min(domain.hi(), prev_y + rhs_delta);
-      if (lo > hi) {
-        lo = domain.lo();
-        hi = domain.hi();
-      }
-      y = rng->UniformDouble(lo, hi);
-    } else {
-      y = rng->UniformDouble(domain.lo(), domain.hi());
-    }
-    out[row] = y;
-    prev_x = x;
-    prev_y = y;
-    has_prev = true;
+    const double* xs = batch->reals(lhs_column).data();
+    DdChain(
+        s.ranks.data(), distinct, num_rows,
+        [xs](uint32_t row) { return xs[row]; }, domain, lhs_epsilon,
+        rhs_delta, rng, out);
   }
   return Status::OK();
 }

@@ -19,7 +19,8 @@
 //     (the interval partitioning of Section IV-C).
 //   DD: a Markov interval process along the LHS ordering: proximal LHS
 //     values constrain the next RHS draw to a delta-ball around the
-//     previous one (Section IV-D).
+//     previous one (Section IV-D). Tied rows take their steps in row
+//     order.
 //   OFD: a strictly monotone one-dimensional random walk over the RHS
 //     domain (Section IV-E).
 //
@@ -82,7 +83,9 @@ std::vector<Value> GenerateOfdColumn(const std::vector<Value>& lhs_column,
 
 /// DD: Markov interval process along the LHS order; rows whose LHS is
 /// within `lhs_epsilon` of the previous row draw from a `rhs_delta` ball
-/// around the previous RHS value. Requires a continuous target domain.
+/// around the previous RHS value. The chain visits rows in (LHS, row)
+/// order: ascending LHS value, tied rows in row order, one UniformDouble
+/// each. Requires a continuous target domain.
 Result<std::vector<Value>> GenerateDdColumn(
     const std::vector<Value>& lhs_column, const Domain& domain,
     size_t num_rows, double lhs_epsilon, double rhs_delta, Rng* rng);
@@ -98,23 +101,26 @@ Result<std::vector<Value>> GenerateDdColumn(
 /// Configure()d with ColumnKindsForDomains of the generation domains and
 /// ResetRows() to `num_rows` before any generator runs; LHS columns are
 /// read back out of the same batch by index. Internal scratch (rank
-/// maps, group ids, ND row buckets) is thread-local and reused across
-/// calls,
-/// which is what makes the Monte-Carlo loop allocation-free after the
-/// first round on each worker thread.
+/// maps, group ids, ND/DD row buckets) is thread-local and reused across
+/// calls, which is what makes the Monte-Carlo loop allocation-free after
+/// the first round on each worker thread.
 
 /// Dense ascending ranks of batch column `col` over rows [0, num_rows)
 /// into (*ranks)[0, num_rows): code columns rank by code, real columns by
 /// value with -0.0 == +0.0 (the Value order, so the ranks match ranking
 /// the decoded column). Returns the distinct count. Real columns go
-/// through RadixRankDoubles and must be NaN-free.
+/// through RadixRankDoubles and must be NaN-free. The ND, OD, OFD and DD
+/// generators visit LHS values in this order.
 uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
                            size_t num_rows, std::vector<uint32_t>* ranks);
 
 /// One group id per row for the composite LHS `lhs_columns` (the fold of
 /// PositionListIndex::FromEncoded), numbered by first occurrence in row
 /// order so lazy sampling keyed by id draws in row-scan order. The empty
-/// LHS is one group. Writes (*ids)[0, num_rows); returns the group count.
+/// LHS is one group. Groups need no order, so nothing is ranked: a code
+/// column is keyed by its code and a real column by RankKey (-0.0 and
+/// +0.0 are one value; NaN-free), through a hash table. Writes
+/// (*ids)[0, num_rows); returns the group count.
 uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
                               const std::vector<size_t>& lhs_columns,
                               size_t num_rows, std::vector<uint32_t>* ids);
@@ -152,7 +158,8 @@ void GenerateOfdColumnEncoded(size_t lhs_column, const Domain& domain,
                               size_t num_rows, Rng* rng,
                               EncodedBatch* batch, size_t target);
 
-/// DD: Markov interval process. `lhs_code_numeric` is the per-code
+/// DD: GenerateDdColumn's chain over the ranks of batch column
+/// `lhs_column`; both run one kernel. `lhs_code_numeric` is the per-code
 /// numeric view of the LHS column's domain (code -> AsNumeric, 0.0 for
 /// non-numeric entries) when the LHS is code-stored; unused for a
 /// real-stored LHS. TypeError for a categorical target domain, exactly

@@ -1,5 +1,6 @@
 #include "metadata/metadata_package.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -13,6 +14,10 @@
 //   domain\t<index>\tcategorical\t<v1>|<v2>|...
 //   domain\t<index>\tcontinuous\t<lo>\t<hi>
 //   dep\t<KIND>\t<i,j,...>\t<rhs>\t<g3>\t<K>\t<eps>\t<delta>
+//
+// Dependency and CFD indices name attributes of the schema; g3 lies in
+// [0, 1], K is non-negative, and every eps and delta is finite and
+// non-negative.
 //
 // Categorical domain values are typed: "i:<int>", "d:<double>", "s:<str>".
 
@@ -149,6 +154,21 @@ Result<SemanticType> ParseSemantic(const std::string& s) {
   return Status::IoError("unknown semantic type: " + s);
 }
 
+// A comma list of non-negative attribute indices; blank entries are
+// skipped. False on any other entry.
+bool ParseIndexList(const std::string& field, std::vector<size_t>* out) {
+  for (const std::string& part : Split(field, ',')) {
+    if (Trim(part).empty()) continue;
+    auto i = ParseInt64(part);
+    if (!i || *i < 0) return false;
+    out->push_back(static_cast<size_t>(*i));
+  }
+  return true;
+}
+
+// A DD threshold: finite and non-negative (NaN fails both).
+bool IsThreshold(double x) { return std::isfinite(x) && x >= 0.0; }
+
 }  // namespace
 
 std::string MetadataPackage::Serialize() const {
@@ -233,6 +253,10 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
   std::vector<Attribute> attrs;
   std::vector<std::pair<size_t, Domain>> parsed_domains;
   std::vector<std::pair<size_t, ValueDistribution>> parsed_dists;
+  // Dependencies and CFDs with their LHS indices, which are checked
+  // against the schema before they go into an AttributeSet.
+  std::vector<std::pair<Dependency, std::vector<size_t>>> parsed_deps;
+  std::vector<std::pair<ConditionalFd, std::vector<size_t>>> parsed_cfds;
 
   for (size_t ln = 1; ln < lines.size(); ++ln) {
     if (Trim(lines[ln]).empty()) continue;
@@ -281,12 +305,8 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
                                 ParseDependencyKind(f[1]));
       Dependency d;
       d.kind = kind;
-      for (const std::string& part : Split(f[2], ',')) {
-        if (Trim(part).empty()) continue;
-        auto i = ParseInt64(part);
-        if (!i || *i < 0) return Status::IoError("bad dep LHS");
-        d.lhs = d.lhs.With(static_cast<size_t>(*i));
-      }
+      std::vector<size_t> lhs;
+      if (!ParseIndexList(f[2], &lhs)) return Status::IoError("bad dep LHS");
       auto rhs = ParseInt64(f[3]);
       auto g3 = ParseDouble(f[4]);
       auto fanout = ParseInt64(f[5]);
@@ -297,8 +317,18 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
         eps_list.push_back(*e);
       }
       auto delta = ParseDouble(f[7]);
-      if (!rhs || !g3 || !fanout || eps_list.empty() || !delta) {
+      if (!rhs || !g3 || !fanout || eps_list.empty() || !delta ||
+          *rhs < 0 || *fanout < 0) {
         return Status::IoError("bad dep parameters");
+      }
+      // NaN fails every comparison, so it is turned away here too.
+      if (!(*g3 >= 0.0 && *g3 <= 1.0)) {
+        return Status::IoError("dep g3 error outside [0, 1]");
+      }
+      if (!IsThreshold(*delta) ||
+          !std::all_of(eps_list.begin(), eps_list.end(), IsThreshold)) {
+        return Status::IoError(
+            "dep epsilon or delta is negative, infinite or NaN");
       }
       d.rhs = static_cast<size_t>(*rhs);
       d.g3_error = *g3;
@@ -306,7 +336,7 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
       d.lhs_epsilon = eps_list[0];
       if (eps_list.size() > 1) d.lhs_epsilons = std::move(eps_list);
       d.rhs_delta = *delta;
-      pkg.dependencies.Add(d);
+      parsed_deps.emplace_back(std::move(d), std::move(lhs));
     } else if (tag == "cfd") {
       if (f.size() != 8) return Status::IoError("bad cfd record");
       ConditionalFd cfd;
@@ -314,12 +344,8 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
       if (!cond || *cond < 0) return Status::IoError("bad cfd condition");
       cfd.condition_attr = static_cast<size_t>(*cond);
       METALEAK_ASSIGN_OR_RETURN(cfd.condition_value, DecodeValue(f[2]));
-      for (const std::string& part : Split(f[3], ',')) {
-        if (Trim(part).empty()) continue;
-        auto i = ParseInt64(part);
-        if (!i || *i < 0) return Status::IoError("bad cfd LHS");
-        cfd.lhs = cfd.lhs.With(static_cast<size_t>(*i));
-      }
+      std::vector<size_t> lhs;
+      if (!ParseIndexList(f[3], &lhs)) return Status::IoError("bad cfd LHS");
       auto rhs = ParseInt64(f[4]);
       auto is_const = ParseInt64(f[5]);
       auto support = ParseInt64(f[7]);
@@ -330,7 +356,7 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
       cfd.rhs_is_constant = *is_const != 0;
       METALEAK_ASSIGN_OR_RETURN(cfd.rhs_value, DecodeValue(f[6]));
       cfd.support = static_cast<size_t>(*support);
-      pkg.conditional_fds.push_back(std::move(cfd));
+      parsed_cfds.emplace_back(std::move(cfd), std::move(lhs));
     } else if (tag == "dist") {
       if (f.size() < 4) return Status::IoError("bad dist record");
       auto idx = ParseInt64(f[1]);
@@ -398,6 +424,31 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
       return Status::IoError("dist index out of range");
     }
     pkg.distributions[idx] = std::move(dist);
+  }
+  // An index past the schema (or past AttributeSet's 64 bits, which
+  // With would shift out of its word) names no attribute.
+  const size_t m = std::min(pkg.schema.num_attributes(),
+                            AttributeSet::kMaxAttributes);
+  auto make_lhs = [m](const std::vector<size_t>& indices,
+                      AttributeSet* lhs) {
+    for (size_t i : indices) {
+      if (i >= m) return false;
+      *lhs = lhs->With(i);
+    }
+    return true;
+  };
+  for (auto& [dep, lhs] : parsed_deps) {
+    if (dep.rhs >= m || !make_lhs(lhs, &dep.lhs)) {
+      return Status::IoError("dep index out of range");
+    }
+    pkg.dependencies.Add(dep);
+  }
+  for (auto& [cfd, lhs] : parsed_cfds) {
+    if (cfd.condition_attr >= m || cfd.rhs >= m ||
+        !make_lhs(lhs, &cfd.lhs)) {
+      return Status::IoError("cfd index out of range");
+    }
+    pkg.conditional_fds.push_back(std::move(cfd));
   }
   return pkg;
 }

@@ -33,11 +33,15 @@
 namespace metaleak {
 namespace {
 
+// Every method, including the Full package the coalition attacks run:
+// its plan mixes classes, so one round can fold an FD over a column that
+// an ND derived (a real column full of ties).
 const std::vector<GenerationMethod> kAllMethods = {
     GenerationMethod::kRandom, GenerationMethod::kFd,
     GenerationMethod::kAfd,    GenerationMethod::kNd,
     GenerationMethod::kOd,     GenerationMethod::kDd,
     GenerationMethod::kOfd,    GenerationMethod::kCfd,
+    GenerationMethod::kFull,
 };
 
 // Asserts two experiment sweeps are bit-identical: EXPECT_EQ on doubles
@@ -149,10 +153,11 @@ TEST(LeakageCodepathTest, GoldenParityPlantedSynthetic) {
 
 // The e2e attack workload's fixture (bench_generation_perf's planted
 // relation) at 5k rows: a 16-value categorical base, a continuous base
-// on [0, 1000], a monotone derivation of it and a bounded-fanout
-// derivation of the categorical one. Profiled with the default options,
-// its FD/OD/ND plans key on the continuous column, so the real-column
-// radix rank and the composite fold run on a 5k-value key every round.
+// on [0, 1000], a continuous monotone derivation of it and a
+// bounded-fanout derivation of the categorical one. Profiled with the
+// default options, its FD/OD/ND/DD plans key on the continuous column, so
+// the real-column fold, radix rank and DD chain run on a 5k-value key
+// every round.
 TEST(LeakageCodepathTest, GoldenParityAttackFixture) {
   using Kind = datasets::SyntheticAttribute::Kind;
   datasets::SyntheticConfig config;
@@ -161,7 +166,10 @@ TEST(LeakageCodepathTest, GoldenParityAttackFixture) {
   config.attributes = {
       {.name = "a", .kind = Kind::kCategoricalBase, .domain_size = 16},
       {.name = "b", .kind = Kind::kContinuousBase, .lo = 0.0, .hi = 1000.0},
-      {.name = "c", .kind = Kind::kDerivedMonotone, .source = 1},
+      {.name = "c",
+       .kind = Kind::kDerivedMonotone,
+       .domain_size = 0,
+       .source = 1},
       {.name = "d",
        .kind = Kind::kDerivedBoundedFanout,
        .domain_size = 24,
@@ -177,6 +185,10 @@ TEST(LeakageCodepathTest, GoldenParityAttackFixture) {
     keyed_on_b |= dep.lhs.Contains(1);
   }
   ASSERT_TRUE(keyed_on_b) << "no disclosed dependency keys on b";
+  ASSERT_FALSE(report->metadata.dependencies
+                   .OfKind(DependencyKind::kDifferential)
+                   .empty())
+      << "no disclosed DD";
   CheckGoldenParity(*relation, report->metadata, 6);
 }
 

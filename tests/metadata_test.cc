@@ -388,6 +388,98 @@ TEST(MetadataPackageTest, DeserializeRejectsNonFiniteDistributionBound) {
   }
 }
 
+// A two-attribute package (x, y continuous on [0, 10]) followed by
+// `records`.
+std::string TwoAttributeText(const std::string& records) {
+  MetadataPackage pkg;
+  pkg.schema = Schema({{"x", DataType::kDouble, SemanticType::kContinuous},
+                       {"y", DataType::kDouble, SemanticType::kContinuous}});
+  pkg.domains = {Domain::Continuous(0.0, 10.0),
+                 Domain::Continuous(0.0, 10.0)};
+  return pkg.Serialize() + records;
+}
+
+// A dep record: kind, lhs list, rhs, g3, K, eps list, delta.
+std::string DepRecord(const std::string& kind, const std::string& lhs,
+                      const std::string& rhs, const std::string& g3,
+                      const std::string& fanout, const std::string& eps,
+                      const std::string& delta) {
+  return "dep\t" + kind + "\t" + lhs + "\t" + rhs + "\t" + g3 + "\t" +
+         fanout + "\t" + eps + "\t" + delta + "\n";
+}
+
+// A cfd record: condition attribute and value, lhs list, rhs, constant
+// flag, rhs value, support.
+std::string CfdRecord(const std::string& cond, const std::string& lhs,
+                      const std::string& rhs) {
+  return "cfd\t" + cond + "\td:1\t" + lhs + "\t" + rhs + "\t0\tn:\t3\n";
+}
+
+void ExpectIoError(const std::string& records) {
+  auto parsed = MetadataPackage::Deserialize(TwoAttributeText(records));
+  ASSERT_FALSE(parsed.ok()) << records;
+  EXPECT_TRUE(parsed.status().IsIoError()) << parsed.status().ToString();
+}
+
+TEST(MetadataPackageTest, DeserializeAcceptsWellFormedDependencyRecords) {
+  auto parsed = MetadataPackage::Deserialize(TwoAttributeText(
+      DepRecord("FD", "0", "1", "0", "0", "0", "0") +
+      DepRecord("AFD", "1", "0", "1", "0", "0", "0") +
+      DepRecord("ND", "0", "1", "0", "3", "0", "0") +
+      DepRecord("DD", "0", "1", "0", "0", "0.5", "2") +
+      DepRecord("DD", "0,1", "1", "0", "0", "0,1.5", "0") +
+      CfdRecord("0", "0", "1")));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->dependencies.size(), 5u);
+  EXPECT_EQ(parsed->dependencies.all()[0].lhs, AttributeSet::Of({0}));
+  EXPECT_EQ(parsed->dependencies.all()[3].lhs_epsilon, 0.5);
+  EXPECT_EQ(parsed->dependencies.all()[3].rhs_delta, 2.0);
+  ASSERT_EQ(parsed->conditional_fds.size(), 1u);
+  EXPECT_EQ(parsed->conditional_fds[0].lhs, AttributeSet::Of({0}));
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsIndicesOutsideTheSchema) {
+  // 70 would shift AttributeSet::With past its 64 bits (LHS {6}).
+  ExpectIoError(DepRecord("FD", "70", "1", "0", "0", "0", "0"));
+  ExpectIoError(DepRecord("FD", "2", "1", "0", "0", "0", "0"));
+  ExpectIoError(DepRecord("FD", "0", "2", "0", "0", "0", "0"));
+  ExpectIoError(DepRecord("DD", "0,64", "1", "0", "0", "0,0", "0"));
+  ExpectIoError(CfdRecord("0", "70", "1"));
+  ExpectIoError(CfdRecord("0", "0", "2"));
+  ExpectIoError(CfdRecord("2", "0", "1"));
+  // A record read before its attr records is checked against the whole
+  // schema, like a domain record.
+  auto early = MetadataPackage::Deserialize(
+      "metaleak-metadata v1\n" +
+      DepRecord("FD", "1", "0", "0", "0", "0", "0") +
+      "attr\tx\tdouble\tcontinuous\nattr\ty\tdouble\tcontinuous\n");
+  ASSERT_TRUE(early.ok()) << early.status().ToString();
+  EXPECT_EQ(early->dependencies.size(), 1u);
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsNegativeIndicesAndFanouts) {
+  ExpectIoError(DepRecord("FD", "0", "-3", "0", "0", "0", "0"));
+  ExpectIoError(DepRecord("FD", "-1", "1", "0", "0", "0", "0"));
+  ExpectIoError(DepRecord("ND", "0", "1", "0", "-2", "0", "0"));
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsBadDdThresholdsAndG3) {
+  // A NaN delta would draw every proximal step from the whole domain and
+  // a NaN epsilon would make no step proximal: DD would become Random.
+  for (const char* bad : {"-5", "nan", "inf", "-inf"}) {
+    SCOPED_TRACE(bad);
+    ExpectIoError(DepRecord("DD", "0", "1", "0", "0", bad, "1"));
+    ExpectIoError(DepRecord("DD", "0", "1", "0", "0", "1", bad));
+    ExpectIoError(
+        DepRecord("DD", "0,1", "1", "0", "0", std::string("1,") + bad, "1"));
+  }
+  // A NaN g3 never fires AFD's Bernoulli.
+  for (const char* bad : {"nan", "-0.1", "1.5", "inf"}) {
+    SCOPED_TRACE(bad);
+    ExpectIoError(DepRecord("AFD", "0", "1", bad, "0", "0", "0"));
+  }
+}
+
 TEST(MetadataPackageTest, RequireDomainsRejectsInvertedContinuousRange) {
   // A debug build stops an inverted range where it is built; a release
   // build lets a hand-built package carry one, and RequireDomains must

@@ -132,6 +132,45 @@ std::vector<Value> PoolFirstNdColumn(const std::vector<Value>& lhs_column,
   return out;
 }
 
+std::vector<Value> SortDdColumn(const std::vector<Value>& lhs_column,
+                                const Domain& domain, size_t num_rows,
+                                double lhs_epsilon, double rhs_delta,
+                                Rng* rng) {
+  METALEAK_DCHECK(domain.is_continuous());
+  METALEAK_DCHECK(lhs_column.size() == num_rows);
+  std::vector<size_t> order(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return lhs_column[a] < lhs_column[b];
+  });
+
+  std::vector<Value> out(num_rows);
+  double prev_x = 0.0;
+  double prev_y = 0.0;
+  bool has_prev = false;
+  for (size_t row : order) {
+    const double x =
+        lhs_column[row].is_numeric() ? lhs_column[row].AsNumeric() : 0.0;
+    double y;
+    if (has_prev && std::abs(x - prev_x) <= lhs_epsilon) {
+      double lo = std::max(domain.lo(), prev_y - rhs_delta);
+      double hi = std::min(domain.hi(), prev_y + rhs_delta);
+      if (lo > hi) {
+        lo = domain.lo();
+        hi = domain.hi();
+      }
+      y = rng->UniformDouble(lo, hi);
+    } else {
+      y = rng->UniformDouble(domain.lo(), domain.hi());
+    }
+    out[row] = Value::Real(y);
+    prev_x = x;
+    prev_y = y;
+    has_prev = true;
+  }
+  return out;
+}
+
 namespace {
 
 // One continuous attribute's eps-match and top-1 counts: every real row

@@ -1,6 +1,7 @@
 // Reference Monte-Carlo round kernels: the test oracles for the sampler,
 // the generators' rank and fold kernels, the radix sort and the
-// NN-linkage estimator, plus the pool-first ND generator.
+// NN-linkage estimator, plus the pool-first ND and std::sort DD
+// generators.
 //
 // Each function is the implementation the library used before those
 // kernels went linear: Floyd's algorithm over a std::unordered_set, ranks
@@ -9,9 +10,11 @@
 // statistics, and the NN-linkage adversary as a per-row binary search over
 // the sorted generated values. The library must reproduce them bit for
 // bit: the same draws in the same order, the same ranks, group ids and
-// counts. The ND generator is the exception: the library's lazy pools
-// draw in a different order, so the pool-first generator is an oracle
-// for the distribution only (tests/nd_distribution_test.cc).
+// counts. The ND and DD generators are the exceptions: the library's
+// lazy pools draw in a different order, and its DD chain takes tied LHS
+// rows in row order where std::sort leaves them in an unspecified one, so
+// these two are oracles for the distribution only
+// (tests/nd_distribution_test.cc, tests/dd_distribution_test.cc).
 #ifndef METALEAK_TESTS_REFERENCE_ROUND_KERNEL_REFERENCE_H_
 #define METALEAK_TESTS_REFERENCE_ROUND_KERNEL_REFERENCE_H_
 
@@ -57,6 +60,18 @@ void SortReals(std::vector<double>* xs);
 std::vector<Value> PoolFirstNdColumn(const std::vector<Value>& lhs_column,
                                      const Domain& domain, size_t num_rows,
                                      size_t max_fanout, Rng* rng);
+
+/// The std::sort DD generator: row ids sorted by LHS Value with
+/// std::sort, which leaves tied rows in an unspecified order, then the
+/// Markov interval walk in that order. A row whose LHS lies within
+/// `lhs_epsilon` of its predecessor's draws from the `rhs_delta` ball
+/// around the predecessor's RHS, clipped to the continuous `domain` (the
+/// whole domain if the clip is empty); any other row draws from the
+/// whole domain.
+std::vector<Value> SortDdColumn(const std::vector<Value>& lhs_column,
+                                const Domain& domain, size_t num_rows,
+                                double lhs_epsilon, double rhs_delta,
+                                Rng* rng);
 
 /// NN-linkage cells for every attribute of `real` against `batch`, laid
 /// out like NnLinkageEstimator's block: the eps-match column, then the
