@@ -11,15 +11,14 @@
 // BENCH_partition.json, including the width-2 sweep speedup at each row
 // count (the acceptance number is the 50k-row entry).
 //
-// Two further axes ride along. The SIMD axis forces the kernels to
-// scalar versus the best host level (AVX2 where the CPU has it) and
-// checks the outputs are bit-identical; only the bit-parallel
-// low-cardinality counting path is timed (the gather-bound
-// intersect/sweep timings it used to report sat at ~1.0x and were
-// retired). The sweep axis times the tiled counting sweep against the
-// cached-PLI extension sweep. The nested engine reads u32 code vectors,
-// as it did before the adaptive-width columns; they are widened once per
-// fixture so its timings exclude the copy.
+// Two parity checks ride along, untimed. The width-2 counting sweep
+// behind IdentifiableRows(cache, 2) must reproduce the extension sweep's
+// verdicts, and with the kernels forced to scalar versus the best host
+// level (AVX2 where the CPU has it) the intersections, the
+// low-cardinality counting queries and the sweep verdicts must be
+// bit-identical ("simd_parity"). The nested engine reads u32 code
+// vectors, as it did before the adaptive-width columns; they are widened
+// once per fixture so its timings exclude the copy.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -267,26 +266,10 @@ std::vector<double> CountingDigest(
   return digest;
 }
 
-double TimeCountingQueries(const std::vector<PositionListIndex>& singles) {
-  return TimeMs([&] {
-    double total = 0.0;
-    for (size_t a = 0; a < singles.size(); ++a) {
-      for (size_t b = 0; b < singles.size(); ++b) {
-        if (a == b) continue;
-        total += singles[a].G3Error(singles[b]);
-        total += static_cast<double>(singles[a].MaxFanout(singles[b]));
-      }
-    }
-    if (total < 0.0) std::abort();
-  });
-}
-
 int Main() {
   const std::vector<size_t> kRowCounts = {10000, 50000, 200000};
   std::vector<BenchRecord> records;
   double speedup_50k = 0.0;
-  double tiled_sweep_50k = 0.0;
-  double simd_lowcard_50k = 0.0;
   bool simd_parity_ok = true;
 
   for (size_t rows : kRowCounts) {
@@ -384,37 +367,27 @@ int Main() {
       if (!result.ok()) std::abort();
     });
 
-    // The tiled counting sweep behind IdentifiableRows(cache, 2): per-pair
-    // count tables walked in L2-sized row tiles instead of materialized
-    // pair partitions. Must agree with the extension sweep bit-for-bit.
+    // The counting sweep behind IdentifiableRows(cache, 2): per-pair
+    // count tables instead of materialized pair partitions. Must agree
+    // with the extension sweep bit-for-bit.
     {
       PliCache cache(&enc);
       auto extend = IdentifiableRowsForSubsets(cache, subsets);
-      auto tiled = IdentifiableRows(cache, 2);
-      if (!extend.ok() || !tiled.ok() || *extend != *tiled) {
-        std::fprintf(stderr, "parity FAILED: tiled sweep verdicts\n");
+      auto counted = IdentifiableRows(cache, 2);
+      if (!extend.ok() || !counted.ok() || *extend != *counted) {
+        std::fprintf(stderr, "parity FAILED: counting sweep verdicts\n");
         return 1;
       }
     }
-    double sweep_tiled = TimeMs([&] {
-      PliCache cache(&enc);
-      if (!IdentifiableRows(cache, 2).ok()) std::abort();
-    });
 
     const double speedup = sweep_rebuild / sweep_extend;
-    const double tiled_speedup = sweep_extend / sweep_tiled;
-    if (rows == 50000) {
-      speedup_50k = speedup;
-      tiled_sweep_50k = tiled_speedup;
-    }
+    if (rows == 50000) speedup_50k = speedup;
     std::printf("  build     nested %8.2f ms | csr %8.2f ms\n",
                 nested_build, csr_build);
     std::printf("  intersect nested %8.2f ms | csr %8.2f ms\n",
                 nested_intersect, csr_intersect);
-    std::printf(
-        "  sweep w2  rebuild %7.2f ms | extend %6.2f ms  (%.2fx) | tiled "
-        "%6.2f ms  (%.2fx)\n\n",
-        sweep_rebuild, sweep_extend, speedup, sweep_tiled, tiled_speedup);
+    std::printf("  sweep w2  rebuild %7.2f ms | extend %6.2f ms  (%.2fx)\n\n",
+                sweep_rebuild, sweep_extend, speedup);
 
     records.push_back({"build_singles", "nested", rows, nested_build});
     records.push_back({"build_singles", "csr", rows, csr_build});
@@ -422,14 +395,11 @@ int Main() {
     records.push_back({"intersect_pairs", "csr", rows, csr_intersect});
     records.push_back({"sweep_width2", "rebuild", rows, sweep_rebuild});
     records.push_back({"sweep_width2", "extend", rows, sweep_extend});
-    records.push_back({"sweep_width2", "tiled", rows, sweep_tiled});
 
-    // --- SIMD axis: the same CSR engine with the kernels forced to
+    // --- SIMD parity: the same CSR engine with the kernels forced to
     // scalar versus the best level the host supports. Outputs must be
-    // bit-identical; timings feed the speedup fields in the JSON.
-    // The low-cardinality fixture (domain 4, categorical only) drives
-    // the bit-parallel AND+popcount paths of G3Error / MaxFanout /
-    // Refines.
+    // bit-identical. The low-cardinality fixture (domain 4, categorical
+    // only) gives G3Error / MaxFanout / Refines few, large clusters.
     const SimdLevel best = SupportedSimdLevel();
     EncodedRelation lowcard = EncodedRelation::Encode(
         std::move(datasets::SyntheticUniform(rows, /*num_categorical=*/6,
@@ -448,7 +418,6 @@ int Main() {
     std::vector<PositionListIndex> lowcard_singles = WarmSingles(lowcard);
     const std::vector<double> scalar_lowcard_digest =
         CountingDigest(lowcard_singles);
-    const double scalar_lowcard_ms = TimeCountingQueries(lowcard_singles);
 
     SetSimdLevelOverride(best);
     if (PairDigest(csr_singles) != scalar_digest ||
@@ -465,18 +434,7 @@ int Main() {
         simd_parity_ok = false;
       }
     }
-    const double simd_lowcard_ms = TimeCountingQueries(lowcard_singles);
     ClearSimdLevelOverride();
-
-    const double sl = scalar_lowcard_ms / simd_lowcard_ms;
-    if (rows == 50000) simd_lowcard_50k = sl;
-    std::printf("  simd (%s) lowcard g3 %6.2f -> %6.2f ms (%.2fx)\n",
-                SimdLevelName(best), scalar_lowcard_ms, simd_lowcard_ms, sl);
-
-    records.push_back(
-        {"counting_lowcard", "scalar_kernels", rows, scalar_lowcard_ms});
-    records.push_back(
-        {"counting_lowcard", "simd_kernels", rows, simd_lowcard_ms});
   }
 
   std::ofstream json("BENCH_partition.json");
@@ -484,9 +442,7 @@ int Main() {
        << ",\n  \"sweep_width2_speedup_50k\": " << speedup_50k
        << ",\n  \"simd_parity\": \""
        << (simd_parity_ok ? "ok" : "MISMATCH")
-       << "\",\n  \"tiled_sweep_speedup_50k\": " << tiled_sweep_50k
-       << ",\n  \"simd_lowcard_speedup_50k\": " << simd_lowcard_50k
-       << ",\n  \"benchmarks\": [\n";
+       << "\",\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
     json << "    {\"op\": \"" << r.op << "\", \"layout\": \"" << r.layout

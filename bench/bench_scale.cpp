@@ -515,8 +515,7 @@ int Main() {
           // bias, (|D|-1)/(2N ln 2) bits to first order.
           const double K = static_cast<double>(dom.values().size());
           std::vector<uint32_t> counts(dom.values().size() + 1, 0);
-          HistogramCodes(ActiveSimdLevel(), p.pool[0].code_view(c),
-                         counts.size(), counts.data());
+          HistogramCodes(p.pool[0].code_view(c), counts.data());
           const double h_syn =
               ShannonEntropyBits(counts.data(), counts.size());
           const double bias_h = (K - 1.0) / (2.0 * n * kLn2);

@@ -13,7 +13,8 @@
 //      "pareto_frontier_points" >= 3 with distinct trade-offs.
 //   3. Coalition scaling: leakage as the attacker coalition grows from 1
 //      to 3 parties in a fully-connected 4-party federation, plus
-//      Align/train/attack wall-clock at 10k-50k rows.
+//      Align/train/attack wall-clock at 10k-50k rows. The timings go to
+//      the JSON only, so stdout is the same on every run of a build.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -426,15 +427,12 @@ int Main() {
                  scaling.status().ToString().c_str());
     return 1;
   }
-  TablePrinter scale_table("Wall-clock vs rows (3-party topology)");
-  scale_table.SetHeader(
-      {"Rows", "Intersection", "Align ms", "Train ms", "Attack ms"});
+  TablePrinter scale_table(
+      "Alignment vs rows (3-party topology; timings in BENCH_vfl.json)");
+  scale_table.SetHeader({"Rows", "Intersection"});
   for (const ScalingRecord& r : *scaling) {
-    scale_table.AddRow({std::to_string(r.rows),
-                        std::to_string(r.intersection),
-                        FormatDouble(r.align_ms, 1),
-                        FormatDouble(r.utility_ms, 1),
-                        FormatDouble(r.coalition_ms, 1)});
+    scale_table.AddRow(
+        {std::to_string(r.rows), std::to_string(r.intersection)});
   }
   scale_table.Print();
 

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <vector>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -84,11 +83,6 @@ void ScalarEpsilonBallMseCodedInto(const double* real,
   }
 }
 
-template <typename Code>
-void ScalarHistogramT(const Code* codes, size_t n, uint32_t* counts) {
-  for (size_t r = 0; r < n; ++r) ++counts[codes[r]];
-}
-
 void ScalarGatherI32(const int32_t* table, const uint32_t* idx, size_t n,
                      int32_t* out) {
   for (size_t k = 0; k < n; ++k) out[k] = table[idx[k]];
@@ -100,41 +94,6 @@ bool ScalarAllGatherEqualI32(const int32_t* table, const uint32_t* idx,
     if (table[idx[k]] != expect) return false;
   }
   return true;
-}
-
-template <typename Code>
-void ScalarAccumulateEqualT(const Code* a, const Code* b, size_t n,
-                            uint32_t* acc) {
-  for (size_t r = 0; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-void ScalarAccumulateEqualF64(const double* a, const double* b, size_t n,
-                              uint32_t* acc) {
-  for (size_t r = 0; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-void ScalarAccumulateEpsilonMatch(const double* real, const double* syn,
-                                  size_t n, double eps, uint32_t* acc) {
-  for (size_t r = 0; r < n; ++r) {
-    // NaN on either side fails the comparison, exactly like the skip
-    // predicate of the reference scan.
-    acc[r] += std::abs(real[r] - syn[r]) <= eps;
-  }
-}
-
-template <typename Code>
-void ScalarAccumulateEpsilonMatchCodedT(const double* real,
-                                        const Code* syn_codes,
-                                        const double* code_numeric, size_t n,
-                                        double eps, uint32_t* acc) {
-  for (size_t r = 0; r < n; ++r) {
-    acc[r] += std::abs(real[r] - code_numeric[syn_codes[r]]) <= eps;
-  }
-}
-
-template <typename Code>
-void ScalarAccumulateNonNullT(const Code* codes, size_t n, uint32_t* acc) {
-  for (size_t r = 0; r < n; ++r) acc[r] += codes[r] != 0;
 }
 
 #if METALEAK_SIMD_X86
@@ -337,217 +296,7 @@ __attribute__((target("avx2"))) bool Avx2AllGatherEqualI32(
   return true;
 }
 
-__attribute__((target("avx2"))) void Avx2AccumulateEqualU32(
-    const uint32_t* a, const uint32_t* b, size_t n, uint32_t* acc) {
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + r));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + r));
-    __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r));
-    vacc = _mm256_sub_epi32(vacc, _mm256_cmpeq_epi32(va, vb));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-__attribute__((target("avx2"))) void Avx2AccumulateEqualU16(
-    const uint16_t* a, const uint16_t* b, size_t n, uint32_t* acc) {
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    // Widen 8 codes per side in-register; the compare/accumulate is then
-    // exactly the u32 kernel reading half the bytes.
-    const __m256i va = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + r)));
-    const __m256i vb = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + r)));
-    __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r));
-    vacc = _mm256_sub_epi32(vacc, _mm256_cmpeq_epi32(va, vb));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-__attribute__((target("avx2"))) void Avx2AccumulateEqualU8(
-    const uint8_t* a, const uint8_t* b, size_t n, uint32_t* acc) {
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i va = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + r)));
-    const __m256i vb = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + r)));
-    __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r));
-    vacc = _mm256_sub_epi32(vacc, _mm256_cmpeq_epi32(va, vb));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-__attribute__((target("avx2"))) void Avx2AccumulateEpsilonBody(
-    const double* real, const double* syn, const void* syn_codes,
-    int code_width, const double* code_numeric, size_t n, double eps,
-    uint32_t* acc) {
-  const __m256d veps = _mm256_set1_pd(eps);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m256d vr = _mm256_loadu_pd(real + r);
-    __m256d vs;
-    if (syn != nullptr) {
-      vs = _mm256_loadu_pd(syn + r);
-    } else {
-      __m128i idx;
-      if (code_width == 4) {
-        idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-            static_cast<const uint32_t*>(syn_codes) + r));
-      } else if (code_width == 2) {
-        idx = _mm_cvtepu16_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(
-                static_cast<const uint16_t*>(syn_codes) + r)));
-      } else {
-        int packed;
-        std::memcpy(&packed, static_cast<const uint8_t*>(syn_codes) + r, 4);
-        idx = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(packed));
-      }
-      // Masked gather with a zeroed source: identical to the plain
-      // gather but avoids the _mm256_undefined_pd() the plain intrinsic
-      // expands to (GCC flags it -Wmaybe-uninitialized).
-      vs = _mm256_mask_i32gather_pd(
-          _mm256_setzero_pd(), code_numeric, idx,
-          _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-    }
-    const __m256d ad = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(vr, vs));
-    const int mask = _mm256_movemask_pd(_mm256_cmp_pd(ad, veps, _CMP_LE_OQ));
-    acc[r + 0] += (mask >> 0) & 1;
-    acc[r + 1] += (mask >> 1) & 1;
-    acc[r + 2] += (mask >> 2) & 1;
-    acc[r + 3] += (mask >> 3) & 1;
-  }
-  for (; r < n; ++r) {
-    const double sv = syn != nullptr
-                          ? syn[r]
-                          : code_numeric[CodeAtWidth(syn_codes, code_width, r)];
-    acc[r] += std::abs(real[r] - sv) <= eps;
-  }
-}
-
-__attribute__((target("avx2"))) void Avx2AccumulateEqualF64(
-    const double* a, const double* b, size_t n, uint32_t* acc) {
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const __m256d va = _mm256_loadu_pd(a + r);
-    const __m256d vb = _mm256_loadu_pd(b + r);
-    const int mask =
-        _mm256_movemask_pd(_mm256_cmp_pd(va, vb, _CMP_EQ_OQ));
-    acc[r + 0] += (mask >> 0) & 1;
-    acc[r + 1] += (mask >> 1) & 1;
-    acc[r + 2] += (mask >> 2) & 1;
-    acc[r + 3] += (mask >> 3) & 1;
-  }
-  for (; r < n; ++r) acc[r] += a[r] == b[r];
-}
-
-__attribute__((target("avx2"))) void Avx2AccumulateNonNull(
-    const uint32_t* codes, size_t n, uint32_t* acc) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi32(1);
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + r));
-    __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r));
-    vacc = _mm256_add_epi32(
-        vacc, _mm256_add_epi32(ones, _mm256_cmpeq_epi32(vc, zero)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += codes[r] != 0;
-}
-
-__attribute__((target("avx2"))) void Avx2AccumulateNonNullU16(
-    const uint16_t* codes, size_t n, uint32_t* acc) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi32(1);
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i vc = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + r)));
-    __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r));
-    vacc = _mm256_add_epi32(
-        vacc, _mm256_add_epi32(ones, _mm256_cmpeq_epi32(vc, zero)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += codes[r] != 0;
-}
-
-__attribute__((target("avx2"))) void Avx2AccumulateNonNullU8(
-    const uint8_t* codes, size_t n, uint32_t* acc) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi32(1);
-  size_t r = 0;
-  for (; r + 8 <= n; r += 8) {
-    const __m256i vc = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + r)));
-    __m256i vacc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + r));
-    vacc = _mm256_add_epi32(
-        vacc, _mm256_add_epi32(ones, _mm256_cmpeq_epi32(vc, zero)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r), vacc);
-  }
-  for (; r < n; ++r) acc[r] += codes[r] != 0;
-}
-
 #endif  // METALEAK_SIMD_X86
-
-// --- Sliced histogram ----------------------------------------------------
-
-// Gather-free counting with four interleaved count arrays: consecutive
-// codes hit different slices, breaking the store-forwarding stall the
-// naive ++counts[code] loop suffers on skewed data. Exact integer sums,
-// so the result is identical to the naive loop. Only worth the extra
-// memory on small dictionaries.
-constexpr uint32_t kHistogramSliceMaxCodes = 4096;
-
-template <typename Code>
-void SlicedHistogramT(const Code* codes, size_t n, uint32_t num_codes,
-                      uint32_t* counts) {
-  std::vector<uint32_t> sliced(size_t{4} * num_codes, 0);
-  uint32_t* s0 = sliced.data();
-  uint32_t* s1 = s0 + num_codes;
-  uint32_t* s2 = s1 + num_codes;
-  uint32_t* s3 = s2 + num_codes;
-  size_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    ++s0[codes[r + 0]];
-    ++s1[codes[r + 1]];
-    ++s2[codes[r + 2]];
-    ++s3[codes[r + 3]];
-  }
-  for (; r < n; ++r) ++s0[codes[r]];
-  for (uint32_t c = 0; c < num_codes; ++c) {
-    counts[c] += s0[c] + s1[c] + s2[c] + s3[c];
-  }
-}
-
-// Shared gate + dispatch for all three histogram widths.
-template <typename Code>
-void HistogramDispatchT(SimdLevel level, const Code* codes, size_t n,
-                        uint32_t num_codes, uint32_t* counts) {
-  // The slices only pay off when the 4x counts fit comfortably in cache
-  // and the scan is long enough to amortize the final merge.
-  if (level != SimdLevel::kScalar && num_codes > 0 &&
-      num_codes <= kHistogramSliceMaxCodes &&
-      n >= size_t{8} * num_codes) {
-    SlicedHistogramT(codes, n, num_codes, counts);
-    return;
-  }
-  ScalarHistogramT(codes, n, counts);
-}
 
 // --- Dispatch state ------------------------------------------------------
 
@@ -831,21 +580,6 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                                   eps, stats);
 }
 
-void HistogramU32(SimdLevel level, const uint32_t* codes, size_t n,
-                  uint32_t num_codes, uint32_t* counts) {
-  HistogramDispatchT(level, codes, n, num_codes, counts);
-}
-
-void HistogramU16(SimdLevel level, const uint16_t* codes, size_t n,
-                  uint32_t num_codes, uint32_t* counts) {
-  HistogramDispatchT(level, codes, n, num_codes, counts);
-}
-
-void HistogramU8(SimdLevel level, const uint8_t* codes, size_t n,
-                 uint32_t num_codes, uint32_t* counts) {
-  HistogramDispatchT(level, codes, n, num_codes, counts);
-}
-
 void GatherI32(SimdLevel level, const int32_t* table, const uint32_t* idx,
                size_t n, int32_t* out) {
 #if METALEAK_SIMD_X86
@@ -871,159 +605,6 @@ bool AllGatherEqualI32(SimdLevel level, const int32_t* table,
   return ScalarAllGatherEqualI32(table, idx, n, expect);
 }
 
-void AccumulateEqualU32(SimdLevel level, const uint32_t* a,
-                        const uint32_t* b, size_t n, uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateEqualU32(a, b, n, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateEqualT(a, b, n, acc);
-}
-
-void AccumulateEqualU16(SimdLevel level, const uint16_t* a,
-                        const uint16_t* b, size_t n, uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateEqualU16(a, b, n, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateEqualT(a, b, n, acc);
-}
-
-void AccumulateEqualU8(SimdLevel level, const uint8_t* a, const uint8_t* b,
-                       size_t n, uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateEqualU8(a, b, n, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateEqualT(a, b, n, acc);
-}
-
-void AccumulateEqualF64(SimdLevel level, const double* a, const double* b,
-                        size_t n, uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateEqualF64(a, b, n, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateEqualF64(a, b, n, acc);
-}
-
-void AccumulateEpsilonMatch(SimdLevel level, const double* real,
-                            const double* syn, size_t n, double eps,
-                            uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateEpsilonBody(real, syn, nullptr, 4, nullptr, n, eps, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateEpsilonMatch(real, syn, n, eps, acc);
-}
-
-namespace {
-
-template <typename Code>
-void AccumulateEpsilonMatchCodedDispatch(SimdLevel level, const double* real,
-                                         const Code* syn_codes,
-                                         const double* code_numeric,
-                                         size_t n, double eps,
-                                         uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateEpsilonBody(real, nullptr, syn_codes,
-                              static_cast<int>(sizeof(Code)), code_numeric,
-                              n, eps, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateEpsilonMatchCodedT(real, syn_codes, code_numeric, n, eps,
-                                     acc);
-}
-
-}  // namespace
-
-void AccumulateEpsilonMatchCoded(SimdLevel level, const double* real,
-                                 const uint32_t* syn_codes,
-                                 const double* code_numeric, size_t n,
-                                 double eps, uint32_t* acc) {
-  AccumulateEpsilonMatchCodedDispatch(level, real, syn_codes, code_numeric,
-                                      n, eps, acc);
-}
-
-void AccumulateEpsilonMatchCoded(SimdLevel level, const double* real,
-                                 const uint16_t* syn_codes,
-                                 const double* code_numeric, size_t n,
-                                 double eps, uint32_t* acc) {
-  AccumulateEpsilonMatchCodedDispatch(level, real, syn_codes, code_numeric,
-                                      n, eps, acc);
-}
-
-void AccumulateEpsilonMatchCoded(SimdLevel level, const double* real,
-                                 const uint8_t* syn_codes,
-                                 const double* code_numeric, size_t n,
-                                 double eps, uint32_t* acc) {
-  AccumulateEpsilonMatchCodedDispatch(level, real, syn_codes, code_numeric,
-                                      n, eps, acc);
-}
-
-void AccumulateNonNull(SimdLevel level, const uint32_t* codes, size_t n,
-                       uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateNonNull(codes, n, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateNonNullT(codes, n, acc);
-}
-
-void AccumulateNonNull(SimdLevel level, const uint16_t* codes, size_t n,
-                       uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateNonNullU16(codes, n, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateNonNullT(codes, n, acc);
-}
-
-void AccumulateNonNull(SimdLevel level, const uint8_t* codes, size_t n,
-                       uint32_t* acc) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2AccumulateNonNullU8(codes, n, acc);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarAccumulateNonNullT(codes, n, acc);
-}
-
 // --- Bit-parallel row sets -----------------------------------------------
 
 void BitsetOrInto(uint64_t* dst, const uint64_t* src, size_t words) {
@@ -1032,15 +613,6 @@ void BitsetOrInto(uint64_t* dst, const uint64_t* src, size_t words) {
 
 void BitsetOrNotInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t w = 0; w < words; ++w) dst[w] |= ~src[w];
-}
-
-size_t BitsetAndPopcount(const uint64_t* a, const uint64_t* b,
-                         size_t words) {
-  size_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<size_t>(__builtin_popcountll(a[w] & b[w]));
-  }
-  return count;
 }
 
 }  // namespace metaleak

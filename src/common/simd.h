@@ -30,15 +30,10 @@
 // the bench JSON metadata. Tests and benches can force a level
 // in-process with SetSimdLevelOverride.
 //
-// Bit-parallel row sets: cluster membership and identifiability bitmaps
-// are packed 64 rows to a word, so OR/AND-NOT merges and popcounts touch
-// 1/64th of the memory the byte bitmaps did. The word helpers have no
-// dispatch level — word-parallelism is available everywhere. Two
-// integer fast paths do follow the level: the bit-parallel counting
-// queries of the partition engine (G3Error / MaxFanout / Refines on
-// low-cardinality partitions) and the sliced histogram are gated off at
-// the scalar level, so METALEAK_SIMD=off measures the pure reference
-// engine.
+// Bit-parallel row sets: identifiability bitmaps are packed 64 rows to a
+// word, so OR/AND-NOT merges touch one word per 64 rows. The word
+// helpers have no dispatch level — word-parallelism is available
+// everywhere.
 #ifndef METALEAK_COMMON_SIMD_H_
 #define METALEAK_COMMON_SIMD_H_
 
@@ -167,20 +162,6 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              const double* code_numeric, size_t n,
                              double eps, EpsilonBallStats* stats);
 
-/// counts[codes[r]] += 1 for every r. counts has num_codes entries and is
-/// not cleared first. Codes must lie in [0, num_codes). Vector levels use
-/// a gather-free sliced accumulation that breaks the store-forwarding
-/// dependency chain of the naive loop on small dictionaries.
-void HistogramU32(SimdLevel level, const uint32_t* codes, size_t n,
-                  uint32_t num_codes, uint32_t* counts);
-
-/// Narrow-width histogram variants (same sliced accumulation, 1/4 or 1/2
-/// the bytes streamed).
-void HistogramU8(SimdLevel level, const uint8_t* codes, size_t n,
-                 uint32_t num_codes, uint32_t* counts);
-void HistogramU16(SimdLevel level, const uint16_t* codes, size_t n,
-                  uint32_t num_codes, uint32_t* counts);
-
 // --- Gather kernels ------------------------------------------------------
 
 /// out[k] = table[idx[k]] for k in [0, n): the probe-table gather of the
@@ -193,53 +174,6 @@ void GatherI32(SimdLevel level, const int32_t* table, const uint32_t* idx,
 /// of PositionListIndex::Refines. Index bound as in GatherI32.
 bool AllGatherEqualI32(SimdLevel level, const int32_t* table,
                        const uint32_t* idx, size_t n, int32_t expect);
-
-// --- Per-row accumulation kernels (tuple risk) ---------------------------
-
-/// acc[r] += (a[r] == b[r]) for r in [0, n).
-void AccumulateEqualU32(SimdLevel level, const uint32_t* a,
-                        const uint32_t* b, size_t n, uint32_t* acc);
-
-/// Narrow-width variants (codes widened in-register; 8 rows per AVX2
-/// iteration at 1/4 or 1/2 the bytes streamed).
-void AccumulateEqualU8(SimdLevel level, const uint8_t* a, const uint8_t* b,
-                       size_t n, uint32_t* acc);
-void AccumulateEqualU16(SimdLevel level, const uint16_t* a,
-                        const uint16_t* b, size_t n, uint32_t* acc);
-
-/// acc[r] += (a[r] == b[r]) under IEEE semantics (NaN never equal).
-void AccumulateEqualF64(SimdLevel level, const double* a, const double* b,
-                        size_t n, uint32_t* acc);
-
-/// acc[r] += (|real[r] - syn[r]| <= eps); NaN on either side never
-/// matches.
-void AccumulateEpsilonMatch(SimdLevel level, const double* real,
-                            const double* syn, size_t n, double eps,
-                            uint32_t* acc);
-
-/// Coded-synthetic variant: syn value of row r is
-/// code_numeric[syn_codes[r]]. Overloads per code width.
-void AccumulateEpsilonMatchCoded(SimdLevel level, const double* real,
-                                 const uint32_t* syn_codes,
-                                 const double* code_numeric, size_t n,
-                                 double eps, uint32_t* acc);
-void AccumulateEpsilonMatchCoded(SimdLevel level, const double* real,
-                                 const uint16_t* syn_codes,
-                                 const double* code_numeric, size_t n,
-                                 double eps, uint32_t* acc);
-void AccumulateEpsilonMatchCoded(SimdLevel level, const double* real,
-                                 const uint8_t* syn_codes,
-                                 const double* code_numeric, size_t n,
-                                 double eps, uint32_t* acc);
-
-/// acc[r] += (codes[r] != 0): the non-NULL cell count (code 0 is the
-/// reserved NULL slot). Overloads per code width.
-void AccumulateNonNull(SimdLevel level, const uint32_t* codes, size_t n,
-                       uint32_t* acc);
-void AccumulateNonNull(SimdLevel level, const uint16_t* codes, size_t n,
-                       uint32_t* acc);
-void AccumulateNonNull(SimdLevel level, const uint8_t* codes, size_t n,
-                       uint32_t* acc);
 
 // --- Bit-parallel row sets -----------------------------------------------
 //
@@ -264,12 +198,6 @@ void BitsetOrInto(uint64_t* dst, const uint64_t* src, size_t words);
 /// dst |= ~src, word-wise. Sets tail bits; callers re-mask the last word
 /// with BitsetTailMask afterwards.
 void BitsetOrNotInto(uint64_t* dst, const uint64_t* src, size_t words);
-
-/// Popcount of a & b without materializing the AND — the counting form
-/// of the cluster intersection (g3, fan-out, refinement checks need only
-/// the overlap size, never the rows).
-size_t BitsetAndPopcount(const uint64_t* a, const uint64_t* b,
-                         size_t words);
 
 /// Invokes fn(row) for every set bit, in ascending row order.
 template <typename Fn>

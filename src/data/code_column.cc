@@ -256,54 +256,10 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
   });
 }
 
-void AccumulateEqualCodes(SimdLevel level, const CodeColumnView& a,
-                          const CodeColumnView& b, uint32_t* acc) {
-  METALEAK_DCHECK(a.size == b.size);
-  if (a.width == b.width) {
-    switch (a.width) {
-      case CodeWidth::kU8:
-        AccumulateEqualU8(level, a.u8(), b.u8(), a.size, acc);
-        return;
-      case CodeWidth::kU16:
-        AccumulateEqualU16(level, a.u16(), b.u16(), a.size, acc);
-        return;
-      default:
-        AccumulateEqualU32(level, a.u32(), b.u32(), a.size, acc);
-        return;
-    }
-  }
-  for (size_t r = 0; r < a.size; ++r) acc[r] += a.at(r) == b.at(r);
-}
-
-void AccumulateEpsilonMatchCodes(SimdLevel level, const double* real,
-                                 const CodeColumnView& codes,
-                                 const double* code_numeric, double eps,
-                                 uint32_t* acc) {
-  codes.With([&](const auto* ptr) {
-    AccumulateEpsilonMatchCoded(level, real, ptr, code_numeric, codes.size,
-                                eps, acc);
+void HistogramCodes(const CodeColumnView& codes, uint32_t* counts) {
+  codes.With([&](const auto* p) {
+    for (size_t r = 0; r < codes.size; ++r) ++counts[p[r]];
   });
-}
-
-void AccumulateNonNullCodes(SimdLevel level, const CodeColumnView& codes,
-                            uint32_t* acc) {
-  codes.With(
-      [&](const auto* ptr) { AccumulateNonNull(level, ptr, codes.size, acc); });
-}
-
-void HistogramCodes(SimdLevel level, const CodeColumnView& codes,
-                    uint32_t num_codes, uint32_t* counts) {
-  switch (codes.width) {
-    case CodeWidth::kU8:
-      HistogramU8(level, codes.u8(), codes.size, num_codes, counts);
-      return;
-    case CodeWidth::kU16:
-      HistogramU16(level, codes.u16(), codes.size, num_codes, counts);
-      return;
-    default:
-      HistogramU32(level, codes.u32(), codes.size, num_codes, counts);
-      return;
-  }
 }
 
 }  // namespace metaleak

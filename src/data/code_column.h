@@ -205,9 +205,9 @@ class CodeColumn {
 // --- Width-dispatched kernel wrappers ------------------------------------
 //
 // Thin adapters from CodeColumnView to the typed kernels in
-// common/simd.h. Views of unequal width fall back to a widened scalar
-// compare (correct, slower) — the width-selection rule makes matched
-// widths the invariant case.
+// common/simd.h, plus the one counting loop every width shares. Views of
+// unequal width fall back to a widened scalar compare (correct, slower) —
+// the width-selection rule makes matched widths the invariant case.
 
 /// Number of rows where a.at(r) == b.at(r). Sizes must match.
 size_t CountEqualCodes(SimdLevel level, const CodeColumnView& a,
@@ -219,24 +219,9 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              const double* code_numeric, double eps,
                              EpsilonBallStats* stats);
 
-/// acc[r] += (a.at(r) == b.at(r)). Sizes must match.
-void AccumulateEqualCodes(SimdLevel level, const CodeColumnView& a,
-                          const CodeColumnView& b, uint32_t* acc);
-
-/// acc[r] += (|real[r] - code_numeric[codes.at(r)]| <= eps).
-void AccumulateEpsilonMatchCodes(SimdLevel level, const double* real,
-                                 const CodeColumnView& codes,
-                                 const double* code_numeric, double eps,
-                                 uint32_t* acc);
-
-/// acc[r] += (codes.at(r) != 0).
-void AccumulateNonNullCodes(SimdLevel level, const CodeColumnView& codes,
-                            uint32_t* acc);
-
-/// counts[codes.at(r)] += 1 for every row; counts has num_codes entries
-/// and is not cleared first.
-void HistogramCodes(SimdLevel level, const CodeColumnView& codes,
-                    uint32_t num_codes, uint32_t* counts);
+/// counts[codes.at(r)] += 1 for every row; counts has one entry per
+/// code and is not cleared first.
+void HistogramCodes(const CodeColumnView& codes, uint32_t* counts);
 
 }  // namespace metaleak
 

@@ -85,7 +85,6 @@ Result<GenerationContext> GenerationContext::Build(
     ctx.step_lhs_.emplace_back();
     const size_t target = step.attribute;
     const bool has_distribution =
-        options.use_distributions &&
         target < metadata.distributions.size() &&
         metadata.distributions[target].has_value();
     if (!has_distribution) continue;
@@ -241,7 +240,6 @@ Result<GenerationOutcome> GenerateSyntheticValuePath(
     const size_t target = step.attribute;
     const Domain& domain = domains[target];
     const bool has_distribution =
-        options.use_distributions &&
         target < metadata.distributions.size() &&
         metadata.distributions[target].has_value();
     if (!step.via.has_value()) {

@@ -40,11 +40,6 @@ struct GenerationOptions {
   std::vector<DependencyKind> allowed_kinds;
   /// Force pure random generation even if dependencies are disclosed.
   bool ignore_dependencies = false;
-  /// When the package discloses value distributions (the
-  /// kWithDistributions extension level), sample root attributes from
-  /// them instead of uniformly from the domain. The paper's model keeps
-  /// this off by assumption; the A6 ablation turns it on.
-  bool use_distributions = true;
 };
 
 /// Result of one generation run.

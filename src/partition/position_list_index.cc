@@ -121,10 +121,9 @@ PositionListIndex PositionListIndex::FromCodes(const CodeColumnView& codes,
 #ifndef NDEBUG
   for (size_t r = 0; r < n; ++r) METALEAK_DCHECK(codes.at(r) < num_codes);
 #endif
-  // Pass 1: occurrences per code (sliced counting on small dictionaries),
-  // streamed at the column's stored width.
+  // Pass 1: occurrences per code, streamed at the column's stored width.
   std::vector<uint32_t> counts(num_codes, 0);
-  HistogramCodes(ActiveSimdLevel(), codes, num_codes, counts.data());
+  HistogramCodes(codes, counts.data());
   // Cluster slots for codes occurring >= 2 times (ascending code order);
   // singletons are stripped. The prefix sums become the CSR offsets.
   std::vector<uint32_t> slot(num_codes, kNoSlot);
@@ -330,87 +329,9 @@ PositionListIndex PositionListIndex::Intersect(
                            num_rows_);
 }
 
-const std::vector<uint64_t>& PositionListIndex::cluster_bitmaps() const {
-  std::call_once(probe_->bitmaps_once, [this] {
-    METALEAK_DCHECK(num_clusters() <= kBitsetMaxClusters);
-    const size_t words = BitsetWords(num_rows_);
-    std::vector<uint64_t>& bits = probe_->bitmaps;
-    bits.assign(num_clusters() * words, 0);
-    for (size_t c = 0; c < num_clusters(); ++c) {
-      uint64_t* w = bits.data() + c * words;
-      for (size_t row : cluster(c)) {
-        w[row >> 6] |= uint64_t{1} << (row & 63);
-      }
-    }
-  });
-  return probe_->bitmaps;
-}
-
-bool PositionListIndex::BitsetCountingApplies(
-    const PositionListIndex& other, SimdLevel level) const {
-  // The counting queries (Refines / G3Error / MaxFanout) AND each
-  // cluster bitmap of this against every bitmap of `other` and popcount:
-  // ca * cb * words word operations, 64 rows per word, no per-row
-  // gathers. The gathered probe scan they replace touches every stripped
-  // row of this. The gate depends only on sizes and the dispatch level,
-  // and both paths produce identical integers, so either route yields
-  // the same answer.
-  if (level == SimdLevel::kScalar) return false;
-  const size_t ca = num_clusters();
-  const size_t cb = other.num_clusters();
-  if (ca == 0 || cb == 0 || ca > kBitsetMaxClusters ||
-      cb > kBitsetMaxClusters) {
-    return false;
-  }
-  const size_t words = BitsetWords(num_rows_);
-  return (ca + cb + ca * cb) * words < rows_.size();
-}
-
 bool PositionListIndex::Refines(const PositionListIndex& other,
                                 RowPair* witness) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
-  if (BitsetCountingApplies(other, ActiveSimdLevel())) {
-    // A cluster lies inside one class of `other` iff some other-cluster
-    // bitmap covers it entirely (an overlap equal to the cluster size).
-    // Any partial overlap means the cluster straddles two classes, and a
-    // cluster overlapping no bitmap consists of other-unique rows; both
-    // are violations (clusters are stripped, so size >= 2).
-    const size_t words = BitsetWords(num_rows_);
-    const std::vector<uint64_t>& abits = cluster_bitmaps();
-    const std::vector<uint64_t>& bbits = other.cluster_bitmaps();
-    const size_t cb = other.num_clusters();
-    for (size_t a = 0; a < num_clusters(); ++a) {
-      const uint64_t* aw = abits.data() + a * words;
-      const ClusterView cl = cluster(a);
-      bool covered = false;
-      for (size_t b = 0; b < cb; ++b) {
-        const size_t overlap =
-            BitsetAndPopcount(aw, bbits.data() + b * words, words);
-        if (overlap == cl.size()) {
-          covered = true;
-          break;
-        }
-        if (overlap > 0) break;  // straddles classes: violation
-      }
-      if (covered) continue;
-      if (witness != nullptr) {
-        // The first row's other-cluster, by bit test; an other-unique
-        // first row differs from every later row.
-        auto has = [&](size_t b, size_t row) {
-          return ((bbits[b * words + (row >> 6)] >> (row & 63)) & 1) != 0;
-        };
-        size_t home = 0;
-        while (home < cb && !has(home, cl[0])) ++home;
-        size_t i = 1;
-        if (home < cb) {
-          while (has(home, cl[i])) ++i;
-        }
-        *witness = {static_cast<Row>(cl[0]), static_cast<Row>(cl[i])};
-      }
-      return false;
-    }
-    return true;
-  }
   const std::vector<int32_t>& probe = other.probe_table();
   const SimdLevel gather_level = GatherLevel(num_rows_);
   for (const ClusterView cl : clusters()) {
@@ -437,34 +358,6 @@ bool PositionListIndex::Refines(const PositionListIndex& other,
 double PositionListIndex::G3Error(const PositionListIndex& other) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
   if (num_rows_ == 0) return 0.0;
-  if (BitsetCountingApplies(other, ActiveSimdLevel())) {
-    // Keep the majority other-class of each cluster; every other row is
-    // a violation. Overlap counts come from AND+popcount over the packed
-    // bitmaps, and rows in no other-cluster are other-unique (their own
-    // class of size 1). Integer-exact, so the result is bit-identical to
-    // the gathered scan below.
-    const size_t words = BitsetWords(num_rows_);
-    const std::vector<uint64_t>& abits = cluster_bitmaps();
-    const std::vector<uint64_t>& bbits = other.cluster_bitmaps();
-    const size_t cb = other.num_clusters();
-    size_t violations = 0;
-    for (size_t a = 0; a < num_clusters(); ++a) {
-      const uint64_t* aw = abits.data() + a * words;
-      const size_t size = cluster(a).size();
-      size_t max_count = 0;
-      size_t in_clusters = 0;
-      for (size_t b = 0; b < cb; ++b) {
-        const size_t overlap =
-            BitsetAndPopcount(aw, bbits.data() + b * words, words);
-        in_clusters += overlap;
-        if (overlap > max_count) max_count = overlap;
-      }
-      if (max_count == 0 && in_clusters < size) max_count = 1;
-      violations += size - max_count;
-    }
-    return static_cast<double>(violations) /
-           static_cast<double>(num_rows_);
-  }
   const std::vector<int32_t>& probe = other.probe_table();
   const size_t probe_clusters = other.num_clusters();
   // Per-cluster violation counts are independent; chunk the cluster list
@@ -510,30 +403,6 @@ double PositionListIndex::G3Error(const PositionListIndex& other) const {
 
 size_t PositionListIndex::MaxFanout(const PositionListIndex& other) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
-  if (BitsetCountingApplies(other, ActiveSimdLevel())) {
-    // Distinct other-classes in a cluster = other-clusters with a
-    // non-empty overlap, plus one class per row that is other-unique.
-    const size_t words = BitsetWords(num_rows_);
-    const std::vector<uint64_t>& abits = cluster_bitmaps();
-    const std::vector<uint64_t>& bbits = other.cluster_bitmaps();
-    const size_t cb = other.num_clusters();
-    size_t max_fanout = num_rows_ > 0 ? 1 : 0;
-    for (size_t a = 0; a < num_clusters(); ++a) {
-      const uint64_t* aw = abits.data() + a * words;
-      const size_t size = cluster(a).size();
-      size_t distinct = 0;
-      size_t in_clusters = 0;
-      for (size_t b = 0; b < cb; ++b) {
-        const size_t overlap =
-            BitsetAndPopcount(aw, bbits.data() + b * words, words);
-        in_clusters += overlap;
-        if (overlap > 0) ++distinct;
-      }
-      distinct += size - in_clusters;  // other-unique rows
-      if (distinct > max_fanout) max_fanout = distinct;
-    }
-    return max_fanout;
-  }
   const std::vector<int32_t>& probe = other.probe_table();
   const SimdLevel gather_level = GatherLevel(num_rows_);
   size_t max_fanout = num_rows_ > 0 ? 1 : 0;

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/simd.h"
 #include "data/code_column.h"
 #include "data/encoded_relation.h"
 #include "data/relation.h"
@@ -225,19 +224,6 @@ class PositionListIndex {
   static constexpr int32_t kUnique = -1;
   const std::vector<int32_t>& probe_table() const;
 
-  /// Largest cluster count for which the bit-parallel counting queries
-  /// apply (one bitmap per cluster; beyond this the AND sweep over all
-  /// cluster pairs stops paying for itself).
-  static constexpr size_t kBitsetMaxClusters = 64;
-
-  /// Per-cluster membership bitmaps, packed 64 rows to a word: bitmap c
-  /// occupies words [c * BitsetWords(num_rows), (c+1) * ...). Only built
-  /// for partitions with num_clusters() <= kBitsetMaxClusters (DCHECKed).
-  /// Lazily built and cached like the probe table; the bit-parallel
-  /// G3Error / MaxFanout / Refines paths AND these against the other
-  /// side's bitmaps and popcount, never touching row ids.
-  const std::vector<uint64_t>& cluster_bitmaps() const;
-
   /// Two rows of one relation; a failed refinement names one as its
   /// witness.
   struct RowPair {
@@ -253,8 +239,7 @@ class PositionListIndex {
   /// On failure, a non-null `witness` receives two rows that agree on
   /// this partition and lie in different classes of `other`: in the
   /// first violating cluster (stored order), its first row and the first
-  /// later row whose `other`-class differs. The bit-parallel and the
-  /// gathered path name the same pair.
+  /// later row whose `other`-class differs.
   bool Refines(const PositionListIndex& other,
                RowPair* witness = nullptr) const;
 
@@ -275,16 +260,7 @@ class PositionListIndex {
   struct ProbeState {
     std::once_flag once;
     std::vector<int32_t> table;
-    std::once_flag bitmaps_once;
-    std::vector<uint64_t> bitmaps;
   };
-
-  /// True when the bit-parallel counting path applies to a query of this
-  /// against `other` at the given dispatch level: both sides small enough
-  /// for per-cluster bitmaps and the AND sweep cheaper than the gathered
-  /// row scan.
-  bool BitsetCountingApplies(const PositionListIndex& other,
-                             SimdLevel level) const;
 
   PositionListIndex(std::vector<Row> rows, std::vector<uint32_t> offsets,
                     size_t num_rows);

@@ -63,93 +63,37 @@ std::vector<AttributeSet> SubsetsOfSize(size_t m, size_t k) {
 // that the counting pass's random increments stay cache-resident.
 constexpr size_t kPairTableMaxEntries = size_t{1} << 18;
 
-// Row-tile length for the counting sweep. Pairs sharing a left column
-// are processed group-wise with the row loop tiled, so one tile of the
-// shared left column (and each right column) is streamed through L2 once
-// per group rather than once per pair.
-constexpr size_t kSweepRowTile = size_t{1} << 15;
-
 // Marks rows unique under some pair of `pairs` (each (a, b), a < b,
-// table size within budget) into a packed bitmap. Exact integer
-// counting + OR accumulation: thread-count independent.
+// table size within budget) into a packed bitmap, one pool task per
+// pair. Exact integer counting + OR accumulation: thread-count
+// independent.
 std::vector<uint64_t> CountingPairSweep(
     const EncodedRelation& relation,
     const std::vector<std::pair<size_t, size_t>>& pairs) {
   const size_t n = relation.num_rows();
   const size_t words = BitsetWords(n);
-
-  // Group pairs by left attribute so each group's tile walk shares the
-  // left column's slice across every right column.
-  struct PairGroup {
-    size_t left = 0;
-    std::vector<size_t> rights;
-  };
-  std::vector<PairGroup> groups;
-  for (const auto& [a, b] : pairs) {
-    if (groups.empty() || groups.back().left != a) {
-      groups.push_back(PairGroup{a, {}});
-    }
-    groups.back().rights.push_back(b);
-  }
-
   std::vector<uint64_t> merged = ParallelReduce<std::vector<uint64_t>>(
-      0, groups.size(), 1, std::vector<uint64_t>{},
+      0, pairs.size(), 1, std::vector<uint64_t>{},
       [&](size_t lo, size_t hi) {
         std::vector<uint64_t> bits(words, 0);
-        std::vector<std::vector<uint32_t>> tables;
-        for (size_t g = lo; g < hi; ++g) {
-          const PairGroup& group = groups[g];
-          const CodeColumnView left = relation.column_view(group.left);
-          const size_t num_rights = group.rights.size();
-          std::vector<size_t> kb(num_rights);
-          tables.resize(num_rights);
-          for (size_t j = 0; j < num_rights; ++j) {
-            kb[j] = relation.dictionary(group.rights[j]).num_codes();
-            const size_t ka = relation.dictionary(group.left).num_codes();
-            tables[j].assign(ka * kb[j], 0);
-          }
-          // Counting pass, tiled: each row tile of the left column is
-          // reused across every pair in the group while hot.
-          for (size_t row0 = 0; row0 < n; row0 += kSweepRowTile) {
-            const size_t len = std::min(kSweepRowTile, n - row0);
-            const CodeColumnView lslice = left.Slice(row0, len);
-            for (size_t j = 0; j < num_rights; ++j) {
-              const CodeColumnView rslice =
-                  relation.column_view(group.rights[j]).Slice(row0, len);
-              uint32_t* table = tables[j].data();
-              const size_t stride = kb[j];
-              lslice.With([&](const auto* lp) {
-                rslice.With([&](const auto* rp) {
-                  for (size_t r = 0; r < len; ++r) {
-                    ++table[static_cast<size_t>(lp[r]) * stride + rp[r]];
-                  }
-                });
-              });
-            }
-          }
-          // Marking pass, same tile walk: count == 1 means the row's
-          // pair projection is unique.
-          for (size_t row0 = 0; row0 < n; row0 += kSweepRowTile) {
-            const size_t len = std::min(kSweepRowTile, n - row0);
-            const CodeColumnView lslice = left.Slice(row0, len);
-            for (size_t j = 0; j < num_rights; ++j) {
-              const CodeColumnView rslice =
-                  relation.column_view(group.rights[j]).Slice(row0, len);
-              const uint32_t* table = tables[j].data();
-              const size_t stride = kb[j];
-              lslice.With([&](const auto* lp) {
-                rslice.With([&](const auto* rp) {
-                  for (size_t r = 0; r < len; ++r) {
-                    if (table[static_cast<size_t>(lp[r]) * stride + rp[r]] ==
-                        1) {
-                      const size_t row = row0 + r;
-                      bits[row >> 6] |= uint64_t{1} << (row & 63);
-                    }
-                  }
-                });
-              });
-            }
-          }
+        std::vector<uint32_t> table;
+        for (size_t i = lo; i < hi; ++i) {
+          const auto [a, b] = pairs[i];
+          const size_t stride = relation.dictionary(b).num_codes();
+          table.assign(relation.dictionary(a).num_codes() * stride, 0);
+          relation.column_view(a).With([&](const auto* lp) {
+            relation.column_view(b).With([&](const auto* rp) {
+              for (size_t r = 0; r < n; ++r) {
+                ++table[static_cast<size_t>(lp[r]) * stride + rp[r]];
+              }
+              // count == 1 means the row's pair projection is unique.
+              for (size_t r = 0; r < n; ++r) {
+                if (table[static_cast<size_t>(lp[r]) * stride + rp[r]] == 1) {
+                  bits[r >> 6] |= uint64_t{1} << (r & 63);
+                }
+              }
+            });
+          });
         }
         return bits;
       },

@@ -12,7 +12,6 @@
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "common/radix_sort.h"
-#include "common/simd.h"
 #include "data/code_column.h"
 #include "metadata/dependency.h"
 
@@ -364,12 +363,12 @@ class InfoTheoreticBound : public BoundRiskEstimator {
     const size_t n = batch.num_rows();
     const uint32_t num_a = attr.real_num_codes;
     const uint32_t num_b = attr.syn_num_codes;
-    // Generated-side marginal via the SIMD histogram kernels; real-side
-    // marginal straight off the dictionary counts.
+    // Generated-side marginal by one counting pass; real-side marginal
+    // straight off the dictionary counts.
     thread_local std::vector<uint32_t> syn_counts;
     syn_counts.assign(num_b, 0);
     const CodeColumnView syn = batch.code_view(c);
-    HistogramCodes(ActiveSimdLevel(), syn, num_b, syn_counts.data());
+    HistogramCodes(syn, syn_counts.data());
     const double dn = static_cast<double>(n);
     double mi = 0.0;
     JointCounter& joint = ThreadJointCounter();

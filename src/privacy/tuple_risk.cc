@@ -8,7 +8,6 @@
 
 #include "common/parallel.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "data/domain.h"
@@ -97,11 +96,12 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
   // read column-major off the dense code vectors: code 0 is the reserved
   // NULL slot, so no Value is materialized.
   static_assert(ColumnDictionary::kNullCode == 0,
-                "AccumulateNonNull counts codes != 0");
+                "non-null cells are the codes != 0");
   std::vector<uint32_t> non_null(n, 0);
   for (size_t c = 0; c < m; ++c) {
-    AccumulateNonNullCodes(ActiveSimdLevel(), encoded.column_view(c),
-                           non_null.data());
+    encoded.column_view(c).With([&](const auto* codes) {
+      for (size_t r = 0; r < n; ++r) non_null[r] += codes[r] != 0;
+    });
   }
 
   std::vector<double> total_matched(n, 0.0);
@@ -158,37 +158,45 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
     if (gen_ctx.has_value()) {
       METALEAK_RETURN_NOT_OK(
           GenerateEncoded(*gen_ctx, n, &round_rng, &batch));
-      // Column-major scoring through the SIMD accumulation kernels: each
-      // chunk counts matched attributes per row one column at a time
-      // (exact integer counts, so the result is identical to the
-      // row-major cell loop), then finalizes its rows' accumulators.
-      const SimdLevel level = ActiveSimdLevel();
+      // Column-major scoring: each chunk counts matched attributes per
+      // row one column at a time (exact integer counts, so the result is
+      // identical to the row-major cell loop), then finalizes its rows'
+      // accumulators. NaN on either side of a real compare (NULL /
+      // non-numeric) never matches, exactly like the per-cell predicate.
       ParallelForChunks(0, n, 1024, [&](size_t lo, size_t hi) {
         const size_t len = hi - lo;
         std::vector<uint32_t> matched(len, 0);
         for (size_t c = 0; c < m; ++c) {
           const EncodedLeakageContext::AttributeView& v = views[c];
-          if (v.semantic == SemanticType::kCategorical) {
-            if (v.kind == EncodedBatch::ColumnKind::kCodes) {
-              AccumulateEqualCodes(level, v.real_codes.Slice(lo, len),
-                                   batch.code_view(c).Slice(lo, len),
-                                   matched.data());
+          if (v.kind == EncodedBatch::ColumnKind::kCodes) {
+            const CodeColumnView syn_codes = batch.code_view(c).Slice(lo, len);
+            if (v.semantic == SemanticType::kCategorical) {
+              v.real_codes.Slice(lo, len).With([&](const auto* real) {
+                syn_codes.With([&](const auto* syn) {
+                  for (size_t i = 0; i < len; ++i) {
+                    matched[i] += real[i] == syn[i];
+                  }
+                });
+              });
             } else {
-              // NaN real entries (NULL / non-numeric) never compare
-              // equal, exactly like the per-cell predicate.
-              AccumulateEqualF64(level, v.real_numeric + lo,
-                                 batch.reals(c).data() + lo, len,
-                                 matched.data());
+              const double* real = v.real_numeric + lo;
+              syn_codes.With([&](const auto* syn) {
+                for (size_t i = 0; i < len; ++i) {
+                  matched[i] +=
+                      std::abs(real[i] - v.code_numeric[syn[i]]) <= v.epsilon;
+                }
+              });
             }
-          } else if (v.kind == EncodedBatch::ColumnKind::kCodes) {
-            AccumulateEpsilonMatchCodes(level, v.real_numeric + lo,
-                                        batch.code_view(c).Slice(lo, len),
-                                        v.code_numeric, v.epsilon,
-                                        matched.data());
+            continue;
+          }
+          const double* real = v.real_numeric + lo;
+          const double* syn = batch.reals(c).data() + lo;
+          if (v.semantic == SemanticType::kCategorical) {
+            for (size_t i = 0; i < len; ++i) matched[i] += real[i] == syn[i];
           } else {
-            AccumulateEpsilonMatch(level, v.real_numeric + lo,
-                                   batch.reals(c).data() + lo, len,
-                                   v.epsilon, matched.data());
+            for (size_t i = 0; i < len; ++i) {
+              matched[i] += std::abs(real[i] - syn[i]) <= v.epsilon;
+            }
           }
         }
         for (size_t i = 0; i < len; ++i) {

@@ -131,19 +131,18 @@ TEST(DistributionDisclosureTest, UseDistributionsFlagControlsBehaviour) {
   auto report = ProfileRelation(real, options);
   ASSERT_TRUE(report.ok());
 
-  ExperimentConfig config;
-  config.rounds = 200;
+  // The package is the switch: a copy with its distributions cleared
+  // samples every root attribute uniformly from its domain.
+  MetadataPackage uniform = report->metadata;
+  uniform.distributions.clear();
   Rng rng_a(1);
   Rng rng_b(1);
-  GenerationOptions with;
-  with.ignore_dependencies = true;
-  GenerationOptions without = with;
-  without.use_distributions = false;
+  GenerationOptions random_only;
+  random_only.ignore_dependencies = true;
 
   auto gen_with =
-      GenerateSynthetic(report->metadata, 400, &rng_a, with);
-  auto gen_without =
-      GenerateSynthetic(report->metadata, 400, &rng_b, without);
+      GenerateSynthetic(report->metadata, 400, &rng_a, random_only);
+  auto gen_without = GenerateSynthetic(uniform, 400, &rng_b, random_only);
   ASSERT_TRUE(gen_with.ok() && gen_without.ok());
 
   auto leak_with = EvaluateLeakage(real, gen_with->relation);

@@ -844,9 +844,8 @@ std::vector<std::string> WitnessDump(const Relation& relation) {
 }
 
 // The witness is canonical: the same rows at the scalar and the best SIMD
-// level (Refines takes the bit-parallel path on AVX2 for these
-// few-cluster partitions, the gathered probe path on scalar), at pool
-// sizes 1, 3 and 8, and at u8, u16 and u32 code widths.
+// level (Refines' early-exit gather runs the AVX2 kernel on AVX2 hosts),
+// at pool sizes 1, 3 and 8, and at u8, u16 and u32 code widths.
 TEST(WitnessParityTest, SameWitnessAtEveryDispatchPoolAndWidth) {
   Result<Relation> few = datasets::SyntheticUniform(12000, 5, 2, 3, 7);
   Result<Relation> wide = datasets::SyntheticUniform(4000, 4, 2, 300, 8);
@@ -885,9 +884,10 @@ TEST(WitnessParityTest, SameWitnessAtEveryDispatchPoolAndWidth) {
   SetGlobalThreadCount(0);
 }
 
-// Refines names the same pair on both paths, and the pair splits: equal
-// on this partition, different classes of the other.
-TEST(WitnessParityTest, RefinesWitnessIsTheSameOnBothPaths) {
+// A failed Refines names the first violating cluster's first row and the
+// first later row of that cluster whose class differs: the pair agrees on
+// this partition and splits on the other.
+TEST(RefinesWitnessTest, NamesTheFirstSplitPair) {
   Rng rng(64);
   size_t failures = 0;
   for (int trial = 0; trial < 300; ++trial) {
@@ -905,20 +905,27 @@ TEST(WitnessParityTest, RefinesWitnessIsTheSameOnBothPaths) {
     }
     const PositionListIndex pa = PositionListIndex::FromCodes(a, ka);
     const PositionListIndex pb = PositionListIndex::FromCodes(b, kb);
-    SetSimdLevelOverride(SimdLevel::kScalar);
-    PositionListIndex::RowPair probe_witness;
-    const bool probe = pa.Refines(pb, &probe_witness);
-    SetSimdLevelOverride(SupportedSimdLevel());
-    PositionListIndex::RowPair best_witness;
-    const bool best = pa.Refines(pb, &best_witness);
-    ASSERT_EQ(probe, best) << "trial " << trial;
-    if (probe) continue;
+    // Rows share a class of pb iff their b codes are equal.
+    std::optional<PositionListIndex::RowPair> expect;
+    for (const auto cl : pa.clusters()) {
+      for (size_t i = 1; i < cl.size() && !expect.has_value(); ++i) {
+        if (b[cl[i]] != b[cl[0]]) {
+          expect = PositionListIndex::RowPair{
+              static_cast<PositionListIndex::Row>(cl[0]),
+              static_cast<PositionListIndex::Row>(cl[i])};
+        }
+      }
+      if (expect.has_value()) break;
+    }
+    PositionListIndex::RowPair witness;
+    const bool refines = pa.Refines(pb, &witness);
+    ASSERT_EQ(refines, !expect.has_value()) << "trial " << trial;
+    if (refines) continue;
     ++failures;
-    EXPECT_EQ(probe_witness, best_witness) << "trial " << trial;
-    EXPECT_EQ(a[probe_witness.first], a[probe_witness.second]);
-    EXPECT_NE(b[probe_witness.first], b[probe_witness.second]);
+    EXPECT_EQ(witness, *expect) << "trial " << trial;
+    EXPECT_EQ(a[witness.first], a[witness.second]);
+    EXPECT_NE(b[witness.first], b[witness.second]);
   }
-  ClearSimdLevelOverride();
   EXPECT_GT(failures, 30u);
 }
 

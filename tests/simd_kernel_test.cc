@@ -6,11 +6,11 @@
 // tail-remainder inputs, plus a randomized fuzz comparing each dispatch
 // level the host supports against the scalar reference — bitwise for
 // doubles, since the parity contract is byte-identical output. (2)
-// Consumer-level: the PLI engine (Intersect, plus Refines / G3Error /
-// MaxFanout including their bit-parallel low-cardinality paths), the
-// identifiability sweep, and the fused leakage scan are run with the
-// dispatch level forced to scalar and to the best supported level, at 1
-// and 8 threads, asserting identical results.
+// Consumer-level: the PLI engine (Intersect, Refines, G3Error and
+// MaxFanout over gathered probe ids), the identifiability sweep, and the
+// fused leakage scan are run with the dispatch level forced to scalar and
+// to the best supported level, at 1 and 8 threads, asserting identical
+// results.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -266,41 +266,6 @@ TEST(SimdKernelTest, EpsilonBallMseCodedFuzzBitwise) {
   }
 }
 
-TEST(SimdKernelTest, HistogramU32AddsWithoutClearing) {
-  const std::vector<uint32_t> codes = {0, 1, 1, 2, 2, 2, 0};
-  for (SimdLevel level : SupportedLevels()) {
-    std::vector<uint32_t> counts = {10, 20, 30};
-    HistogramU32(level, codes.data(), codes.size(), 3, counts.data());
-    EXPECT_EQ(counts, (std::vector<uint32_t>{12, 22, 33}))
-        << SimdLevelName(level);
-  }
-}
-
-TEST(SimdKernelTest, HistogramU32FuzzSmallAndLargeDictionaries) {
-  Rng rng(105);
-  // Small dictionaries take the sliced path on vector levels; large ones
-  // fall back to the naive loop. Both must agree with scalar exactly.
-  for (uint32_t num_codes : {1u, 3u, 16u, 4095u, 4097u, 9000u}) {
-    for (size_t n : {size_t{0}, size_t{7}, size_t{63}, size_t{4096},
-                     size_t{40000}}) {
-      std::vector<uint32_t> codes(n);
-      for (size_t r = 0; r < n; ++r) {
-        codes[r] = static_cast<uint32_t>(rng.UniformIndex(num_codes));
-      }
-      std::vector<uint32_t> expect(num_codes, 0);
-      HistogramU32(SimdLevel::kScalar, codes.data(), n, num_codes,
-                   expect.data());
-      for (SimdLevel level : SupportedLevels()) {
-        std::vector<uint32_t> got(num_codes, 0);
-        HistogramU32(level, codes.data(), n, num_codes, got.data());
-        EXPECT_EQ(got, expect)
-            << "num_codes=" << num_codes << " n=" << n
-            << " level=" << SimdLevelName(level);
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, GatherI32Fuzz) {
   Rng rng(106);
   const std::vector<int32_t> table = {-1, 5, -1, 9, 12, 0, -7, 3};
@@ -345,46 +310,6 @@ TEST(SimdKernelTest, AllGatherEqualI32Fuzz) {
   }
 }
 
-TEST(SimdKernelTest, AccumulateKernelsFuzz) {
-  Rng rng(109);
-  std::vector<double> code_numeric = {kNaN, 0.5, 3.5, 7.0};
-  for (size_t n : EdgeSizes()) {
-    std::vector<uint32_t> ua(n), ub(n), codes(n);
-    std::vector<double> da(n), db(n);
-    for (size_t r = 0; r < n; ++r) {
-      ua[r] = static_cast<uint32_t>(rng.UniformInt(0, 5));
-      ub[r] = static_cast<uint32_t>(rng.UniformInt(0, 5));
-      codes[r] = static_cast<uint32_t>(rng.UniformIndex(4));
-      da[r] = rng.Bernoulli(0.15) ? kNaN : rng.UniformDouble(0.0, 8.0);
-      db[r] = rng.Bernoulli(0.15) ? kNaN : rng.UniformDouble(0.0, 8.0);
-    }
-    // Prefill the accumulators so "+=" (not "=") semantics are checked.
-    std::vector<uint32_t> expect(n, 7);
-    AccumulateEqualU32(SimdLevel::kScalar, ua.data(), ub.data(), n,
-                       expect.data());
-    AccumulateEqualF64(SimdLevel::kScalar, da.data(), db.data(), n,
-                       expect.data());
-    AccumulateEpsilonMatch(SimdLevel::kScalar, da.data(), db.data(), n,
-                           1.0, expect.data());
-    AccumulateEpsilonMatchCoded(SimdLevel::kScalar, da.data(),
-                                codes.data(), code_numeric.data(), n, 1.0,
-                                expect.data());
-    AccumulateNonNull(SimdLevel::kScalar, ua.data(), n, expect.data());
-    for (SimdLevel level : SupportedLevels()) {
-      std::vector<uint32_t> got(n, 7);
-      AccumulateEqualU32(level, ua.data(), ub.data(), n, got.data());
-      AccumulateEqualF64(level, da.data(), db.data(), n, got.data());
-      AccumulateEpsilonMatch(level, da.data(), db.data(), n, 1.0,
-                             got.data());
-      AccumulateEpsilonMatchCoded(level, da.data(), codes.data(),
-                                  code_numeric.data(), n, 1.0, got.data());
-      AccumulateNonNull(level, ua.data(), n, got.data());
-      EXPECT_EQ(got, expect) << "n=" << n << " level="
-                             << SimdLevelName(level);
-    }
-  }
-}
-
 TEST(SimdKernelTest, BitsetHelpers) {
   EXPECT_EQ(BitsetWords(0), 0u);
   EXPECT_EQ(BitsetWords(1), 1u);
@@ -407,12 +332,11 @@ TEST(SimdKernelTest, BitsetHelpers) {
   bits[words - 1] &= BitsetTailMask(n);
   EXPECT_EQ(PopCount(bits), n - 3);
 
-  // AND + popcount, and ascending enumeration.
+  // Ascending enumeration.
   std::vector<uint64_t> other(words, 0);
   for (size_t row : {3u, 5u, 64u}) {
     other[row >> 6] |= uint64_t{1} << (row & 63);
   }
-  EXPECT_EQ(BitsetAndPopcount(in_cluster.data(), other.data(), words), 2u);
   std::vector<uint64_t> product(words);
   for (size_t w = 0; w < words; ++w) product[w] = in_cluster[w] & other[w];
   std::vector<size_t> rows;
@@ -459,9 +383,7 @@ std::vector<uint32_t> RandomCodes(size_t n, uint32_t num_codes, Rng* rng) {
 TEST_P(SimdConsumerParityTest, PliEngineMatchesScalar) {
   Rng rng(201);
   const size_t n = 5000;
-  // Domain 3/4 drives the bit-parallel counting paths of Refines /
-  // G3Error / MaxFanout; domain 40 stays on the gathered probe scans;
-  // the pair mixes them.
+  // Few-cluster (3/4), many-cluster (40/37) and mixed partitions.
   for (auto [ca, cb] : std::vector<std::pair<uint32_t, uint32_t>>{
            {3, 4}, {3, 40}, {40, 37}}) {
     const std::vector<uint32_t> codes_a = RandomCodes(n, ca, &rng);
@@ -632,14 +554,6 @@ TEST(SimdKernelTest, WidthVariantsAgreeOnCodeKernels) {
       // Reference: everything evaluated through the u32 views.
       const size_t ref_count =
           CountEqualCodes(level, a.views()[2], b.views()[2]);
-      std::vector<uint32_t> ref_hist(kNumCodes, 0);
-      HistogramCodes(level, a.views()[2], kNumCodes, ref_hist.data());
-      std::vector<uint32_t> ref_acc(n, 0);
-      AccumulateEqualCodes(level, a.views()[2], b.views()[2],
-                           ref_acc.data());
-      AccumulateNonNullCodes(level, a.views()[2], ref_acc.data());
-      AccumulateEpsilonMatchCodes(level, real.data(), a.views()[2],
-                                  numeric.data(), 1.5, ref_acc.data());
       EpsilonBallStats ref_ball;
       EpsilonBallMseCodedInto(level, real.data(), a.views()[2],
                               numeric.data(), 1.5, &ref_ball);
@@ -649,16 +563,7 @@ TEST(SimdKernelTest, WidthVariantsAgreeOnCodeKernels) {
           EXPECT_EQ(CountEqualCodes(level, av, bv), ref_count)
               << "n=" << n << " widths " << static_cast<int>(av.width)
               << "x" << static_cast<int>(bv.width);
-          std::vector<uint32_t> acc(n, 0);
-          AccumulateEqualCodes(level, av, bv, acc.data());
-          AccumulateNonNullCodes(level, av, acc.data());
-          AccumulateEpsilonMatchCodes(level, real.data(), av,
-                                      numeric.data(), 1.5, acc.data());
-          EXPECT_EQ(acc, ref_acc) << "n=" << n;
         }
-        std::vector<uint32_t> hist(kNumCodes, 0);
-        HistogramCodes(level, av, kNumCodes, hist.data());
-        EXPECT_EQ(hist, ref_hist) << "n=" << n;
         EpsilonBallStats ball;
         EpsilonBallMseCodedInto(level, real.data(), av, numeric.data(),
                                 1.5, &ball);
@@ -696,32 +601,19 @@ TEST(SimdKernelTest, WidthKernelsTileExactly) {
       EpsilonBallStats full;
       EpsilonBallMseCodedInto(level, real.data(), view, numeric.data(),
                               2.0, &full);
-      std::vector<uint32_t> full_acc(n, 0);
-      AccumulateEpsilonMatchCodes(level, real.data(), view, numeric.data(),
-                                  2.0, full_acc.data());
-      std::vector<uint32_t> full_hist(kNumCodes, 0);
-      HistogramCodes(level, view, kNumCodes, full_hist.data());
 
       EpsilonBallStats tiled;
-      std::vector<uint32_t> tiled_acc(n, 0);
-      std::vector<uint32_t> tiled_hist(kNumCodes, 0);
       size_t row = 0;
       for (size_t len : tile_sizes) {
         const CodeColumnView slice = view.Slice(row, len);
         EpsilonBallMseCodedInto(level, real.data() + row, slice,
                                 numeric.data(), 2.0, &tiled);
-        AccumulateEpsilonMatchCodes(level, real.data() + row, slice,
-                                    numeric.data(), 2.0,
-                                    tiled_acc.data() + row);
-        HistogramCodes(level, slice, kNumCodes, tiled_hist.data());
         row += len;
       }
       ASSERT_EQ(row, n);
       EXPECT_EQ(tiled.matches, full.matches);
       EXPECT_EQ(tiled.compared, full.compared);
       EXPECT_TRUE(BitEqual(tiled.sum_squares, full.sum_squares));
-      EXPECT_EQ(tiled_acc, full_acc);
-      EXPECT_EQ(tiled_hist, full_hist);
     }
   }
 }
