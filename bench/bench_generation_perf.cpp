@@ -1,15 +1,21 @@
-// Attack-pipeline bench: the dictionary-encoded code path (generation
-// into an EncodedBatch arena + leakage over translated codes) versus the
-// boxed-Value reference path, end to end through the experiment runner
-// at 10k-200k rows.
+// Attack-pipeline bench: the experiment runner's two ways of scoring a
+// round, end to end at 10k-200k rows. Every round generates on the code
+// path (GenerateEncoded into an EncodedBatch arena). The "code" axis
+// scores it with the fused leakage scan over translated codes; the
+// "value" axis (ExperimentConfig::use_value_path) times the decoded
+// round: the same generation, then MaterializeRelation and
+// EvaluateLeakage on the boxed relation.
 //
-// Before timing anything the bench asserts the two paths produce
+// Before timing anything the bench asserts the two axes produce
 // bit-identical experiment results (same per-round seeds, means,
-// stddevs, MSEs); any disagreement exits non-zero. Results go to
-// BENCH_generation.json, including the code-path speedup at each row
-// count (the acceptance number is the 50k-row entry). Three records time
-// one generator class alone: GenerateEncoded rounds on a plan that keeps
-// only that class's dependencies, one thread. nd_plan_zipf_100k runs the
+// stddevs, MSEs); any disagreement exits non-zero. The generated batches
+// themselves are held to the boxed-Value generator of tests/reference/
+// by tests/generation_oracle_test.cc. Results go to
+// BENCH_generation.json, including the fused-scan speedup over the
+// decoded round at each row count ("codepath_speedup_50k" is the 50k-row
+// entry). Three records time one generator class alone: GenerateEncoded
+// rounds on a plan that keeps only that class's dependencies, one
+// thread. nd_plan_zipf_100k runs the
 // ND-only plan of SyntheticZipfScale(100000, 21), the package the
 // deps_audit_100k workload profiles; dd_plan_50k and fd_plan_50k run the
 // DD-only and FD-only plans of the 50k-row planted fixture. Two more,
@@ -320,10 +326,11 @@ int Main() {
     std::printf("dataset: planted synthetic, %zu rows x %zu attrs\n",
                 fixture.real.num_rows(), fixture.real.num_columns());
 
-    // The speedup claim is vacuous unless the code path is live.
+    // Every method must generate: a package the code path cannot draw
+    // would fail both axes alike.
     auto ctx = GenerationContext::Build(fixture.metadata);
     if (!ctx.ok() || !ctx->encodable()) {
-      std::fprintf(stderr, "code path not live for the bench fixture\n");
+      std::fprintf(stderr, "bench fixture is not encodable\n");
       return 1;
     }
 
@@ -351,8 +358,8 @@ int Main() {
       return 1;
     }
     if (!BitIdentical(*code, *value)) {
-      std::fprintf(stderr, "parity FAILED at %zu rows: code path and "
-                           "value path disagree\n",
+      std::fprintf(stderr, "parity FAILED at %zu rows: the fused scan and "
+                           "the decoded round disagree\n",
                    size.rows);
       return 1;
     }

@@ -77,9 +77,10 @@ double StdDev(const std::vector<double>& xs);
 ///
 /// Folding the same values in the same order produces bit-identical
 /// results regardless of how they were computed, which the experiment
-/// runner relies on for its value-path / code-path parity guarantee:
-/// both paths feed their per-round statistics through this accumulator
-/// in ascending round order.
+/// runner relies on for its parity guarantee between the fused scan and
+/// EvaluateLeakage on the decoded batch: both scorers feed their
+/// per-round statistics through this accumulator in ascending round
+/// order.
 class WelfordAccumulator {
  public:
   void Add(double x);

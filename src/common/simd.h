@@ -20,7 +20,7 @@
 // squares in row order precisely so the MSE sum rounds exactly like the
 // sequential reference; see Avx2EpsilonBallMseBody in simd.cc).
 // Consumers therefore keep the library-wide bit-identical guarantees
-// (code path == value path, threads-1 == threads-8) at any dispatch
+// (fused scan == decoded scoring, threads-1 == threads-8) at any dispatch
 // level, and the golden-parity suites double as the gate for these
 // kernels.
 //

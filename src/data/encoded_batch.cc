@@ -98,9 +98,8 @@ Result<Relation> MaterializeRelation(const Schema& schema,
     }
   }
 
-  // Same physical-type relaxation as the value-path generator: generated
-  // values are domain samples, so continuous attributes become doubles
-  // regardless of the disclosed physical type.
+  // Generated values are domain samples, so continuous attributes become
+  // doubles regardless of the disclosed physical type.
   std::vector<Attribute> attrs = schema.attributes();
   for (size_t c = 0; c < m; ++c) {
     bool has_double = false;

@@ -107,10 +107,10 @@ std::vector<CodeWidth> CodeWidthsForDomains(const std::vector<Domain>& domains);
 std::vector<EncodedBatch::ColumnKind> ColumnKindsForDomains(
     const std::vector<Domain>& domains);
 
-/// Decodes a batch into a boxed-Value Relation over `schema`, applying
-/// the same physical-type relaxation the value-path generator performs
-/// (continuous domains produce doubles regardless of the disclosed
-/// type; mixed int/double columns coerce to double). `domains` must be
+/// Decodes a batch into a boxed-Value Relation over `schema`, relaxing
+/// the physical types to what the cells hold (continuous domains produce
+/// doubles regardless of the disclosed type; mixed int/double columns
+/// coerce to double). `domains` must be
 /// the generation domains the batch was coded against. This is the
 /// adapter boundary: Relation-returning public APIs call it once after
 /// the encoded generators finish.

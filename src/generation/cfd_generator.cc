@@ -1,144 +1,24 @@
 #include "generation/cfd_generator.h"
 
 #include <cmath>
+#include <string>
 #include <unordered_map>
-
-#include "common/macros.h"
 
 namespace metaleak {
 
-Result<Relation> ApplyCfds(const Relation& relation,
-                           const std::vector<ConditionalFd>& cfds,
-                           const std::vector<Domain>& domains, Rng* rng) {
-  if (rng == nullptr) return Status::Invalid("rng must not be null");
-  if (domains.size() != relation.num_columns()) {
-    return Status::Invalid("domains not parallel to schema");
-  }
-  for (const ConditionalFd& cfd : cfds) {
-    if (cfd.condition_attr >= relation.num_columns() ||
-        cfd.rhs >= relation.num_columns()) {
-      return Status::OutOfRange("CFD attribute out of range");
-    }
-    for (size_t i : cfd.lhs.ToIndices()) {
-      if (i >= relation.num_columns()) {
-        return Status::OutOfRange("CFD LHS attribute out of range");
-      }
-    }
-  }
-
-  std::vector<std::vector<Value>> columns;
-  columns.reserve(relation.num_columns());
-  for (size_t c = 0; c < relation.num_columns(); ++c) {
-    columns.push_back(relation.column(c));
-  }
-
-  // Bounded chase with single-writer cells: for every (row, attribute)
-  // at most one rule writes per pass — constant CFDs first (they pin the
-  // cell to a disclosed value), then variable CFDs in disclosure order.
-  // Applying one CFD can change cells another CFD's condition reads, so
-  // passes repeat until stable or the budget runs out. Rule sets mined
-  // from consistent data converge quickly; arbitrary interacting sets are
-  // repaired best-effort (full satisfaction is a constraint-satisfaction
-  // problem the adversary has no reason to solve exactly).
-  std::vector<size_t> order;  // constants first, then variables
-  for (size_t i = 0; i < cfds.size(); ++i) {
-    if (cfds[i].rhs_is_constant) order.push_back(i);
-  }
-  for (size_t i = 0; i < cfds.size(); ++i) {
-    if (!cfds[i].rhs_is_constant) order.push_back(i);
-  }
-  std::vector<std::unordered_map<size_t, Value>> mappings(cfds.size());
-  const size_t max_passes = 2 * relation.num_columns() + 4;
-  for (size_t pass = 0; pass < max_passes; ++pass) {
-    bool changed = false;
-    // written[r*m + a] marks cells already claimed this pass.
-    std::vector<bool> written(relation.num_rows() * relation.num_columns(),
-                              false);
-    const size_t m = relation.num_columns();
-    for (size_t oi : order) {
-      const ConditionalFd& cfd = cfds[oi];
-      for (size_t r = 0; r < relation.num_rows(); ++r) {
-        if (columns[cfd.condition_attr][r] != cfd.condition_value) {
-          continue;
-        }
-        if (written[r * m + cfd.rhs]) continue;  // cell already claimed
-        Value desired;
-        if (cfd.rhs_is_constant) {
-          desired = cfd.rhs_value;
-        } else {
-          size_t key = 0x811C9DC5u;
-          for (size_t i : cfd.lhs.ToIndices()) {
-            key ^= columns[i][r].Hash();
-            key *= 0x01000193u;
-          }
-          auto it = mappings[oi].find(key);
-          if (it == mappings[oi].end()) {
-            it = mappings[oi].emplace(key, domains[cfd.rhs].Sample(rng))
-                     .first;
-          }
-          desired = it->second;
-        }
-        written[r * m + cfd.rhs] = true;
-        if (columns[cfd.rhs][r] != desired) {
-          columns[cfd.rhs][r] = desired;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-
-  // Re-derive physical types: constants/mappings may change a column's
-  // value types (e.g. a string constant landing in an int column of the
-  // synthetic schema).
-  std::vector<Attribute> attrs = relation.schema().attributes();
-  for (size_t c = 0; c < columns.size(); ++c) {
-    bool has_double = false;
-    bool has_int = false;
-    bool has_string = false;
-    for (const Value& v : columns[c]) {
-      has_double |= v.is_double();
-      has_int |= v.is_int();
-      has_string |= v.is_string();
-    }
-    if (has_string && (has_int || has_double)) {
-      for (Value& v : columns[c]) {
-        if (!v.is_null() && !v.is_string()) v = Value::Str(v.ToString());
-      }
-      attrs[c].type = DataType::kString;
-    } else if (has_string) {
-      attrs[c].type = DataType::kString;
-    } else if (has_double && has_int) {
-      for (Value& v : columns[c]) {
-        if (v.is_int()) v = Value::Real(static_cast<double>(v.AsInt()));
-      }
-      attrs[c].type = DataType::kDouble;
-    } else if (has_double) {
-      attrs[c].type = DataType::kDouble;
-    } else if (has_int) {
-      attrs[c].type = DataType::kInt64;
-    }
-  }
-  return Relation::Make(Schema(std::move(attrs)), std::move(columns));
-}
-
 namespace {
 
-// Structurally-unique domain code for `v`: 0 matches, 1 match, or
-// ambiguous (only possible with duplicate domain entries).
-enum class CodeLookup { kNone, kUnique, kAmbiguous };
-
-CodeLookup LookupDomainCode(const Value& v, const std::vector<Value>& domain,
-                            uint32_t* code) {
-  bool found = false;
+// The code of the domain entry structurally equal to `v`; false when no
+// entry is. Entries are distinct (Domain::Categorical deduplicates them).
+bool LookupDomainCode(const Value& v, const std::vector<Value>& domain,
+                      uint32_t* code) {
   for (size_t i = 0; i < domain.size(); ++i) {
     if (domain[i] == v) {
-      if (found) return CodeLookup::kAmbiguous;
-      found = true;
       *code = static_cast<uint32_t>(i) + 1;
+      return true;
     }
   }
-  return found ? CodeLookup::kUnique : CodeLookup::kNone;
+  return false;
 }
 
 }  // namespace
@@ -162,21 +42,17 @@ Result<EncodedCfdPlan> BuildEncodedCfdPlan(
     }
   }
 
+  auto unrepresentable = [](const std::string& reason) {
+    return Status::Invalid("CFD repair cannot run on this package: " +
+                           reason);
+  };
   EncodedCfdPlan plan;
   plan.kinds_ = kinds;
-  auto mark_unsupported = [&plan](const char* reason) {
-    if (plan.supported_) {
-      plan.supported_ = false;
-      plan.fallback_reason_ = reason;
-    }
-  };
 
-  // The value path re-derives physical types after the chase (and the
-  // generator before it), *coercing cell values* when a column mixes
-  // ints with doubles or strings with numerics. That coercion is
-  // data-dependent per round and changes the Value hashes / equalities
-  // the chase itself observes, so a batch of fixed codes cannot mirror
-  // it: any domain that could produce such a mix forces the value path.
+  // A categorical domain that mixes ints with doubles, or strings with
+  // numbers, describes no relation (a Relation column holds one type),
+  // and decoding retypes its cells (ints to doubles), which would change
+  // the Value hashes and equalities the chase reads.
   if (!cfds.empty()) {
     for (size_t c = 0; c < m; ++c) {
       if (kinds[c] != EncodedBatch::ColumnKind::kCodes) continue;
@@ -190,7 +66,8 @@ Result<EncodedCfdPlan> BuildEncodedCfdPlan(
       }
       if ((has_int && has_double) ||
           (has_string && (has_int || has_double))) {
-        mark_unsupported("mixed-type domain under CFD repair");
+        return unrepresentable("mixed-type domain of attribute " +
+                               std::to_string(c));
       }
     }
   }
@@ -215,58 +92,48 @@ Result<EncodedCfdPlan> BuildEncodedCfdPlan(
 
     if (kinds[cfd.condition_attr] == EncodedBatch::ColumnKind::kCodes) {
       rule.condition_is_code = true;
-      switch (LookupDomainCode(cfd.condition_value,
-                               domains[cfd.condition_attr].values(),
-                               &rule.condition_code)) {
-        case CodeLookup::kUnique:
-          break;
-        case CodeLookup::kNone:
-          // The column only ever holds domain codes (and representable
-          // constants, which are domain codes too), so the condition can
-          // never match a cell — same as the value path never matching.
-          rule.never_fires = true;
-          break;
-        case CodeLookup::kAmbiguous:
-          mark_unsupported("duplicate domain entries under CFD repair");
-          break;
-      }
+      // The column only ever holds domain codes (constants are domain
+      // codes too), so a condition outside the domain never matches.
+      rule.never_fires = !LookupDomainCode(
+          cfd.condition_value, domains[cfd.condition_attr].values(),
+          &rule.condition_code);
+    } else if (cfd.condition_value.is_numeric()) {
+      // Real-stored cells are doubles; an Int64 condition (CFD discovery
+      // emits them for integer-typed continuous attributes) compares as
+      // its double.
+      rule.condition_real = cfd.condition_value.AsNumeric();
     } else {
-      // Real-stored cells are always doubles; any other condition type
-      // fails structural equality against every cell.
-      if (cfd.condition_value.is_double()) {
-        rule.condition_real = cfd.condition_value.AsNumeric();
-      } else {
-        rule.never_fires = true;
-      }
+      rule.never_fires = true;
     }
 
-    if (cfd.rhs_is_constant) {
-      if (!rule.never_fires) {
-        if (kinds[cfd.rhs] == EncodedBatch::ColumnKind::kCodes) {
-          if (LookupDomainCode(cfd.rhs_value, domains[cfd.rhs].values(),
-                               &rule.rhs_code) != CodeLookup::kUnique) {
-            mark_unsupported(
-                "CFD constant not representable in the target domain");
-          }
-        } else {
-          if (cfd.rhs_value.is_double() &&
-              !std::isnan(cfd.rhs_value.AsNumeric())) {
-            // A NaN constant would be a value to the value path's MSE but
-            // a skip marker to the encoded evaluator, so it falls back.
-            rule.rhs_real = cfd.rhs_value.AsNumeric();
-          } else {
-            mark_unsupported(
-                "non-double CFD constant on a continuous column");
-          }
-        }
-      }
-    } else {
-      if (kinds[cfd.rhs] == EncodedBatch::ColumnKind::kCodes) {
+    const bool rhs_is_code =
+        kinds[cfd.rhs] == EncodedBatch::ColumnKind::kCodes;
+    if (!cfd.rhs_is_constant) {
+      if (rhs_is_code) {
         rule.sample_k = domains[cfd.rhs].values().size();
       } else {
         rule.sample_lo = domains[cfd.rhs].lo();
         rule.sample_hi = domains[cfd.rhs].hi();
       }
+    } else if (rule.never_fires) {
+      // The constant is never written, so it needs no code.
+    } else if (rhs_is_code) {
+      if (!LookupDomainCode(cfd.rhs_value, domains[cfd.rhs].values(),
+                            &rule.rhs_code)) {
+        return unrepresentable("constant " + cfd.rhs_value.ToString() +
+                               " has no code in the domain of attribute " +
+                               std::to_string(cfd.rhs));
+      }
+    } else if (cfd.rhs_value.is_numeric() &&
+               !std::isnan(cfd.rhs_value.AsNumeric())) {
+      // An Int64 constant is written as its double, the value a double
+      // column relaxes it to. A NaN would be a skip marker to the
+      // leakage scan.
+      rule.rhs_real = cfd.rhs_value.AsNumeric();
+    } else {
+      return unrepresentable("constant " + cfd.rhs_value.ToString() +
+                             " on the continuous attribute " +
+                             std::to_string(cfd.rhs));
     }
     plan.rules_.push_back(std::move(rule));
   }
@@ -284,19 +151,15 @@ Result<EncodedCfdPlan> BuildEncodedCfdPlan(
 Status ApplyCfdsEncoded(const EncodedCfdPlan& plan, EncodedBatch* batch,
                         Rng* rng) {
   if (rng == nullptr) return Status::Invalid("rng must not be null");
-  if (!plan.supported_) {
-    return Status::Invalid("CFD plan is not encodable: " +
-                           plan.fallback_reason_);
-  }
   const size_t m = plan.kinds_.size();
   if (batch->num_columns() != m) {
     return Status::Invalid("batch layout does not match CFD plan");
   }
   const size_t n = batch->num_rows();
 
-  // Variable-CFD mappings persist across passes, exactly like the value
-  // path's `mappings`; they are keyed by the same FNV-of-Value::Hash fold
-  // so lookups (and collisions) replay identically.
+  // Variable-CFD mappings persist across passes. They are keyed by an FNV
+  // fold of the decoded LHS cells' Value::Hash, so lookups (and
+  // collisions) are those of the boxed chase.
   std::vector<std::unordered_map<size_t, uint32_t>> code_maps(
       plan.rules_.size());
   std::vector<std::unordered_map<size_t, double>> real_maps(

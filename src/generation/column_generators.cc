@@ -13,103 +13,6 @@ namespace metaleak {
 
 namespace {
 
-// Sorted distinct values of a column (Value total order).
-std::vector<Value> SortedDistinct(const std::vector<Value>& column) {
-  std::vector<Value> vals = column;
-  std::sort(vals.begin(), vals.end());
-  vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-  return vals;
-}
-
-// Local dictionary encoding of one generated column: codes[r] is the rank
-// of column[r] among the sorted distinct values. Pools and mappings below
-// index vectors by these dense codes instead of hashing `Value`s.
-std::vector<uint32_t> EncodeByRank(const std::vector<Value>& column,
-                                   const std::vector<Value>& distinct) {
-  std::vector<uint32_t> codes;
-  codes.reserve(column.size());
-  for (const Value& v : column) {
-    codes.push_back(static_cast<uint32_t>(
-        std::lower_bound(distinct.begin(), distinct.end(), v) -
-        distinct.begin()));
-  }
-  return codes;
-}
-
-// Folds the per-column codes of a composite LHS into one dense group id
-// per row (same fold as PositionListIndex::FromEncoded). The empty LHS
-// (constant FD {} -> A) yields a single group. Group ids are numbered by
-// first occurrence in row order, so lazy sampling keyed by id draws from
-// the RNG in exactly the row-scan order the Value-hash path used.
-std::pair<std::vector<uint32_t>, uint32_t> FoldLhsGroups(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    size_t num_rows) {
-  std::vector<uint32_t> ids(num_rows, 0);
-  uint32_t num_groups = 1;
-  FlatIdTable groups;
-  for (const std::vector<Value>* col : lhs_columns) {
-    std::vector<Value> distinct = SortedDistinct(*col);
-    std::vector<uint32_t> codes = EncodeByRank(*col, distinct);
-    groups.Reset(std::min<uint64_t>(
-        num_rows, static_cast<uint64_t>(num_groups) * distinct.size()));
-    for (size_t r = 0; r < num_rows; ++r) {
-      ids[r] = groups.IdOf(static_cast<uint64_t>(ids[r]) * distinct.size() +
-                           codes[r]);
-    }
-    num_groups = groups.size();
-  }
-  return {std::move(ids), num_groups};
-}
-
-// `count` non-decreasing order statistics over `domain`.
-std::vector<Value> SortedSamples(const Domain& domain, size_t count,
-                                 Rng* rng) {
-  std::vector<Value> out;
-  out.reserve(count);
-  if (domain.is_continuous()) {
-    std::vector<double> xs(count);
-    for (double& x : xs) x = rng->UniformDouble(domain.lo(), domain.hi());
-    std::sort(xs.begin(), xs.end());
-    for (double x : xs) out.push_back(Value::Real(x));
-    return out;
-  }
-  const std::vector<Value>& vals = domain.values();
-  METALEAK_DCHECK(!vals.empty());
-  std::vector<size_t> idx(count);
-  for (size_t& i : idx) i = rng->UniformIndex(vals.size());
-  std::sort(idx.begin(), idx.end());
-  for (size_t i : idx) out.push_back(vals[i]);
-  return out;
-}
-
-// `count` strictly increasing values where possible (see header).
-std::vector<Value> StrictSortedSamples(const Domain& domain, size_t count,
-                                       Rng* rng) {
-  if (domain.is_continuous()) {
-    // Continuous uniforms are distinct almost surely; re-draw collisions.
-    std::vector<double> xs(count);
-    for (double& x : xs) x = rng->UniformDouble(domain.lo(), domain.hi());
-    std::sort(xs.begin(), xs.end());
-    std::vector<Value> out;
-    out.reserve(count);
-    for (double x : xs) out.push_back(Value::Real(x));
-    return out;
-  }
-  const std::vector<Value>& vals = domain.values();
-  if (vals.size() >= count) {
-    std::vector<size_t> picked = rng->SampleWithoutReplacement(vals.size(),
-                                                               count);
-    std::sort(picked.begin(), picked.end());
-    std::vector<Value> out;
-    out.reserve(count);
-    for (size_t i : picked) out.push_back(vals[i]);
-    return out;
-  }
-  // Domain too small for a strict walk: forced transitions collapse to the
-  // non-decreasing assignment.
-  return SortedSamples(domain, count, rng);
-}
-
 // Per-thread scratch for the generators. The Monte-Carlo loop calls them
 // thousands of times; reusing the arenas makes every call after the
 // first allocation-free (same idiom as the PliCache scratch).
@@ -153,7 +56,7 @@ void BucketRowsByRank(const uint32_t* ranks, uint32_t distinct,
   }
 }
 
-// The ND kernel both twins call: writes out[r] for the LHS ranks
+// The ND kernel (Section IV-B): writes out[r] for the LHS ranks
 // ranks[0, num_rows) over `distinct` values. T is double for a
 // continuous domain and a code type (code = domain index + 1) for a
 // categorical one.
@@ -237,10 +140,10 @@ void LazyNdPools(const uint32_t* ranks, uint32_t distinct, size_t num_rows,
   }
 }
 
-// The DD kernel both twins call (Section IV-D): writes out[r] for the
-// LHS ranks ranks[0, num_rows) over `distinct` values. Rows are bucketed
-// by rank with a counting sort and walked in (LHS, row) order, so tied
-// rows take their steps in row order and the seed alone fixes the chain.
+// The DD kernel (Section IV-D): writes out[r] for the LHS ranks
+// ranks[0, num_rows) over `distinct` values. Rows are bucketed by rank
+// with a counting sort and walked in (LHS, row) order, so tied rows take
+// their steps in row order and the seed alone fixes the chain.
 // Each row draws one UniformDouble: from the rhs_delta ball around its
 // predecessor's RHS, clipped to the domain (the whole domain if the clip
 // is empty), when its LHS lies within lhs_epsilon of the predecessor's,
@@ -278,143 +181,6 @@ void DdChain(const uint32_t* ranks, uint32_t distinct, size_t num_rows,
 }
 
 }  // namespace
-
-std::vector<Value> GenerateRootColumn(const Domain& domain, size_t num_rows,
-                                      Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) out.push_back(domain.Sample(rng));
-  return out;
-}
-
-std::vector<Value> GenerateFdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  auto [ids, num_groups] = FoldLhsGroups(lhs_columns, num_rows);
-  // One lazily-sampled target per LHS group, indexed by dense group id.
-  std::vector<Value> mapping(num_groups, Value::Null());
-  std::vector<bool> sampled(num_groups, false);
-  for (size_t r = 0; r < num_rows; ++r) {
-    uint32_t id = ids[r];
-    if (!sampled[id]) {
-      mapping[id] = domain.Sample(rng);
-      sampled[id] = true;
-    }
-    out.push_back(mapping[id]);
-  }
-  return out;
-}
-
-std::vector<Value> GenerateAfdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, double g3_error, Rng* rng) {
-  std::vector<Value> out =
-      GenerateFdColumn(lhs_columns, domain, num_rows, rng);
-  // The epsilon fraction of correctly-scattered violations (Section IV-A):
-  // re-drawn rows are independent of the mapping.
-  for (size_t r = 0; r < num_rows; ++r) {
-    if (rng->Bernoulli(std::clamp(g3_error, 0.0, 1.0))) {
-      out[r] = domain.Sample(rng);
-    }
-  }
-  return out;
-}
-
-std::vector<Value> GenerateNdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    size_t max_fanout, Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  METALEAK_DCHECK(lhs_column.size() == num_rows);
-  const std::vector<Value> distinct = SortedDistinct(lhs_column);
-  const std::vector<uint32_t> ranks = EncodeByRank(lhs_column, distinct);
-  const uint32_t num_distinct = static_cast<uint32_t>(distinct.size());
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  if (domain.is_categorical()) {
-    std::vector<uint32_t> codes(num_rows);
-    LazyNdPools(ranks.data(), num_distinct, num_rows, domain, max_fanout,
-                rng, codes.data());
-    for (uint32_t code : codes) out.push_back(domain.values()[code - 1]);
-  } else {
-    std::vector<double> xs(num_rows);
-    LazyNdPools(ranks.data(), num_distinct, num_rows, domain, max_fanout,
-                rng, xs.data());
-    for (double x : xs) out.push_back(Value::Real(x));
-  }
-  return out;
-}
-
-namespace {
-
-std::vector<Value> GenerateOrderedColumn(const std::vector<Value>& lhs_column,
-                                         const Domain& domain,
-                                         size_t num_rows, bool strict,
-                                         Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  METALEAK_DCHECK(lhs_column.size() == num_rows);
-  std::vector<Value> distinct = SortedDistinct(lhs_column);
-  std::vector<Value> targets =
-      strict ? StrictSortedSamples(domain, distinct.size(), rng)
-             : SortedSamples(domain, distinct.size(), rng);
-  // Map the i-th smallest LHS value to the i-th order statistic: this is
-  // exactly the interval-partition assignment of Section IV-C and keeps
-  // the order dependency satisfied by construction. The rank codes *are*
-  // the mapping — targets is indexed directly by code.
-  std::vector<uint32_t> codes = EncodeByRank(lhs_column, distinct);
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  for (uint32_t code : codes) out.push_back(targets[code]);
-  return out;
-}
-
-}  // namespace
-
-std::vector<Value> GenerateOdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    Rng* rng) {
-  return GenerateOrderedColumn(lhs_column, domain, num_rows,
-                               /*strict=*/false, rng);
-}
-
-std::vector<Value> GenerateOfdColumn(const std::vector<Value>& lhs_column,
-                                     const Domain& domain, size_t num_rows,
-                                     Rng* rng) {
-  return GenerateOrderedColumn(lhs_column, domain, num_rows,
-                               /*strict=*/true, rng);
-}
-
-Result<std::vector<Value>> GenerateDdColumn(
-    const std::vector<Value>& lhs_column, const Domain& domain,
-    size_t num_rows, double lhs_epsilon, double rhs_delta, Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  if (domain.is_categorical()) {
-    return Status::TypeError(
-        "differential generation requires a continuous target domain");
-  }
-  if (lhs_column.size() != num_rows) {
-    return Status::Invalid("LHS column size mismatch");
-  }
-  const std::vector<Value> distinct = SortedDistinct(lhs_column);
-  const std::vector<uint32_t> ranks = EncodeByRank(lhs_column, distinct);
-  std::vector<double> ys(num_rows);
-  DdChain(
-      ranks.data(), static_cast<uint32_t>(distinct.size()), num_rows,
-      [&](uint32_t row) {
-        const Value& x = lhs_column[row];
-        return x.is_numeric() ? x.AsNumeric() : 0.0;
-      },
-      domain, lhs_epsilon, rhs_delta, rng, ys.data());
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  for (double y : ys) out.push_back(Value::Real(y));
-  return out;
-}
-
-// --- Encoded (code-path) generators --------------------------------------
 
 uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
                            size_t num_rows, std::vector<uint32_t>* ranks) {
@@ -489,7 +255,9 @@ uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
 
 namespace {
 
-// SortedSamples into s.target_codes / s.target_reals.
+// `count` non-decreasing order statistics over `domain`, into
+// s.target_codes (codes of i.i.d. domain indices, sorted) or
+// s.target_reals (i.i.d. uniform doubles, sorted).
 void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
                           GeneratorScratch& s) {
   if (domain.is_continuous()) {
@@ -511,7 +279,11 @@ void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
   }
 }
 
-// StrictSortedSamples into s.target_codes / s.target_reals.
+// `count` strictly increasing targets where the domain permits: a
+// categorical domain of at least `count` values is sampled without
+// replacement. Continuous draws are distinct almost surely; a smaller
+// categorical domain falls back to SortedSamplesEncoded's
+// non-decreasing assignment (the forced transitions of Section IV-E).
 void StrictSortedSamplesEncoded(const Domain& domain, size_t count,
                                 Rng* rng, GeneratorScratch& s) {
   if (domain.is_continuous()) {

@@ -26,6 +26,17 @@
 //
 // All functions assume uniform distributions — the paper's fundamental
 // assumption that value distributions are not disclosed.
+//
+// The generators emit dense domain codes (categorical domains: code i+1
+// means domain.values()[i], code 0 is NULL) or raw doubles (continuous
+// domains) straight into an EncodedBatch column. The batch must be
+// Configure()d with ColumnKindsForDomains of the generation domains and
+// ResetRows() to `num_rows` before any generator runs; LHS columns are
+// read back out of the same batch by index. Internal scratch (rank maps,
+// group ids, ND/DD row buckets) is thread-local and reused across calls,
+// which is what makes the Monte-Carlo loop allocation-free after the
+// first round on each worker thread. tests/reference/ keeps the boxed
+// `Value` versions of these generators as their oracle.
 #ifndef METALEAK_GENERATION_COLUMN_GENERATORS_H_
 #define METALEAK_GENERATION_COLUMN_GENERATORS_H_
 
@@ -35,75 +46,8 @@
 #include "common/result.h"
 #include "data/domain.h"
 #include "data/encoded_batch.h"
-#include "data/value.h"
 
 namespace metaleak {
-
-/// i.i.d. uniform draws from `domain` (random generation baseline).
-std::vector<Value> GenerateRootColumn(const Domain& domain, size_t num_rows,
-                                      Rng* rng);
-
-/// FD lhs -> target: one random mapping per distinct LHS key. `lhs_columns`
-/// holds the already generated LHS columns (possibly several for a
-/// composite LHS; an empty list models the constant-column FD {} -> A).
-std::vector<Value> GenerateFdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, Rng* rng);
-
-/// AFD: FD process + `g3_error` fraction of rows re-drawn independently.
-std::vector<Value> GenerateAfdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, double g3_error, Rng* rng);
-
-/// ND lhs ->(<=K) target: each distinct LHS value owns a pool of
-/// take = min(max(1, max_fanout), |Dom(Y)|) distinct domain values
-/// (`max_fanout` i.i.d. draws, a.s. distinct, for a continuous domain),
-/// and each row draws a slot of its group's pool uniformly. Pools fill
-/// lazily: rows are visited group by group in ascending LHS order, and a
-/// row that draws an empty slot fills it with a value its group has not
-/// used yet. That is the pool-first process's distribution at no more
-/// than 2 * num_rows draws (DESIGN.md section 15).
-std::vector<Value> GenerateNdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    size_t max_fanout, Rng* rng);
-
-/// OD lhs -> target: distinct LHS values (by Value order) are mapped to
-/// non-decreasing order statistics over the target domain.
-std::vector<Value> GenerateOdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    Rng* rng);
-
-/// OFD lhs -> target: like OD but strictly increasing where the domain
-/// permits (categorical domains smaller than the LHS distinct count fall
-/// back to non-decreasing, mirroring the forced transitions the paper
-/// describes for exhausted partitions).
-std::vector<Value> GenerateOfdColumn(const std::vector<Value>& lhs_column,
-                                     const Domain& domain, size_t num_rows,
-                                     Rng* rng);
-
-/// DD: Markov interval process along the LHS order; rows whose LHS is
-/// within `lhs_epsilon` of the previous row draw from a `rhs_delta` ball
-/// around the previous RHS value. The chain visits rows in (LHS, row)
-/// order: ascending LHS value, tied rows in row order, one UniformDouble
-/// each. Requires a continuous target domain.
-Result<std::vector<Value>> GenerateDdColumn(
-    const std::vector<Value>& lhs_column, const Domain& domain,
-    size_t num_rows, double lhs_epsilon, double rhs_delta, Rng* rng);
-
-/// --- Encoded (code-path) generators ------------------------------------
-///
-/// Mirrors of the generators above that emit dense domain codes
-/// (categorical domains: code i+1 means domain.values()[i], code 0 is
-/// NULL) or raw doubles (continuous domains) straight into an
-/// EncodedBatch column. Each mirror consumes the RNG in *exactly* the
-/// same sequence as its boxed-Value twin, so decoding the batch
-/// reproduces the Value column bit for bit. The batch must be
-/// Configure()d with ColumnKindsForDomains of the generation domains and
-/// ResetRows() to `num_rows` before any generator runs; LHS columns are
-/// read back out of the same batch by index. Internal scratch (rank
-/// maps, group ids, ND/DD row buckets) is thread-local and reused across
-/// calls, which is what makes the Monte-Carlo loop allocation-free after
-/// the first round on each worker thread.
 
 /// Dense ascending ranks of batch column `col` over rows [0, num_rows)
 /// into (*ranks)[0, num_rows): code columns rank by code, real columns by
@@ -125,45 +69,63 @@ uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
                               const std::vector<size_t>& lhs_columns,
                               size_t num_rows, std::vector<uint32_t>* ids);
 
-/// Root: i.i.d. uniform draws from the domain.
+/// Root: i.i.d. uniform draws from the domain (random generation
+/// baseline), one per row in row order.
 void GenerateRootColumnEncoded(const Domain& domain, size_t num_rows,
                                Rng* rng, EncodedBatch* batch,
                                size_t target);
 
-/// FD: one lazily-sampled target per distinct LHS group (empty
-/// `lhs_columns` models the constant FD {} -> A).
+/// FD: one random mapping per distinct LHS key, drawn lazily at the key's
+/// first row (FoldLhsGroupsEncoded's ids). Empty `lhs_columns` models the
+/// constant-column FD {} -> A.
 void GenerateFdColumnEncoded(const std::vector<size_t>& lhs_columns,
                              const Domain& domain, size_t num_rows,
                              Rng* rng, EncodedBatch* batch, size_t target);
 
-/// AFD: the FD process + a g3 fraction of rows re-drawn independently.
+/// AFD: the FD process, then each row re-drawn from the domain with
+/// probability `g3_error` (one Bernoulli per row, in row order).
 void GenerateAfdColumnEncoded(const std::vector<size_t>& lhs_columns,
                               const Domain& domain, size_t num_rows,
                               double g3_error, Rng* rng,
                               EncodedBatch* batch, size_t target);
 
-/// ND: GenerateNdColumn's lazy pools over the ranks of batch column
-/// `lhs_column`. Both run one kernel, so they draw alike by construction.
+/// ND lhs ->(<=K) target over the ranks of batch column `lhs_column`:
+/// each distinct LHS value owns a pool of take = min(max(1, max_fanout),
+/// |Dom(Y)|) distinct domain values (`max_fanout` i.i.d. draws, a.s.
+/// distinct, for a continuous domain), and each row draws a slot of its
+/// group's pool uniformly. Pools fill lazily: rows are visited group by
+/// group in ascending LHS order, and a row that draws an empty slot fills
+/// it with a value its group has not used yet. That is the pool-first
+/// process's distribution at no more than 2 * num_rows draws (DESIGN.md
+/// section 15).
 void GenerateNdColumnEncoded(size_t lhs_column, const Domain& domain,
                              size_t num_rows, size_t max_fanout, Rng* rng,
                              EncodedBatch* batch, size_t target);
 
-/// OD: distinct LHS ranks mapped to non-decreasing order statistics.
+/// OD lhs -> target: the i-th smallest distinct LHS value maps to the
+/// i-th of as many non-decreasing order statistics over the target
+/// domain (sorted i.i.d. draws), which satisfies the OD by construction.
 void GenerateOdColumnEncoded(size_t lhs_column, const Domain& domain,
                              size_t num_rows, Rng* rng, EncodedBatch* batch,
                              size_t target);
 
-/// OFD: like OD but strictly increasing where the domain permits.
+/// OFD lhs -> target: like OD but strictly increasing where the domain
+/// permits. A categorical domain smaller than the LHS distinct count
+/// falls back to non-decreasing, mirroring the forced transitions the
+/// paper describes for exhausted partitions.
 void GenerateOfdColumnEncoded(size_t lhs_column, const Domain& domain,
                               size_t num_rows, Rng* rng,
                               EncodedBatch* batch, size_t target);
 
-/// DD: GenerateDdColumn's chain over the ranks of batch column
-/// `lhs_column`; both run one kernel. `lhs_code_numeric` is the per-code
-/// numeric view of the LHS column's domain (code -> AsNumeric, 0.0 for
-/// non-numeric entries) when the LHS is code-stored; unused for a
-/// real-stored LHS. TypeError for a categorical target domain, exactly
-/// like the Value twin (the engine falls back to a root draw).
+/// DD: Markov interval process along the LHS order; rows whose LHS is
+/// within `lhs_epsilon` of the previous row's draw from a `rhs_delta`
+/// ball around the previous RHS value. The chain visits rows in
+/// (LHS, row) order over the ranks of batch column `lhs_column`:
+/// ascending LHS value, tied rows in row order, one UniformDouble each.
+/// `lhs_code_numeric` is the per-code numeric view of the LHS column's
+/// domain (code -> AsNumeric, 0.0 for non-numeric entries) when the LHS
+/// is code-stored; unused for a real-stored LHS. TypeError for a
+/// categorical target domain (GenerateEncoded draws a root column then).
 Status GenerateDdColumnEncoded(size_t lhs_column, const Domain& domain,
                                const std::vector<double>& lhs_code_numeric,
                                size_t num_rows, double lhs_epsilon,

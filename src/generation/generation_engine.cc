@@ -37,12 +37,12 @@ bool MapDistValuesToCodes(const std::vector<Value>& values,
 }  // namespace
 
 uint32_t GenerationContext::DistSampler::SampleCode(Rng* rng) const {
-  // Mirrors ValueDistribution::Sample (categorical branch) draw-for-draw.
+  // ValueDistribution::Sample's categorical branch, draw for draw.
   return codes[DrawCumulative(cumulative, rng)];
 }
 
 double GenerationContext::DistSampler::SampleReal(Rng* rng) const {
-  // Mirrors ValueDistribution::Sample (continuous branch) draw-for-draw.
+  // ValueDistribution::Sample's continuous branch, draw for draw.
   const size_t bucket = DrawCumulative(cumulative, rng);
   double width = (hi - lo) / static_cast<double>(cumulative.size());
   double bucket_lo = lo + width * static_cast<double>(bucket);
@@ -189,8 +189,8 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
             lhs[0], domain, ctx.code_numeric_[lhs[0]], num_rows,
             dep.lhs_epsilon, dep.rhs_delta, rng, batch, target);
         if (!st.ok()) {
-          // Same fallback as the value path: a DD onto a categorical RHS
-          // cannot drive generation; draw from the domain instead.
+          // A DD onto a categorical RHS cannot drive generation; draw
+          // from the domain instead.
           GenerateRootColumnEncoded(domain, num_rows, rng, batch, target);
         }
         break;
@@ -208,130 +208,11 @@ Result<GenerationOutcome> GenerateSynthetic(
   }
   METALEAK_ASSIGN_OR_RETURN(GenerationContext ctx,
                             GenerationContext::Build(metadata, options));
-  if (!ctx.encodable()) {
-    return GenerateSyntheticValuePath(metadata, num_rows, rng, options);
-  }
   thread_local EncodedBatch batch;
   METALEAK_RETURN_NOT_OK(GenerateEncoded(ctx, num_rows, rng, &batch));
   METALEAK_ASSIGN_OR_RETURN(
       Relation rel, MaterializeRelation(ctx.schema(), ctx.domains(), batch));
   return GenerationOutcome{std::move(rel), ctx.plan()};
-}
-
-Result<GenerationOutcome> GenerateSyntheticValuePath(
-    const MetadataPackage& metadata, size_t num_rows, Rng* rng,
-    const GenerationOptions& options) {
-  if (rng == nullptr) {
-    return Status::Invalid("rng must not be null");
-  }
-  METALEAK_ASSIGN_OR_RETURN(std::vector<Domain> domains,
-                            metadata.RequireDomains());
-  const size_t m = metadata.schema.num_attributes();
-
-  DependencySet usable;
-  if (!options.ignore_dependencies) {
-    usable = metadata.dependencies;
-  }
-  DependencyGraph plan =
-      DependencyGraph::Build(m, usable, options.allowed_kinds);
-
-  std::vector<std::vector<Value>> columns(m);
-  for (const GenerationStep& step : plan.steps()) {
-    const size_t target = step.attribute;
-    const Domain& domain = domains[target];
-    const bool has_distribution =
-        target < metadata.distributions.size() &&
-        metadata.distributions[target].has_value();
-    if (!step.via.has_value()) {
-      if (has_distribution) {
-        // Distribution-disclosure extension: sample the real marginal.
-        std::vector<Value> col;
-        col.reserve(num_rows);
-        for (size_t r = 0; r < num_rows; ++r) {
-          col.push_back(metadata.distributions[target]->Sample(rng));
-        }
-        columns[target] = std::move(col);
-      } else {
-        columns[target] = GenerateRootColumn(domain, num_rows, rng);
-      }
-      continue;
-    }
-    const Dependency& dep = *step.via;
-    std::vector<const std::vector<Value>*> lhs_columns;
-    for (size_t i : dep.lhs.ToIndices()) {
-      METALEAK_DCHECK(!columns[i].empty() || num_rows == 0);
-      lhs_columns.push_back(&columns[i]);
-    }
-    switch (dep.kind) {
-      case DependencyKind::kFunctional:
-        columns[target] =
-            GenerateFdColumn(lhs_columns, domain, num_rows, rng);
-        break;
-      case DependencyKind::kApproximateFunctional:
-        columns[target] = GenerateAfdColumn(lhs_columns, domain, num_rows,
-                                            dep.g3_error, rng);
-        break;
-      case DependencyKind::kNumerical:
-        columns[target] = GenerateNdColumn(*lhs_columns[0], domain,
-                                           num_rows, dep.max_fanout, rng);
-        break;
-      case DependencyKind::kOrder:
-        columns[target] =
-            GenerateOdColumn(*lhs_columns[0], domain, num_rows, rng);
-        break;
-      case DependencyKind::kOrderedFunctional:
-        columns[target] =
-            GenerateOfdColumn(*lhs_columns[0], domain, num_rows, rng);
-        break;
-      case DependencyKind::kDifferential: {
-        Result<std::vector<Value>> col =
-            GenerateDdColumn(*lhs_columns[0], domain, num_rows,
-                             dep.lhs_epsilon, dep.rhs_delta, rng);
-        if (!col.ok()) {
-          // A DD onto a categorical RHS cannot drive generation; fall
-          // back to the domain draw rather than failing the whole run.
-          columns[target] = GenerateRootColumn(domain, num_rows, rng);
-        } else {
-          columns[target] = std::move(col).ValueUnsafe();
-        }
-        break;
-      }
-    }
-  }
-
-  // The synthetic schema mirrors the disclosed one, but generated values
-  // are domain samples: continuous attributes become doubles regardless of
-  // the source physical type. Relax the physical types accordingly.
-  std::vector<Attribute> attrs = metadata.schema.attributes();
-  for (size_t c = 0; c < m; ++c) {
-    bool has_double = false;
-    bool has_int = false;
-    bool has_string = false;
-    for (const Value& v : columns[c]) {
-      has_double |= v.is_double();
-      has_int |= v.is_int();
-      has_string |= v.is_string();
-    }
-    if (has_string) {
-      attrs[c].type = DataType::kString;
-    } else if (has_double && !has_int) {
-      attrs[c].type = DataType::kDouble;
-    } else if (has_int && !has_double) {
-      attrs[c].type = DataType::kInt64;
-    } else if (has_double && has_int) {
-      // Mixed numeric draws (e.g. continuous domain over an int column):
-      // coerce everything to double.
-      for (Value& v : columns[c]) {
-        if (v.is_int()) v = Value::Real(static_cast<double>(v.AsInt()));
-      }
-      attrs[c].type = DataType::kDouble;
-    }
-  }
-
-  METALEAK_ASSIGN_OR_RETURN(
-      Relation rel,
-      Relation::Make(Schema(std::move(attrs)), std::move(columns)));
-  return GenerationOutcome{std::move(rel), std::move(plan)};
 }
 
 }  // namespace metaleak

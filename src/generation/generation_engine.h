@@ -1,22 +1,20 @@
 // GenerationEngine: builds a full synthetic relation R_syn from a
 // MetadataPackage, following the dependency graph (Section V).
 //
-// Two execution paths produce bit-identical output:
+// GenerationContext resolves a (metadata, options) pair once: the plan,
+// the domains, the batch layout and the code-mapped distribution
+// samplers. GenerateEncoded then writes each round's dense domain codes
+// and raw doubles into a reusable EncodedBatch arena, and
+// MaterializeRelation decodes a batch into a Relation only at the
+// adapter boundary (GenerateSynthetic). This is the library's one way to
+// draw R_syn; tests/reference/ keeps the boxed-Value generator it
+// replaced as the oracle a decoded batch must equal bit for bit.
 //
-//   * The *value path* (GenerateSyntheticValuePath) materializes boxed
-//     `Value` columns directly — the original, reference implementation.
-//   * The *code path* (GenerationContext + GenerateEncoded) writes dense
-//     domain codes / raw doubles into a reusable EncodedBatch arena and
-//     only decodes to a Relation at the adapter boundary. Every encoded
-//     generator consumes the RNG in exactly the order its value twin
-//     does, so for the same seed the decoded batch equals the value-path
-//     relation bit for bit (the leakage_codepath test suite enforces
-//     this). Packages the code path cannot represent (e.g. a disclosed
-//     distribution whose support is not in the domain) make the context
-//     non-encodable and callers fall back to the value path.
-//
-// GenerateSynthetic keeps its historical signature and now routes
-// through the code path when possible.
+// A package that contradicts itself (a disclosed distribution whose
+// kind or support disagrees with its attribute's domain) clears
+// encodable(), and GenerateEncoded and GenerateSynthetic return Invalid
+// naming fallback_reason(). MetadataPackage::Deserialize turns such
+// packages away at the boundary.
 #ifndef METALEAK_GENERATION_GENERATION_ENGINE_H_
 #define METALEAK_GENERATION_GENERATION_ENGINE_H_
 
@@ -56,13 +54,13 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
 /// Everything the per-round generation loop needs, resolved once per
 /// (metadata, options) pair: the generation plan, the domains, the batch
 /// column layout, per-code numeric tables for DD, and code-mapped
-/// distribution samplers. Building the context also decides whether the
-/// code path can represent the package at all (encodable()).
+/// distribution samplers. Building the context also checks that the
+/// package's distributions agree with its domains (encodable()).
 class GenerationContext {
  public:
-  /// Resolves plan + domains. Fails with the same Status the value path
-  /// would (e.g. missing domains); representability problems do NOT fail
-  /// the build — they clear encodable() so callers can fall back.
+  /// Resolves plan + domains. Fails on missing or non-finite domains; a
+  /// distribution that disagrees with its domain does NOT fail the build
+  /// but clears encodable(), and GenerateEncoded reports it.
   static Result<GenerationContext> Build(const MetadataPackage& metadata,
                                          const GenerationOptions& options =
                                              {});
@@ -77,16 +75,16 @@ class GenerationContext {
   size_t num_attributes() const { return domains_.size(); }
 
   /// Per-code numeric view of a code-stored column's domain: entry 0
-  /// (NULL) and non-numeric entries are 0.0, matching the value path's
-  /// `is_numeric() ? AsNumeric() : 0.0` convention in the DD walk.
-  /// Empty for real-stored columns.
+  /// (NULL) and non-numeric entries are 0.0, the `is_numeric() ?
+  /// AsNumeric() : 0.0` convention of the DD walk. Empty for
+  /// real-stored columns.
   const std::vector<double>& code_numeric(size_t c) const {
     return code_numeric_[c];
   }
 
-  /// True when GenerateEncoded reproduces the value path for this
-  /// package; otherwise fallback_reason() says why and callers should
-  /// use GenerateSyntheticValuePath.
+  /// True when every disclosed distribution GenerateEncoded samples
+  /// agrees with its attribute's domain; otherwise fallback_reason() says
+  /// which disagreement was found and GenerateEncoded returns Invalid.
   bool encodable() const { return encodable_; }
   const std::string& fallback_reason() const { return fallback_reason_; }
 
@@ -94,9 +92,9 @@ class GenerationContext {
   friend Status GenerateEncoded(const GenerationContext&, size_t, Rng*,
                                 EncodedBatch*);
 
-  // Replays ValueDistribution::Sample draw-for-draw, emitting codes
-  // (categorical frequency table whose support maps into the domain) or
-  // raw doubles (histogram).
+  // ValueDistribution::Sample draw-for-draw, emitting codes (categorical
+  // frequency table whose support maps into the domain) or raw doubles
+  // (histogram).
   struct DistSampler {
     bool categorical = false;
     std::vector<size_t> cumulative;  // running frequency / bucket counts
@@ -123,24 +121,19 @@ class GenerationContext {
 /// Runs the encoded generators over the context's plan, filling `batch`
 /// (re-configured and resized in place; a thread that owns its batch
 /// allocates only on the first round). Invalid when the context is not
-/// encodable.
+/// encodable: "package is not encodable: " + fallback_reason().
 Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
                        Rng* rng, EncodedBatch* batch);
 
-/// Generates `num_rows` synthetic tuples from disclosed metadata. Requires
-/// the package to disclose every attribute domain (the adversary cannot
-/// sample values otherwise); returns Invalid when domains are missing.
+/// Generates `num_rows` synthetic tuples from disclosed metadata:
+/// GenerateEncoded, then MaterializeRelation. Requires the package to
+/// disclose every attribute domain (the adversary cannot sample values
+/// otherwise); returns Invalid when domains are missing or the package
+/// is not encodable.
 Result<GenerationOutcome> GenerateSynthetic(const MetadataPackage& metadata,
                                             size_t num_rows, Rng* rng,
                                             const GenerationOptions& options =
                                                 {});
-
-/// The reference boxed-Value implementation. Exposed so parity tests and
-/// benchmarks can compare the two paths explicitly; GenerateSynthetic
-/// itself falls back here when the package is not encodable.
-Result<GenerationOutcome> GenerateSyntheticValuePath(
-    const MetadataPackage& metadata, size_t num_rows, Rng* rng,
-    const GenerationOptions& options = {});
 
 }  // namespace metaleak
 

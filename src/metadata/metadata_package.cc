@@ -169,6 +169,16 @@ bool ParseIndexList(const std::string& field, std::vector<size_t>* out) {
 // A DD threshold: finite and non-negative (NaN fails both).
 bool IsThreshold(double x) { return std::isfinite(x) && x >= 0.0; }
 
+// Whether some entry of the categorical `domain` equals `v` structurally
+// (Int(1) is not Real(1.0)), the rule generation maps values to codes by.
+// The entries are sorted and NaN-free, so the candidate is the first
+// entry not below `v`.
+bool HasEntry(const Domain& domain, const Value& v) {
+  const std::vector<Value>& values = domain.values();
+  auto it = std::lower_bound(values.begin(), values.end(), v);
+  return it != values.end() && *it == v;
+}
+
 }  // namespace
 
 std::string MetadataPackage::Serialize() const {
@@ -282,6 +292,11 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
         std::vector<Value> values;
         for (const std::string& enc : Split(f[3], '|')) {
           METALEAK_ASSIGN_OR_RETURN(Value v, DecodeValue(enc));
+          // A Relation holds no NaN cell, so such a domain describes no
+          // relation (and NaN has no place in the Value order).
+          if (v.is_double() && std::isnan(v.AsDouble())) {
+            return Status::IoError("NaN in a categorical domain");
+          }
           values.push_back(std::move(v));
         }
         parsed_domains.emplace_back(static_cast<size_t>(*idx),
@@ -448,7 +463,34 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
         !make_lhs(lhs, &cfd.lhs)) {
       return Status::IoError("cfd index out of range");
     }
+    if (cfd.rhs_is_constant && pkg.domains[cfd.rhs].has_value() &&
+        pkg.domains[cfd.rhs]->is_categorical() &&
+        !HasEntry(*pkg.domains[cfd.rhs], cfd.rhs_value)) {
+      return Status::IoError("cfd constant " + cfd.rhs_value.ToString() +
+                             " is not in the domain of attribute " +
+                             std::to_string(cfd.rhs));
+    }
     pkg.conditional_fds.push_back(std::move(cfd));
+  }
+  // A disclosed distribution describes the same values as its
+  // attribute's domain: the same kind, and for a frequency table, values
+  // that are domain entries.
+  for (size_t i = 0; i < pkg.distributions.size(); ++i) {
+    const std::optional<ValueDistribution>& dist = pkg.distributions[i];
+    const std::optional<Domain>& domain = pkg.domains[i];
+    if (!dist.has_value() || !domain.has_value()) continue;
+    if (dist->is_categorical() != domain->is_categorical()) {
+      return Status::IoError("dist kind differs from the domain of attribute " +
+                             std::to_string(i));
+    }
+    if (!dist->is_categorical()) continue;
+    for (const Value& v : dist->frequency_table().values) {
+      if (!HasEntry(*domain, v)) {
+        return Status::IoError("dist value " + v.ToString() +
+                               " is not in the domain of attribute " +
+                               std::to_string(i));
+      }
+    }
   }
   return pkg;
 }

@@ -76,7 +76,7 @@ GenerationOptions OptionsForMethod(GenerationMethod method) {
 }
 
 // The config's registry, or the default. The engine reads the leading
-// match-rate estimator for the path decision and replay.
+// match-rate estimator for the scoring decision and replay.
 Result<const RiskEstimatorRegistry*> RegistryFor(
     const ExperimentConfig& config) {
   const RiskEstimatorRegistry* registry =
@@ -126,15 +126,12 @@ Result<MethodAttributeResult> MethodResult::ForAttribute(
 }
 
 // Everything one method's rounds share besides the bound estimators,
-// resolved before any RNG draw: the generation context, the CFD chase
-// plan, and whether the code path can generate the method's batches.
-// The plan is RNG-independent, so `covered` comes from it up front and
-// every round — including round 0 — fans out.
+// resolved before any RNG draw: the generation context and, for the CFD
+// method, the chase plan. The plan is RNG-independent, so `covered`
+// comes from it up front and every round — including round 0 — fans out.
 struct ExperimentEngine::MethodPlan {
-  GenerationOptions gen_options;
   std::optional<GenerationContext> ctx;
   std::optional<EncodedCfdPlan> cfd_plan;
-  bool use_code = false;
   std::vector<bool> covered;
 };
 
@@ -158,11 +155,12 @@ struct ExperimentEngine::BoundSet {
   const EncodedLeakageContext* leakage_ctx() const {
     return bound.empty() ? nullptr : bound.front()->leakage_context();
   }
-  /// True when the plan's batches are scored on the code path: the plan
-  /// can generate codes and the fused scan supports the relation.
-  bool UsesCode(const MethodPlan& plan) const {
+  /// True when rounds are scored by EvaluateLeakage on the decoded batch
+  /// rather than by the bound estimators: the config asks for it, or the
+  /// fused scan does not support the relation.
+  bool ScoresDecoded(const ExperimentConfig& config) const {
     const EncodedLeakageContext* scan = leakage_ctx();
-    return plan.use_code && scan != nullptr && scan->supported();
+    return config.use_value_path || scan == nullptr || !scan->supported();
   }
 };
 
@@ -179,43 +177,37 @@ ExperimentEngine::ExperimentEngine(
     : real_(encoded.source()),
       metadata_(&metadata),
       encoded_real_(&encoded),
-      profile_measures_(profile_measures) {
-  METALEAK_DCHECK(real_ != nullptr);
-}
+      profile_measures_(profile_measures) {}
 
 Result<ExperimentEngine::MethodPlan> ExperimentEngine::PlanFor(
-    GenerationMethod method, const ExperimentConfig& config) const {
+    GenerationMethod method) const {
   MethodPlan plan;
-  plan.gen_options = OptionsForMethod(method);
   METALEAK_ASSIGN_OR_RETURN(
       GenerationContext ctx,
-      GenerationContext::Build(*metadata_, plan.gen_options));
+      GenerationContext::Build(*metadata_, OptionsForMethod(method)));
   plan.ctx.emplace(std::move(ctx));
 
-  const size_t m = real_->num_columns();
+  // `covered` is indexed by the package's attributes; the estimators'
+  // binds report the same mismatch for every method.
+  const size_t m = encoded_real_->num_columns();
+  if (plan.ctx->num_attributes() != m) {
+    return Status::Invalid("relations have different arity");
+  }
   plan.covered.assign(m, method == GenerationMethod::kRandom ||
                              method == GenerationMethod::kFull);
   if (method == GenerationMethod::kCfd) {
     for (const ConditionalFd& cfd : metadata_->conditional_fds) {
       if (cfd.rhs < m) plan.covered[cfd.rhs] = true;
     }
-  } else if (method != GenerationMethod::kRandom &&
-             method != GenerationMethod::kFull) {
-    for (const GenerationStep& step : plan.ctx->plan().steps()) {
-      plan.covered[step.attribute] = step.via.has_value();
-    }
-  }
-
-  plan.use_code = !config.use_value_path && plan.ctx->encodable();
-  if (plan.use_code && method == GenerationMethod::kCfd) {
     METALEAK_ASSIGN_OR_RETURN(
         EncodedCfdPlan cfd_plan,
         BuildEncodedCfdPlan(metadata_->conditional_fds, plan.ctx->domains(),
                             plan.ctx->kinds()));
-    if (cfd_plan.supported()) {
-      plan.cfd_plan.emplace(std::move(cfd_plan));
-    } else {
-      plan.use_code = false;
+    plan.cfd_plan.emplace(std::move(cfd_plan));
+  } else if (method != GenerationMethod::kRandom &&
+             method != GenerationMethod::kFull) {
+    for (const GenerationStep& step : plan.ctx->plan().steps()) {
+      plan.covered[step.attribute] = step.via.has_value();
     }
   }
   return plan;
@@ -243,6 +235,61 @@ Result<ExperimentEngine::BoundSet> ExperimentEngine::BindEstimators(
   return set;
 }
 
+Status ExperimentEngine::GenerateRound(const MethodPlan& plan,
+                                       uint64_t round_seed,
+                                       EncodedBatch* batch) const {
+  Rng rng(round_seed);
+  METALEAK_RETURN_NOT_OK(
+      GenerateEncoded(*plan.ctx, encoded_real_->num_rows(), &rng, batch));
+  if (plan.cfd_plan.has_value()) {
+    METALEAK_RETURN_NOT_OK(ApplyCfdsEncoded(*plan.cfd_plan, batch, &rng));
+  }
+  return Status::OK();
+}
+
+Result<LeakageReport> ExperimentEngine::DecodedReport(
+    const MethodPlan& plan, const EncodedBatch& batch,
+    const LeakageOptions& leakage) const {
+  if (real_ == nullptr) {
+    return Status::Invalid(
+        "scoring a decoded round needs an encoding with a source relation");
+  }
+  METALEAK_ASSIGN_OR_RETURN(
+      Relation syn,
+      MaterializeRelation(plan.ctx->schema(), plan.ctx->domains(), batch));
+  return EvaluateLeakage(*real_, syn, leakage);
+}
+
+Status ExperimentEngine::RunRound(const MethodPlan& plan,
+                                  const BoundSet& bound, bool decoded,
+                                  uint64_t round_seed,
+                                  const LeakageOptions& leakage,
+                                  RiskMeasureCell* cells) const {
+  thread_local EncodedBatch batch;
+  METALEAK_RETURN_NOT_OK(GenerateRound(plan, round_seed, &batch));
+  const size_t m = encoded_real_->num_columns();
+  if (!decoded) {
+    for (size_t e = 0; e < bound.bound.size(); ++e) {
+      METALEAK_RETURN_NOT_OK(bound.bound[e]->Evaluate(
+          batch, cells + bound.measure_offset[e] * m));
+    }
+    return Status::OK();
+  }
+  // EvaluateLeakage fills only the match-rate columns; the other
+  // estimators' cells stay absent.
+  METALEAK_ASSIGN_OR_RETURN(LeakageReport report,
+                            DecodedReport(plan, batch, leakage));
+  for (const AttributeLeakage& a : report.attributes) {
+    cells[MatchRateEstimator::kMatchesIndex * m + a.attribute] =
+        RiskMeasureCell{static_cast<double>(a.matches), true};
+    if (a.mse.has_value()) {
+      cells[MatchRateEstimator::kMseIndex * m + a.attribute] =
+          RiskMeasureCell{*a.mse, true};
+    }
+  }
+  return Status::OK();
+}
+
 Result<MethodResult> ExperimentEngine::Run(
     GenerationMethod method, const ExperimentConfig& config) const {
   std::optional<BoundSet> bound;
@@ -255,7 +302,7 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
   if (config.rounds == 0) {
     return Status::Invalid("experiment needs at least one round");
   }
-  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
+  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method));
   if (!bound_set->has_value()) {
     METALEAK_ASSIGN_OR_RETURN(const RiskEstimatorRegistry* registry,
                               RegistryFor(config));
@@ -264,8 +311,8 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
     bound_set->emplace(std::move(set));
   }
   const BoundSet& bound = **bound_set;
-  const bool use_code = bound.UsesCode(plan);
-  const size_t m = real_->num_columns();
+  const bool decoded = bound.ScoresDecoded(config);
+  const size_t m = encoded_real_->num_columns();
 
   // Per-round seeds drawn up front so the outcome is identical for any
   // thread count; recorded in the result so any round can be replayed.
@@ -276,60 +323,15 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
     round_seeds.push_back(rng.ForkSeed());
   }
 
-  // rounds x total_measures x m measure cells; both paths fill the same
-  // array, and the Welford fold below walks it in ascending round
-  // order, so the aggregate is bit-identical across paths and thread
-  // counts. The match-rate estimator's cells carry exactly the values
-  // the fused scan's AttributeRoundStats did.
+  // rounds x total_measures x m measure cells; the Welford fold below
+  // walks them in ascending round order, so the aggregate is
+  // bit-identical across thread counts, and across scoring by the fused
+  // scan or by EvaluateLeakage on the decoded batch.
   const size_t total = bound.total_measures;
   std::vector<RiskMeasureCell> cells(config.rounds * total * m);
-  auto run_round_code = [&](size_t round) -> Status {
-    Rng round_rng(round_seeds[round]);
-    thread_local EncodedBatch batch;
-    METALEAK_RETURN_NOT_OK(
-        GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
-    if (plan.cfd_plan.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
-    }
-    RiskMeasureCell* round_cells = cells.data() + round * total * m;
-    for (size_t e = 0; e < bound.bound.size(); ++e) {
-      METALEAK_RETURN_NOT_OK(bound.bound[e]->Evaluate(
-          batch, round_cells + bound.measure_offset[e] * m));
-    }
-    return Status::OK();
-  };
-  auto run_round_value = [&](size_t round) -> Status {
-    Rng round_rng(round_seeds[round]);
-    METALEAK_ASSIGN_OR_RETURN(
-        GenerationOutcome outcome,
-        GenerateSyntheticValuePath(*metadata_, real_->num_rows(), &round_rng,
-                                   plan.gen_options));
-    if (method == GenerationMethod::kCfd) {
-      METALEAK_ASSIGN_OR_RETURN(
-          outcome.relation,
-          ApplyCfds(outcome.relation, metadata_->conditional_fds,
-                    plan.ctx->domains(), &round_rng));
-    }
-    METALEAK_ASSIGN_OR_RETURN(
-        LeakageReport report,
-        EvaluateLeakage(*real_, outcome.relation, config.leakage));
-    // The value path fills only the match-rate columns (other
-    // estimators consume encoded batches); their cells stay absent and
-    // the fold marks them inactive.
-    RiskMeasureCell* round_cells = cells.data() + round * total * m;
-    for (const AttributeLeakage& a : report.attributes) {
-      round_cells[MatchRateEstimator::kMatchesIndex * m + a.attribute] =
-          RiskMeasureCell{static_cast<double>(a.matches), true};
-      if (a.mse.has_value()) {
-        round_cells[MatchRateEstimator::kMseIndex * m + a.attribute] =
-            RiskMeasureCell{*a.mse, true};
-      }
-    }
-    return Status::OK();
-  };
   auto run_round = [&](size_t round) -> Status {
-    return use_code ? run_round_code(round) : run_round_value(round);
+    return RunRound(plan, bound, decoded, round_seeds[round], config.leakage,
+                    cells.data() + round * total * m);
   };
 
   size_t threads = config.threads;
@@ -361,7 +363,7 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
   result.measures.reserve(total);
   for (size_t e = 0; e < bound.bound.size(); ++e) {
     const RiskEstimator* est = bound.registry->estimators()[e];
-    const bool active = use_code || e == 0;
+    const bool active = !decoded || e == 0;
     for (size_t j = 0; j < est->measures().size(); ++j) {
       RiskMeasureStats ms;
       ms.estimator = est->name();
@@ -394,15 +396,16 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
       result.measures[MatchRateEstimator::kMatchesIndex];
   const RiskMeasureStats& mse_col =
       result.measures[MatchRateEstimator::kMseIndex];
+  const Schema& schema = encoded_real_->schema();
   result.attributes.reserve(m);
   for (size_t c = 0; c < m; ++c) {
     MethodAttributeResult entry;
     entry.attribute = c;
-    entry.name = real_->schema().attribute(c).name;
-    entry.semantic = real_->schema().attribute(c).semantic;
+    entry.name = schema.attribute(c).name;
+    entry.semantic = schema.attribute(c).semantic;
     entry.covered = plan.covered[c];
     entry.rows_compared =
-        real_->num_rows() - encoded_real_->dictionary(c).null_count();
+        encoded_real_->num_rows() - encoded_real_->dictionary(c).null_count();
     entry.mean_matches = matches_col.mean[c];
     entry.stddev_matches = matches_col.stddev[c];
     if (mse_col.rounds[c] > 0) entry.mean_mse = mse_col.mean[c];
@@ -432,86 +435,36 @@ Result<std::vector<MethodResult>> ExperimentEngine::RunAll(
 Result<LeakageReport> ExperimentEngine::ReplayRound(
     GenerationMethod method, uint64_t round_seed,
     const ExperimentConfig& config) const {
-  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
+  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method));
   // The report reads only the fused match-rate scan: check the config's
   // registry, but bind the match-rate estimator alone.
   METALEAK_RETURN_NOT_OK(RegistryFor(config).status());
   METALEAK_ASSIGN_OR_RETURN(BoundSet bound,
                             BindEstimators(RiskEstimatorRegistry::Default(),
                                            *plan.ctx, config.leakage));
-  Rng round_rng(round_seed);
-  if (bound.UsesCode(plan)) {
-    EncodedBatch batch;
-    METALEAK_RETURN_NOT_OK(
-        GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
-    if (plan.cfd_plan.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
-    }
-    return bound.leakage_ctx()->EvaluateReport(batch);
+  EncodedBatch batch;
+  METALEAK_RETURN_NOT_OK(GenerateRound(plan, round_seed, &batch));
+  if (bound.ScoresDecoded(config)) {
+    return DecodedReport(plan, batch, config.leakage);
   }
-  METALEAK_ASSIGN_OR_RETURN(
-      GenerationOutcome outcome,
-      GenerateSyntheticValuePath(*metadata_, real_->num_rows(), &round_rng,
-                                 plan.gen_options));
-  if (method == GenerationMethod::kCfd) {
-    METALEAK_ASSIGN_OR_RETURN(
-        outcome.relation,
-        ApplyCfds(outcome.relation, metadata_->conditional_fds,
-                  plan.ctx->domains(), &round_rng));
-  }
-  return EvaluateLeakage(*real_, outcome.relation, config.leakage);
+  return bound.leakage_ctx()->EvaluateReport(batch);
 }
 
 Result<std::vector<RoundMeasureValues>>
 ExperimentEngine::ReplayRoundMeasures(GenerationMethod method,
                                       uint64_t round_seed,
                                       const ExperimentConfig& config) const {
-  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
+  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method));
   METALEAK_ASSIGN_OR_RETURN(const RiskEstimatorRegistry* registry,
                             RegistryFor(config));
   METALEAK_ASSIGN_OR_RETURN(
       BoundSet bound, BindEstimators(*registry, *plan.ctx, config.leakage));
-  const bool use_code = bound.UsesCode(plan);
-  const size_t m = real_->num_columns();
-  Rng round_rng(round_seed);
+  const bool decoded = bound.ScoresDecoded(config);
+  const size_t m = encoded_real_->num_columns();
   std::vector<RiskMeasureCell> cells(bound.total_measures * m);
-  size_t emitted = use_code ? bound.bound.size() : 1;
-  if (use_code) {
-    EncodedBatch batch;
-    METALEAK_RETURN_NOT_OK(
-        GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
-    if (plan.cfd_plan.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
-    }
-    for (size_t e = 0; e < bound.bound.size(); ++e) {
-      METALEAK_RETURN_NOT_OK(bound.bound[e]->Evaluate(
-          batch, cells.data() + bound.measure_offset[e] * m));
-    }
-  } else {
-    METALEAK_ASSIGN_OR_RETURN(
-        GenerationOutcome outcome,
-        GenerateSyntheticValuePath(*metadata_, real_->num_rows(), &round_rng,
-                                   plan.gen_options));
-    if (method == GenerationMethod::kCfd) {
-      METALEAK_ASSIGN_OR_RETURN(
-          outcome.relation,
-          ApplyCfds(outcome.relation, metadata_->conditional_fds,
-                    plan.ctx->domains(), &round_rng));
-    }
-    METALEAK_ASSIGN_OR_RETURN(
-        LeakageReport report,
-        EvaluateLeakage(*real_, outcome.relation, config.leakage));
-    for (const AttributeLeakage& a : report.attributes) {
-      cells[MatchRateEstimator::kMatchesIndex * m + a.attribute] =
-          RiskMeasureCell{static_cast<double>(a.matches), true};
-      if (a.mse.has_value()) {
-        cells[MatchRateEstimator::kMseIndex * m + a.attribute] =
-            RiskMeasureCell{*a.mse, true};
-      }
-    }
-  }
+  METALEAK_RETURN_NOT_OK(RunRound(plan, bound, decoded, round_seed,
+                                  config.leakage, cells.data()));
+  const size_t emitted = decoded ? 1 : bound.bound.size();
   std::vector<RoundMeasureValues> out;
   for (size_t e = 0; e < emitted; ++e) {
     const RiskEstimator* est = bound.registry->estimators()[e];

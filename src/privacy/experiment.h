@@ -8,11 +8,14 @@
 //
 // The hot loop runs on the dictionary-encoded code path: the real
 // relation is encoded once, every round writes dense codes/doubles into a
-// per-thread EncodedBatch arena, and per-round AttributeRoundStats stream
-// into Welford accumulators — no Relation is materialized per round.
-// Packages the code path cannot represent fall back to the boxed-Value
-// reference pipeline; both paths reduce rounds to the same stats array
-// and share the same fold, so their results are bit-identical.
+// per-thread EncodedBatch arena (GenerateEncoded, then ApplyCfdsEncoded
+// for the CFD method), and the bound estimators stream its cells into
+// Welford accumulators — no Relation is materialized per round. When the
+// fused scan does not support the relation, or the config asks for it,
+// a round decodes its batch and scores it with EvaluateLeakage instead;
+// both reduce rounds to the same cells and share the same fold, so their
+// Def 2.2/2.3 results are bit-identical. A package GenerateEncoded or
+// BuildEncodedCfdPlan cannot run comes back as their Invalid.
 //
 // The risk estimators are bound once per call and shared by every
 // method the call runs: Bind() reads the real encoding, the package's
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "data/encoded_batch.h"
 #include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "metadata/metadata_package.h"
@@ -68,17 +72,20 @@ struct ExperimentConfig {
   /// their seeds up front, so the result is identical for any thread
   /// count. 0 = use the global pool size (METALEAK_THREADS / hardware).
   size_t threads = 1;
-  /// Force the boxed-Value reference pipeline even when the code path
-  /// could run. Parity tests and benchmarks flip this to compare the
-  /// two paths; results are bit-identical either way.
+  /// Score every round with EvaluateLeakage on the decoded batch (the
+  /// boxed-Value Def 2.2/2.3 evaluators) instead of the fused scan, as
+  /// the engine does anyway when the scan does not support the
+  /// relation. Generation is the same either way. Parity tests and
+  /// benchmarks flip this to compare the two scorers; results are
+  /// bit-identical either way.
   bool use_value_path = false;
   /// Risk estimators to stream per round. nullptr = the default
   /// registry (Def 2.2/2.3 match-rate only — the pre-refactor
   /// behavior). The match-rate estimator must be first; estimators
-  /// beyond it run only on the code path (MethodResult marks them
-  /// inactive on the value-path fallback) and draw no randomness, so
-  /// swapping registries never perturbs the generated batches or the
-  /// legacy match/MSE statistics.
+  /// beyond it read the encoded batch, so a round scored on the decoded
+  /// batch leaves them out (MethodResult marks them inactive). They
+  /// draw no randomness, so swapping registries never perturbs the
+  /// generated batches or the legacy match/MSE statistics.
   const RiskEstimatorRegistry* estimators = nullptr;
 };
 
@@ -106,9 +113,8 @@ struct MethodAttributeResult {
 struct RiskMeasureStats {
   std::string estimator;
   std::string measure;
-  /// False when the execution path could not evaluate this estimator
-  /// (estimators beyond match-rate need the code path); mean/stddev are
-  /// zero-filled then.
+  /// False when the rounds were scored on the decoded batch, which only
+  /// the match-rate estimator reads; mean/stddev are zero-filled then.
   bool active = true;
   /// Per attribute: mean/stddev over the rounds where the cell was
   /// present, and how many rounds that was (0 = measure does not apply
@@ -155,10 +161,11 @@ class ExperimentEngine {
   ExperimentEngine(const Relation& real, const MetadataPackage& metadata);
 
   /// Runs against a pre-built encoding instead of re-encoding the
-  /// relation — the warm-snapshot path. `encoded.source()` must be
-  /// non-null (the value-path fallback and per-attribute naming still
-  /// read the backing relation) and outlive the engine, as must
-  /// `encoded` and `metadata`. `profile_measures`, when non-null, is
+  /// relation — the warm-snapshot path. Rows, columns and names come
+  /// from the encoding; `encoded.source()` is read only by a round scored
+  /// on the decoded batch, which returns Invalid when it is null. The
+  /// source, `encoded` and `metadata` must outlive the engine.
+  /// `profile_measures`, when non-null, is
   /// ComputeProfileMeasures(encoded, metadata) already at hand (a
   /// snapshot's LeakageProfile::risk_measures); the info-theoretic
   /// estimator binds its entropy and conditional-entropy cells from it
@@ -194,8 +201,8 @@ class ExperimentEngine {
   /// Re-executes a single recorded round and returns the raw cells of
   /// every measure column the config's registry emits for it — the
   /// estimator-level drill-down next to ReplayRound's Def 2.2/2.3
-  /// report. On the value-path fallback only the match-rate columns are
-  /// returned.
+  /// report. A round scored on the decoded batch returns only the
+  /// match-rate columns.
   Result<std::vector<RoundMeasureValues>> ReplayRoundMeasures(
       GenerationMethod method, uint64_t round_seed,
       const ExperimentConfig& config = {}) const;
@@ -203,8 +210,7 @@ class ExperimentEngine {
  private:
   struct MethodPlan;
   struct BoundSet;
-  Result<MethodPlan> PlanFor(GenerationMethod method,
-                             const ExperimentConfig& config) const;
+  Result<MethodPlan> PlanFor(GenerationMethod method) const;
   /// Binds every estimator of `registry` against the schema and domains
   /// of `layout`. Every method's GenerationContext carries the same ones
   /// (both come from the package alone), so any method's serves.
@@ -215,7 +221,24 @@ class ExperimentEngine {
   Result<MethodResult> RunMethodWith(GenerationMethod method,
                                      const ExperimentConfig& config,
                                      std::optional<BoundSet>* bound) const;
+  /// Draws round `round_seed`'s batch: the plan's generation, then, for
+  /// the CFD method, the chase.
+  Status GenerateRound(const MethodPlan& plan, uint64_t round_seed,
+                       EncodedBatch* batch) const;
+  /// EvaluateLeakage of the decoded batch against the source relation;
+  /// Invalid when the encoding has none.
+  Result<LeakageReport> DecodedReport(const MethodPlan& plan,
+                                      const EncodedBatch& batch,
+                                      const LeakageOptions& leakage) const;
+  /// The one round body: generates round `round_seed` and writes its
+  /// total_measures x columns cells, from the bound estimators or, when
+  /// `decoded`, the match-rate cells of DecodedReport.
+  Status RunRound(const MethodPlan& plan, const BoundSet& bound,
+                  bool decoded, uint64_t round_seed,
+                  const LeakageOptions& leakage,
+                  RiskMeasureCell* cells) const;
 
+  /// The relation behind the encoding; null for an encoding without one.
   const Relation* real_;
   const MetadataPackage* metadata_;
   /// Set by the Relation constructor only; the EncodedRelation

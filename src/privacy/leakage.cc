@@ -314,7 +314,7 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
     }
 
     if (!categorical) {
-      // NaN is a *value* to the value path (it reaches the MSE sum) but
+      // NaN is a *value* to EvaluateLeakage (it reaches the MSE sum) but
       // a skip marker here; fall back rather than diverge.
       for (uint32_t code = 1; code < dict.num_codes(); ++code) {
         if (std::isnan(by_code[code]) && dict.decode(code).is_numeric()) {
@@ -413,7 +413,7 @@ Status EncodedLeakageContext::Evaluate(const EncodedBatch& batch,
         continue;
       }
       // Continuous: epsilon-ball matches + MSE accumulated in row order
-      // with the value path's exact skip predicate.
+      // with EvaluateLeakage's exact skip predicate.
       if (plan.kind == EncodedBatch::ColumnKind::kCodes) {
         EpsilonBallMseCodedInto(level, plan.real_numeric.data() + lo,
                                 batch.code_view(c).Slice(lo, len),

@@ -83,8 +83,8 @@ Result<LeakageReport> EvaluateLeakage(const Relation& real,
 
 /// One Monte-Carlo round's raw numbers for one attribute: everything the
 /// experiment runner needs to accumulate, without a LeakageReport's
-/// strings. Both the value path and the code path reduce a round to this
-/// struct, so the runner's Welford fold is shared and bit-identical.
+/// strings. EvaluateLeakage and the fused scan both reduce a round to
+/// this struct, so the runner's Welford fold is shared and bit-identical.
 struct AttributeRoundStats {
   size_t matches = 0;
   double mse = 0.0;
@@ -93,7 +93,7 @@ struct AttributeRoundStats {
 
 /// Static per-attribute identity shared by every report assembler: who
 /// the attribute is and how many rows Def 2.2/2.3 can compare (real
-/// NULLs excluded). Both the value path and the code path reduce a
+/// NULLs excluded). EvaluateLeakage and the fused scan both reduce a
 /// round to (meta, AttributeRoundStats) pairs and hand them to
 /// AssembleLeakageReport, so exactly one place turns raw accumulator
 /// columns into a LeakageReport.
@@ -123,8 +123,8 @@ LeakageReport AssembleLeakageReport(
 ///     width-selection rule keeps the all-ones sentinel free at every
 ///     width), so the compare kernel streams narrow on both sides.
 ///   * Continuous attributes compare raw doubles under the epsilon ball
-///     and accumulate the MSE in row order, skipping exactly the rows the
-///     value path skips (real/synthetic NULL or non-numeric).
+///     and accumulate the MSE in row order, skipping exactly the rows
+///     EvaluateLeakage skips (real/synthetic NULL or non-numeric).
 ///
 /// Evaluate() walks the rows in L2-sized tiles, carrying the per-
 /// attribute statistics across tiles; tile boundaries are multiples of
@@ -132,12 +132,12 @@ LeakageReport AssembleLeakageReport(
 /// to one full-length pass.
 ///
 /// Build() fails with the Status EvaluateLeakage would produce for a
-/// structural mismatch (arity, attribute names). Value patterns the code
-/// path cannot reproduce bit-for-bit (a real value matching several
-/// domain entries cross-type, NaNs feeding the MSE) clear supported()
-/// instead, and callers fall back to the value path. Build() resolves
-/// one attribute per pool task; fallback_reason() names the lowest
-/// unsupported attribute's first reason, as a serial build would.
+/// structural mismatch (arity, attribute names). Value patterns the scan
+/// cannot reproduce bit-for-bit (a real value matching several domain
+/// entries cross-type, NaNs feeding the MSE) clear supported() instead,
+/// and callers score the decoded batch with EvaluateLeakage. Build()
+/// resolves one attribute per pool task; fallback_reason() names the
+/// lowest unsupported attribute's first reason, as a serial build would.
 class EncodedLeakageContext {
  public:
   /// Sentinel for real cells with no generation-domain code (NULLs and

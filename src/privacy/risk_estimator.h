@@ -20,7 +20,8 @@
 // uses for Def 2.2/2.3 today: cells are produced per round in any
 // thread order but folded in ascending round order, so every estimator
 // inherits the library-wide bit-identity guarantees (threads-1 ==
-// threads-8; and for MatchRateEstimator, code path == value path).
+// threads-8; and for MatchRateEstimator, fused scan == EvaluateLeakage
+// on the decoded batch).
 // Estimators draw no randomness of their own — a registry swap can
 // never perturb the generated batches, which the golden-parity gates
 // rely on.
@@ -109,9 +110,10 @@ class BoundRiskEstimator {
                           RiskMeasureCell* cells) const = 0;
 
   /// The fused Def 2.2/2.3 context, when this estimator owns one
-  /// (MatchRateEstimator only). The experiment engine reads it for the
-  /// code-vs-value path decision and for per-round report replay;
-  /// estimators without one return nullptr.
+  /// (MatchRateEstimator only). The experiment engine reads it to decide
+  /// whether a round is scored by the fused scan or on the decoded batch,
+  /// and for per-round report replay; estimators without one return
+  /// nullptr.
   virtual const EncodedLeakageContext* leakage_context() const {
     return nullptr;
   }
@@ -143,8 +145,9 @@ class RiskEstimator {
 /// fold (the golden-parity suites enforce it at 1 and 8 threads).
 class MatchRateEstimator : public RiskEstimator {
  public:
-  /// Measure indices, part of the contract: the engine's value-path
-  /// fallback fills these two columns directly from EvaluateLeakage.
+  /// Measure indices, part of the contract: a round the engine scores on
+  /// the decoded batch fills these two columns directly from
+  /// EvaluateLeakage.
   static constexpr size_t kMatchesIndex = 0;
   static constexpr size_t kMseIndex = 1;
 
@@ -224,7 +227,7 @@ class NnLinkageEstimator : public RiskEstimator {
 
 /// An ordered set of estimators the experiment engine runs per round.
 /// The match-rate estimator is always first — the engine relies on it
-/// for the code-vs-value path decision and replay.
+/// to decide how a round is scored and for replay.
 class RiskEstimatorRegistry {
  public:
   /// Match-rate only: the pre-refactor behavior, and the default when

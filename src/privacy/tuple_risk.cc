@@ -108,24 +108,17 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
   std::vector<size_t> max_matched(n, 0);
   std::vector<size_t> half_rounds(n, 0);
 
-  // Code path: resolve the generation plan and the per-cell leakage
-  // tables once, then score every round as a scan over dense codes and
-  // doubles — no Relation is materialized. Packages or value patterns
-  // the encoded pipeline cannot reproduce fall back to the boxed-Value
-  // loop below (this analysis never index-checks schemas itself, so a
-  // context build error also just means "use the reference path").
-  std::optional<GenerationContext> gen_ctx;
+  // Resolve the generation plan and the per-cell leakage tables once,
+  // then score every round as a scan over dense codes and doubles — no
+  // Relation is materialized. Value patterns the fused tables cannot
+  // represent score the decoded batch with the per-cell predicate below.
+  METALEAK_ASSIGN_OR_RETURN(GenerationContext gen_ctx,
+                            GenerationContext::Build(metadata));
   std::optional<EncodedLeakageContext> leak_ctx;
   {
-    Result<GenerationContext> built = GenerationContext::Build(metadata);
-    if (built.ok() && built->encodable()) {
-      Result<EncodedLeakageContext> leak = EncodedLeakageContext::Build(
-          encoded, built->schema(), built->domains(), options.leakage);
-      if (leak.ok() && leak->supported()) {
-        gen_ctx.emplace(std::move(*built));
-        leak_ctx.emplace(std::move(*leak));
-      }
-    }
+    Result<EncodedLeakageContext> leak = EncodedLeakageContext::Build(
+        encoded, gen_ctx.schema(), gen_ctx.domains(), options.leakage);
+    if (leak.ok() && leak->supported()) leak_ctx.emplace(std::move(*leak));
   }
   std::vector<EncodedLeakageContext::AttributeView> views;
   if (leak_ctx.has_value()) {
@@ -155,9 +148,8 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
   EncodedBatch batch;
   for (size_t round = 0; round < options.rounds; ++round) {
     Rng round_rng = rng.Fork();
-    if (gen_ctx.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          GenerateEncoded(*gen_ctx, n, &round_rng, &batch));
+    METALEAK_RETURN_NOT_OK(GenerateEncoded(gen_ctx, n, &round_rng, &batch));
+    if (leak_ctx.has_value()) {
       // Column-major scoring: each chunk counts matched attributes per
       // row one column at a time (exact integer counts, so the result is
       // identical to the row-major cell loop), then finalizes its rows'
@@ -212,10 +204,10 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
       continue;
     }
     METALEAK_ASSIGN_OR_RETURN(
-        GenerationOutcome outcome,
-        GenerateSynthetic(metadata, n, &round_rng));
+        Relation syn,
+        MaterializeRelation(gen_ctx.schema(), gen_ctx.domains(), batch));
     score_round([&](size_t r, size_t c) {
-      return CellMatches(real.at(r, c), outcome.relation.at(r, c),
+      return CellMatches(real.at(r, c), syn.at(r, c),
                          real.schema().attribute(c).semantic, epsilons[c]);
     });
   }

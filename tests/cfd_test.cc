@@ -5,14 +5,17 @@
 
 #include <algorithm>
 
+#include "common/macros.h"
 #include "common/random.h"
 #include "data/domain.h"
+#include "data/encoded_batch.h"
 #include "discovery/cfd_discovery.h"
 #include "discovery/discovery_engine.h"
 #include "generation/cfd_generator.h"
 #include "generation/generation_engine.h"
 #include "metadata/metadata_package.h"
 #include "privacy/experiment.h"
+#include "reference/generation_reference.h"
 
 namespace metaleak {
 namespace {
@@ -191,6 +194,29 @@ TEST(CfdTest, RestrictKeepsCfdsOnlyAtRfdLevel) {
 
 // --- Generation ---------------------------------------------------------------------
 
+// Root-only R_syn for `pkg`, drawn on the code path into `batch`; returns
+// the context it was drawn under.
+GenerationContext DrawRoots(const MetadataPackage& pkg, size_t rows, Rng* rng,
+                            EncodedBatch* batch) {
+  GenerationOptions gen;
+  gen.ignore_dependencies = true;
+  GenerationContext ctx =
+      std::move(GenerationContext::Build(pkg, gen)).ValueOrDie();
+  EXPECT_TRUE(GenerateEncoded(ctx, rows, rng, batch).ok());
+  return ctx;
+}
+
+// A copy of `batch` repaired by `rules` (BuildEncodedCfdPlan, then
+// ApplyCfdsEncoded), decoded.
+Result<Relation> Repair(const GenerationContext& ctx, EncodedBatch batch,
+                        const std::vector<ConditionalFd>& rules, Rng* rng) {
+  METALEAK_ASSIGN_OR_RETURN(
+      EncodedCfdPlan plan,
+      BuildEncodedCfdPlan(rules, ctx.domains(), ctx.kinds()));
+  METALEAK_RETURN_NOT_OK(ApplyCfdsEncoded(plan, &batch, rng));
+  return MaterializeRelation(ctx.schema(), ctx.domains(), batch);
+}
+
 TEST(CfdTest, ApplyCfdsEnforcesEachCfdAppliedAlone) {
   // Guarantee: a single CFD (no rule interaction) is enforced exactly.
   Relation r = CfdRelation();
@@ -200,17 +226,12 @@ TEST(CfdTest, ApplyCfdsEnforcesEachCfdAppliedAlone) {
   auto report = ProfileRelation(r, options);
   ASSERT_TRUE(report.ok());
   ASSERT_GT(report->metadata.conditional_fds.size(), 0u);
-  auto domains = report->metadata.RequireDomains();
-  ASSERT_TRUE(domains.ok());
 
   Rng rng(3);
-  GenerationOptions gen;
-  gen.ignore_dependencies = true;
-  auto outcome = GenerateSynthetic(report->metadata, 200, &rng, gen);
-  ASSERT_TRUE(outcome.ok());
+  EncodedBatch roots;
+  GenerationContext ctx = DrawRoots(report->metadata, 200, &rng, &roots);
   for (const ConditionalFd& cfd : report->metadata.conditional_fds) {
-    auto repaired =
-        ApplyCfds(outcome->relation, {cfd}, *domains, &rng);
+    auto repaired = Repair(ctx, roots, {cfd}, &rng);
     ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
     auto valid = ValidateCfd(*repaired, cfd);
     ASSERT_TRUE(valid.ok());
@@ -228,14 +249,10 @@ TEST(CfdTest, ApplyCfdsReducesViolationsUnderInteraction) {
   options.cfd.min_support = 5;
   auto report = ProfileRelation(r, options);
   ASSERT_TRUE(report.ok());
-  auto domains = report->metadata.RequireDomains();
-  ASSERT_TRUE(domains.ok());
 
   Rng rng(4);
-  GenerationOptions gen;
-  gen.ignore_dependencies = true;
-  auto outcome = GenerateSynthetic(report->metadata, 200, &rng, gen);
-  ASSERT_TRUE(outcome.ok());
+  EncodedBatch roots;
+  GenerationContext ctx = DrawRoots(report->metadata, 200, &rng, &roots);
   auto count_violations = [&](const Relation& rel) {
     size_t violations = 0;
     for (const ConditionalFd& cfd : report->metadata.conditional_fds) {
@@ -244,10 +261,11 @@ TEST(CfdTest, ApplyCfdsReducesViolationsUnderInteraction) {
     }
     return violations;
   };
-  size_t before = count_violations(outcome->relation);
-  auto repaired = ApplyCfds(outcome->relation,
-                            report->metadata.conditional_fds, *domains,
-                            &rng);
+  auto unrepaired = MaterializeRelation(ctx.schema(), ctx.domains(), roots);
+  ASSERT_TRUE(unrepaired.ok());
+  size_t before = count_violations(*unrepaired);
+  auto repaired =
+      Repair(ctx, roots, report->metadata.conditional_fds, &rng);
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   size_t after = count_violations(*repaired);
   EXPECT_LT(after, before);
@@ -274,18 +292,84 @@ TEST(CfdTest, ApplyCfdsDisjointRulesAllHold) {
   MetadataPackage pkg;
   pkg.schema = r.schema();
   for (auto& d : *domains_result) pkg.domains.emplace_back(d);
-  GenerationOptions gen;
-  gen.ignore_dependencies = true;
-  auto outcome = GenerateSynthetic(pkg, 300, &rng, gen);
-  ASSERT_TRUE(outcome.ok());
-  auto repaired = ApplyCfds(outcome->relation, rules, *domains_result,
-                            &rng);
+  EncodedBatch roots;
+  GenerationContext ctx = DrawRoots(pkg, 300, &rng, &roots);
+  auto repaired = Repair(ctx, roots, rules, &rng);
   ASSERT_TRUE(repaired.ok());
   for (const ConditionalFd& cfd : rules) {
     auto valid = ValidateCfd(*repaired, cfd);
     ASSERT_TRUE(valid.ok());
     EXPECT_TRUE(*valid) << cfd.ToString(r.schema());
   }
+}
+
+// CFD discovery emits Int64 constants and conditions for an int-typed
+// continuous attribute, whose generated cells are doubles. The chase
+// writes and compares them as doubles, which is what the boxed chase's
+// type relaxation leaves: the code path runs the package and equals the
+// reference bit for bit.
+TEST(CfdTest, Int64ConstantOnIntContinuousAttributeRunsOnCodePath) {
+  std::vector<Value> region, age, tier;
+  for (int i = 0; i < 60; ++i) {
+    region.push_back(Value::Str(i % 3 == 0 ? "eu" : "us"));
+    age.push_back(Value::Int(i % 3 == 0 ? 42 : 20 + i % 40));
+    tier.push_back(Value::Str(i % 2 == 0 ? "gold" : "basic"));
+  }
+  Relation r = MakeRelation(
+      {Cat("region"), {"age", DataType::kInt64, SemanticType::kContinuous},
+       Cat("tier")},
+      {region, age, tier});
+  auto domains = ExtractDomains(r);
+  ASSERT_TRUE(domains.ok());
+  ASSERT_TRUE((*domains)[1].is_continuous());
+  MetadataPackage pkg;
+  pkg.schema = r.schema();
+  for (const Domain& d : *domains) pkg.domains.emplace_back(d);
+  // The constant lands in the real-stored age column, and the variable
+  // rule's condition reads it back.
+  pkg.conditional_fds = {
+      ConditionalFd::Constant(0, Value::Str("eu"), 1, Value::Int(42), 20),
+      ConditionalFd::Variable(1, Value::Int(42), AttributeSet::Single(0), 2,
+                              20),
+  };
+
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng code_rng(seed);
+    EncodedBatch roots;
+    GenerationContext ctx = DrawRoots(pkg, 60, &code_rng, &roots);
+    auto got = Repair(ctx, roots, pkg.conditional_fds, &code_rng);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+    Rng value_rng(seed);
+    GenerationOptions gen;
+    gen.ignore_dependencies = true;
+    auto generated =
+        reference::GenerateSyntheticValuePath(pkg, 60, &value_rng, gen);
+    ASSERT_TRUE(generated.ok());
+    auto want = reference::ApplyCfds(generated->relation,
+                                     pkg.conditional_fds, *domains,
+                                     &value_rng);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(*got, *want);
+    EXPECT_EQ(code_rng.engine()(), value_rng.engine()());
+
+    size_t eu_rows = 0;
+    for (size_t row = 0; row < 60; ++row) {
+      if (got->at(row, 0) != Value::Str("eu")) continue;
+      ++eu_rows;
+      EXPECT_EQ(got->at(row, 1), Value::Real(42.0));
+    }
+    EXPECT_GT(eu_rows, 0u);
+  }
+
+  // The engine runs the CFD method, scored by the fused scan.
+  ExperimentConfig config;
+  config.rounds = 4;
+  config.estimators = &RiskEstimatorRegistry::All();
+  auto result = RunMethod(r, pkg, GenerationMethod::kCfd, config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->measures.back().active);
 }
 
 TEST(CfdTest, VariableCfdMethodLeaksNoMoreThanRandom) {

@@ -16,12 +16,13 @@
 //     MSE against it, and the mean |y_i - y_j| over pairs of rows that
 //     share an LHS value) agree between the kernel and the oracle within
 //     4 standard errors. On a tie-free LHS the two agree bit for bit.
-//   * DdChainExactnessTest: both twins run one kernel, so they agree bit
-//     for bit on every shape, LHS storage and code width, and leave the
-//     RNG at the same point; a sweep whose DD LHS columns hold ties is
-//     bit-identical on both paths at 1 and 8 threads. CI runs this suite
-//     under TSan, since the kernel's scratch is thread-local and shared
-//     with ND and OD on pool threads.
+//   * DdChainExactnessTest: the encoded twin (the library's kernel) and
+//     the boxed chain of tests/reference/ agree bit for bit on every
+//     shape, LHS storage and code width, and leave the RNG at the same
+//     point; a sweep whose DD LHS columns hold ties is bit-identical
+//     under the fused scan and EvaluateLeakage at 1 and 8 threads. CI
+//     runs this suite under TSan, since the kernel's scratch is
+//     thread-local and shared with ND and OD on pool threads.
 //   * DdChainOrderTest: on a tied LHS, walked in (LHS, row) order, every
 //     step whose LHS gap is within epsilon lies within delta of its
 //     predecessor, on both twins.
@@ -46,6 +47,7 @@
 #include "generation/generation_engine.h"
 #include "metadata/metadata_package.h"
 #include "privacy/experiment.h"
+#include "reference/generation_reference.h"
 #include "reference/round_kernel_reference.h"
 
 namespace metaleak {
@@ -163,10 +165,11 @@ std::vector<Shape> Shapes() {
 
 // --- The two twins -----------------------------------------------------------
 
+// The boxed chain of tests/reference/, over the first `rows` LHS values.
 std::vector<Value> ValueTwin(const Shape& shape, size_t rows, Rng* rng) {
   const std::vector<Value> lhs(shape.lhs.begin(), shape.lhs.begin() + rows);
-  return GenerateDdColumn(lhs, shape.domain, rows, shape.epsilon,
-                          shape.delta, rng)
+  return reference::GenerateDdColumn(lhs, shape.domain, rows, shape.epsilon,
+                                     shape.delta, rng)
       .ValueOrDie();
 }
 
@@ -345,7 +348,7 @@ TEST(DdChainDistributionTest, TieFreeLhsMatchesSortOracleBitForBit) {
   }
 }
 
-// --- Exactness: one kernel behind both twins --------------------------------
+// --- Exactness: the library against the boxed oracle ------------------------
 
 TEST(DdChainExactnessTest, EncodedTwinMatchesValueTwinOnEveryWidth) {
   for (const Shape& shape : Shapes()) {

@@ -270,13 +270,22 @@ TEST(DistributionSamplingOracleTest, EncodedSamplerMatchesTheCountWalk) {
   }
 }
 
-TEST(DistributionSamplingOracleTest, UnmappedSupportFallsBackLikeTheScan) {
+TEST(DistributionSamplingOracleTest, UnmappedSupportIsInvalidLikeTheScan) {
   // A frequency value outside the domain, and one equal only across
   // types (Int(1) is not Real(1.0)): the scan finds no entry, and the
-  // hashed mapping must not either.
+  // hashed mapping must not either. Such a package contradicts itself,
+  // so generation and the engine return the not-encodable Invalid.
   const Domain domain = Domain::Categorical(
       {Value::Real(1.0), Value::Real(2.0), Value::Real(3.0)});
+  Schema schema({{"c", DataType::kDouble, SemanticType::kCategorical}});
+  auto real = Relation::Make(
+      schema, {{Value::Real(1.0), Value::Real(2.0), Value::Real(3.0)}});
+  ASSERT_TRUE(real.ok());
+  const std::string kReason =
+      "package is not encodable: "
+      "distribution support does not map into the domain";
   for (const Value& stray : {Value::Real(4.0), Value::Int(1)}) {
+    SCOPED_TRACE(stray.ToString());
     FrequencyTable table;
     table.values = {Value::Real(2.0), stray};
     table.counts = {3, 1};
@@ -291,6 +300,19 @@ TEST(DistributionSamplingOracleTest, UnmappedSupportFallsBackLikeTheScan) {
     EXPECT_FALSE(ctx->encodable());
     EXPECT_EQ(ctx->fallback_reason(),
               "distribution support does not map into the domain");
+
+    Rng rng(1);
+    auto generated = GenerateSynthetic(package, 3, &rng);
+    ASSERT_FALSE(generated.ok());
+    EXPECT_TRUE(generated.status().IsInvalid());
+    EXPECT_EQ(generated.status().message(), kReason);
+    ExperimentConfig config;
+    config.rounds = 2;
+    auto run = ExperimentEngine(*real, package)
+                   .Run(GenerationMethod::kRandom, config);
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsInvalid());
+    EXPECT_EQ(run.status().message(), kReason);
   }
 }
 

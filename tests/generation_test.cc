@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "data/datasets/employee.h"
 #include "data/domain.h"
+#include "data/encoded_batch.h"
 #include "discovery/discovery_engine.h"
 #include "discovery/validators.h"
 #include "generation/column_generators.h"
@@ -26,23 +27,62 @@ Domain SmallCatDomain() {
                               Value::Str("e")});
 }
 
+// An EncodedBatch over `domains`, every column `rows` long, for the
+// encoded generators to fill column by column.
+class Columns {
+ public:
+  Columns(std::vector<Domain> domains, size_t rows)
+      : domains_(std::move(domains)) {
+    batch_.Configure(ColumnKindsForDomains(domains_),
+                     CodeWidthsForDomains(domains_));
+    batch_.ResetRows(rows);
+  }
+
+  EncodedBatch* batch() { return &batch_; }
+  const Domain& domain(size_t c) const { return domains_[c]; }
+
+  // Column c as Values: code i+1 is domain value i, a double is boxed.
+  std::vector<Value> Decode(size_t c) const {
+    std::vector<Value> out;
+    for (size_t r = 0; r < batch_.num_rows(); ++r) {
+      if (batch_.kind(c) == EncodedBatch::ColumnKind::kCodes) {
+        out.push_back(domains_[c].values()[batch_.code_at(c, r) - 1]);
+      } else {
+        out.push_back(Value::Real(batch_.reals(c)[r]));
+      }
+    }
+    return out;
+  }
+
+  // Fills column c with root draws.
+  void Root(size_t c, Rng* rng) {
+    GenerateRootColumnEncoded(domains_[c], batch_.num_rows(), rng, &batch_,
+                              c);
+  }
+
+ private:
+  std::vector<Domain> domains_;
+  EncodedBatch batch_;
+};
+
 // --- Root generation -----------------------------------------------------------
 
 TEST(ColumnGeneratorsTest, RootStaysInDomain) {
   Rng rng(1);
-  Domain domain = SmallCatDomain();
-  std::vector<Value> col = GenerateRootColumn(domain, 500, &rng);
+  Columns cols({SmallCatDomain()}, 500);
+  cols.Root(0, &rng);
+  std::vector<Value> col = cols.Decode(0);
   ASSERT_EQ(col.size(), 500u);
-  for (const Value& v : col) EXPECT_TRUE(domain.Contains(v));
+  for (const Value& v : col) EXPECT_TRUE(cols.domain(0).Contains(v));
 }
 
 TEST(ColumnGeneratorsTest, RootIsRoughlyUniform) {
   Rng rng(2);
-  Domain domain = SmallCatDomain();
-  std::vector<Value> col = GenerateRootColumn(domain, 20000, &rng);
+  Columns cols({SmallCatDomain()}, 20000);
+  cols.Root(0, &rng);
   std::unordered_map<Value, size_t> counts;
-  for (const Value& v : col) counts[v]++;
-  for (const Value& v : domain.values()) {
+  for (const Value& v : cols.Decode(0)) counts[v]++;
+  for (const Value& v : cols.domain(0).values()) {
     EXPECT_NEAR(static_cast<double>(counts[v]) / 20000.0, 0.2, 0.02);
   }
 }
@@ -51,12 +91,13 @@ TEST(ColumnGeneratorsTest, RootIsRoughlyUniform) {
 
 TEST(ColumnGeneratorsTest, FdColumnIsFunctionOfLhs) {
   Rng rng(3);
-  Domain lhs_domain = SmallCatDomain();
   Domain rhs_domain = Domain::Categorical({Value::Int(1), Value::Int(2),
                                            Value::Int(3)});
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 300, &rng);
-  std::vector<Value> rhs =
-      GenerateFdColumn({&lhs}, rhs_domain, 300, &rng);
+  Columns cols({SmallCatDomain(), rhs_domain}, 300);
+  cols.Root(0, &rng);
+  GenerateFdColumnEncoded({0}, rhs_domain, 300, &rng, cols.batch(), 1);
+  std::vector<Value> lhs = cols.Decode(0);
+  std::vector<Value> rhs = cols.Decode(1);
   std::unordered_map<Value, Value> mapping;
   for (size_t r = 0; r < lhs.size(); ++r) {
     auto it = mapping.find(lhs[r]);
@@ -71,18 +112,23 @@ TEST(ColumnGeneratorsTest, FdColumnIsFunctionOfLhs) {
 
 TEST(ColumnGeneratorsTest, FdEmptyLhsIsConstantColumn) {
   Rng rng(4);
-  Domain domain = SmallCatDomain();
-  std::vector<Value> col = GenerateFdColumn({}, domain, 50, &rng);
+  Columns cols({SmallCatDomain()}, 50);
+  GenerateFdColumnEncoded({}, cols.domain(0), 50, &rng, cols.batch(), 0);
+  std::vector<Value> col = cols.Decode(0);
   for (const Value& v : col) EXPECT_EQ(v, col[0]);
 }
 
 TEST(ColumnGeneratorsTest, FdCompositeLhsMapping) {
   Rng rng(5);
   Domain d = Domain::Categorical({Value::Int(0), Value::Int(1)});
-  std::vector<Value> a = GenerateRootColumn(d, 200, &rng);
-  std::vector<Value> b = GenerateRootColumn(d, 200, &rng);
-  Domain target = SmallCatDomain();
-  std::vector<Value> y = GenerateFdColumn({&a, &b}, target, 200, &rng);
+  Columns cols({d, d, SmallCatDomain()}, 200);
+  cols.Root(0, &rng);
+  cols.Root(1, &rng);
+  GenerateFdColumnEncoded({0, 1}, cols.domain(2), 200, &rng, cols.batch(),
+                          2);
+  std::vector<Value> a = cols.Decode(0);
+  std::vector<Value> b = cols.Decode(1);
+  std::vector<Value> y = cols.Decode(2);
   std::map<std::pair<std::string, std::string>, Value> mapping;
   for (size_t r = 0; r < y.size(); ++r) {
     auto key = std::make_pair(a[r].ToString(), b[r].ToString());
@@ -99,12 +145,15 @@ TEST(ColumnGeneratorsTest, FdCompositeLhsMapping) {
 
 TEST(ColumnGeneratorsTest, AfdViolationRateNearG3) {
   Rng rng(6);
-  Domain lhs_domain = Domain::Categorical({Value::Int(0), Value::Int(1)});
-  Domain rhs_domain = SmallCatDomain();
   const size_t n = 20000;
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, n, &rng);
-  std::vector<Value> rhs =
-      GenerateAfdColumn({&lhs}, rhs_domain, n, 0.2, &rng);
+  Columns cols({Domain::Categorical({Value::Int(0), Value::Int(1)}),
+                SmallCatDomain()},
+               n);
+  cols.Root(0, &rng);
+  GenerateAfdColumnEncoded({0}, cols.domain(1), n, 0.2, &rng, cols.batch(),
+                           1);
+  std::vector<Value> lhs = cols.Decode(0);
+  std::vector<Value> rhs = cols.Decode(1);
   // Majority class per LHS value approximates the mapping; deviations
   // approximate the violation rate: 0.2 redraws, 4/5 of which differ.
   std::unordered_map<Value, std::unordered_map<Value, size_t>> counts;
@@ -122,9 +171,12 @@ TEST(ColumnGeneratorsTest, AfdViolationRateNearG3) {
 
 TEST(ColumnGeneratorsTest, AfdZeroErrorIsExactFd) {
   Rng rng(7);
-  Domain d = SmallCatDomain();
-  std::vector<Value> lhs = GenerateRootColumn(d, 200, &rng);
-  std::vector<Value> rhs = GenerateAfdColumn({&lhs}, d, 200, 0.0, &rng);
+  Columns cols({SmallCatDomain(), SmallCatDomain()}, 200);
+  cols.Root(0, &rng);
+  GenerateAfdColumnEncoded({0}, cols.domain(1), 200, 0.0, &rng,
+                           cols.batch(), 1);
+  std::vector<Value> lhs = cols.Decode(0);
+  std::vector<Value> rhs = cols.Decode(1);
   std::unordered_map<Value, Value> mapping;
   for (size_t r = 0; r < 200; ++r) {
     auto [it, inserted] = mapping.emplace(lhs[r], rhs[r]);
@@ -136,15 +188,18 @@ TEST(ColumnGeneratorsTest, AfdZeroErrorIsExactFd) {
 
 TEST(ColumnGeneratorsTest, NdRespectsFanoutBound) {
   Rng rng(8);
-  Domain lhs_domain = Domain::Categorical({Value::Int(0), Value::Int(1),
-                                           Value::Int(2)});
   Domain rhs_domain = Domain::Categorical(
       {Value::Int(10), Value::Int(11), Value::Int(12), Value::Int(13),
        Value::Int(14), Value::Int(15), Value::Int(16), Value::Int(17)});
   const size_t k = 3;
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 2000, &rng);
-  std::vector<Value> rhs =
-      GenerateNdColumn(lhs, rhs_domain, 2000, k, &rng);
+  Columns cols({Domain::Categorical({Value::Int(0), Value::Int(1),
+                                     Value::Int(2)}),
+                rhs_domain},
+               2000);
+  cols.Root(0, &rng);
+  GenerateNdColumnEncoded(0, rhs_domain, 2000, k, &rng, cols.batch(), 1);
+  std::vector<Value> lhs = cols.Decode(0);
+  std::vector<Value> rhs = cols.Decode(1);
   std::unordered_map<Value, std::unordered_set<Value>> fanout;
   for (size_t r = 0; r < lhs.size(); ++r) {
     fanout[lhs[r]].insert(rhs[r]);
@@ -155,11 +210,12 @@ TEST(ColumnGeneratorsTest, NdRespectsFanoutBound) {
 
 TEST(ColumnGeneratorsTest, NdPoolIsDistinctForCategoricalDomain) {
   Rng rng(9);
-  Domain lhs_domain = Domain::Categorical({Value::Int(0)});
-  Domain rhs_domain = SmallCatDomain();
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 5000, &rng);
-  std::vector<Value> rhs =
-      GenerateNdColumn(lhs, rhs_domain, 5000, 3, &rng);
+  Columns cols({Domain::Categorical({Value::Int(0)}), SmallCatDomain()},
+               5000);
+  cols.Root(0, &rng);
+  GenerateNdColumnEncoded(0, cols.domain(1), 5000, 3, &rng, cols.batch(),
+                          1);
+  std::vector<Value> rhs = cols.Decode(1);
   std::unordered_set<Value> seen(rhs.begin(), rhs.end());
   // Pool drawn without replacement: exactly min(3, 5) values appear.
   EXPECT_EQ(seen.size(), 3u);
@@ -167,68 +223,73 @@ TEST(ColumnGeneratorsTest, NdPoolIsDistinctForCategoricalDomain) {
 
 TEST(ColumnGeneratorsTest, NdFanoutLargerThanDomainClamps) {
   Rng rng(10);
-  Domain lhs_domain = Domain::Categorical({Value::Int(0)});
   Domain rhs_domain = Domain::Categorical({Value::Int(1), Value::Int(2)});
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 100, &rng);
-  std::vector<Value> rhs =
-      GenerateNdColumn(lhs, rhs_domain, 100, 10, &rng);
-  for (const Value& v : rhs) EXPECT_TRUE(rhs_domain.Contains(v));
+  Columns cols({Domain::Categorical({Value::Int(0)}), rhs_domain}, 100);
+  cols.Root(0, &rng);
+  GenerateNdColumnEncoded(0, rhs_domain, 100, 10, &rng, cols.batch(), 1);
+  for (const Value& v : cols.Decode(1)) EXPECT_TRUE(rhs_domain.Contains(v));
 }
 
 // --- OD / OFD generation --------------------------------------------------------------
 
 TEST(ColumnGeneratorsTest, OdOutputSatisfiesOrderDependency) {
   Rng rng(11);
-  Domain lhs_domain = Domain::Continuous(0, 100);
-  Domain rhs_domain = Domain::Continuous(-50, 50);
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 200, &rng);
-  std::vector<Value> rhs = GenerateOdColumn(lhs, rhs_domain, 200, &rng);
+  Columns cols({Domain::Continuous(0, 100), Domain::Continuous(-50, 50)},
+               200);
+  cols.Root(0, &rng);
+  GenerateOdColumnEncoded(0, cols.domain(1), 200, &rng, cols.batch(), 1);
   // Build a relation and validate with the discovery-side validator:
   // generation and validation must agree on the OD semantics.
   Schema schema({{"x", DataType::kDouble, SemanticType::kContinuous},
                  {"y", DataType::kDouble, SemanticType::kContinuous}});
-  Relation r =
-      std::move(Relation::Make(schema, {lhs, rhs})).ValueOrDie();
+  Relation r = std::move(Relation::Make(schema, {cols.Decode(0),
+                                                 cols.Decode(1)}))
+                   .ValueOrDie();
   EXPECT_TRUE(ValidateOd(r, 0, 1));
 }
 
 TEST(ColumnGeneratorsTest, OdWorksOntoCategoricalDomain) {
   Rng rng(12);
-  Domain lhs_domain = Domain::Continuous(0, 10);
-  Domain rhs_domain = SmallCatDomain();
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 100, &rng);
-  std::vector<Value> rhs = GenerateOdColumn(lhs, rhs_domain, 100, &rng);
+  Columns cols({Domain::Continuous(0, 10), SmallCatDomain()}, 100);
+  cols.Root(0, &rng);
+  GenerateOdColumnEncoded(0, cols.domain(1), 100, &rng, cols.batch(), 1);
   Schema schema({{"x", DataType::kDouble, SemanticType::kContinuous},
                  {"y", DataType::kString, SemanticType::kCategorical}});
-  Relation r =
-      std::move(Relation::Make(schema, {lhs, rhs})).ValueOrDie();
+  Relation r = std::move(Relation::Make(schema, {cols.Decode(0),
+                                                 cols.Decode(1)}))
+                   .ValueOrDie();
   EXPECT_TRUE(ValidateOd(r, 0, 1));
 }
 
 TEST(ColumnGeneratorsTest, OfdOutputSatisfiesStrictOrder) {
   Rng rng(13);
-  Domain lhs_domain = Domain::Continuous(0, 100);
-  Domain rhs_domain = Domain::Continuous(0, 1);
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 150, &rng);
-  std::vector<Value> rhs = GenerateOfdColumn(lhs, rhs_domain, 150, &rng);
+  Columns cols({Domain::Continuous(0, 100), Domain::Continuous(0, 1)}, 150);
+  cols.Root(0, &rng);
+  GenerateOfdColumnEncoded(0, cols.domain(1), 150, &rng, cols.batch(), 1);
   Schema schema({{"x", DataType::kDouble, SemanticType::kContinuous},
                  {"y", DataType::kDouble, SemanticType::kContinuous}});
-  Relation r =
-      std::move(Relation::Make(schema, {lhs, rhs})).ValueOrDie();
+  Relation r = std::move(Relation::Make(schema, {cols.Decode(0),
+                                                 cols.Decode(1)}))
+                   .ValueOrDie();
   EXPECT_TRUE(ValidateOfd(r, 0, 1));
 }
 
 TEST(ColumnGeneratorsTest, OfdCategoricalUsesDistinctValuesWhenPossible) {
   Rng rng(14);
   // 3 distinct LHS values, 5-value RHS domain: strict walk possible.
-  std::vector<Value> lhs = {Value::Int(1), Value::Int(2), Value::Int(3),
-                            Value::Int(1), Value::Int(2)};
-  Domain rhs_domain = SmallCatDomain();
-  std::vector<Value> rhs = GenerateOfdColumn(lhs, rhs_domain, 5, &rng);
+  // Codes 1..3 are Int(1..3), so the LHS reads 1, 2, 3, 1, 2.
+  Columns cols({Domain::Categorical({Value::Int(1), Value::Int(2),
+                                     Value::Int(3)}),
+                SmallCatDomain()},
+               5);
+  const uint32_t lhs_codes[] = {1, 2, 3, 1, 2};
+  for (size_t r = 0; r < 5; ++r) cols.batch()->set_code(0, r, lhs_codes[r]);
+  GenerateOfdColumnEncoded(0, cols.domain(1), 5, &rng, cols.batch(), 1);
   Schema schema({{"x", DataType::kInt64, SemanticType::kCategorical},
                  {"y", DataType::kString, SemanticType::kCategorical}});
-  Relation r =
-      std::move(Relation::Make(schema, {lhs, rhs})).ValueOrDie();
+  Relation r = std::move(Relation::Make(schema, {cols.Decode(0),
+                                                 cols.Decode(1)}))
+                   .ValueOrDie();
   EXPECT_TRUE(ValidateOfd(r, 0, 1));
 }
 
@@ -236,13 +297,15 @@ TEST(ColumnGeneratorsTest, OfdCategoricalUsesDistinctValuesWhenPossible) {
 
 TEST(ColumnGeneratorsTest, DdChainedStepsStayWithinDelta) {
   Rng rng(15);
-  Domain lhs_domain = Domain::Continuous(0, 10);
-  Domain rhs_domain = Domain::Continuous(0, 100);
-  std::vector<Value> lhs = GenerateRootColumn(lhs_domain, 300, &rng);
+  Columns cols({Domain::Continuous(0, 10), Domain::Continuous(0, 100)}, 300);
+  cols.Root(0, &rng);
   const double eps = 5.0;
   const double delta = 3.0;
-  auto rhs = GenerateDdColumn(lhs, rhs_domain, 300, eps, delta, &rng);
-  ASSERT_TRUE(rhs.ok());
+  ASSERT_TRUE(GenerateDdColumnEncoded(0, cols.domain(1), {}, 300, eps, delta,
+                                      &rng, cols.batch(), 1)
+                  .ok());
+  std::vector<Value> lhs = cols.Decode(0);
+  std::vector<Value> rhs = cols.Decode(1);
   // Consecutive rows in LHS order with gap <= eps differ by <= delta.
   std::vector<size_t> order(300);
   for (size_t i = 0; i < 300; ++i) order[i] = i;
@@ -252,8 +315,8 @@ TEST(ColumnGeneratorsTest, DdChainedStepsStayWithinDelta) {
   for (size_t i = 1; i < order.size(); ++i) {
     double dx = lhs[order[i]].AsDouble() - lhs[order[i - 1]].AsDouble();
     if (dx <= eps) {
-      double dy = std::abs((*rhs)[order[i]].AsDouble() -
-                           (*rhs)[order[i - 1]].AsDouble());
+      double dy = std::abs(rhs[order[i]].AsDouble() -
+                           rhs[order[i - 1]].AsDouble());
       EXPECT_LE(dy, delta + 1e-9);
     }
   }
@@ -261,9 +324,11 @@ TEST(ColumnGeneratorsTest, DdChainedStepsStayWithinDelta) {
 
 TEST(ColumnGeneratorsTest, DdRejectsCategoricalTarget) {
   Rng rng(16);
-  std::vector<Value> lhs = {Value::Real(1)};
-  EXPECT_FALSE(
-      GenerateDdColumn(lhs, SmallCatDomain(), 1, 1, 1, &rng).ok());
+  Columns cols({Domain::Continuous(1, 1), SmallCatDomain()}, 1);
+  cols.Root(0, &rng);
+  EXPECT_FALSE(GenerateDdColumnEncoded(0, cols.domain(1), {}, 1, 1, 1, &rng,
+                                       cols.batch(), 1)
+                   .ok());
 }
 
 // --- GenerationEngine --------------------------------------------------------------

@@ -1,17 +1,20 @@
 // Golden-parity suite for the dictionary-encoded attack pipeline.
 //
-// The experiment runner executes every Monte-Carlo round either on the
-// boxed-Value reference path or on the dense code path (generation into
-// an EncodedBatch arena, leakage over translated codes). Both are
-// claimed bit-identical: same per-round seeds, same match counts, same
-// MSEs, same Welford aggregates, at any thread count. This suite pins
-// that claim on the employee and echocardiogram datasets and a planted
-// synthetic relation — including the CFD repair pass and disclosed
-// value distributions — and exercises the satellite APIs (ForAttribute
-// index lookups, recorded round seeds + ReplayRound, synthetic-NULL
-// non-match semantics). Runs under TSan in CI alongside
-// csr_agreement_test: any divergence means the refactor changed
-// observable results, not just performance.
+// The experiment runner generates every Monte-Carlo round on the dense
+// code path (GenerateEncoded into an EncodedBatch arena, then
+// ApplyCfdsEncoded for the CFD method) and scores it either with the
+// fused scan over translated codes or, when use_value_path is set, with
+// EvaluateLeakage on the decoded batch. Both are claimed bit-identical:
+// same per-round seeds, same match counts, same MSEs, same Welford
+// aggregates, at any thread count. This suite pins that claim on the
+// employee and echocardiogram datasets and a planted synthetic relation
+// — including the CFD repair pass and disclosed value distributions —
+// and exercises the satellite APIs (ForAttribute index lookups, recorded
+// round seeds + ReplayRound, synthetic-NULL non-match semantics, an
+// encoding without a source relation). Runs under TSan in CI alongside
+// csr_agreement_test: any divergence means a change altered observable
+// results, not just performance. tests/generation_oracle_test.cc holds
+// the generated batches themselves to the boxed-Value oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +32,7 @@
 #include "generation/generation_engine.h"
 #include "privacy/experiment.h"
 #include "privacy/leakage.h"
+#include "reference/generation_reference.h"
 
 namespace metaleak {
 namespace {
@@ -69,10 +73,9 @@ void ExpectBitIdentical(const std::vector<MethodResult>& a,
   }
 }
 
-// Runs the full method sweep on both paths at 1 and 8 threads and
-// asserts all four sweeps agree bit-for-bit. Also asserts the code path
-// is actually live for the package (otherwise the parity is vacuous:
-// both sweeps would run the reference path).
+// Runs the full method sweep under both scorers at 1 and 8 threads and
+// asserts all four sweeps agree bit-for-bit. Also asserts the package is
+// encodable, so every method generates.
 void CheckGoldenParity(const Relation& relation,
                        const MetadataPackage& metadata, size_t rounds) {
   auto ctx = GenerationContext::Build(metadata);
@@ -193,7 +196,8 @@ TEST(LeakageCodepathTest, GoldenParityAttackFixture) {
 }
 
 // A continuous column holding an infinity discloses a non-finite domain.
-// Both generation paths refuse it with the same Status.
+// The engine under both scorers, GenerateSynthetic and the boxed-Value
+// oracle all refuse it with the same Status.
 TEST(LeakageCodepathTest, NonFiniteDomainRejectedOnBothPaths) {
   for (double bad : {std::numeric_limits<double>::infinity(),
                      -std::numeric_limits<double>::infinity()}) {
@@ -226,7 +230,8 @@ TEST(LeakageCodepathTest, NonFiniteDomainRejectedOnBothPaths) {
     statuses.push_back(
         GenerateSynthetic(report->metadata, 200, &code_rng).status());
     statuses.push_back(
-        GenerateSyntheticValuePath(report->metadata, 200, &value_rng)
+        reference::GenerateSyntheticValuePath(report->metadata, 200,
+                                              &value_rng)
             .status());
     for (const Status& st : statuses) {
       EXPECT_TRUE(st.IsInvalid()) << st.ToString();
@@ -259,7 +264,7 @@ TEST(LeakageCodepathTest, SyntheticNullNeverMatches) {
 
 TEST(LeakageCodepathTest, CodePathAgreesOnRealNulls) {
   // A relation with NULL holes: the encoded translation maps NULL to the
-  // no-match sentinel, so both paths must report identical counts and
+  // no-match sentinel, so both scorers must report identical counts and
   // rows_compared excludes the NULLs.
   Schema schema({{"cat", DataType::kString, SemanticType::kCategorical},
                  {"num", DataType::kDouble, SemanticType::kContinuous}});
@@ -408,6 +413,71 @@ TEST(LeakageCodepathTest, ReplayRoundPathsAgree) {
       }
     }
   }
+}
+
+// --- A package of another arity ----------------------------------------------
+
+// A package wider than the relation plans steps past the relation's
+// columns. Every method returns the binds' arity Invalid before the
+// engine marks any attribute covered.
+TEST(LeakageCodepathTest, PackageOfAnotherArityIsInvalid) {
+  Relation employee = datasets::Employee();
+  MetadataPackage wide;
+  std::vector<Attribute> attrs;
+  for (size_t c = 0; c < 8; ++c) {
+    attrs.push_back({"a" + std::to_string(c), DataType::kInt64,
+                     SemanticType::kCategorical});
+    wide.domains.emplace_back(
+        Domain::Categorical({Value::Int(0), Value::Int(1)}));
+  }
+  wide.schema = Schema(std::move(attrs));
+  wide.dependencies.Add(Dependency::Fd(AttributeSet::Single(0), 7));
+  ExperimentConfig config;
+  config.rounds = 2;
+  for (GenerationMethod method : kAllMethods) {
+    SCOPED_TRACE(GenerationMethodToString(method));
+    auto result = RunMethod(employee, wide, method, config);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalid()) << result.status().ToString();
+  }
+}
+
+// --- An encoding without a source relation -----------------------------------
+
+// EncodedRelation::FromDictionaries allows a null source. The engine reads
+// rows, columns and names from the encoding, so the fused rounds and
+// their replays run; only a round scored on the decoded batch needs the
+// relation, and it returns Invalid.
+TEST(LeakageCodepathTest, EngineRunsOnAnEncodingWithoutSource) {
+  Relation employee = datasets::Employee();
+  auto report = ProfileRelation(employee);
+  ASSERT_TRUE(report.ok());
+  EncodedRelation encoded = EncodedRelation::Encode(employee);
+  ExperimentConfig config;
+  config.rounds = 6;
+  auto want = RunExperiment(employee, report->metadata, kAllMethods, config);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  encoded.set_source(nullptr);
+  ExperimentEngine engine(encoded, report->metadata);
+  auto got = engine.RunAll(kAllMethods, config);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectBitIdentical(*want, *got);
+  for (size_t c = 0; c < employee.num_columns(); ++c) {
+    EXPECT_EQ((*got)[0].attributes[c].name,
+              employee.schema().attribute(c).name);
+  }
+  auto replay = engine.ReplayRound(GenerationMethod::kFd,
+                                   (*got)[1].round_seeds[0], config);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+
+  config.use_value_path = true;
+  auto decoded = engine.Run(GenerationMethod::kFd, config);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsInvalid()) << decoded.status().ToString();
+  EXPECT_FALSE(engine.ReplayRound(GenerationMethod::kFd,
+                                  (*got)[1].round_seeds[0], config)
+                   .ok());
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 #include <utility>
 #include <vector>
 
+#include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/domain.h"
 #include "data/statistics.h"
+#include "discovery/discovery_engine.h"
 #include "metadata/dependency.h"
 #include "metadata/dependency_graph.h"
 #include "metadata/dependency_set.h"
@@ -517,6 +519,97 @@ TEST(MetadataPackageTest, ValuesWithSpacesSurviveRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   const Domain& dept = *parsed->domains[2];
   EXPECT_TRUE(dept.Contains(Value::Str("Customer Service")));
+}
+
+// --- Self-contradictory packages ---------------------------------------------
+
+// A three-attribute package, c over {"a", "b"}, k over {1, 2} (both
+// categorical) and x continuous on [0, 10], followed by `records`.
+std::string MixedKindText(const std::string& records) {
+  MetadataPackage pkg;
+  pkg.schema = Schema({{"c", DataType::kString, SemanticType::kCategorical},
+                       {"k", DataType::kInt64, SemanticType::kCategorical},
+                       {"x", DataType::kDouble, SemanticType::kContinuous}});
+  pkg.domains = {Domain::Categorical({Value::Str("a"), Value::Str("b")}),
+                 Domain::Categorical({Value::Int(1), Value::Int(2)}),
+                 Domain::Continuous(0.0, 10.0)};
+  return pkg.Serialize() + records;
+}
+
+void ExpectMixedKindIoError(const std::string& records) {
+  auto parsed = MetadataPackage::Deserialize(MixedKindText(records));
+  ASSERT_FALSE(parsed.ok()) << records;
+  EXPECT_TRUE(parsed.status().IsIoError()) << parsed.status().ToString();
+}
+
+void ExpectMixedKindParses(const std::string& records) {
+  auto parsed = MetadataPackage::Deserialize(MixedKindText(records));
+  EXPECT_TRUE(parsed.ok()) << records << parsed.status().ToString();
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsDistributionOfTheOtherKind) {
+  ExpectMixedKindParses("dist\t0\tcategorical\ts:a@3|s:b@1\n");
+  ExpectMixedKindParses("dist\t2\tcontinuous\t0\t10\t3,1\n");
+  ExpectMixedKindIoError("dist\t0\tcontinuous\t0\t10\t3,1\n");
+  ExpectMixedKindIoError("dist\t2\tcategorical\td:1@3\n");
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsDistributionValueOutsideDomain) {
+  ExpectMixedKindParses("dist\t1\tcategorical\ti:2@3\n");
+  ExpectMixedKindIoError("dist\t0\tcategorical\ts:a@3|s:z@1\n");
+  // Real(1.0) is not the domain entry Int(1): generation maps frequency
+  // values to codes by structural equality.
+  ExpectMixedKindIoError("dist\t1\tcategorical\td:1@3\n");
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsConstantCfdOutsideDomain) {
+  // cfd: condition attribute and value, LHS, RHS, constant flag, RHS
+  // value, support.
+  ExpectMixedKindParses("cfd\t1\ti:1\t\t0\t1\ts:a\t3\n");
+  ExpectMixedKindParses("cfd\t1\ti:1\t1\t0\t0\tn:\t3\n");
+  ExpectMixedKindParses("cfd\t0\ts:a\t\t2\t1\ti:4\t3\n");
+  ExpectMixedKindIoError("cfd\t1\ti:1\t\t0\t1\ts:zed\t3\n");
+  ExpectMixedKindIoError("cfd\t0\ts:a\t\t1\t1\td:2\t3\n");
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsNanCategoricalDomainEntry) {
+  const std::string head =
+      "metaleak-metadata v1\nattr\tc\tdouble\tcategorical\n";
+  EXPECT_TRUE(MetadataPackage::Deserialize(
+                  head + "domain\t0\tcategorical\td:1|d:2\n")
+                  .ok());
+  auto parsed = MetadataPackage::Deserialize(
+      head + "domain\t0\tcategorical\td:nan|d:1\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsIoError()) << parsed.status().ToString();
+}
+
+// Packages the profiler discloses with distributions and CFDs describe a
+// real relation, so the boundary checks accept them.
+TEST(MetadataPackageTest, ProfiledPackagesWithDistributionsRoundTrip) {
+  DiscoveryOptions options;
+  options.profile_distributions = true;
+  options.discover_cfds = true;
+  options.cfd.min_support = 2;
+  for (const Relation& relation :
+       {datasets::Employee(), datasets::Echocardiogram()}) {
+    auto report = ProfileRelation(relation, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const MetadataPackage& pkg = report->metadata;
+    ASSERT_FALSE(pkg.conditional_fds.empty());
+    auto parsed = MetadataPackage::Deserialize(pkg.Serialize());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->schema, pkg.schema);
+    EXPECT_EQ(parsed->conditional_fds.size(), pkg.conditional_fds.size());
+    ASSERT_EQ(parsed->distributions.size(), pkg.distributions.size());
+    size_t disclosed = 0;
+    for (size_t i = 0; i < pkg.distributions.size(); ++i) {
+      ASSERT_EQ(parsed->distributions[i].has_value(),
+                pkg.distributions[i].has_value());
+      disclosed += pkg.distributions[i].has_value();
+    }
+    EXPECT_GT(disclosed, 0u);
+  }
 }
 
 }  // namespace

@@ -79,14 +79,18 @@ TEST(GeneratorBoundaryTest, NullRngRejected) {
 TEST(GeneratorBoundaryTest, DdBallClampsToDomain) {
   // Tiny domain, large delta: all samples stay in the domain.
   Rng rng(9);
-  Domain x_domain = Domain::Continuous(0, 1);
-  Domain y_domain = Domain::Continuous(10, 11);
-  std::vector<Value> lhs = GenerateRootColumn(x_domain, 200, &rng);
-  auto col = GenerateDdColumn(lhs, y_domain, 200, 0.5, 100.0, &rng);
-  ASSERT_TRUE(col.ok());
-  for (const Value& v : *col) {
-    EXPECT_GE(v.AsDouble(), 10.0);
-    EXPECT_LE(v.AsDouble(), 11.0);
+  const std::vector<Domain> domains = {Domain::Continuous(0, 1),
+                                       Domain::Continuous(10, 11)};
+  EncodedBatch batch;
+  batch.Configure(ColumnKindsForDomains(domains));
+  batch.ResetRows(200);
+  GenerateRootColumnEncoded(domains[0], 200, &rng, &batch, 0);
+  ASSERT_TRUE(GenerateDdColumnEncoded(0, domains[1], {}, 200, 0.5, 100.0,
+                                      &rng, &batch, 1)
+                  .ok());
+  for (double y : batch.reals(1)) {
+    EXPECT_GE(y, 10.0);
+    EXPECT_LE(y, 11.0);
   }
 }
 

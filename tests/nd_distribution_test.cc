@@ -14,12 +14,13 @@
 //     standard errors, and the lazy means sit within 4 standard errors
 //     of ExpectedNdRhsMatches / ExpectedNdPairMatches. The seeds are
 //     fixed, so the suite is deterministic.
-//   * NdPoolExactnessTest: the boxed twin and the code-path generator
-//     share one kernel, so they agree bit for bit on every code width
-//     and on real targets, and leave the RNG at the same point; an
-//     ND-only experiment sweep is bit-identical on both paths at 1 and
-//     8 threads. CI runs this suite under TSan, since the kernel's
-//     scratch is thread-local and the sweep's rounds run on the pool.
+//   * NdPoolExactnessTest: the code-path generator agrees bit for bit
+//     with the boxed lazy-pool oracle (reference::GenerateNdColumn) on
+//     every code width and on real targets, and leaves the RNG at the
+//     same point; an ND-only experiment sweep is bit-identical under the
+//     fused scan and EvaluateLeakage at 1 and 8 threads. CI runs this
+//     suite under TSan, since the kernel's scratch is thread-local and
+//     the sweep's rounds run on the pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +41,7 @@
 #include "generation/generation_engine.h"
 #include "privacy/analytical.h"
 #include "privacy/experiment.h"
+#include "reference/generation_reference.h"
 #include "reference/round_kernel_reference.h"
 
 namespace metaleak {
@@ -209,9 +211,51 @@ struct Moments {
   }
 };
 
-using NdGenerator = std::vector<Value> (*)(const std::vector<Value>&,
-                                           const Domain&, size_t, size_t,
-                                           Rng*);
+// The library's ND generator on a batch whose column 0 holds the first
+// `num_rows` LHS values (codes in ascending value order, or doubles) and
+// whose column 1 is the target at `width`, decoded back to Values.
+std::vector<Value> GenerateThroughBatch(const Shape& shape, bool real_lhs,
+                                        CodeWidth width, size_t num_rows,
+                                        Rng* rng) {
+  using Kind = EncodedBatch::ColumnKind;
+  const bool categorical = shape.domain.is_categorical();
+  EncodedBatch batch;
+  batch.Configure({real_lhs ? Kind::kReals : Kind::kCodes,
+                   categorical ? Kind::kCodes : Kind::kReals},
+                  {CodeWidth::kU32, width});
+  batch.ResetRows(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const int64_t x = shape.lhs[r].AsInt();
+    if (real_lhs) {
+      batch.reals(0)[r] = static_cast<double>(x);
+    } else {
+      batch.set_code(0, r, static_cast<uint32_t>(x) + 1);
+    }
+  }
+  GenerateNdColumnEncoded(0, shape.domain, num_rows, shape.fanout, rng,
+                          &batch, 1);
+  std::vector<Value> out;
+  for (size_t r = 0; r < num_rows; ++r) {
+    out.push_back(categorical
+                      ? shape.domain.values()[batch.code_at(1, r) - 1]
+                      : Value::Real(batch.reals(1)[r]));
+  }
+  return out;
+}
+
+// One ND generator run over the whole shape.
+using NdGenerator = std::vector<Value> (*)(const Shape&, Rng*);
+
+// The library's lazy pools as the attack rounds run them, on u32 codes.
+std::vector<Value> LazyPools(const Shape& shape, Rng* rng) {
+  return GenerateThroughBatch(shape, /*real_lhs=*/false, CodeWidth::kU32,
+                              shape.lhs.size(), rng);
+}
+
+std::vector<Value> PoolFirst(const Shape& shape, Rng* rng) {
+  return reference::PoolFirstNdColumn(shape.lhs, shape.domain,
+                                      shape.lhs.size(), shape.fanout, rng);
+}
 
 constexpr size_t kSeeds = 400;
 
@@ -222,9 +266,7 @@ std::vector<Moments> Sample(const Shape& shape, NdGenerator generate,
   std::vector<Moments> moments(kNumStats);
   for (uint64_t s = 0; s < kSeeds; ++s) {
     Rng rng(first_seed + s);
-    const std::vector<Value> y = generate(shape.lhs, shape.domain,
-                                          shape.lhs.size(), shape.fanout,
-                                          &rng);
+    const std::vector<Value> y = generate(shape, &rng);
     const std::vector<double> stats = Measure(shape, y);
     for (size_t i = 0; i < kNumStats; ++i) moments[i].Add(stats[i]);
   }
@@ -236,9 +278,8 @@ std::vector<Moments> Sample(const Shape& shape, NdGenerator generate,
 void ExpectSameDistribution(const Shape& shape) {
   SCOPED_TRACE(shape.name);
   // Disjoint seed ranges keep the two samples independent.
-  const std::vector<Moments> got = Sample(shape, GenerateNdColumn, 1);
-  const std::vector<Moments> want =
-      Sample(shape, reference::PoolFirstNdColumn, 1 + kSeeds);
+  const std::vector<Moments> got = Sample(shape, LazyPools, 1);
+  const std::vector<Moments> want = Sample(shape, PoolFirst, 1 + kSeeds);
   const bool categorical = shape.domain.is_categorical();
   double max_z = 0.0;
   for (size_t i = 0; i < kNumStats; ++i) {
@@ -288,39 +329,7 @@ TEST(NdPoolDistributionTest, LazyPoolsMatchPoolFirstOnEveryShape) {
   for (const Shape& shape : Shapes()) ExpectSameDistribution(shape);
 }
 
-// --- Exactness: one kernel behind both twins --------------------------------
-
-// The encoded twin on a batch whose column 0 holds the LHS (codes in
-// ascending value order, or doubles) and whose column 1 is the target at
-// `width`, decoded back to Values.
-std::vector<Value> GenerateThroughBatch(const Shape& shape, bool real_lhs,
-                                        CodeWidth width, size_t num_rows,
-                                        Rng* rng) {
-  using Kind = EncodedBatch::ColumnKind;
-  const bool categorical = shape.domain.is_categorical();
-  EncodedBatch batch;
-  batch.Configure({real_lhs ? Kind::kReals : Kind::kCodes,
-                   categorical ? Kind::kCodes : Kind::kReals},
-                  {CodeWidth::kU32, width});
-  batch.ResetRows(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    const int64_t x = shape.lhs[r].AsInt();
-    if (real_lhs) {
-      batch.reals(0)[r] = static_cast<double>(x);
-    } else {
-      batch.set_code(0, r, static_cast<uint32_t>(x) + 1);
-    }
-  }
-  GenerateNdColumnEncoded(0, shape.domain, num_rows, shape.fanout, rng,
-                          &batch, 1);
-  std::vector<Value> out;
-  for (size_t r = 0; r < num_rows; ++r) {
-    out.push_back(categorical
-                      ? shape.domain.values()[batch.code_at(1, r) - 1]
-                      : Value::Real(batch.reals(1)[r]));
-  }
-  return out;
-}
+// --- Exactness: the library against the boxed oracle ------------------------
 
 // Bitwise equality: doubles by their bits, other Values by ==.
 bool SameBits(const Value& a, const Value& b) {
@@ -353,7 +362,8 @@ TEST(NdPoolExactnessTest, EncodedTwinMatchesValueTwinOnEveryWidth) {
           const std::vector<Value> lhs(shape.lhs.begin(),
                                        shape.lhs.begin() + rows);
           const std::vector<Value> want =
-              GenerateNdColumn(lhs, shape.domain, rows, shape.fanout, &boxed);
+              reference::GenerateNdColumn(lhs, shape.domain, rows,
+                                          shape.fanout, &boxed);
           ASSERT_EQ(got.size(), want.size());
           for (size_t r = 0; r < rows; ++r) {
             ASSERT_TRUE(SameBits(got[r], want[r]))

@@ -163,7 +163,7 @@ TEST(RiskEstimatorTest, BeyondMatchRateEstimatorsInactiveOnValuePath) {
     EXPECT_TRUE(code->measures[j].active);
     EXPECT_FALSE(value->measures[j].active);
   }
-  // The value-path fallback still fills the match-rate columns.
+  // Scoring the decoded batch still fills the match-rate columns.
   EXPECT_TRUE(value->measures[0].active);
   EXPECT_TRUE(value->measures[1].active);
 }
@@ -781,7 +781,6 @@ TEST(RiskEstimatorTest, SharedBindMatchesPerMethodBind) {
     std::string name;
     Relation relation;
     MetadataPackage metadata;
-    bool cfd_on_code_path;
   };
   std::vector<Case> cases;
   auto add = [&](std::string name, Relation relation,
@@ -789,7 +788,7 @@ TEST(RiskEstimatorTest, SharedBindMatchesPerMethodBind) {
     auto report = ProfileRelation(relation, discovery);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     cases.push_back({std::move(name), std::move(relation),
-                     std::move(report->metadata), true});
+                     std::move(report->metadata)});
   };
   DiscoveryOptions with_cfds;
   with_cfds.discover_cfds = true;
@@ -801,13 +800,6 @@ TEST(RiskEstimatorTest, SharedBindMatchesPerMethodBind) {
       {});
   ASSERT_EQ(cases.size(), 3u);
   ASSERT_FALSE(cases[0].metadata.conditional_fds.empty());
-  // A constant outside the Name domain sends the CFD method down the
-  // value path while every other method stays on the code path.
-  Case value_cfd{"employee_value_cfd", datasets::Employee(),
-                 cases[0].metadata, false};
-  value_cfd.metadata.conditional_fds.push_back(ConditionalFd::Constant(
-      2, Value::Str("Sales"), 0, Value::Str("Zed"), 2));
-  cases.push_back(std::move(value_cfd));
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -830,13 +822,31 @@ TEST(RiskEstimatorTest, SharedBindMatchesPerMethodBind) {
         auto alone = engine.Run(kAllMethods[i], method_config);
         ASSERT_TRUE(alone.ok()) << alone.status().ToString();
         ExpectMeasuresIdentical((*shared)[i], *alone);
-        // Beyond match-rate, a column is active only on the code path.
-        const bool code_path = kAllMethods[i] != GenerationMethod::kCfd ||
-                               c.cfd_on_code_path;
-        EXPECT_EQ((*shared)[i].measures.back().active, code_path);
+        // Every column is scored by the bound estimators.
+        EXPECT_TRUE((*shared)[i].measures.back().active);
       }
     }
   }
+
+  // A constant outside the Name domain has no code to write, so the CFD
+  // method returns the chase plan's Invalid, alone and inside RunAll,
+  // while every other method still runs.
+  MetadataPackage stray = cases[0].metadata;
+  stray.conditional_fds.push_back(ConditionalFd::Constant(
+      2, Value::Str("Sales"), 0, Value::Str("Zed"), 2));
+  ExperimentEngine engine(cases[0].relation, stray);
+  ExperimentConfig config;
+  config.rounds = 4;
+  config.estimators = &RiskEstimatorRegistry::All();
+  auto cfd = engine.Run(GenerationMethod::kCfd, config);
+  ASSERT_FALSE(cfd.ok());
+  EXPECT_TRUE(cfd.status().IsInvalid()) << cfd.status().ToString();
+  EXPECT_NE(cfd.status().message().find("Zed"), std::string::npos)
+      << cfd.status().ToString();
+  auto all = engine.RunAll(kAllMethods, config);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().ToString(), cfd.status().ToString());
+  EXPECT_TRUE(engine.Run(GenerationMethod::kFd, config).ok());
 }
 
 // --- Replay and profile diff -------------------------------------------------
