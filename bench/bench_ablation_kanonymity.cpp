@@ -9,7 +9,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "data/datasets/echocardiogram.h"
-#include "data/statistics.h"
+#include "data/encoded_relation.h"
 #include "privacy/anonymization.h"
 #include "privacy/identifiability.h"
 
@@ -44,13 +44,14 @@ int main() {
     }
     Result<size_t> min_group = MinGroupSize(result->relation, qi);
     Result<double> frac = IdentifiableFraction(result->relation, qi);
-    Result<ColumnStats> age_stats =
-        ComputeColumnStats(result->relation, 2);
-    if (!min_group.ok() || !frac.ok() || !age_stats.ok()) return 1;
+    if (!min_group.ok() || !frac.ok()) return 1;
+    const size_t age_labels = EncodedRelation::Encode(result->relation)
+                                  .dictionary(2)
+                                  .num_distinct();
     table.AddRow({std::to_string(k), std::to_string(*min_group),
                   FormatDouble(*frac, 4),
                   std::to_string(result->suppressed_rows),
-                  std::to_string(age_stats->distinct),
+                  std::to_string(age_labels),
                   std::to_string(result->passes)});
   }
   table.Print();

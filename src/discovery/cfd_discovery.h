@@ -1,12 +1,12 @@
-// Discovery and validation of conditional functional dependencies.
+// Discovery of conditional functional dependencies.
 #ifndef METALEAK_DISCOVERY_CFD_DISCOVERY_H_
 #define METALEAK_DISCOVERY_CFD_DISCOVERY_H_
 
 #include <vector>
 
 #include "common/result.h"
-#include "data/relation.h"
 #include "metadata/conditional_fd.h"
+#include "partition/pli_cache.h"
 
 namespace metaleak {
 
@@ -21,19 +21,17 @@ struct CfdDiscoveryOptions {
   bool skip_global_fds = true;
 };
 
-/// True iff `cfd` holds on `relation`: among rows where the condition
-/// attribute equals the condition value, the embedded (variable or
-/// constant) dependency is satisfied. Vacuously true when no row
-/// matches. NULL condition cells never match a non-null constant.
-Result<bool> ValidateCfd(const Relation& relation, const ConditionalFd& cfd);
-
-/// Finds single-condition CFDs:
+/// Finds single-condition CFDs on the dictionary codes of the cache's
+/// encoding:
 ///   * variable form  [C=c] => (X -> A) with single-attribute X, where
 ///     the FD fails globally but holds on the condition's rows;
 ///   * constant form  [X=x] => (A = a), where every row with X=x carries
 ///     the same A value (and X -> A fails globally).
+/// Condition values are tried in the order of their first row, and NULL
+/// equals NULL inside a scoped FD, as in PositionListIndex::Refines. The
+/// global FD checks read the cache's single-attribute partitions.
 Result<std::vector<ConditionalFd>> DiscoverCfds(
-    const Relation& relation, const CfdDiscoveryOptions& options = {});
+    PliCache* cache, const CfdDiscoveryOptions& options = {});
 
 }  // namespace metaleak
 

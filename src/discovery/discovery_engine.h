@@ -69,9 +69,9 @@ Result<DiscoveryReport> ProfileRelation(const Relation& relation,
                                         const DiscoveryOptions& options = {});
 
 /// Profiles an already-encoded relation: domains and value distributions
-/// are read from the per-column dictionaries, partitions are built from
-/// dense codes. CFD discovery (when enabled) consults the raw values via
-/// `relation.source()`, which must still be alive.
+/// are read from the per-column dictionaries, and every search, CFD
+/// discovery included, runs on the dense codes; `relation.source()` is
+/// never read.
 Result<DiscoveryReport> ProfileRelation(const EncodedRelation& relation,
                                         const DiscoveryOptions& options = {});
 

@@ -51,6 +51,10 @@ double GenerationContext::DistSampler::SampleReal(Rng* rng) const {
 
 Result<GenerationContext> GenerationContext::Build(
     const MetadataPackage& metadata, const GenerationOptions& options) {
+  // The plan tracks placed attributes in an AttributeSet.
+  if (metadata.schema.num_attributes() > AttributeSet::kMaxAttributes) {
+    return Status::Invalid("package exceeds 64 attributes");
+  }
   GenerationContext ctx;
   METALEAK_ASSIGN_OR_RETURN(ctx.domains_, metadata.RequireDomains());
   ctx.schema_ = metadata.schema;

@@ -58,9 +58,11 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
 /// package's distributions agree with its domains (encodable()).
 class GenerationContext {
  public:
-  /// Resolves plan + domains. Fails on missing or non-finite domains; a
-  /// distribution that disagrees with its domain does NOT fail the build
-  /// but clears encodable(), and GenerateEncoded reports it.
+  /// Resolves plan + domains. Fails on a package of more than 64
+  /// attributes (the plan tracks placed attributes in an AttributeSet)
+  /// and on missing or non-finite domains; a distribution that disagrees
+  /// with its domain does NOT fail the build but clears encodable(), and
+  /// GenerateEncoded reports it.
   static Result<GenerationContext> Build(const MetadataPackage& metadata,
                                          const GenerationOptions& options =
                                              {});

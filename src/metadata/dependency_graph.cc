@@ -48,6 +48,9 @@ DependencyGraph::DependencyGraph(std::vector<GenerationStep> steps)
 DependencyGraph DependencyGraph::Build(
     size_t num_attributes, const DependencySet& deps,
     const std::vector<DependencyKind>& allowed) {
+  // `placed` could never cover a wider schema, and the loop below would
+  // append root steps forever.
+  METALEAK_DCHECK(num_attributes <= AttributeSet::kMaxAttributes);
   std::vector<GenerationStep> steps;
   steps.reserve(num_attributes);
   AttributeSet placed;

@@ -29,7 +29,9 @@ struct GenerationStep {
 /// A fully ordered plan covering every attribute exactly once.
 class DependencyGraph {
  public:
-  /// Builds a plan for `num_attributes` attributes from `deps`.
+  /// Builds a plan for `num_attributes` attributes from `deps`; at most
+  /// AttributeSet::kMaxAttributes (GenerationContext::Build refuses a
+  /// wider package).
   ///
   /// Edge selection: for each attribute the highest-priority applicable
   /// dependency is chosen, with priority FD > OFD > OD > AFD > ND > DD

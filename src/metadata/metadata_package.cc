@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -290,12 +291,24 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
       if (!idx || *idx < 0) return Status::IoError("bad domain index");
       if (f[2] == "categorical") {
         std::vector<Value> values;
+        // Whether each number seen so far was an Int64.
+        std::unordered_map<double, bool> number_is_int;
         for (const std::string& enc : Split(f[3], '|')) {
           METALEAK_ASSIGN_OR_RETURN(Value v, DecodeValue(enc));
           // A Relation holds no NaN cell, so such a domain describes no
           // relation (and NaN has no place in the Value order).
           if (v.is_double() && std::isnan(v.AsDouble())) {
             return Status::IoError("NaN in a categorical domain");
+          }
+          // Int(3) and Real(3.0) are two entries one real cell matches
+          // both of, which the leakage scan refuses to score.
+          if (v.is_numeric()) {
+            auto [it, inserted] =
+                number_is_int.emplace(v.AsNumeric(), v.is_int());
+            if (!inserted && it->second != v.is_int()) {
+              return Status::IoError(
+                  "categorical domain holds one number under two types");
+            }
           }
           values.push_back(std::move(v));
         }

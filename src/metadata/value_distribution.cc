@@ -18,6 +18,33 @@ std::vector<size_t> CumulativeCounts(const std::vector<size_t>& counts) {
   return cumulative;
 }
 
+size_t Histogram::total() const {
+  size_t t = 0;
+  for (size_t c : counts) t += c;
+  return t;
+}
+
+size_t Histogram::BucketOf(double x) const {
+  if (counts.empty()) return 0;
+  if (hi <= lo) return 0;
+  double t = (x - lo) / (hi - lo);
+  t = std::clamp(t, 0.0, 1.0);
+  size_t b = static_cast<size_t>(t * static_cast<double>(counts.size()));
+  return std::min(b, counts.size() - 1);
+}
+
+double Histogram::Mass(size_t i) const {
+  size_t t = total();
+  if (t == 0 || i >= counts.size()) return 0.0;
+  return static_cast<double>(counts[i]) / static_cast<double>(t);
+}
+
+size_t FrequencyTable::total() const {
+  size_t t = 0;
+  for (size_t c : counts) t += c;
+  return t;
+}
+
 size_t DrawCumulative(const std::vector<size_t>& cumulative, Rng* rng) {
   METALEAK_DCHECK(!cumulative.empty() && cumulative.back() > 0);
   const size_t target = rng->UniformIndex(cumulative.back());
@@ -59,22 +86,6 @@ Result<ValueDistribution> ValueDistribution::Continuous(
   d.cumulative_ = CumulativeCounts(histogram.counts);
   d.hist_ = std::move(histogram);
   return d;
-}
-
-Result<ValueDistribution> ValueDistribution::FromColumn(
-    const Relation& relation, size_t attribute, size_t buckets) {
-  if (attribute >= relation.num_columns()) {
-    return Status::OutOfRange("attribute index out of range");
-  }
-  if (relation.schema().attribute(attribute).semantic ==
-      SemanticType::kCategorical) {
-    METALEAK_ASSIGN_OR_RETURN(FrequencyTable table,
-                              BuildFrequencyTable(relation, attribute));
-    return Categorical(std::move(table));
-  }
-  METALEAK_ASSIGN_OR_RETURN(Histogram hist,
-                            BuildHistogram(relation, attribute, buckets));
-  return Continuous(std::move(hist));
 }
 
 Result<ValueDistribution> ValueDistribution::FromEncoded(

@@ -10,16 +10,39 @@
 #ifndef METALEAK_METADATA_VALUE_DISTRIBUTION_H_
 #define METALEAK_METADATA_VALUE_DISTRIBUTION_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
 #include "data/encoded_relation.h"
-#include "data/relation.h"
-#include "data/statistics.h"
 #include "data/value.h"
 
 namespace metaleak {
+
+/// Equi-width histogram over a numeric column.
+struct Histogram {
+  double lo = 0.0;
+  double hi = 0.0;
+  /// counts[i] covers [lo + i*w, lo + (i+1)*w) with w = (hi-lo)/buckets;
+  /// the last bucket is closed at hi.
+  std::vector<size_t> counts;
+
+  size_t total() const;
+  /// Index of the bucket containing x (clamped to the edges).
+  size_t BucketOf(double x) const;
+  /// Probability mass of bucket i (0 if the histogram is empty).
+  double Mass(size_t i) const;
+};
+
+/// Frequency table over a categorical column (non-null values), ordered
+/// by Value's total order for determinism.
+struct FrequencyTable {
+  std::vector<Value> values;
+  std::vector<size_t> counts;
+
+  size_t total() const;
+};
 
 /// Running sums of `counts`: entry i is counts[0] + ... + counts[i].
 std::vector<size_t> CumulativeCounts(const std::vector<size_t>& counts);
@@ -41,16 +64,11 @@ class ValueDistribution {
   /// empty, inverted, or a bound is NaN or infinite.
   static Result<ValueDistribution> Continuous(Histogram histogram);
 
-  /// Builds the marginal of one attribute: a frequency table for
-  /// categorical attributes, a `buckets`-bin histogram for continuous
-  /// ones.
-  static Result<ValueDistribution> FromColumn(const Relation& relation,
-                                              size_t attribute,
-                                              size_t buckets = 16);
-
-  /// Same marginal, read straight off the dictionary encoding: the
+  /// The marginal of one attribute, read straight off the dictionary
+  /// encoding: a frequency table for categorical attributes (the
   /// dictionary already holds each distinct value with its frequency in
-  /// Value total order, so no column re-scan is needed.
+  /// Value total order), a `buckets`-bin equi-width histogram over the
+  /// non-null numeric values for continuous ones.
   static Result<ValueDistribution> FromEncoded(
       const EncodedRelation& relation, size_t attribute,
       size_t buckets = 16);

@@ -11,14 +11,6 @@ PliCache::PliCache(const EncodedRelation* encoded) : encoded_(encoded) {
   BuildSingletons();
 }
 
-PliCache::PliCache(const Relation* relation) {
-  METALEAK_DCHECK(relation != nullptr);
-  owned_encoding_ =
-      std::make_unique<EncodedRelation>(EncodedRelation::Encode(*relation));
-  encoded_ = owned_encoding_.get();
-  BuildSingletons();
-}
-
 PliCache::PliCache(const EncodedRelation* encoded,
                    std::vector<PositionListIndex> singles)
     : encoded_(encoded) {
@@ -28,7 +20,7 @@ PliCache::PliCache(const EncodedRelation* encoded,
   // the entry and run its call_once immediately, so later Gets see a
   // completed build exactly as if BuildSingletons had made it.
   for (size_t c = 0; c < singles.size(); ++c) {
-    PliCacheKey key{encoded_->Fingerprint(), AttributeSet::Single(c)};
+    const AttributeSet key = AttributeSet::Single(c);
     Shard& shard = ShardFor(key);
     std::shared_ptr<Entry> entry;
     {
@@ -84,12 +76,11 @@ std::unique_ptr<PositionListIndex> PliCache::BuildPli(AttributeSet attrs) {
 }
 
 const PositionListIndex* PliCache::Get(AttributeSet attrs) {
-  PliCacheKey key{encoded_->Fingerprint(), attrs};
-  Shard& shard = ShardFor(key);
+  Shard& shard = ShardFor(attrs);
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    std::shared_ptr<Entry>& slot = shard.map[key];
+    std::shared_ptr<Entry>& slot = shard.map[attrs];
     if (slot == nullptr) {
       slot = std::make_shared<Entry>();
       misses_.fetch_add(1, std::memory_order_relaxed);

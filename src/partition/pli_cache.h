@@ -1,4 +1,4 @@
-// Memoizing store of PLIs keyed by attribute set + encoding fingerprint.
+// Memoizing store of PLIs keyed by attribute set.
 //
 // TANE repeatedly needs pli(X) for many X along lattice paths; building
 // each level by intersecting cached parents turns the exponential rebuild
@@ -7,10 +7,8 @@
 // The cache runs on the dictionary-encoded view of the relation: single-
 // attribute PLIs are built by counting-style grouping over dense codes
 // (no `Value` hashing), and composite PLIs by intersection as before.
-// Entries are keyed by (relation fingerprint, attribute set) so caches
-// over different encodings can never alias; each PliCache instance holds
-// one encoding, but the key shape lets a future shared store pool
-// entries across relations.
+// Each PliCache holds one encoding, so an attribute set alone keys its
+// entries.
 //
 // Concurrency: Get is safe to call from any number of threads (TANE
 // validates a whole lattice level's candidates concurrently against one
@@ -31,30 +29,10 @@
 
 #include "common/macros.h"
 #include "data/encoded_relation.h"
-#include "data/relation.h"
 #include "partition/attribute_set.h"
 #include "partition/position_list_index.h"
 
 namespace metaleak {
-
-/// Cache key: which relation (by encoding fingerprint) and which
-/// attribute set the partition belongs to.
-struct PliCacheKey {
-  uint64_t fingerprint = 0;
-  AttributeSet attrs;
-
-  friend bool operator==(const PliCacheKey& a, const PliCacheKey& b) {
-    return a.fingerprint == b.fingerprint && a.attrs == b.attrs;
-  }
-};
-
-struct PliCacheKeyHash {
-  size_t operator()(const PliCacheKey& k) const {
-    uint64_t h = k.fingerprint ^ (k.attrs.mask() * 0x9E3779B97F4A7C15ull);
-    h ^= h >> 33;
-    return static_cast<size_t>(h);
-  }
-};
 
 class PliCache {
  public:
@@ -63,10 +41,6 @@ class PliCache {
   /// Single-attribute PLIs are built eagerly from the code vectors, one
   /// pool task per column; composite PLIs on demand.
   explicit PliCache(const EncodedRelation* encoded);
-
-  /// Convenience: encodes `relation` internally and owns the encoding.
-  /// The relation must outlive the cache.
-  explicit PliCache(const Relation* relation);
 
   /// Builds over an existing encoding but seeds the single-attribute
   /// entries from `singles` (one per column, canonical CSR form) instead
@@ -98,7 +72,7 @@ class PliCache {
   /// The encoded view the cache is built over.
   const EncodedRelation& encoded() const { return *encoded_; }
 
-  /// Fingerprint of the underlying encoding (part of every cache key).
+  /// Fingerprint of the underlying encoding.
   uint64_t fingerprint() const { return encoded_->Fingerprint(); }
 
  private:
@@ -111,20 +85,27 @@ class PliCache {
 
   static constexpr size_t kNumShards = 16;
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<PliCacheKey, std::shared_ptr<Entry>, PliCacheKeyHash>
-        map;
+  // Spreads the attribute bits over the shard index and the buckets.
+  struct KeyHash {
+    size_t operator()(AttributeSet attrs) const {
+      uint64_t h = attrs.mask() * 0x9E3779B97F4A7C15ull;
+      h ^= h >> 33;
+      return static_cast<size_t>(h);
+    }
   };
 
-  Shard& ShardFor(const PliCacheKey& key) {
-    return shards_[PliCacheKeyHash{}(key) % kNumShards];
+  struct Shard {
+    mutable std::mutex mu;
+    std::unordered_map<AttributeSet, std::shared_ptr<Entry>, KeyHash> map;
+  };
+
+  Shard& ShardFor(AttributeSet attrs) {
+    return shards_[KeyHash{}(attrs) % kNumShards];
   }
 
   void BuildSingletons();
   std::unique_ptr<PositionListIndex> BuildPli(AttributeSet attrs);
 
-  std::unique_ptr<EncodedRelation> owned_encoding_;  // Relation ctor only
   const EncodedRelation* encoded_;
   std::array<Shard, kNumShards> shards_;
   std::atomic<uint64_t> hits_{0};

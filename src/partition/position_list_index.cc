@@ -1,7 +1,6 @@
 #include "partition/position_list_index.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/flat_id_table.h"
 #include "common/macros.h"
@@ -11,25 +10,6 @@
 namespace metaleak {
 
 namespace {
-
-// Hash for a row projection used by FromColumns.
-struct RowKey {
-  std::vector<Value> values;
-  friend bool operator==(const RowKey& a, const RowKey& b) {
-    return a.values == b.values;
-  }
-};
-
-struct RowKeyHash {
-  size_t operator()(const RowKey& k) const {
-    size_t h = 0x811C9DC5u;
-    for (const Value& v : k.values) {
-      h ^= v.Hash();
-      h *= 0x01000193u;
-    }
-    return h;
-  }
-};
 
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -53,59 +33,6 @@ PositionListIndex::PositionListIndex(std::vector<Row> rows,
   METALEAK_DCHECK(!offsets_.empty());
   METALEAK_DCHECK(offsets_.front() == 0);
   METALEAK_DCHECK(offsets_.back() == rows_.size());
-}
-
-PositionListIndex PositionListIndex::FromNested(
-    const std::vector<Cluster>& clusters, size_t num_rows) {
-  METALEAK_DCHECK(num_rows < UINT32_MAX);
-  size_t total = 0;
-  for (const Cluster& c : clusters) {
-    METALEAK_DCHECK(c.size() >= 2);
-    total += c.size();
-  }
-  std::vector<Row> rows;
-  rows.reserve(total);
-  std::vector<uint32_t> offsets;
-  offsets.reserve(clusters.size() + 1);
-  offsets.push_back(0);
-  for (const Cluster& c : clusters) {
-    for (size_t row : c) rows.push_back(static_cast<Row>(row));
-    offsets.push_back(static_cast<uint32_t>(rows.size()));
-  }
-  return PositionListIndex(std::move(rows), std::move(offsets), num_rows);
-}
-
-PositionListIndex PositionListIndex::FromColumn(
-    const std::vector<Value>& column) {
-  std::unordered_map<Value, Cluster> groups;
-  groups.reserve(column.size());
-  for (size_t r = 0; r < column.size(); ++r) {
-    groups[column[r]].push_back(r);
-  }
-  std::vector<Cluster> clusters;
-  for (auto& [value, rows] : groups) {
-    if (rows.size() >= 2) clusters.push_back(std::move(rows));
-  }
-  return FromNested(clusters, column.size());
-}
-
-PositionListIndex PositionListIndex::FromColumns(
-    const Relation& relation, const std::vector<size_t>& columns) {
-  if (columns.size() == 1) {
-    return FromColumn(relation.column(columns[0]));
-  }
-  std::unordered_map<RowKey, Cluster, RowKeyHash> groups;
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    RowKey key;
-    key.values.reserve(columns.size());
-    for (size_t c : columns) key.values.push_back(relation.at(r, c));
-    groups[std::move(key)].push_back(r);
-  }
-  std::vector<Cluster> clusters;
-  for (auto& [key, rows] : groups) {
-    if (rows.size() >= 2) clusters.push_back(std::move(rows));
-  }
-  return FromNested(clusters, relation.num_rows());
 }
 
 PositionListIndex PositionListIndex::FromCodes(

@@ -8,8 +8,8 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "data/domain.h"
-#include "privacy/analytical.h"
 #include "privacy/identifiability.h"
+#include "privacy/leakage_delta.h"
 #include "privacy/risk_estimator.h"
 
 namespace metaleak {
@@ -36,10 +36,6 @@ Result<AuditResult> RunAuditProfiled(
   const EncodedRelation& encoded = cache.encoded();
   if (encoded.num_rows() == 0 || encoded.num_columns() == 0) {
     return Status::Invalid("cannot audit an empty relation");
-  }
-  if (encoded.source() == nullptr) {
-    return Status::Invalid(
-        "profiled audit needs an encoding with a live source relation");
   }
   const uint64_t pli_hits_before = cache.hits();
   const uint64_t pli_misses_before = cache.misses();
@@ -73,28 +69,16 @@ Result<AuditResult> RunAuditProfiled(
 
   METALEAK_ASSIGN_OR_RETURN(std::vector<Domain> domains,
                             result.metadata.RequireDomains());
+  const std::vector<AttributeExpectation> expected = ExpectRandomMatches(
+      encoded, encoded.schema(), domains, options.experiment.leakage);
   const MethodResult& random = result.method_results[0];
   for (size_t c = 0; c < encoded.num_columns(); ++c) {
     AttributeAudit audit;
     audit.attribute = c;
-    audit.name = encoded.schema().attribute(c).name;
-    audit.semantic = encoded.schema().attribute(c).semantic;
-
-    // Non-null cell count, straight off the dictionary: code 0 is NULL.
-    size_t compared =
-        encoded.num_rows() - encoded.dictionary(c).count(0);
-    if (audit.semantic == SemanticType::kCategorical) {
-      audit.expected_random_matches =
-          ExpectedRandomCategoricalMatches(compared, domains[c]);
-    } else {
-      double eps = options.experiment.leakage.absolute_epsilon.has_value()
-                       ? *options.experiment.leakage.absolute_epsilon
-                       : options.experiment.leakage.epsilon_fraction *
-                             domains[c].range();
-      audit.expected_random_matches =
-          ExpectedRandomContinuousMatches(compared, domains[c], eps);
-    }
-    audit.domain_leaks = audit.expected_random_matches >= 1.0;
+    audit.name = expected[c].name;
+    audit.semantic = expected[c].semantic;
+    audit.expected_random_matches = expected[c].expected_random_matches;
+    audit.domain_leaks = expected[c].domain_leaks;
 
     METALEAK_ASSIGN_OR_RETURN(MethodAttributeResult random_attr,
                               random.ForAttribute(c));

@@ -93,9 +93,9 @@ Result<AuditResult> RunAudit(const Relation& relation,
                              const AuditOptions& options = {});
 
 /// Audits an already-profiled snapshot — the warm path: no encoding, no
-/// discovery. `cache` must be built over the snapshot's encoding (with
-/// a live source Relation) and `profile` must be that snapshot's
-/// discovery output; only identifiability, the Monte-Carlo experiment,
+/// discovery. `cache` must be built over the snapshot's encoding (its
+/// source Relation is never read, so it may be null) and `profile` must
+/// be that snapshot's discovery output; only identifiability, the Monte-Carlo experiment,
 /// and the verdicts run here. `AuditOptions::discovery` is ignored.
 /// `risk_measures`, when non-null, is the snapshot's cached
 /// ComputeProfileMeasures output over `profile.metadata` (its

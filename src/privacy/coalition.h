@@ -35,9 +35,9 @@ struct CoalitionLeakageSummary {
   /// Mean of the per-attribute mean MSEs (continuous attributes only).
   std::optional<double> mean_mse;
   /// Mean over attributes of the info-theoretic estimator's mean
-  /// real-vs-generated mutual information (bits). Unset when the rounds
-  /// were scored on the decoded batch (the estimator reads the encoded
-  /// one) or the registry omitted the estimator.
+  /// real-vs-generated mutual information (bits). Unset when the config
+  /// set use_value_path (the estimator reads the encoded batch, not the
+  /// decoded one) or the registry omitted the estimator.
   std::optional<double> mean_mi_bits;
 };
 

@@ -155,13 +155,6 @@ struct ExperimentEngine::BoundSet {
   const EncodedLeakageContext* leakage_ctx() const {
     return bound.empty() ? nullptr : bound.front()->leakage_context();
   }
-  /// True when rounds are scored by EvaluateLeakage on the decoded batch
-  /// rather than by the bound estimators: the config asks for it, or the
-  /// fused scan does not support the relation.
-  bool ScoresDecoded(const ExperimentConfig& config) const {
-    const EncodedLeakageContext* scan = leakage_ctx();
-    return config.use_value_path || scan == nullptr || !scan->supported();
-  }
 };
 
 ExperimentEngine::ExperimentEngine(const Relation& real,
@@ -311,7 +304,7 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
     bound_set->emplace(std::move(set));
   }
   const BoundSet& bound = **bound_set;
-  const bool decoded = bound.ScoresDecoded(config);
+  const bool decoded = config.use_value_path;
   const size_t m = encoded_real_->num_columns();
 
   // Per-round seeds drawn up front so the outcome is identical for any
@@ -444,7 +437,7 @@ Result<LeakageReport> ExperimentEngine::ReplayRound(
                                            *plan.ctx, config.leakage));
   EncodedBatch batch;
   METALEAK_RETURN_NOT_OK(GenerateRound(plan, round_seed, &batch));
-  if (bound.ScoresDecoded(config)) {
+  if (config.use_value_path) {
     return DecodedReport(plan, batch, config.leakage);
   }
   return bound.leakage_ctx()->EvaluateReport(batch);
@@ -459,7 +452,7 @@ ExperimentEngine::ReplayRoundMeasures(GenerationMethod method,
                             RegistryFor(config));
   METALEAK_ASSIGN_OR_RETURN(
       BoundSet bound, BindEstimators(*registry, *plan.ctx, config.leakage));
-  const bool decoded = bound.ScoresDecoded(config);
+  const bool decoded = config.use_value_path;
   const size_t m = encoded_real_->num_columns();
   std::vector<RiskMeasureCell> cells(bound.total_measures * m);
   METALEAK_RETURN_NOT_OK(RunRound(plan, bound, decoded, round_seed,

@@ -10,12 +10,12 @@
 // relation is encoded once, every round writes dense codes/doubles into a
 // per-thread EncodedBatch arena (GenerateEncoded, then ApplyCfdsEncoded
 // for the CFD method), and the bound estimators stream its cells into
-// Welford accumulators — no Relation is materialized per round. When the
-// fused scan does not support the relation, or the config asks for it,
-// a round decodes its batch and scores it with EvaluateLeakage instead;
-// both reduce rounds to the same cells and share the same fold, so their
-// Def 2.2/2.3 results are bit-identical. A package GenerateEncoded or
-// BuildEncodedCfdPlan cannot run comes back as their Invalid.
+// Welford accumulators — no Relation is materialized per round. Only
+// when the config sets use_value_path does a round decode its batch and
+// score it with EvaluateLeakage instead; both reduce rounds to the same
+// cells and share the same fold, so their Def 2.2/2.3 results are
+// bit-identical. A package GenerateEncoded, BuildEncodedCfdPlan or the
+// leakage scan cannot run comes back as their Invalid.
 //
 // The risk estimators are bound once per call and shared by every
 // method the call runs: Bind() reads the real encoding, the package's
@@ -73,11 +73,10 @@ struct ExperimentConfig {
   /// count. 0 = use the global pool size (METALEAK_THREADS / hardware).
   size_t threads = 1;
   /// Score every round with EvaluateLeakage on the decoded batch (the
-  /// boxed-Value Def 2.2/2.3 evaluators) instead of the fused scan, as
-  /// the engine does anyway when the scan does not support the
-  /// relation. Generation is the same either way. Parity tests and
-  /// benchmarks flip this to compare the two scorers; results are
-  /// bit-identical either way.
+  /// boxed-Value Def 2.2/2.3 evaluators) instead of the fused scan; the
+  /// engine's only boxed computation. Generation is the same either way.
+  /// Parity tests and benchmarks flip this to compare the two scorers;
+  /// results are bit-identical either way.
   bool use_value_path = false;
   /// Risk estimators to stream per round. nullptr = the default
   /// registry (Def 2.2/2.3 match-rate only — the pre-refactor
@@ -113,8 +112,9 @@ struct MethodAttributeResult {
 struct RiskMeasureStats {
   std::string estimator;
   std::string measure;
-  /// False when the rounds were scored on the decoded batch, which only
-  /// the match-rate estimator reads; mean/stddev are zero-filled then.
+  /// False when the rounds were scored on the decoded batch
+  /// (use_value_path), which fills only the match-rate estimator's
+  /// columns; mean/stddev are zero-filled then.
   bool active = true;
   /// Per attribute: mean/stddev over the rounds where the cell was
   /// present, and how many rounds that was (0 = measure does not apply
@@ -163,8 +163,9 @@ class ExperimentEngine {
   /// Runs against a pre-built encoding instead of re-encoding the
   /// relation — the warm-snapshot path. Rows, columns and names come
   /// from the encoding; `encoded.source()` is read only by a round scored
-  /// on the decoded batch, which returns Invalid when it is null. The
-  /// source, `encoded` and `metadata` must outlive the engine.
+  /// on the decoded batch (use_value_path), which returns Invalid when it
+  /// is null. `encoded`, `metadata` and a source such a round reads must
+  /// outlive the engine.
   /// `profile_measures`, when non-null, is
   /// ComputeProfileMeasures(encoded, metadata) already at hand (a
   /// snapshot's LeakageProfile::risk_measures); the info-theoretic

@@ -220,13 +220,13 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
       ColumnKindsForDomains(domains);
 
   // One pool task per column, each writing only its own plan and its own
-  // first fallback reason; the reasons fold in column order below, so
-  // the lowest unsupported column names the fallback at every pool size.
+  // first refusal reason; the reasons fold in column order below, so the
+  // lowest offending column names the Invalid at every pool size.
   ctx.attrs_.resize(m);
-  std::vector<const char*> fallback(m, nullptr);
+  std::vector<const char*> refusal(m, nullptr);
   ParallelFor(0, m, 1, [&](size_t c) {
-    auto mark_unsupported = [&fallback, c](const char* reason) {
-      if (fallback[c] == nullptr) fallback[c] = reason;
+    auto refuse = [&refusal, c](const char* reason) {
+      if (refusal[c] == nullptr) refusal[c] = reason;
     };
     const ColumnDictionary& dict = real.dictionary(c);
     const CodeColumnView real_column = real.column_view(c);
@@ -293,8 +293,7 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
           // E.g. Int(3) and Real(3.0) both disclosed: one real cell
           // matches two distinct synthetic codes, which a single
           // translated code cannot express.
-          mark_unsupported(
-              "real value matches several domain entries cross-type");
+          refuse("real value matches several domain entries cross-type");
         }
       }
       plan.real_codes.Reset(width);
@@ -315,10 +314,10 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
 
     if (!categorical) {
       // NaN is a *value* to EvaluateLeakage (it reaches the MSE sum) but
-      // a skip marker here; fall back rather than diverge.
+      // a skip marker here; refuse rather than diverge.
       for (uint32_t code = 1; code < dict.num_codes(); ++code) {
         if (std::isnan(by_code[code]) && dict.decode(code).is_numeric()) {
-          mark_unsupported("NaN value in a continuous real column");
+          refuse("NaN value in a continuous real column");
         }
       }
       if (options.absolute_epsilon.has_value()) {
@@ -336,7 +335,7 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
           if (domain_values[i].is_numeric()) {
             double x = domain_values[i].AsNumeric();
             if (std::isnan(x)) {
-              mark_unsupported("NaN value in a generation domain");
+              refuse("NaN value in a generation domain");
               continue;
             }
             plan.code_numeric[i + 1] = x;
@@ -345,11 +344,11 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
       }
     }
   });
-  for (const char* reason : fallback) {
-    if (reason != nullptr) {
-      ctx.supported_ = false;
-      ctx.fallback_reason_ = reason;
-      break;
+  for (size_t c = 0; c < m; ++c) {
+    if (refusal[c] != nullptr) {
+      return Status::Invalid("leakage scan cannot score attribute '" +
+                             ctx.attrs_[c].name + "' (column " +
+                             std::to_string(c) + "): " + refusal[c]);
     }
   }
   return ctx;
@@ -372,10 +371,6 @@ Status CheckAlignedBatch(const EncodedBatch& batch, size_t num_columns,
 Status EncodedLeakageContext::Evaluate(const EncodedBatch& batch,
                                        AttributeRoundStats* stats) const {
   METALEAK_RETURN_NOT_OK(CheckAlignedBatch(batch, attrs_.size(), num_rows_));
-  if (!supported_) {
-    return Status::Invalid("leakage context is not encodable: " +
-                           fallback_reason_);
-  }
   const size_t n = num_rows_;
   const size_t m = attrs_.size();
   // All four scans dispatch through the SIMD kernel layer; every kernel

@@ -132,12 +132,13 @@ LeakageReport AssembleLeakageReport(
 /// to one full-length pass.
 ///
 /// Build() fails with the Status EvaluateLeakage would produce for a
-/// structural mismatch (arity, attribute names). Value patterns the scan
-/// cannot reproduce bit-for-bit (a real value matching several domain
-/// entries cross-type, NaNs feeding the MSE) clear supported() instead,
-/// and callers score the decoded batch with EvaluateLeakage. Build()
-/// resolves one attribute per pool task; fallback_reason() names the
-/// lowest unsupported attribute's first reason, as a serial build would.
+/// structural mismatch (arity, attribute names), and with Invalid for the
+/// value patterns one translated code or one skip marker cannot express:
+/// a real value matching several domain entries cross-type (Int(3) and
+/// Real(3.0) both disclosed), or a NaN in a coded domain or a continuous
+/// real column. Build() resolves one attribute per pool task; the Invalid
+/// names the lowest offending attribute and its first reason, as a serial
+/// build would.
 class EncodedLeakageContext {
  public:
   /// Sentinel for real cells with no generation-domain code (NULLs and
@@ -154,8 +155,8 @@ class EncodedLeakageContext {
       const std::vector<Domain>& domains,
       const LeakageOptions& options = {});
 
-  bool supported() const { return supported_; }
-  const std::string& fallback_reason() const { return fallback_reason_; }
+  /// Always true: Build() refuses what the scan cannot score.
+  bool supported() const { return true; }
   size_t num_attributes() const { return attrs_.size(); }
   size_t num_rows() const { return num_rows_; }
 
@@ -202,8 +203,6 @@ class EncodedLeakageContext {
 
   std::vector<AttrPlan> attrs_;
   size_t num_rows_ = 0;
-  bool supported_ = true;
-  std::string fallback_reason_;
 };
 
 /// Invalid unless `batch` has `num_columns` columns and `num_rows` rows:

@@ -8,6 +8,32 @@
 
 namespace metaleak {
 
+std::vector<AttributeExpectation> ExpectRandomMatches(
+    const EncodedRelation& encoded, const Schema& schema,
+    const std::vector<Domain>& domains, const LeakageOptions& leakage) {
+  std::vector<AttributeExpectation> out(encoded.num_columns());
+  for (size_t c = 0; c < out.size(); ++c) {
+    AttributeExpectation& attr = out[c];
+    attr.attribute = c;
+    attr.name = schema.attribute(c).name;
+    attr.semantic = schema.attribute(c).semantic;
+    // Non-null cells, straight off the dictionary: code 0 is NULL.
+    attr.compared = encoded.num_rows() - encoded.dictionary(c).null_count();
+    if (attr.semantic == SemanticType::kCategorical) {
+      attr.expected_random_matches =
+          ExpectedRandomCategoricalMatches(attr.compared, domains[c]);
+    } else {
+      double eps = leakage.absolute_epsilon.has_value()
+                       ? *leakage.absolute_epsilon
+                       : leakage.epsilon_fraction * domains[c].range();
+      attr.expected_random_matches =
+          ExpectedRandomContinuousMatches(attr.compared, domains[c], eps);
+    }
+    attr.domain_leaks = attr.expected_random_matches >= 1.0;
+  }
+  return out;
+}
+
 Result<LeakageProfile> ComputeLeakageProfile(const EncodedRelation& encoded,
                                              const MetadataPackage& metadata,
                                              const LeakageOptions& leakage) {
@@ -22,26 +48,8 @@ Result<LeakageProfile> ComputeLeakageProfile(const EncodedRelation& encoded,
   profile.num_rows = encoded.num_rows();
   profile.dependencies = metadata.dependencies;
   profile.num_conditional_fds = metadata.conditional_fds.size();
-  for (size_t c = 0; c < encoded.num_columns(); ++c) {
-    AttributeExpectation attr;
-    attr.attribute = c;
-    attr.name = metadata.schema.attribute(c).name;
-    attr.semantic = metadata.schema.attribute(c).semantic;
-    attr.compared =
-        encoded.num_rows() - encoded.dictionary(c).null_count();
-    if (attr.semantic == SemanticType::kCategorical) {
-      attr.expected_random_matches =
-          ExpectedRandomCategoricalMatches(attr.compared, domains[c]);
-    } else {
-      double eps = leakage.absolute_epsilon.has_value()
-                       ? *leakage.absolute_epsilon
-                       : leakage.epsilon_fraction * domains[c].range();
-      attr.expected_random_matches =
-          ExpectedRandomContinuousMatches(attr.compared, domains[c], eps);
-    }
-    attr.domain_leaks = attr.expected_random_matches >= 1.0;
-    profile.attributes.push_back(std::move(attr));
-  }
+  profile.attributes =
+      ExpectRandomMatches(encoded, metadata.schema, domains, leakage);
   METALEAK_ASSIGN_OR_RETURN(profile.risk_measures,
                             ComputeProfileMeasures(encoded, metadata));
   return profile;

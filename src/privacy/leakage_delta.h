@@ -37,6 +37,16 @@ struct AttributeExpectation {
   bool domain_leaks = false;
 };
 
+/// Section III's names-and-domains expectation for every attribute of
+/// `encoded`, labelled from `schema`, under the disclosed `domains` (one
+/// per column): exact matches for categorical attributes, epsilon-ball
+/// matches for continuous ones with the epsilon `leakage` sets. The
+/// snapshot profile and the audit both read it, each with its own
+/// options.
+std::vector<AttributeExpectation> ExpectRandomMatches(
+    const EncodedRelation& encoded, const Schema& schema,
+    const std::vector<Domain>& domains, const LeakageOptions& leakage);
+
 /// Snapshot-level leakage profile: the analytical model evaluated over
 /// the dictionaries plus the disclosed dependency set.
 struct LeakageProfile {

@@ -110,10 +110,8 @@ class BoundRiskEstimator {
                           RiskMeasureCell* cells) const = 0;
 
   /// The fused Def 2.2/2.3 context, when this estimator owns one
-  /// (MatchRateEstimator only). The experiment engine reads it to decide
-  /// whether a round is scored by the fused scan or on the decoded batch,
-  /// and for per-round report replay; estimators without one return
-  /// nullptr.
+  /// (MatchRateEstimator only). The experiment engine reads it for
+  /// per-round report replay; estimators without one return nullptr.
   virtual const EncodedLeakageContext* leakage_context() const {
     return nullptr;
   }
@@ -146,8 +144,8 @@ class RiskEstimator {
 class MatchRateEstimator : public RiskEstimator {
  public:
   /// Measure indices, part of the contract: a round the engine scores on
-  /// the decoded batch fills these two columns directly from
-  /// EvaluateLeakage.
+  /// the decoded batch (ExperimentConfig::use_value_path) fills these two
+  /// columns directly from EvaluateLeakage.
   static constexpr size_t kMatchesIndex = 0;
   static constexpr size_t kMseIndex = 1;
 

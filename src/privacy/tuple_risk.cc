@@ -2,39 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <sstream>
-#include <utility>
 
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "data/domain.h"
 #include "data/encoded_batch.h"
 #include "data/encoded_relation.h"
 #include "generation/generation_engine.h"
 #include "privacy/identifiability.h"
 
 namespace metaleak {
-
-namespace {
-
-// Whether the synthetic cell matches the real cell under the paper's
-// per-type semantics.
-bool CellMatches(const Value& real, const Value& syn,
-                 SemanticType semantic, double epsilon) {
-  if (real.is_null()) return false;
-  if (semantic == SemanticType::kCategorical) {
-    if (real == syn) return true;
-    return real.is_numeric() && syn.is_numeric() &&
-           real.AsNumeric() == syn.AsNumeric();
-  }
-  if (!real.is_numeric() || !syn.is_numeric()) return false;
-  return std::abs(real.AsNumeric() - syn.AsNumeric()) <= epsilon;
-}
-
-}  // namespace
 
 std::vector<size_t> TupleRiskReport::TopIdentifiable(size_t count) const {
   std::vector<size_t> out;
@@ -64,34 +43,21 @@ std::string TupleRiskReport::ToString(size_t count) const {
 Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
                                          const MetadataPackage& metadata,
                                          const TupleRiskOptions& options) {
+  return AnalyzeTupleRisk(EncodedRelation::Encode(real), metadata, options);
+}
+
+Result<TupleRiskReport> AnalyzeTupleRisk(const EncodedRelation& encoded,
+                                         const MetadataPackage& metadata,
+                                         const TupleRiskOptions& options) {
   if (options.rounds == 0) {
     return Status::Invalid("tuple risk analysis needs at least one round");
   }
-  const size_t n = real.num_rows();
-  const size_t m = real.num_columns();
+  const size_t n = encoded.num_rows();
+  const size_t m = encoded.num_columns();
   if (n == 0 || m == 0) {
     return Status::Invalid("cannot analyze an empty relation");
   }
 
-  // One dictionary encoding shared by the epsilon extraction below and
-  // every per-subset uniqueness scan in the identifiability pass.
-  EncodedRelation encoded = EncodedRelation::Encode(real);
-
-  // Per-attribute epsilon for continuous cells.
-  std::vector<double> epsilons(m, 0.0);
-  for (size_t c = 0; c < m; ++c) {
-    if (real.schema().attribute(c).semantic != SemanticType::kContinuous) {
-      continue;
-    }
-    if (options.leakage.absolute_epsilon.has_value()) {
-      epsilons[c] = *options.leakage.absolute_epsilon;
-    } else {
-      Result<Domain> domain = encoded.DomainOf(c);
-      epsilons[c] = domain.ok()
-                        ? options.leakage.epsilon_fraction * domain->range()
-                        : 0.0;
-    }
-  }
   // Non-null attribute counts per row (the "half reconstructed" base),
   // read column-major off the dense code vectors: code 0 is the reserved
   // NULL slot, so no Value is materialized.
@@ -110,105 +76,73 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
 
   // Resolve the generation plan and the per-cell leakage tables once,
   // then score every round as a scan over dense codes and doubles — no
-  // Relation is materialized. Value patterns the fused tables cannot
-  // represent score the decoded batch with the per-cell predicate below.
+  // Relation is materialized. A package the scan cannot score is the
+  // leakage context's Invalid.
   METALEAK_ASSIGN_OR_RETURN(GenerationContext gen_ctx,
                             GenerationContext::Build(metadata));
-  std::optional<EncodedLeakageContext> leak_ctx;
-  {
-    Result<EncodedLeakageContext> leak = EncodedLeakageContext::Build(
-        encoded, gen_ctx.schema(), gen_ctx.domains(), options.leakage);
-    if (leak.ok() && leak->supported()) leak_ctx.emplace(std::move(*leak));
-  }
+  METALEAK_ASSIGN_OR_RETURN(
+      EncodedLeakageContext leak_ctx,
+      EncodedLeakageContext::Build(encoded, gen_ctx.schema(),
+                                   gen_ctx.domains(), options.leakage));
   std::vector<EncodedLeakageContext::AttributeView> views;
-  if (leak_ctx.has_value()) {
-    views.reserve(m);
-    for (size_t c = 0; c < m; ++c) views.push_back(leak_ctx->ViewAttribute(c));
-  }
-
-  auto score_round = [&](auto&& cell_matched) {
-    // Each tuple's match count only touches its own accumulator slots,
-    // so the per-tuple scan fans out over the pool.
-    ParallelForChunks(0, n, 1024, [&](size_t lo, size_t hi) {
-      for (size_t r = lo; r < hi; ++r) {
-        size_t matched = 0;
-        for (size_t c = 0; c < m; ++c) {
-          if (cell_matched(r, c)) ++matched;
-        }
-        total_matched[r] += static_cast<double>(matched);
-        max_matched[r] = std::max(max_matched[r], matched);
-        if (non_null[r] > 0 && 2 * matched >= non_null[r]) {
-          ++half_rounds[r];
-        }
-      }
-    });
-  };
+  views.reserve(m);
+  for (size_t c = 0; c < m; ++c) views.push_back(leak_ctx.ViewAttribute(c));
 
   Rng rng(options.seed);
   EncodedBatch batch;
   for (size_t round = 0; round < options.rounds; ++round) {
     Rng round_rng = rng.Fork();
     METALEAK_RETURN_NOT_OK(GenerateEncoded(gen_ctx, n, &round_rng, &batch));
-    if (leak_ctx.has_value()) {
-      // Column-major scoring: each chunk counts matched attributes per
-      // row one column at a time (exact integer counts, so the result is
-      // identical to the row-major cell loop), then finalizes its rows'
-      // accumulators. NaN on either side of a real compare (NULL /
-      // non-numeric) never matches, exactly like the per-cell predicate.
-      ParallelForChunks(0, n, 1024, [&](size_t lo, size_t hi) {
-        const size_t len = hi - lo;
-        std::vector<uint32_t> matched(len, 0);
-        for (size_t c = 0; c < m; ++c) {
-          const EncodedLeakageContext::AttributeView& v = views[c];
-          if (v.kind == EncodedBatch::ColumnKind::kCodes) {
-            const CodeColumnView syn_codes = batch.code_view(c).Slice(lo, len);
-            if (v.semantic == SemanticType::kCategorical) {
-              v.real_codes.Slice(lo, len).With([&](const auto* real) {
-                syn_codes.With([&](const auto* syn) {
-                  for (size_t i = 0; i < len; ++i) {
-                    matched[i] += real[i] == syn[i];
-                  }
-                });
-              });
-            } else {
-              const double* real = v.real_numeric + lo;
+    // Column-major scoring: each chunk counts matched attributes per row
+    // one column at a time (exact integer counts, so the result is
+    // identical to a row-major cell loop), then finalizes its rows'
+    // accumulators. NaN on either side of a real compare (NULL /
+    // non-numeric) never matches, as Def 2.2/2.3 skip those cells.
+    ParallelForChunks(0, n, 1024, [&](size_t lo, size_t hi) {
+      const size_t len = hi - lo;
+      std::vector<uint32_t> matched(len, 0);
+      for (size_t c = 0; c < m; ++c) {
+        const EncodedLeakageContext::AttributeView& v = views[c];
+        if (v.kind == EncodedBatch::ColumnKind::kCodes) {
+          const CodeColumnView syn_codes = batch.code_view(c).Slice(lo, len);
+          if (v.semantic == SemanticType::kCategorical) {
+            v.real_codes.Slice(lo, len).With([&](const auto* real) {
               syn_codes.With([&](const auto* syn) {
                 for (size_t i = 0; i < len; ++i) {
-                  matched[i] +=
-                      std::abs(real[i] - v.code_numeric[syn[i]]) <= v.epsilon;
+                  matched[i] += real[i] == syn[i];
                 }
               });
-            }
-            continue;
-          }
-          const double* real = v.real_numeric + lo;
-          const double* syn = batch.reals(c).data() + lo;
-          if (v.semantic == SemanticType::kCategorical) {
-            for (size_t i = 0; i < len; ++i) matched[i] += real[i] == syn[i];
+            });
           } else {
-            for (size_t i = 0; i < len; ++i) {
-              matched[i] += std::abs(real[i] - syn[i]) <= v.epsilon;
-            }
+            const double* real = v.real_numeric + lo;
+            syn_codes.With([&](const auto* syn) {
+              for (size_t i = 0; i < len; ++i) {
+                matched[i] +=
+                    std::abs(real[i] - v.code_numeric[syn[i]]) <= v.epsilon;
+              }
+            });
+          }
+          continue;
+        }
+        const double* real = v.real_numeric + lo;
+        const double* syn = batch.reals(c).data() + lo;
+        if (v.semantic == SemanticType::kCategorical) {
+          for (size_t i = 0; i < len; ++i) matched[i] += real[i] == syn[i];
+        } else {
+          for (size_t i = 0; i < len; ++i) {
+            matched[i] += std::abs(real[i] - syn[i]) <= v.epsilon;
           }
         }
-        for (size_t i = 0; i < len; ++i) {
-          const size_t r = lo + i;
-          const size_t row_matched = matched[i];
-          total_matched[r] += static_cast<double>(row_matched);
-          max_matched[r] = std::max(max_matched[r], row_matched);
-          if (non_null[r] > 0 && 2 * row_matched >= non_null[r]) {
-            ++half_rounds[r];
-          }
+      }
+      for (size_t i = 0; i < len; ++i) {
+        const size_t r = lo + i;
+        const size_t row_matched = matched[i];
+        total_matched[r] += static_cast<double>(row_matched);
+        max_matched[r] = std::max(max_matched[r], row_matched);
+        if (non_null[r] > 0 && 2 * row_matched >= non_null[r]) {
+          ++half_rounds[r];
         }
-      });
-      continue;
-    }
-    METALEAK_ASSIGN_OR_RETURN(
-        Relation syn,
-        MaterializeRelation(gen_ctx.schema(), gen_ctx.domains(), batch));
-    score_round([&](size_t r, size_t c) {
-      return CellMatches(real.at(r, c), syn.at(r, c),
-                         real.schema().attribute(c).semantic, epsilons[c]);
+      }
     });
   }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "metadata/metadata_package.h"
 #include "privacy/leakage.h"
@@ -58,8 +59,18 @@ struct TupleRiskReport {
 
 /// Runs the Monte-Carlo tuple-risk analysis: `rounds` synthetic
 /// relations generated from `metadata`, scored cell-wise against `real`.
+/// Encodes `real` and runs the encoded overload.
 Result<TupleRiskReport> AnalyzeTupleRisk(
     const Relation& real, const MetadataPackage& metadata,
+    const TupleRiskOptions& options = {});
+
+/// The same analysis against an existing encoding (a service snapshot's):
+/// every round is generated into a dense batch and scored by the fused
+/// leakage scan's per-cell tables, so `real.source()` is never read. A
+/// package the scan cannot score returns EncodedLeakageContext::Build's
+/// Invalid.
+Result<TupleRiskReport> AnalyzeTupleRisk(
+    const EncodedRelation& real, const MetadataPackage& metadata,
     const TupleRiskOptions& options = {});
 
 }  // namespace metaleak

@@ -178,7 +178,7 @@ Result<TupleRiskReport> AuditService::TupleRisk(
     SessionId id, const TupleRiskOptions& options) {
   METALEAK_ASSIGN_OR_RETURN(std::shared_ptr<const RelationSnapshot> snap,
                             CurrentSnapshot(id));
-  return AnalyzeTupleRisk(snap->relation(), snap->profile().metadata,
+  return AnalyzeTupleRisk(snap->encoding(), snap->profile().metadata,
                           options);
 }
 

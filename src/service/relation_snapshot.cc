@@ -46,9 +46,9 @@ RelationSnapshot::FromPublished(EncodedRelation published,
   auto snap = std::shared_ptr<RelationSnapshot>(new RelationSnapshot());
   snap->encoded_ =
       std::make_unique<EncodedRelation>(std::move(published));
-  // The publish carries no backing Relation; materialize one (CFD
-  // discovery and the audit's decoded-round scoring read raw values) and
-  // point the encoding at it.
+  // The publish carries no backing Relation; materialize one (relation()
+  // and an audit scored on the decoded round, use_value_path, read raw
+  // values) and point the encoding at it.
   METALEAK_ASSIGN_OR_RETURN(Relation decoded, snap->encoded_->Decode());
   snap->relation_ = std::make_unique<Relation>(std::move(decoded));
   snap->encoded_->set_source(snap->relation_.get());

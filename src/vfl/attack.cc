@@ -13,21 +13,18 @@ Result<LeakageReport> SimulateReconstruction(
     uint64_t seed, const GenerationOptions& options) {
   Rng rng(seed);
   // Generate straight into a dense batch and score it against the
-  // encoded real relation, skipping the per-round Relation. A relation
-  // the fused scan cannot score is scored on the decoded batch instead;
-  // both produce identical reports.
+  // encoded real relation, skipping the per-round Relation. A package the
+  // fused scan cannot score is the leakage context's Invalid.
   METALEAK_ASSIGN_OR_RETURN(GenerationContext ctx,
                             GenerationContext::Build(received, options));
   EncodedBatch batch;
   METALEAK_RETURN_NOT_OK(
       GenerateEncoded(ctx, real_aligned.num_rows(), &rng, &batch));
   EncodedRelation encoded = EncodedRelation::Encode(real_aligned);
-  Result<EncodedLeakageContext> leak =
-      EncodedLeakageContext::Build(encoded, ctx.schema(), ctx.domains());
-  if (leak.ok() && leak->supported()) return leak->EvaluateReport(batch);
   METALEAK_ASSIGN_OR_RETURN(
-      Relation syn, MaterializeRelation(ctx.schema(), ctx.domains(), batch));
-  return EvaluateLeakage(real_aligned, syn);
+      EncodedLeakageContext leak,
+      EncodedLeakageContext::Build(encoded, ctx.schema(), ctx.domains()));
+  return leak.EvaluateReport(batch);
 }
 
 Result<std::vector<AttackResult>> SweepDisclosureLevels(

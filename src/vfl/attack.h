@@ -29,7 +29,8 @@ struct AttackResult {
 };
 
 /// Reconstructs R_syn from `received` metadata and scores it against the
-/// real aligned slice. Returns Invalid when the package lacks domains.
+/// real aligned slice. Returns Invalid when the package lacks domains or
+/// the leakage scan cannot score it (EncodedLeakageContext::Build).
 Result<LeakageReport> SimulateReconstruction(
     const MetadataPackage& received, const Relation& real_aligned,
     uint64_t seed, const GenerationOptions& options = {});

@@ -7,6 +7,8 @@
 
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
+#include "data/encoded_relation.h"
+#include "partition/pli_cache.h"
 #include "privacy/audit.h"
 
 namespace metaleak {
@@ -128,6 +130,34 @@ TEST(AuditTest, ConstantCfdTriggersDependencyLeakVerdict) {
   EXPECT_TRUE(currency_audit.dependency_adds_leakage);
   EXPECT_NE(audit->ToMarkdown().find("DEPENDENCY LEAKS"),
             std::string::npos);
+}
+
+// Profiling (CFDs included) and the profiled audit read only the
+// encoding's codes and dictionaries, so an encoding without a source
+// relation audits exactly like one with it.
+TEST(AuditTest, ProfiledAuditRunsOnAnEncodingWithoutSource) {
+  const Relation employee = datasets::Employee();
+  AuditOptions options;
+  options.discovery.discover_cfds = true;
+  options.discovery.cfd.min_support = 2;
+  options.experiment.rounds = 6;
+  options.methods = {GenerationMethod::kFd, GenerationMethod::kCfd};
+  auto audit_of = [&](bool with_source) -> std::string {
+    EncodedRelation encoded = EncodedRelation::Encode(employee);
+    if (!with_source) encoded.set_source(nullptr);
+    PliCache cache(&encoded);
+    Result<DiscoveryReport> profile =
+        ProfileRelation(&cache, options.discovery);
+    EXPECT_TRUE(profile.ok()) << profile.status().ToString();
+    if (!profile.ok()) return "";
+    EXPECT_FALSE(profile->metadata.conditional_fds.empty());
+    Result<AuditResult> audit = RunAuditProfiled(cache, *profile, options);
+    EXPECT_TRUE(audit.ok()) << audit.status().ToString();
+    return audit.ok() ? audit->ToMarkdown() : "";
+  };
+  const std::string with_source = audit_of(true);
+  EXPECT_FALSE(with_source.empty());
+  EXPECT_EQ(with_source, audit_of(false));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tests for conditional functional dependencies: model, validation,
-// discovery, serialization, CFD-aware generation, and the privacy
-// conclusion (CFD-informed generation ~= random).
+// Tests for conditional functional dependencies: model, validation (by
+// the boxed oracle in tests/reference/cfd_reference.h), discovery,
+// serialization, CFD-aware generation, and the privacy conclusion
+// (CFD-informed generation ~= random).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,12 +10,15 @@
 #include "common/random.h"
 #include "data/domain.h"
 #include "data/encoded_batch.h"
+#include "data/encoded_relation.h"
 #include "discovery/cfd_discovery.h"
 #include "discovery/discovery_engine.h"
 #include "generation/cfd_generator.h"
 #include "generation/generation_engine.h"
 #include "metadata/metadata_package.h"
+#include "partition/pli_cache.h"
 #include "privacy/experiment.h"
+#include "reference/cfd_reference.h"
 #include "reference/generation_reference.h"
 
 namespace metaleak {
@@ -28,6 +32,14 @@ Relation MakeRelation(std::vector<Attribute> attrs,
 
 Attribute Cat(const char* name) {
   return {name, DataType::kString, SemanticType::kCategorical};
+}
+
+// The library's CFD discovery over `r`'s dictionary encoding.
+Result<std::vector<ConditionalFd>> Discover(
+    const Relation& r, const CfdDiscoveryOptions& options) {
+  const EncodedRelation encoded = EncodedRelation::Encode(r);
+  PliCache cache(&encoded);
+  return DiscoverCfds(&cache, options);
 }
 
 // A relation where region="eu" scopes the FD dept -> manager, but the FD
@@ -76,33 +88,33 @@ TEST(CfdTest, ValidateVariableCfd) {
   Relation r = CfdRelation();
   ConditionalFd holds = ConditionalFd::Variable(
       0, Value::Str("eu"), AttributeSet::Single(1), 2, 20);
-  EXPECT_TRUE(*ValidateCfd(r, holds));
+  EXPECT_TRUE(*reference::ValidateCfd(r, holds));
   ConditionalFd fails = ConditionalFd::Variable(
       0, Value::Str("us"), AttributeSet::Single(1), 2, 10);
-  EXPECT_FALSE(*ValidateCfd(r, fails));
+  EXPECT_FALSE(*reference::ValidateCfd(r, fails));
 }
 
 TEST(CfdTest, ValidateConstantCfd) {
   Relation r = CfdRelation();
   ConditionalFd holds = ConditionalFd::Constant(
       0, Value::Str("us"), 3, Value::Str("usd"), 10);
-  EXPECT_TRUE(*ValidateCfd(r, holds));
+  EXPECT_TRUE(*reference::ValidateCfd(r, holds));
   ConditionalFd fails = ConditionalFd::Constant(
       0, Value::Str("eu"), 3, Value::Str("eur"), 20);
-  EXPECT_FALSE(*ValidateCfd(r, fails));
+  EXPECT_FALSE(*reference::ValidateCfd(r, fails));
 }
 
 TEST(CfdTest, ValidateVacuousAndBadInput) {
   Relation r = CfdRelation();
   ConditionalFd vacuous = ConditionalFd::Variable(
       0, Value::Str("asia"), AttributeSet::Single(1), 2, 0);
-  EXPECT_TRUE(*ValidateCfd(r, vacuous));
+  EXPECT_TRUE(*reference::ValidateCfd(r, vacuous));
   ConditionalFd bad = ConditionalFd::Variable(
       9, Value::Str("eu"), AttributeSet::Single(1), 2, 0);
-  EXPECT_FALSE(ValidateCfd(r, bad).ok());
+  EXPECT_FALSE(reference::ValidateCfd(r, bad).ok());
   ConditionalFd empty_lhs;
   empty_lhs.rhs_is_constant = false;
-  EXPECT_FALSE(ValidateCfd(r, empty_lhs).ok());
+  EXPECT_FALSE(reference::ValidateCfd(r, empty_lhs).ok());
 }
 
 // --- Discovery -----------------------------------------------------------------
@@ -111,7 +123,7 @@ TEST(CfdTest, DiscoversPlantedVariableCfd) {
   Relation r = CfdRelation();
   CfdDiscoveryOptions options;
   options.min_support = 5;
-  auto cfds = DiscoverCfds(r, options);
+  auto cfds = Discover(r, options);
   ASSERT_TRUE(cfds.ok());
   ConditionalFd expected = ConditionalFd::Variable(
       0, Value::Str("eu"), AttributeSet::Single(1), 2, 20);
@@ -126,7 +138,7 @@ TEST(CfdTest, DiscoversPlantedConstantCfd) {
   Relation r = CfdRelation();
   CfdDiscoveryOptions options;
   options.min_support = 5;
-  auto cfds = DiscoverCfds(r, options);
+  auto cfds = Discover(r, options);
   ASSERT_TRUE(cfds.ok());
   ConditionalFd expected = ConditionalFd::Constant(
       0, Value::Str("us"), 3, Value::Str("usd"), 10);
@@ -137,11 +149,11 @@ TEST(CfdTest, EveryDiscoveredCfdValidates) {
   Relation r = CfdRelation();
   CfdDiscoveryOptions options;
   options.min_support = 4;
-  auto cfds = DiscoverCfds(r, options);
+  auto cfds = Discover(r, options);
   ASSERT_TRUE(cfds.ok());
   EXPECT_GT(cfds->size(), 0u);
   for (const ConditionalFd& cfd : *cfds) {
-    auto valid = ValidateCfd(r, cfd);
+    auto valid = reference::ValidateCfd(r, cfd);
     ASSERT_TRUE(valid.ok());
     EXPECT_TRUE(*valid) << cfd.ToString(r.schema());
     EXPECT_GE(cfd.support, options.min_support);
@@ -152,9 +164,29 @@ TEST(CfdTest, MinSupportFilters) {
   Relation r = CfdRelation();
   CfdDiscoveryOptions strict;
   strict.min_support = 1000;
-  auto cfds = DiscoverCfds(r, strict);
+  auto cfds = Discover(r, strict);
   ASSERT_TRUE(cfds.ok());
   EXPECT_TRUE(cfds->empty());
+}
+
+// CFD discovery runs on the codes and dictionaries, so profiling an
+// encoding without a source relation discloses the same package.
+TEST(CfdTest, ProfilingAnEncodingWithoutSourceFindsTheSameCfds) {
+  Relation r = CfdRelation();
+  DiscoveryOptions options;
+  options.discover_cfds = true;
+  options.cfd.min_support = 5;
+  options.profile_distributions = true;
+  EncodedRelation with_source = EncodedRelation::Encode(r);
+  EncodedRelation without_source = EncodedRelation::Encode(r);
+  without_source.set_source(nullptr);
+  auto want = ProfileRelation(with_source, options);
+  auto got = ProfileRelation(without_source, options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(want->metadata.conditional_fds.empty());
+  EXPECT_EQ(want->metadata.conditional_fds, got->metadata.conditional_fds);
+  EXPECT_EQ(want->metadata.Serialize(), got->metadata.Serialize());
 }
 
 // --- Packaging / serialization -----------------------------------------------------
@@ -233,7 +265,7 @@ TEST(CfdTest, ApplyCfdsEnforcesEachCfdAppliedAlone) {
   for (const ConditionalFd& cfd : report->metadata.conditional_fds) {
     auto repaired = Repair(ctx, roots, {cfd}, &rng);
     ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-    auto valid = ValidateCfd(*repaired, cfd);
+    auto valid = reference::ValidateCfd(*repaired, cfd);
     ASSERT_TRUE(valid.ok());
     EXPECT_TRUE(*valid) << cfd.ToString(r.schema());
   }
@@ -256,7 +288,7 @@ TEST(CfdTest, ApplyCfdsReducesViolationsUnderInteraction) {
   auto count_violations = [&](const Relation& rel) {
     size_t violations = 0;
     for (const ConditionalFd& cfd : report->metadata.conditional_fds) {
-      auto valid = ValidateCfd(rel, cfd);
+      auto valid = reference::ValidateCfd(rel, cfd);
       if (valid.ok() && !*valid) ++violations;
     }
     return violations;
@@ -297,7 +329,7 @@ TEST(CfdTest, ApplyCfdsDisjointRulesAllHold) {
   auto repaired = Repair(ctx, roots, rules, &rng);
   ASSERT_TRUE(repaired.ok());
   for (const ConditionalFd& cfd : rules) {
-    auto valid = ValidateCfd(*repaired, cfd);
+    auto valid = reference::ValidateCfd(*repaired, cfd);
     ASSERT_TRUE(valid.ok());
     EXPECT_TRUE(*valid) << cfd.ToString(r.schema());
   }

@@ -250,10 +250,6 @@ TEST_P(ColumnParallelTest, EstimatorBindsAndProfileMeasuresMatchSerial) {
         Result<std::unique_ptr<BoundRiskEstimator>> bound = est->Bind(ctx);
         EXPECT_TRUE(bound.ok()) << bound.status().ToString();
         if (bound.ok()) {
-          const EncodedLeakageContext* leakage = (*bound)->leakage_context();
-          if (leakage != nullptr) {
-            EXPECT_TRUE(leakage->supported()) << leakage->fallback_reason();
-          }
           EXPECT_TRUE((*bound)->Evaluate(batch, cells.data()).ok());
         }
         return CellBits(cells);
@@ -296,9 +292,9 @@ TEST_P(ColumnParallelTest, AuditMarkdownMatchesSerial) {
 
 // Column 1's categorical domain discloses Int(3) and Real(3.0), which one
 // translated code cannot express; column 3's coded continuous domain
-// holds a NaN. Both clear supported(), and the reason must be column
-// 1's. The order is then swapped to show the fold follows the column
-// index, not the reason.
+// holds a NaN. Build refuses both, and its Invalid must name column 1.
+// The order is then swapped to show the fold follows the column index,
+// not the reason.
 class ColumnParallelFoldTest : public PoolSizeTest {};
 
 TEST_P(ColumnParallelFoldTest, LowestUnsupportedColumnNamesTheFallback) {
@@ -352,10 +348,12 @@ TEST_P(ColumnParallelFoldTest, LowestUnsupportedColumnNamesTheFallback) {
 
     Result<EncodedLeakageContext> ctx =
         EncodedLeakageContext::Build(encoded, schema, domains);
-    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
-    EXPECT_FALSE(ctx->supported());
-    EXPECT_EQ(ctx->fallback_reason(),
-              cross_type_first ? kCrossType : kNanDomain);
+    ASSERT_FALSE(ctx.ok());
+    EXPECT_TRUE(ctx.status().IsInvalid());
+    EXPECT_EQ(ctx.status().message(),
+              std::string("leakage scan cannot score attribute 'a1' "
+                          "(column 1): ") +
+                  (cross_type_first ? kCrossType : kNanDomain));
   }
 }
 

@@ -31,7 +31,8 @@ TEST(EmployeeTest, MatchesPaperTable) {
 
 TEST(EmployeeTest, PaperFdsHold) {
   Relation r = datasets::Employee();
-  PliCache cache(&r);
+  const EncodedRelation encoded = EncodedRelation::Encode(r);
+  PliCache cache(&encoded);
   // Name -> Age and Name -> Salary (Example 2.1).
   EXPECT_TRUE(ValidateFd(&cache, AttributeSet::Single(0), 1));
   EXPECT_TRUE(ValidateFd(&cache, AttributeSet::Single(0), 3));
@@ -77,7 +78,8 @@ TEST(EchocardiogramTest, HasMissingValues) {
 
 TEST(EchocardiogramTest, PlantedFdsHold) {
   Relation r = datasets::Echocardiogram();
-  PliCache cache(&r);
+  const EncodedRelation encoded = EncodedRelation::Encode(r);
+  PliCache cache(&encoded);
   auto idx = [&](const char* name) {
     return *r.schema().IndexOf(name);
   };
@@ -95,7 +97,8 @@ TEST(EchocardiogramTest, PlantedFdsHold) {
 
 TEST(EchocardiogramTest, PlantedNdHolds) {
   Relation r = datasets::Echocardiogram();
-  PliCache cache(&r);
+  const EncodedRelation encoded = EncodedRelation::Encode(r);
+  PliCache cache(&encoded);
   auto idx = [&](const char* name) {
     return *r.schema().IndexOf(name);
   };
@@ -163,14 +166,16 @@ TEST(FintechTest, PartiesShareIdsPartially) {
 
 TEST(FintechTest, PlantedStructureHolds) {
   datasets::FintechScenario s = datasets::Fintech();
-  PliCache bank_cache(&s.bank);
+  const EncodedRelation bank_encoded = EncodedRelation::Encode(s.bank);
+  PliCache bank_cache(&bank_encoded);
   size_t income = *s.bank.schema().IndexOf("income");
   size_t band = *s.bank.schema().IndexOf("credit_band");
   EXPECT_TRUE(ValidateFd(&bank_cache, AttributeSet::Single(income), band));
 
   size_t orders = *s.ecommerce.schema().IndexOf("orders_per_year");
   size_t spend = *s.ecommerce.schema().IndexOf("total_spend");
-  PliCache ecom_cache(&s.ecommerce);
+  const EncodedRelation ecom_encoded = EncodedRelation::Encode(s.ecommerce);
+  PliCache ecom_cache(&ecom_encoded);
   EXPECT_TRUE(ValidateFd(&ecom_cache, AttributeSet::Single(orders), spend));
   EXPECT_TRUE(ValidateOd(s.ecommerce, orders, spend));
 }
@@ -217,7 +222,8 @@ TEST(SyntheticTest, PlantsFdAndOd) {
   config.attributes = {base, derived};
   auto r = datasets::Synthetic(config);
   ASSERT_TRUE(r.ok());
-  PliCache cache(&*r);
+  const EncodedRelation encoded = EncodedRelation::Encode(*r);
+  PliCache cache(&encoded);
   EXPECT_TRUE(ValidateFd(&cache, AttributeSet::Single(0), 1));
   EXPECT_TRUE(ValidateOd(*r, 0, 1));
 }
@@ -238,7 +244,8 @@ TEST(SyntheticTest, PlantsBoundedFanout) {
   config.attributes = {base, derived};
   auto r = datasets::Synthetic(config);
   ASSERT_TRUE(r.ok());
-  PliCache cache(&*r);
+  const EncodedRelation encoded = EncodedRelation::Encode(*r);
+  PliCache cache(&encoded);
   EXPECT_LE(ComputeMaxFanout(&cache, 0, 1), 3u);
 }
 
@@ -258,7 +265,8 @@ TEST(SyntheticTest, ApproximateViolationRateIsBounded) {
   config.attributes = {base, derived};
   auto r = datasets::Synthetic(config);
   ASSERT_TRUE(r.ok());
-  PliCache cache(&*r);
+  const EncodedRelation encoded = EncodedRelation::Encode(*r);
+  PliCache cache(&encoded);
   double g3 = ComputeG3(&cache, AttributeSet::Single(0), 1);
   EXPECT_GT(g3, 0.0);
   EXPECT_LT(g3, 0.12);  // bounded by the violation rate (plus slack)
@@ -269,7 +277,8 @@ TEST(TrivialControlTest, OnlyKeyBasedStructure) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 100u);
   // id is a key.
-  PliCache cache(&*r);
+  const EncodedRelation encoded = EncodedRelation::Encode(*r);
+  PliCache cache(&encoded);
   EXPECT_EQ(cache.Get(AttributeSet::Single(0))->num_classes(), 100u);
   // No order dependencies among the noise columns.
   auto ods = DiscoverOds(*r);

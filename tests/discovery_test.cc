@@ -46,13 +46,15 @@ Attribute Cont(const char* name) {
 TEST(ValidatorsTest, ValidateFd) {
   Relation r = MakeRelation({Cat("x"), Cat("y")},
                             {Ints({1, 1, 2, 2}), Ints({5, 5, 6, 6})});
-  PliCache cache(&r);
+  const EncodedRelation encoded = EncodedRelation::Encode(r);
+  PliCache cache(&encoded);
   EXPECT_TRUE(ValidateFd(&cache, AttributeSet::Single(0), 1));
   EXPECT_TRUE(ValidateFd(&cache, AttributeSet::Single(1), 0));
 
   Relation bad = MakeRelation({Cat("x"), Cat("y")},
                               {Ints({1, 1, 2, 2}), Ints({5, 6, 6, 6})});
-  PliCache bad_cache(&bad);
+  const EncodedRelation bad_encoded = EncodedRelation::Encode(bad);
+  PliCache bad_cache(&bad_encoded);
   EXPECT_FALSE(ValidateFd(&bad_cache, AttributeSet::Single(0), 1));
   EXPECT_NEAR(ComputeG3(&bad_cache, AttributeSet::Single(0), 1), 0.25,
               1e-12);
@@ -192,7 +194,8 @@ TEST(TaneTest, EmitsOnlyMinimalFds) {
   // Every reported FD is minimal: no other reported FD with the same RHS
   // has a strictly smaller LHS... and removal of any LHS attribute breaks
   // the FD (checked by validation).
-  PliCache cache(&employee);
+  const EncodedRelation encoded = EncodedRelation::Encode(employee);
+  PliCache cache(&encoded);
   for (const Dependency& d : result->dependencies) {
     ASSERT_EQ(d.kind, DependencyKind::kFunctional);
     EXPECT_TRUE(ValidateFd(&cache, d.lhs, d.rhs)) << d.ToString();
@@ -277,7 +280,8 @@ TEST_P(TaneBruteForceTest, MatchesBruteForce) {
 
   // Brute force: for every RHS and LHS subset (size <= 3, not containing
   // RHS), the FD is minimal iff it holds and no proper subset holds.
-  PliCache cache(&rel);
+  const EncodedRelation encoded = EncodedRelation::Encode(rel);
+  PliCache cache(&encoded);
   DependencySet brute;
   for (size_t rhs = 0; rhs < cols; ++rhs) {
     for (uint64_t mask = 0; mask < (1u << cols); ++mask) {

@@ -17,6 +17,7 @@
 #include "discovery/validators.h"
 #include "generation/column_generators.h"
 #include "generation/generation_engine.h"
+#include "privacy/experiment.h"
 
 namespace metaleak {
 namespace {
@@ -340,6 +341,44 @@ TEST(GenerationEngineTest, RequiresDomains) {
   pkg.domains.assign(4, std::nullopt);
   Rng rng(1);
   EXPECT_FALSE(GenerateSynthetic(pkg, 4, &rng).ok());
+}
+
+// The plan tracks placed attributes in a 64-bit AttributeSet, so a
+// wider package could never be fully placed: every entry point that
+// plans refuses it up front instead of appending root steps forever.
+TEST(GenerationEngineTest, PackageWiderThan64AttributesIsInvalid) {
+  constexpr size_t kAttrs = 70;
+  constexpr size_t kRows = 8;
+  std::vector<Attribute> attrs;
+  std::vector<std::vector<Value>> columns(kAttrs);
+  for (size_t c = 0; c < kAttrs; ++c) {
+    attrs.push_back({"a" + std::to_string(c), DataType::kInt64,
+                     SemanticType::kCategorical});
+    for (size_t r = 0; r < kRows; ++r) {
+      columns[c].push_back(Value::Int(static_cast<int64_t>(r % 2)));
+    }
+  }
+  Relation relation =
+      std::move(Relation::Make(Schema(attrs), std::move(columns)))
+          .ValueOrDie();
+  MetadataPackage pkg;
+  pkg.schema = relation.schema();
+  pkg.num_rows = kRows;
+  pkg.domains.assign(kAttrs,
+                     Domain::Categorical({Value::Int(0), Value::Int(1)}));
+  pkg.dependencies.Add(Dependency::Fd(AttributeSet::Single(0), kAttrs - 1));
+
+  auto expect_invalid = [](const Status& status) {
+    EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+    EXPECT_EQ(status.message(), "package exceeds 64 attributes");
+  };
+  expect_invalid(GenerationContext::Build(pkg).status());
+  Rng rng(3);
+  expect_invalid(GenerateSynthetic(pkg, kRows, &rng).status());
+  ExperimentEngine engine(relation, pkg);
+  ExperimentConfig config;
+  config.rounds = 2;
+  expect_invalid(engine.Run(GenerationMethod::kFd, config).status());
 }
 
 TEST(GenerationEngineTest, ProducesAlignedRelation) {

@@ -11,7 +11,7 @@
 // — including the CFD repair pass and disclosed value distributions —
 // and exercises the satellite APIs (ForAttribute index lookups, recorded
 // round seeds + ReplayRound, synthetic-NULL non-match semantics, an
-// encoding without a source relation). Runs under TSan in CI alongside
+// encoding without a source relation, a package the scan refuses). Runs under TSan in CI alongside
 // csr_agreement_test: any divergence means a change altered observable
 // results, not just performance. tests/generation_oracle_test.cc holds
 // the generated batches themselves to the boxed-Value oracle.
@@ -32,7 +32,9 @@
 #include "generation/generation_engine.h"
 #include "privacy/experiment.h"
 #include "privacy/leakage.h"
+#include "privacy/tuple_risk.h"
 #include "reference/generation_reference.h"
+#include "vfl/attack.h"
 
 namespace metaleak {
 namespace {
@@ -440,6 +442,47 @@ TEST(LeakageCodepathTest, PackageOfAnotherArityIsInvalid) {
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(result.status().IsInvalid()) << result.status().ToString();
   }
+}
+
+// --- A package the scan cannot score -------------------------------------------
+
+// The package discloses Int(3) and Real(3.0) for column g: a real 3 would
+// match both synthetic codes, which one translated code cannot express.
+// The scan's Build refuses it, and every entry point that scores rounds
+// returns that Invalid instead of scoring a decoded batch.
+TEST(LeakageCodepathTest, CrossTypeDomainIsInvalidOnEveryScorer) {
+  Schema schema({{"label", DataType::kString, SemanticType::kCategorical},
+                 {"g", DataType::kInt64, SemanticType::kCategorical}});
+  std::vector<std::vector<Value>> columns(2);
+  for (int64_t r = 0; r < 12; ++r) {
+    columns[0].push_back(Value::Str(r % 2 == 0 ? "x" : "y"));
+    columns[1].push_back(Value::Int(1 + r % 3));
+  }
+  Relation real =
+      std::move(Relation::Make(schema, std::move(columns))).ValueOrDie();
+  MetadataPackage pkg;
+  pkg.schema = schema;
+  pkg.num_rows = real.num_rows();
+  pkg.domains = {
+      Domain::Categorical({Value::Str("x"), Value::Str("y")}),
+      Domain::Categorical(
+          {Value::Int(1), Value::Int(2), Value::Int(3), Value::Real(3.0)})};
+
+  const std::string want =
+      "leakage scan cannot score attribute 'g' (column 1): real value "
+      "matches several domain entries cross-type";
+  auto expect_refused = [&](const Status& status) {
+    EXPECT_TRUE(status.IsInvalid()) << status.ToString();
+    EXPECT_EQ(status.message(), want);
+  };
+  TupleRiskOptions risk;
+  risk.rounds = 3;
+  expect_refused(AnalyzeTupleRisk(real, pkg, risk).status());
+  expect_refused(SimulateReconstruction(pkg, real, 11).status());
+  ExperimentConfig config;
+  config.rounds = 2;
+  expect_refused(
+      RunMethod(real, pkg, GenerationMethod::kRandom, config).status());
 }
 
 // --- An encoding without a source relation -----------------------------------

@@ -11,7 +11,6 @@
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/domain.h"
-#include "data/statistics.h"
 #include "discovery/discovery_engine.h"
 #include "metadata/dependency.h"
 #include "metadata/dependency_graph.h"
@@ -582,6 +581,27 @@ TEST(MetadataPackageTest, DeserializeRejectsNanCategoricalDomainEntry) {
       head + "domain\t0\tcategorical\td:nan|d:1\n");
   ASSERT_FALSE(parsed.ok());
   EXPECT_TRUE(parsed.status().IsIoError()) << parsed.status().ToString();
+}
+
+// Int(3) and Real(3.0) are distinct domain entries, but a real 3 matches
+// both under Def 2.2, which one translated code cannot express: the
+// leakage scan refuses such a domain, so the boundary turns it away.
+// Equal numbers of one type are only duplicates, which Domain folds.
+TEST(MetadataPackageTest, DeserializeRejectsCrossTypeCategoricalDomain) {
+  const std::string head =
+      "metaleak-metadata v1\nattr\tc\tint64\tcategorical\n";
+  EXPECT_TRUE(MetadataPackage::Deserialize(
+                  head + "domain\t0\tcategorical\ti:1|i:3|d:2.5\n")
+                  .ok());
+  EXPECT_TRUE(MetadataPackage::Deserialize(
+                  head + "domain\t0\tcategorical\ti:3|i:3\n")
+                  .ok());
+  for (const char* entries : {"i:1|i:3|d:3", "d:3|s:x|i:3"}) {
+    auto parsed = MetadataPackage::Deserialize(
+        head + "domain\t0\tcategorical\t" + entries + "\n");
+    ASSERT_FALSE(parsed.ok()) << entries;
+    EXPECT_TRUE(parsed.status().IsIoError()) << parsed.status().ToString();
+  }
 }
 
 // Packages the profiler discloses with distributions and CFDs describe a

@@ -196,7 +196,8 @@ TEST(PliCacheConcurrencyTest, SingleFlightUnderConcurrentGet) {
   ThreadCountGuard guard;
   SetGlobalThreadCount(8);
   Relation rel = TwoColumnRelation(512);
-  PliCache cache(&rel);
+  const EncodedRelation encoded = EncodedRelation::Encode(rel);
+  PliCache cache(&encoded);
   AttributeSet both = AttributeSet::Of({0, 1});
 
   constexpr size_t kLookups = 64;
@@ -218,7 +219,8 @@ TEST(PliCacheConcurrencyTest, ConcurrentDistinctKeysAllBuilt) {
   ThreadCountGuard guard;
   SetGlobalThreadCount(8);
   Relation rel = TwoColumnRelation(256);
-  PliCache cache(&rel);
+  const EncodedRelation encoded = EncodedRelation::Encode(rel);
+  PliCache cache(&encoded);
   // Concurrent composite and singleton lookups; singletons were eagerly
   // built, so they count as hits.
   ParallelFor(0, 32, 1, [&](size_t i) {

@@ -1,8 +1,13 @@
-// Reference disclosed-distribution sampling: the test oracle for
-// ValueDistribution::Sample, the encoded generator's distribution
-// sampler, and its frequency-value-to-code mapping.
+// Reference disclosed distributions: the test oracle for
+// ValueDistribution::FromEncoded, for ValueDistribution::Sample, for the
+// encoded generator's distribution sampler, and for its
+// frequency-value-to-code mapping.
 //
-// These are the linear scans: a draw walks the counts, summing until the
+// The profilers scan a column of boxed Values: a frequency table counts
+// each non-null Value in an ordered map, and a histogram takes the
+// numeric range in one pass and buckets every numeric cell in a second.
+// The library reads both off the column's dictionary instead. The rest
+// are linear scans: a draw walks the counts, summing until the
 // running total passes UniformIndex(total) (re-summing the total first,
 // every draw), and a frequency value maps to a domain code by scanning
 // the whole domain for structurally equal entries. That is O(F) per draw
@@ -17,11 +22,28 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/result.h"
+#include "data/relation.h"
 #include "data/value.h"
 #include "metadata/value_distribution.h"
 
 namespace metaleak {
 namespace reference {
+
+/// Equi-width histogram with `buckets` bins over the non-null numeric
+/// values of one column; fails when the column has none or buckets == 0.
+Result<Histogram> BuildHistogram(const Relation& relation, size_t attribute,
+                                 size_t buckets);
+
+/// Frequency table of the non-null values of one column, in Value order.
+Result<FrequencyTable> BuildFrequencyTable(const Relation& relation,
+                                           size_t attribute);
+
+/// The marginal of one attribute: BuildFrequencyTable for categorical
+/// attributes, BuildHistogram for continuous ones.
+Result<ValueDistribution> DistributionFromColumn(const Relation& relation,
+                                                 size_t attribute,
+                                                 size_t buckets = 16);
 
 /// The entry one weighted draw over `counts` picks: draws
 /// UniformIndex(sum of counts) and walks the counts until the running sum

@@ -15,6 +15,7 @@
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
 #include "privacy/audit.h"
+#include "privacy/tuple_risk.h"
 #include "service/audit_service.h"
 
 namespace metaleak {
@@ -305,6 +306,46 @@ TEST(AuditServiceTest, ApplyBatchMatchesFreshRegistration) {
   EXPECT_EQ((*after)->fingerprint(), (*fresh_snap)->fingerprint());
   EXPECT_EQ((*after)->profile().metadata.Serialize(),
             (*fresh_snap)->profile().metadata.Serialize());
+}
+
+// TupleRisk scores the snapshot's encoding directly. After several
+// batches it must still equal the one-shot analysis of the snapshot's
+// decoded rows, tuple by tuple.
+TEST(AuditServiceTest, TupleRiskAfterBatchesMatchesOneShotAnalysis) {
+  Relation relation = datasets::Echocardiogram();
+  AuditService service;
+  Result<SessionId> session = service.Register(relation);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (size_t b = 0; b < 3; ++b) {
+    RowBatch batch;
+    batch.delete_rows = {b, 7 + 3 * b};
+    batch.insert_rows.push_back(relation.Row(20 + b));
+    Result<LeakageDelta> delta = service.ApplyBatch(*session, batch);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  }
+  TupleRiskOptions options;
+  options.rounds = 12;
+  options.seed = 9;
+  Result<TupleRiskReport> served = service.TupleRisk(*session, options);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  Result<std::shared_ptr<const RelationSnapshot>> snap =
+      service.Snapshot(*session);
+  ASSERT_TRUE(snap.ok());
+  Result<TupleRiskReport> one_shot = AnalyzeTupleRisk(
+      (*snap)->relation(), (*snap)->profile().metadata, options);
+  ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+  ASSERT_EQ(served->tuples.size(), relation.num_rows() - 3);
+  ASSERT_EQ(served->tuples.size(), one_shot->tuples.size());
+  for (size_t i = 0; i < served->tuples.size(); ++i) {
+    const TupleRisk& a = served->tuples[i];
+    const TupleRisk& b = one_shot->tuples[i];
+    SCOPED_TRACE("rank " + std::to_string(i));
+    EXPECT_EQ(a.row, b.row);
+    EXPECT_EQ(a.mean_matched_attributes, b.mean_matched_attributes);
+    EXPECT_EQ(a.max_matched_attributes, b.max_matched_attributes);
+    EXPECT_EQ(a.half_reconstructed_rate, b.half_reconstructed_rate);
+    EXPECT_EQ(a.identifiable, b.identifiable);
+  }
 }
 
 // A batch that fails after the delta took it (here it deletes every

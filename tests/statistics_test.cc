@@ -1,11 +1,13 @@
-// Tests for src/data/statistics and metadata/value_distribution.
+// Tests for metadata/value_distribution: the histograms, frequency
+// tables and marginals a party could disclose, profiled off the
+// dictionary encoding.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/random.h"
 #include "data/datasets/echocardiogram.h"
-#include "data/statistics.h"
+#include "data/encoded_relation.h"
 #include "metadata/value_distribution.h"
 
 namespace metaleak {
@@ -30,43 +32,20 @@ Relation NumericRelation(std::initializer_list<double> xs) {
   return MakeRelation({Cont("x")}, {col});
 }
 
-// --- ColumnStats ---------------------------------------------------------------
-
-TEST(ColumnStatsTest, CountsAndMoments) {
-  Relation r = MakeRelation(
-      {Cont("x")},
-      {{Value::Real(1), Value::Real(3), Value::Null(), Value::Real(1)}});
-  auto stats = ComputeColumnStats(r, 0);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->count, 4u);
-  EXPECT_EQ(stats->nulls, 1u);
-  EXPECT_EQ(stats->distinct, 2u);
-  EXPECT_DOUBLE_EQ(stats->min, 1.0);
-  EXPECT_DOUBLE_EQ(stats->max, 3.0);
-  EXPECT_NEAR(stats->mean, 5.0 / 3.0, 1e-12);
-  EXPECT_GT(stats->stddev, 0.0);
-}
-
-TEST(ColumnStatsTest, StringColumnHasNoMoments) {
-  Relation r = MakeRelation({Cat("c")},
-                            {{Value::Str("a"), Value::Str("b")}});
-  auto stats = ComputeColumnStats(r, 0);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->distinct, 2u);
-  EXPECT_DOUBLE_EQ(stats->mean, 0.0);
-}
-
-TEST(ColumnStatsTest, OutOfRangeFails) {
-  Relation r = NumericRelation({1.0});
-  EXPECT_TRUE(ComputeColumnStats(r, 5).status().IsOutOfRange());
+// The marginal the profiler discloses for column `c` of `r`.
+Result<ValueDistribution> Profile(const Relation& r, size_t c,
+                                  size_t buckets = 16) {
+  return ValueDistribution::FromEncoded(EncodedRelation::Encode(r), c,
+                                        buckets);
 }
 
 // --- Histogram -------------------------------------------------------------------
 
 TEST(HistogramTest, BucketsCoverRange) {
   Relation r = NumericRelation({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-  auto h = BuildHistogram(r, 0, 5);
-  ASSERT_TRUE(h.ok());
+  auto dist = Profile(r, 0, 5);
+  ASSERT_TRUE(dist.ok());
+  const Histogram* h = &dist->histogram();
   EXPECT_DOUBLE_EQ(h->lo, 0.0);
   EXPECT_DOUBLE_EQ(h->hi, 9.0);
   EXPECT_EQ(h->counts.size(), 5u);
@@ -79,8 +58,9 @@ TEST(HistogramTest, BucketsCoverRange) {
 
 TEST(HistogramTest, MassSumsToOne) {
   Relation r = NumericRelation({1, 2, 2, 3, 3, 3});
-  auto h = BuildHistogram(r, 0, 4);
-  ASSERT_TRUE(h.ok());
+  auto dist = Profile(r, 0, 4);
+  ASSERT_TRUE(dist.ok());
+  const Histogram* h = &dist->histogram();
   double total = 0.0;
   for (size_t i = 0; i < h->counts.size(); ++i) total += h->Mass(i);
   EXPECT_NEAR(total, 1.0, 1e-12);
@@ -88,9 +68,10 @@ TEST(HistogramTest, MassSumsToOne) {
 
 TEST(HistogramTest, RejectsBadInput) {
   Relation r = NumericRelation({1.0});
-  EXPECT_FALSE(BuildHistogram(r, 0, 0).ok());
-  Relation s = MakeRelation({Cat("c")}, {{Value::Str("a")}});
-  EXPECT_FALSE(BuildHistogram(s, 0, 4).ok());
+  EXPECT_FALSE(Profile(r, 0, 0).ok());
+  // A continuous column without a numeric value has no range to bucket.
+  Relation s = MakeRelation({Cont("x")}, {{Value::Null()}});
+  EXPECT_FALSE(Profile(s, 0, 4).ok());
 }
 
 // --- FrequencyTable / entropy ------------------------------------------------------
@@ -99,8 +80,9 @@ TEST(FrequencyTableTest, CountsAndOrder) {
   Relation r = MakeRelation(
       {Cat("c")}, {{Value::Str("b"), Value::Str("a"), Value::Str("b"),
                     Value::Null()}});
-  auto t = BuildFrequencyTable(r, 0);
-  ASSERT_TRUE(t.ok());
+  auto dist = Profile(r, 0);
+  ASSERT_TRUE(dist.ok());
+  const FrequencyTable* t = &dist->frequency_table();
   ASSERT_EQ(t->values.size(), 2u);
   EXPECT_EQ(t->values[0], Value::Str("a"));  // Value order
   EXPECT_EQ(t->counts[0], 1u);
@@ -112,13 +94,13 @@ TEST(EntropyTest, UniformAndConstant) {
   Relation uniform = MakeRelation(
       {Cat("c")}, {{Value::Str("a"), Value::Str("b"), Value::Str("c"),
                     Value::Str("d")}});
-  auto h = ColumnEntropy(uniform, 0);
+  auto h = Profile(uniform, 0);
   ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(*h, 2.0, 1e-12);  // log2(4)
+  EXPECT_NEAR(h->EntropyBits(), 2.0, 1e-12);  // log2(4)
 
   Relation constant =
       MakeRelation({Cat("c")}, {{Value::Str("a"), Value::Str("a")}});
-  EXPECT_DOUBLE_EQ(*ColumnEntropy(constant, 0), 0.0);
+  EXPECT_DOUBLE_EQ(Profile(constant, 0)->EntropyBits(), 0.0);
 }
 
 // --- ValueDistribution ---------------------------------------------------------------
@@ -127,7 +109,7 @@ TEST(ValueDistributionTest, CategoricalSamplingFollowsFrequencies) {
   Relation r = MakeRelation(
       {Cat("c")}, {{Value::Str("a"), Value::Str("a"), Value::Str("a"),
                     Value::Str("b")}});
-  auto dist = ValueDistribution::FromColumn(r, 0);
+  auto dist = Profile(r, 0);
   ASSERT_TRUE(dist.ok());
   EXPECT_TRUE(dist->is_categorical());
   EXPECT_NEAR(dist->MassOf(Value::Str("a")), 0.75, 1e-12);
@@ -150,7 +132,7 @@ TEST(ValueDistributionTest, ContinuousSamplingFollowsHistogram) {
   col.push_back(Value::Real(0.0));
   col.push_back(Value::Real(10.0));
   Relation r = MakeRelation({Cont("x")}, {col});
-  auto dist = ValueDistribution::FromColumn(r, 0, 10);
+  auto dist = Profile(r, 0, 10);
   ASSERT_TRUE(dist.ok());
   EXPECT_FALSE(dist->is_categorical());
   Rng rng(2);
@@ -170,7 +152,7 @@ TEST(ValueDistributionTest, RejectsEmptyInputs) {
 TEST(ValueDistributionTest, EchocardiogramProfiles) {
   Relation r = datasets::Echocardiogram();
   for (size_t c = 0; c < r.num_columns(); ++c) {
-    auto dist = ValueDistribution::FromColumn(r, c);
+    auto dist = Profile(r, c);
     ASSERT_TRUE(dist.ok()) << "attr " << c;
     Rng rng(c);
     // Samples are valid non-null values.
