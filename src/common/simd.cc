@@ -83,19 +83,6 @@ void ScalarEpsilonBallMseCodedInto(const double* real,
   }
 }
 
-void ScalarGatherI32(const int32_t* table, const uint32_t* idx, size_t n,
-                     int32_t* out) {
-  for (size_t k = 0; k < n; ++k) out[k] = table[idx[k]];
-}
-
-bool ScalarAllGatherEqualI32(const int32_t* table, const uint32_t* idx,
-                             size_t n, int32_t expect) {
-  for (size_t k = 0; k < n; ++k) {
-    if (table[idx[k]] != expect) return false;
-  }
-  return true;
-}
-
 #if METALEAK_SIMD_X86
 
 // Widened scalar code load for the width-generic AVX2 bodies below
@@ -261,39 +248,6 @@ __attribute__((target("avx2"))) void Avx2EpsilonBallMseBody(
     out.sum_squares += d * d;
     ++out.compared;
   }
-}
-
-__attribute__((target("avx2"))) void Avx2GatherI32(const int32_t* table,
-                                                   const uint32_t* idx,
-                                                   size_t n, int32_t* out) {
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256i vidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
-    const __m256i vals = _mm256_mask_i32gather_epi32(
-        _mm256_setzero_si256(), table, vidx, _mm256_set1_epi32(-1), 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), vals);
-  }
-  for (; k < n; ++k) out[k] = table[idx[k]];
-}
-
-__attribute__((target("avx2"))) bool Avx2AllGatherEqualI32(
-    const int32_t* table, const uint32_t* idx, size_t n, int32_t expect) {
-  const __m256i vexpect = _mm256_set1_epi32(expect);
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256i vidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
-    const __m256i vals = _mm256_mask_i32gather_epi32(
-        _mm256_setzero_si256(), table, vidx, _mm256_set1_epi32(-1), 4);
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(vals, vexpect)) != -1) {
-      return false;
-    }
-  }
-  for (; k < n; ++k) {
-    if (table[idx[k]] != expect) return false;
-  }
-  return true;
 }
 
 #endif  // METALEAK_SIMD_X86
@@ -578,31 +532,6 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              double eps, EpsilonBallStats* stats) {
   EpsilonBallMseCodedIntoDispatch(level, real, syn_codes, code_numeric, n,
                                   eps, stats);
-}
-
-void GatherI32(SimdLevel level, const int32_t* table, const uint32_t* idx,
-               size_t n, int32_t* out) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    Avx2GatherI32(table, idx, n, out);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarGatherI32(table, idx, n, out);
-}
-
-bool AllGatherEqualI32(SimdLevel level, const int32_t* table,
-                       const uint32_t* idx, size_t n, int32_t expect) {
-#if METALEAK_SIMD_X86
-  if (level == SimdLevel::kAvx2) {
-    return Avx2AllGatherEqualI32(table, idx, n, expect);
-  }
-#else
-  (void)level;
-#endif
-  return ScalarAllGatherEqualI32(table, idx, n, expect);
 }
 
 // --- Bit-parallel row sets -----------------------------------------------

@@ -1,9 +1,11 @@
 // SIMD + bit-parallel inner kernels for the dense-code hot loops.
 //
-// Every hot path in MetaLeak is a flat scan over dense int32 codes or
-// doubles (CSR probe tables, the fused Def 2.2/2.3 match+MSE scan,
-// identifiability bitmaps). This layer provides the handful of
-// primitives those scans actually need, each in two codegen variants:
+// The dispatched kernels serve one consumer, the fused Def 2.2/2.3
+// match+MSE leakage scan over dense codes and doubles, whose checked-in
+// bench row (simd_leakage_scan_speedup_50k in BENCH_generation.json)
+// shows the vector bodies paying. The partition engine reads its probe
+// tables with plain loads and the identifiability sweep merges plain
+// 64-bit-word bitmaps. Each dispatched kernel has two codegen variants:
 //
 //   * an always-available scalar reference (the semantics oracle), and
 //   * an AVX2 path (256-bit lanes, hardware gathers),
@@ -161,19 +163,6 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              const uint8_t* syn_codes,
                              const double* code_numeric, size_t n,
                              double eps, EpsilonBallStats* stats);
-
-// --- Gather kernels ------------------------------------------------------
-
-/// out[k] = table[idx[k]] for k in [0, n): the probe-table gather of the
-/// partition engine. Indices must be < 2^31 (AVX2 gathers use signed
-/// 32-bit indices; every PLI row count is DCHECK-bounded far below).
-void GatherI32(SimdLevel level, const int32_t* table, const uint32_t* idx,
-               size_t n, int32_t* out);
-
-/// True iff table[idx[k]] == expect for all k in [0, n): the inner loop
-/// of PositionListIndex::Refines. Index bound as in GatherI32.
-bool AllGatherEqualI32(SimdLevel level, const int32_t* table,
-                       const uint32_t* idx, size_t n, int32_t expect);
 
 // --- Bit-parallel row sets -----------------------------------------------
 //

@@ -13,6 +13,7 @@ Result<DiscoveryReport> ProfileRelation(const Relation& relation,
 
 Result<DiscoveryReport> ProfileRelation(const EncodedRelation& relation,
                                         const DiscoveryOptions& options) {
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   // One PLI cache serves every partition-based search (FD/AFD and ND);
   // partitions built by one stay warm for the other.
   PliCache cache(&relation);

@@ -61,9 +61,7 @@ Result<LatticeSearchResult> RunLatticeSearch(
     const LatticeReuse* reuse) {
   METALEAK_DCHECK(validator != nullptr);
   const size_t m = relation.num_columns();
-  if (m > AttributeSet::kMaxAttributes) {
-    return Status::Invalid("relation exceeds 64 attributes");
-  }
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(m));
   LatticeSearchResult result;
   if (m == 0) return result;
 

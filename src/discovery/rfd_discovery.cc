@@ -231,6 +231,7 @@ Result<DependencySet> DiscoverNds(const Relation& relation,
 Result<DependencySet> DiscoverNds(const EncodedRelation& relation,
                                   const NdDiscoveryOptions& options,
                                   LatticeSearchStats* stats) {
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   PliCache cache(&relation);
   return DiscoverNds(&cache, options, stats);
 }

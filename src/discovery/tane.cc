@@ -87,6 +87,7 @@ Result<TaneResult> DiscoverFds(const Relation& relation,
 
 Result<TaneResult> DiscoverFds(const EncodedRelation& relation,
                                const TaneOptions& options) {
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   PliCache cache(&relation);
   return DiscoverFds(&cache, options);
 }

@@ -4,12 +4,11 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <optional>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
-#include "common/parallel.h"
 
 namespace metaleak {
 
@@ -41,7 +40,7 @@ size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs) {
 namespace {
 
 // Rows with no NULL code in any of `cols`, ascending: the rows the
-// multi-attribute OD/OFD and DD checks compare.
+// multi-attribute DD check compares.
 std::vector<size_t> NonNullRows(const EncodedRelation& relation,
                                 const std::vector<size_t>& cols) {
   std::vector<char> keep(relation.num_rows(), 1);
@@ -59,8 +58,21 @@ std::vector<size_t> NonNullRows(const EncodedRelation& relation,
   return rows;
 }
 
-// Single-attribute OD/OFD in one pass over the rows and one walk over the
-// lhs codes, O(n + D_X). first[x] is the rhs code of the first row with
+// Stable counting sort of `rows` by their code in `codes` (codes below
+// `num_codes`) into `out`.
+template <typename C>
+void CountingSortRows(const std::vector<uint32_t>& rows, const C* codes,
+                      uint32_t num_codes, std::vector<uint32_t>* out) {
+  std::vector<uint32_t> next(static_cast<size_t>(num_codes) + 1, 0);
+  for (uint32_t r : rows) ++next[codes[r] + 1];
+  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  out->resize(rows.size());
+  for (uint32_t r : rows) (*out)[next[codes[r]]++] = r;
+}
+
+// OD/OFD in one pass over the rows and one walk over the lhs codes,
+// O(n + D_X); `x` is an lhs column's codes or the rank fold of a wider
+// LHS (LhsRanks below). first[x] is the rhs code of the first row with
 // lhs code x and a non-NULL rhs; the NULL code 0 doubles as "unseen". A
 // later row with lhs x and a different rhs is an lhs tie with differing
 // rhs, which both rules reject. Once rhs is a function of lhs, walking
@@ -101,6 +113,66 @@ bool OrderHolds(const EncodedRelation& relation, size_t lhs, size_t rhs,
   });
 }
 
+// Every row's LHS tuple as an order-preserving dense rank: 0 for a row
+// with a NULL in any LHS column, else 1..D for the D distinct tuples in
+// lexicographic order (attributes ascending, the first most
+// significant); an empty LHS gives every row rank 1. Each column folds
+// into the running rank with two stable counting passes, which order the
+// rows by (rank, code), and the distinct pairs are renumbered in that
+// order: O(|lhs| (n + D)) for dictionaries of D codes. Codes are
+// order-preserving, so rank order is the lexicographic Value order.
+std::vector<uint32_t> LhsRanks(const EncodedRelation& relation,
+                               const std::vector<size_t>& lhs,
+                               uint32_t* num_ranks) {
+  constexpr uint32_t kNull = ColumnDictionary::kNullCode;
+  std::vector<uint32_t> rank(relation.num_rows(), 1);
+  uint32_t ranks = 2;
+  std::vector<uint32_t> rows(relation.num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<uint32_t> by_code;
+  for (size_t c : lhs) {
+    relation.column_view(c).With([&](const auto* p) {
+      CountingSortRows(rows, p, relation.dictionary(c).num_codes(),
+                       &by_code);
+      CountingSortRows(by_code, rank.data(), ranks, &rows);
+      // Rows now ascend by (rank, code); a valid pair never equals the
+      // (0, NULL) start, so the first one opens rank 1.
+      uint32_t next = 0;
+      uint32_t prev_rank = 0;
+      uint32_t prev_code = kNull;
+      for (uint32_t r : rows) {
+        const uint32_t old = rank[r];
+        const uint32_t code = p[r];
+        if (old == 0 || code == kNull) {
+          rank[r] = 0;
+          continue;
+        }
+        if (old != prev_rank || code != prev_code) ++next;
+        prev_rank = old;
+        prev_code = code;
+        rank[r] = next;
+      }
+      ranks = next + 1;
+    });
+  }
+  *num_ranks = ranks;
+  return rank;
+}
+
+// OD/OFD at any LHS width: one attribute reads its column in place, any
+// other LHS checks its rank fold with the same pass.
+bool OrderHolds(const EncodedRelation& relation, AttributeSet lhs,
+                size_t rhs, bool strict) {
+  const std::vector<size_t> xs = lhs.ToIndices();
+  if (xs.size() == 1) return OrderHolds(relation, xs[0], rhs, strict);
+  uint32_t num_ranks = 0;
+  const std::vector<uint32_t> ranks = LhsRanks(relation, xs, &num_ranks);
+  return relation.column_view(rhs).With([&](const auto* y) {
+    return OrderHolds(ranks.data(), y, relation.num_rows(), num_ranks,
+                      strict);
+  });
+}
+
 }  // namespace
 
 bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs) {
@@ -119,140 +191,42 @@ bool ValidateOfd(const EncodedRelation& relation, size_t lhs, size_t rhs) {
   return OrderHolds(relation, lhs, rhs, /*strict=*/true);
 }
 
-namespace {
-
-// Adjacent-tuple scan grain for the chunked multi-attribute OD/OFD
-// checks: large enough that chunk dispatch is noise next to the scan,
-// fixed so chunking (and hence the verdict) never depends on the thread
-// count.
-constexpr size_t kTupleScanGrain = 16384;
-
-// For every row with no NULL among lhs ∪ {rhs}, a fixed-width tuple (lhs
-// codes in ascending attribute order, then the rhs code), flattened and
-// sorted lexicographically. Codes are order-preserving, so tuple order
-// is the lexicographic `Value` order.
-std::vector<uint32_t> SortedCodeTuples(const EncodedRelation& relation,
-                                       const std::vector<size_t>& lhs,
-                                       size_t rhs, size_t* width_out) {
-  const size_t width = lhs.size() + 1;
-  *width_out = width;
-  std::vector<size_t> cols = lhs;
-  cols.push_back(rhs);
-  const std::vector<size_t> rows = NonNullRows(relation, cols);
-  const size_t n = rows.size();
-  std::vector<uint32_t> flat(n * width);
-  for (size_t k = 0; k < width; ++k) {
-    relation.column_view(cols[k]).With([&](const auto* p) {
-      for (size_t i = 0; i < n; ++i) flat[i * width + k] = p[rows[i]];
-    });
-  }
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return std::lexicographical_compare(
-        flat.begin() + a * width, flat.begin() + (a + 1) * width,
-        flat.begin() + b * width, flat.begin() + (b + 1) * width);
-  });
-  std::vector<uint32_t> sorted;
-  sorted.reserve(flat.size());
-  for (size_t i : order) {
-    sorted.insert(sorted.end(), flat.begin() + i * width,
-                  flat.begin() + (i + 1) * width);
-  }
-  return sorted;
-}
-
-// Adjacent-tuple scan shared by the multi-attribute OD/OFD checks:
-// `strict` selects the OFD rule (rhs must strictly increase when the
-// lhs tuple does).
-bool ScanSortedTuples(const std::vector<uint32_t>& tuples, size_t width,
-                      bool strict) {
-  const size_t n = tuples.size() / width;
-  if (n < 2) return true;
-  return ParallelReduce<bool>(
-      1, n, kTupleScanGrain, true,
-      [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          const uint32_t* prev = tuples.data() + (i - 1) * width;
-          const uint32_t* cur = tuples.data() + i * width;
-          const bool lhs_tie =
-              std::equal(prev, prev + width - 1, cur, cur + width - 1);
-          const uint32_t py = prev[width - 1];
-          const uint32_t cy = cur[width - 1];
-          if (lhs_tie) {
-            // lhs tie: both directions of the implication force rhs
-            // equality.
-            if (cy != py) return false;
-          } else if (strict) {
-            if (cy <= py) return false;
-          } else {
-            if (cy < py) return false;
-          }
-        }
-        return true;
-      },
-      [](bool a, bool b) { return a && b; });
-}
-
-}  // namespace
-
 bool ValidateOd(const EncodedRelation& relation, AttributeSet lhs,
                 size_t rhs) {
-  std::vector<size_t> xs = lhs.ToIndices();
-  if (xs.size() == 1) return ValidateOd(relation, xs[0], rhs);
-  size_t width = 0;
-  std::vector<uint32_t> tuples = SortedCodeTuples(relation, xs, rhs, &width);
-  return ScanSortedTuples(tuples, width, /*strict=*/false);
+  return OrderHolds(relation, lhs, rhs, /*strict=*/false);
 }
 
 bool ValidateOfd(const EncodedRelation& relation, AttributeSet lhs,
                  size_t rhs) {
-  std::vector<size_t> xs = lhs.ToIndices();
-  if (xs.size() == 1) return ValidateOfd(relation, xs[0], rhs);
-  size_t width = 0;
-  std::vector<uint32_t> tuples = SortedCodeTuples(relation, xs, rhs, &width);
-  return ScanSortedTuples(tuples, width, /*strict=*/true);
+  return OrderHolds(relation, lhs, rhs, /*strict=*/true);
 }
 
 namespace {
 
-// One chunk of the DD scan below: the largest rhs gap seen and, once a
-// gap exceeds the bound, the pair (earlier point, later point) that
-// showed it. The chunk stops at that pair.
-struct DeltaChunk {
-  double delta = 0.0;
-  std::optional<std::pair<size_t, size_t>> over;
-};
+// A DD window needs an epsilon that orders against a gap: a NaN compares
+// false with every one, so its window would never close.
+Status CheckEpsilon(double eps) {
+  if (std::isnan(eps) || eps < 0.0) {
+    return Status::Invalid(
+        "differential epsilon must be a non-negative number");
+  }
+  return Status::OK();
+}
 
-// Sliding-window scan of j in [jlo, jhi) over points sorted by x: for
-// every j, all i < j with x_j - x_i <= eps pair with j, and the deques
-// hold the window's y-min/max candidates (the min is tried first).
-// Seeding the deques from the window content [lo, j) reproduces exactly
-// the deque state the full serial scan would have at j, so chunked
-// scans cover the same (i, j) pairs and stop at the same first pair.
-DeltaChunk MinimalDeltaScan(const std::vector<std::pair<double, double>>& pts,
-                            double eps, double max_delta, size_t jlo,
-                            size_t jhi) {
-  DeltaChunk out;
+// Sliding-window scan over points sorted by x (`rows[k]` is the row of
+// point k): every point j pairs with the earlier points within `eps` on
+// x, whose smallest and largest y the two deques hold (the smallest is
+// tried first). The scan stops at the first pair whose y gap exceeds
+// `max_delta`.
+DifferentialCheck MinimalDeltaScan(
+    const std::vector<std::pair<double, double>>& pts,
+    const std::vector<uint32_t>& rows, double eps, double max_delta) {
+  using RowPair = PositionListIndex::RowPair;
+  DifferentialCheck out;
   std::deque<size_t> min_dq;
   std::deque<size_t> max_dq;
-  size_t lo = jlo;
-  // Rewind lo to the first index inside jlo's window, using the exact
-  // predicate of the scan below (not an algebraic rearrangement, which
-  // could round differently).
-  while (lo > 0 && !(pts[jlo].first - pts[lo - 1].first > eps)) --lo;
-  auto push = [&](size_t j) {
-    while (!min_dq.empty() && pts[min_dq.back()].second >= pts[j].second) {
-      min_dq.pop_back();
-    }
-    min_dq.push_back(j);
-    while (!max_dq.empty() && pts[max_dq.back()].second <= pts[j].second) {
-      max_dq.pop_back();
-    }
-    max_dq.push_back(j);
-  };
-  for (size_t i = lo; i < jlo; ++i) push(i);
-  for (size_t j = jlo; j < jhi; ++j) {
+  size_t lo = 0;
+  for (size_t j = 0; j < pts.size(); ++j) {
     while (lo < j && pts[j].first - pts[lo].first > eps) {
       if (!min_dq.empty() && min_dq.front() == lo) min_dq.pop_front();
       if (!max_dq.empty() && max_dq.front() == lo) max_dq.pop_front();
@@ -261,7 +235,7 @@ DeltaChunk MinimalDeltaScan(const std::vector<std::pair<double, double>>& pts,
     if (!min_dq.empty()) {
       const double gap = pts[j].second - pts[min_dq.front()].second;
       if (gap > max_delta) {
-        out.over.emplace(min_dq.front(), j);
+        out.witness = RowPair{rows[min_dq.front()], rows[j]};
         return out;
       }
       out.delta = std::max(out.delta, gap);
@@ -269,26 +243,21 @@ DeltaChunk MinimalDeltaScan(const std::vector<std::pair<double, double>>& pts,
     if (!max_dq.empty()) {
       const double gap = pts[max_dq.front()].second - pts[j].second;
       if (gap > max_delta) {
-        out.over.emplace(max_dq.front(), j);
+        out.witness = RowPair{rows[max_dq.front()], rows[j]};
         return out;
       }
       out.delta = std::max(out.delta, gap);
     }
-    push(j);
+    while (!min_dq.empty() && pts[min_dq.back()].second >= pts[j].second) {
+      min_dq.pop_back();
+    }
+    min_dq.push_back(j);
+    while (!max_dq.empty() && pts[max_dq.back()].second <= pts[j].second) {
+      max_dq.pop_back();
+    }
+    max_dq.push_back(j);
   }
   return out;
-}
-
-// Stable counting sort of `rows` by their code in `codes` (codes below
-// `num_codes`) into `out`.
-template <typename C>
-void CountingSortRows(const std::vector<uint32_t>& rows, const C* codes,
-                      uint32_t num_codes, std::vector<uint32_t>* out) {
-  std::vector<uint32_t> next(static_cast<size_t>(num_codes) + 1, 0);
-  for (uint32_t r : rows) ++next[codes[r] + 1];
-  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
-  out->resize(rows.size());
-  for (uint32_t r : rows) (*out)[next[codes[r]]++] = r;
 }
 
 }  // namespace
@@ -299,9 +268,7 @@ Result<DifferentialCheck> CheckDifferential(const EncodedRelation& relation,
   if (lhs >= relation.num_columns() || rhs >= relation.num_columns()) {
     return Status::OutOfRange("attribute index out of range");
   }
-  if (eps < 0.0) {
-    return Status::Invalid("differential epsilon must be non-negative");
-  }
+  METALEAK_RETURN_NOT_OK(CheckEpsilon(eps));
   // Decode each distinct value to a double once; NaN marks non-numeric
   // entries, which are a type error in any row whose partner is
   // non-null.
@@ -339,29 +306,7 @@ Result<DifferentialCheck> CheckDifferential(const EncodedRelation& relation,
     return Status::TypeError(
         "differential dependencies require numeric attributes");
   }
-  DifferentialCheck check;
-  if (pts.size() < 2) return check;
-  // The j-range is chunked (fixed grain) and each chunk re-seeds its own
-  // window, so the chunks examine exactly the serial pair set; chunk
-  // results fold in order, so the first chunk that saw a gap over the
-  // bound names the pair and the result is the same at any thread count.
-  constexpr size_t kGrain = 8192;
-  const DeltaChunk scan = ParallelReduce<DeltaChunk>(
-      0, pts.size(), kGrain, DeltaChunk{},
-      [&](size_t jlo, size_t jhi) {
-        return MinimalDeltaScan(pts, eps, max_delta, jlo, jhi);
-      },
-      [](DeltaChunk acc, DeltaChunk chunk) {
-        if (acc.over.has_value()) return acc;
-        chunk.delta = std::max(acc.delta, chunk.delta);
-        return chunk;
-      });
-  check.delta = scan.delta;
-  if (scan.over.has_value()) {
-    check.witness = PositionListIndex::RowPair{rows[scan.over->first],
-                                               rows[scan.over->second]};
-  }
-  return check;
+  return MinimalDeltaScan(pts, rows, eps, max_delta);
 }
 
 Result<double> ComputeMinimalDelta(const Relation& relation, size_t lhs,
@@ -398,11 +343,7 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
   if (rhs >= relation.num_columns()) {
     return Status::OutOfRange("attribute index out of range");
   }
-  for (double e : eps) {
-    if (e < 0.0) {
-      return Status::Invalid("differential epsilon must be non-negative");
-    }
-  }
+  for (double e : eps) METALEAK_RETURN_NOT_OK(CheckEpsilon(e));
   // Qualifying rows flattened as (lhs numerics..., rhs numeric). A tuple
   // pair is in the conjunctive window when every lhs coordinate differs
   // by at most its eps; the minimal delta is the largest rhs gap over
@@ -431,33 +372,24 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
   }
   if (n < 2) return 0.0;
   // The conjunctive window has no 1-D sort that makes it contiguous, so
-  // every unordered pair is checked directly. Chunking the i-range keeps
-  // the O(n^2) scan parallel; max-reduction is order-invariant, so the
-  // result is thread-count independent.
-  constexpr size_t kRowGrain = 64;
-  return ParallelReduce<double>(
-      0, n, kRowGrain, 0.0,
-      [&](size_t lo, size_t hi) {
-        double delta = 0.0;
-        for (size_t i = lo; i < hi; ++i) {
-          const double* ti = flat.data() + i * width;
-          for (size_t j = i + 1; j < n; ++j) {
-            const double* tj = flat.data() + j * width;
-            bool within = true;
-            for (size_t k = 0; k + 1 < width; ++k) {
-              if (std::fabs(ti[k] - tj[k]) > eps[k]) {
-                within = false;
-                break;
-              }
-            }
-            if (!within) continue;
-            delta = std::max(delta,
-                             std::fabs(ti[width - 1] - tj[width - 1]));
-          }
+  // every unordered pair is checked directly.
+  double delta = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double* ti = flat.data() + i * width;
+    for (size_t j = i + 1; j < n; ++j) {
+      const double* tj = flat.data() + j * width;
+      bool within = true;
+      for (size_t k = 0; k + 1 < width; ++k) {
+        if (std::fabs(ti[k] - tj[k]) > eps[k]) {
+          within = false;
+          break;
         }
-        return delta;
-      },
-      [](double a, double b) { return std::max(a, b); });
+      }
+      if (!within) continue;
+      delta = std::max(delta, std::fabs(ti[width - 1] - tj[width - 1]));
+    }
+  }
+  return delta;
 }
 
 Result<bool> ValidateDependency(const Relation& relation,
@@ -468,6 +400,7 @@ Result<bool> ValidateDependency(const Relation& relation,
 
 Result<bool> ValidateDependency(const EncodedRelation& relation,
                                 const Dependency& dep) {
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   PliCache cache(&relation);
   return ValidateDependency(&cache, dep);
 }
@@ -512,6 +445,7 @@ Result<std::vector<bool>> ValidateDependencies(const Relation& relation,
 
 Result<std::vector<bool>> ValidateDependencies(
     const EncodedRelation& relation, const DependencySet& deps) {
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   PliCache cache(&relation);
   std::vector<bool> verdicts;
   verdicts.reserve(deps.size());

@@ -53,8 +53,11 @@ bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs);
 
 /// Multi-attribute OD: the LHS orders rows lexicographically by the
 /// attributes in ascending index order; rows with a NULL in any involved
-/// column are skipped. |lhs| == 1 is exactly the single-attribute check;
-/// wider LHSes sort the code tuples and scan adjacent ones.
+/// column are skipped. |lhs| == 1 is exactly the single-attribute check,
+/// reading the column in place. Any other LHS (an empty one is a single
+/// tuple) folds into an order-preserving dense rank per row, one column
+/// at a time with two stable counting passes, O(|lhs| (n + D)), and the
+/// single-attribute pass checks the rank against the rhs.
 bool ValidateOd(const EncodedRelation& relation, AttributeSet lhs,
                 size_t rhs);
 
@@ -67,14 +70,15 @@ bool ValidateOfd(const EncodedRelation& relation, size_t lhs, size_t rhs);
 /// Encodes `relation` and runs the encoded check (see the OD overload).
 bool ValidateOfd(const Relation& relation, size_t lhs, size_t rhs);
 
-/// Multi-attribute OFD under the same lexicographic LHS order as the OD
-/// overload above.
+/// Multi-attribute OFD under the same lexicographic LHS order and rank
+/// fold as the OD overload above.
 bool ValidateOfd(const EncodedRelation& relation, AttributeSet lhs,
                  size_t rhs);
 
 /// Minimal delta such that the differential dependency
 /// |t[lhs]-u[lhs]| <= eps  =>  |t[rhs]-u[rhs]| <= delta holds over all
-/// tuple pairs. Both attributes must be numeric; fails otherwise.
+/// tuple pairs. Both attributes must be numeric, and eps non-negative and
+/// not NaN; fails otherwise.
 /// Returns 0 when fewer than two non-null rows exist. Encodes `relation`
 /// and runs the encoded scan (exact: codes order the values).
 Result<double> ComputeMinimalDelta(const Relation& relation, size_t lhs,
@@ -97,11 +101,12 @@ struct DifferentialCheck {
 
 /// The scan behind ComputeMinimalDelta. Rows with no NULL on either side
 /// are ordered by (lhs code, rhs code, row id) with two counting passes,
-/// O(n + D_lhs + D_rhs); a sliding window then visits each row with the
-/// earlier rows within `eps` on the lhs, pairing it first with the
-/// window's smallest rhs, then its largest. The scan stops at the first
-/// pair whose gap exceeds `max_delta`, so the witness is the same at any
-/// thread count and code width.
+/// O(n + D_lhs + D_rhs); one serial sliding window then visits each row
+/// with the earlier rows within `eps` on the lhs, pairing it first with
+/// the window's smallest rhs, then its largest. The scan stops at the
+/// first pair whose gap exceeds `max_delta`, so the witness is the same
+/// at any thread count and code width. Invalid for a negative or NaN
+/// `eps`.
 Result<DifferentialCheck> CheckDifferential(const EncodedRelation& relation,
                                             size_t lhs, size_t rhs,
                                             double eps, double max_delta);
@@ -109,7 +114,8 @@ Result<DifferentialCheck> CheckDifferential(const EncodedRelation& relation,
 /// Multi-attribute minimal delta: a pair qualifies when every LHS
 /// attribute a_k is within its eps[k] (conjunctive window); `eps` is
 /// parallel to lhs.ToIndices(). |lhs| == 1 is exactly the
-/// single-attribute sliding-window scan.
+/// single-attribute sliding-window scan; wider LHSes check every pair of
+/// non-NULL rows in one serial loop. Invalid for a negative or NaN eps.
 Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
                                    AttributeSet lhs,
                                    const std::vector<double>& eps,
@@ -118,7 +124,8 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
 /// Validates a dependency of any class against `relation`; for
 /// parameterized classes the recorded parameter must be satisfied
 /// (g3 <= dep.g3_error, fan-out <= dep.max_fanout, minimal delta <=
-/// dep.rhs_delta). Fails on out-of-range attribute indices. Handles
+/// dep.rhs_delta). Fails on out-of-range attribute indices, and the
+/// encoded overloads on a relation wider than 64 attributes. Handles
 /// multi-attribute LHSes for every class.
 Result<bool> ValidateDependency(const Relation& relation,
                                 const Dependency& dep);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/status.h"
 
 namespace metaleak {
 
@@ -113,6 +114,17 @@ class AttributeSet {
   explicit constexpr AttributeSet(uint64_t mask) : mask_(mask) {}
   uint64_t mask_;
 };
+
+/// OK when a relation of `num_attributes` columns fits an AttributeSet,
+/// Invalid ("relation exceeds 64 attributes") otherwise. Every entry
+/// point that builds a PliCache or walks the lattice checks it first, so
+/// a wide relation never reaches AttributeSet::Single.
+inline Status CheckAttributeCount(size_t num_attributes) {
+  if (num_attributes > AttributeSet::kMaxAttributes) {
+    return Status::Invalid("relation exceeds 64 attributes");
+  }
+  return Status::OK();
+}
 
 }  // namespace metaleak
 

@@ -39,7 +39,8 @@ class PliCache {
   /// Builds over an existing encoding (shared across consumers of one
   /// pipeline entry point). The encoding must outlive the cache.
   /// Single-attribute PLIs are built eagerly from the code vectors, one
-  /// pool task per column; composite PLIs on demand.
+  /// pool task per column; composite PLIs on demand. The encoding has at
+  /// most 64 columns: callers return CheckAttributeCount's error first.
   explicit PliCache(const EncodedRelation* encoded);
 
   /// Builds over an existing encoding but seeds the single-attribute

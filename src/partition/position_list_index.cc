@@ -4,22 +4,12 @@
 
 #include "common/flat_id_table.h"
 #include "common/macros.h"
-#include "common/parallel.h"
-#include "common/simd.h"
 
 namespace metaleak {
 
 namespace {
 
 constexpr uint32_t kNoSlot = UINT32_MAX;
-
-// Gather kernels use signed 32-bit row indices; every builder DCHECKs
-// num_rows < UINT32_MAX, but the gather paths additionally need rows to
-// fit in int32, so they drop to scalar beyond that.
-SimdLevel GatherLevel(size_t num_rows) {
-  return num_rows < static_cast<size_t>(INT32_MAX) ? ActiveSimdLevel()
-                                                   : SimdLevel::kScalar;
-}
 
 }  // namespace
 
@@ -124,28 +114,8 @@ PositionListIndex PositionListIndex::FromEncoded(
     });
     num_groups = groups.size();
   }
-  // Final grouping over the dense ids, mirroring FromCodes.
-  std::vector<uint32_t> counts(num_groups, 0);
-  for (uint32_t id : ids) ++counts[id];
-  std::vector<uint32_t> slot(num_groups, kNoSlot);
-  std::vector<uint32_t> offsets;
-  offsets.push_back(0);
-  uint32_t next_slot = 0;
-  uint32_t total = 0;
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    if (counts[g] >= 2) {
-      slot[g] = next_slot++;
-      total += counts[g];
-      offsets.push_back(total);
-    }
-  }
-  std::vector<Row> rows(total);
-  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (size_t r = 0; r < n; ++r) {
-    uint32_t s = slot[ids[r]];
-    if (s != kNoSlot) rows[cursor[s]++] = static_cast<Row>(r);
-  }
-  return PositionListIndex(std::move(rows), std::move(offsets), n);
+  // The folded ids are codes in [0, num_groups): group them as one column.
+  return FromCodes(ids, num_groups);
 }
 
 PositionListIndex PositionListIndex::Identity(size_t num_rows) {
@@ -220,17 +190,10 @@ PositionListIndex PositionListIndex::Intersect(
   // subclusters appear in first-occurrence order of the probe class
   // within the cluster — deterministic, and row order inside each
   // subcluster stays ascending because the cluster scan is ascending.
-  const SimdLevel gather_level = GatherLevel(num_rows_);
-  std::vector<int32_t>& ids = scratch->ids;
   for (const ClusterView cl : iter.clusters()) {
     touched.clear();
-    // Gather the probe ids of the whole cluster once; both passes below
-    // read the buffer instead of re-probing the table.
-    const size_t m = cl.size();
-    ids.resize(m);
-    GatherI32(gather_level, probe.data(), cl.begin(), m, ids.data());
-    for (size_t i = 0; i < m; ++i) {
-      int32_t id = ids[i];
+    for (const Row row : cl) {
+      const int32_t id = probe[row];
       if (id == kUnique) continue;
       if (counts[id]++ == 0) touched.push_back(static_cast<uint32_t>(id));
     }
@@ -245,10 +208,10 @@ PositionListIndex PositionListIndex::Intersect(
       }
     }
     out_rows.resize(total);
-    for (size_t i = 0; i < m; ++i) {
-      int32_t id = ids[i];
+    for (const Row row : cl) {
+      const int32_t id = probe[row];
       if (id == kUnique || cursor[id] == kNoSlot) continue;
-      out_rows[cursor[id]++] = cl.begin()[i];
+      out_rows[cursor[id]++] = row;
     }
     for (uint32_t id : touched) counts[id] = 0;
   }
@@ -260,24 +223,17 @@ bool PositionListIndex::Refines(const PositionListIndex& other,
                                 RowPair* witness) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
   const std::vector<int32_t>& probe = other.probe_table();
-  const SimdLevel gather_level = GatherLevel(num_rows_);
   for (const ClusterView cl : clusters()) {
-    int32_t first = probe[cl[0]];
-    // A stripped (size >= 2) cluster containing a row that is unique in
-    // `other` has two rows disagreeing on the RHS: violation.
-    if (first != kUnique &&
-        AllGatherEqualI32(gather_level, probe.data(), cl.begin() + 1,
-                          cl.size() - 1, first)) {
-      continue;
+    // A stripped (size >= 2) cluster holding a row that is unique in
+    // `other`, or in another class of it than the first row, has two rows
+    // disagreeing on the RHS: violation, witnessed by the first such row.
+    const Row* rows = cl.begin();
+    const int32_t first = probe[rows[0]];
+    for (size_t i = 1; i < cl.size(); ++i) {
+      if (first != kUnique && probe[rows[i]] == first) continue;
+      if (witness != nullptr) *witness = {rows[0], rows[i]};
+      return false;
     }
-    if (witness != nullptr) {
-      size_t i = 1;
-      if (first != kUnique) {
-        while (probe[cl[i]] == first) ++i;
-      }
-      *witness = {static_cast<Row>(cl[0]), static_cast<Row>(cl[i])};
-    }
-    return false;
   }
   return true;
 }
@@ -286,64 +242,42 @@ double PositionListIndex::G3Error(const PositionListIndex& other) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
   if (num_rows_ == 0) return 0.0;
   const std::vector<int32_t>& probe = other.probe_table();
-  const size_t probe_clusters = other.num_clusters();
-  // Per-cluster violation counts are independent; chunk the cluster list
-  // and sum the integer counts in chunk order (exact, so the result is
-  // identical at any thread count). The grain depends only on the
-  // cluster count, never on the thread count.
-  const size_t grain = std::max<size_t>(1, num_clusters() / 256);
-  size_t violations = ParallelReduce<size_t>(
-      0, num_clusters(), grain, size_t{0},
-      [&](size_t lo, size_t hi) {
-        size_t chunk_violations = 0;
-        std::vector<uint32_t> counts(probe_clusters, 0);
-        std::vector<uint32_t> touched;
-        std::vector<int32_t> ids;
-        const SimdLevel gather_level = GatherLevel(num_rows_);
-        for (size_t k = lo; k < hi; ++k) {
-          const ClusterView cl = cluster(k);
-          touched.clear();
-          const size_t m = cl.size();
-          ids.resize(m);
-          GatherI32(gather_level, probe.data(), cl.begin(), m, ids.data());
-          size_t unique_rows = 0;
-          size_t max_count = 0;
-          for (size_t i = 0; i < m; ++i) {
-            int32_t id = ids[i];
-            if (id == kUnique) {
-              // Singleton in `other`: its own class of size 1.
-              ++unique_rows;
-              continue;
-            }
-            if (counts[id]++ == 0) touched.push_back(static_cast<uint32_t>(id));
-            if (counts[id] > max_count) max_count = counts[id];
-          }
-          for (uint32_t id : touched) counts[id] = 0;
-          if (unique_rows > 0 && max_count == 0) max_count = 1;
-          chunk_violations += cl.size() - max_count;
-        }
-        return chunk_violations;
-      },
-      [](size_t a, size_t b) { return a + b; });
+  // Each cluster keeps its largest class of `other` and loses the rest.
+  std::vector<uint32_t> counts(other.num_clusters(), 0);
+  std::vector<uint32_t> touched;
+  size_t violations = 0;
+  for (const ClusterView cl : clusters()) {
+    touched.clear();
+    size_t unique_rows = 0;
+    size_t max_count = 0;
+    for (const Row row : cl) {
+      const int32_t id = probe[row];
+      if (id == kUnique) {
+        // Singleton in `other`: its own class of size 1.
+        ++unique_rows;
+        continue;
+      }
+      if (counts[id]++ == 0) touched.push_back(static_cast<uint32_t>(id));
+      if (counts[id] > max_count) max_count = counts[id];
+    }
+    for (uint32_t id : touched) counts[id] = 0;
+    if (unique_rows > 0 && max_count == 0) max_count = 1;
+    violations += cl.size() - max_count;
+  }
   return static_cast<double>(violations) / static_cast<double>(num_rows_);
 }
 
 size_t PositionListIndex::MaxFanout(const PositionListIndex& other) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
   const std::vector<int32_t>& probe = other.probe_table();
-  const SimdLevel gather_level = GatherLevel(num_rows_);
   size_t max_fanout = num_rows_ > 0 ? 1 : 0;
   std::vector<uint32_t> seen(other.num_clusters(), 0);
   std::vector<uint32_t> touched;
-  std::vector<int32_t> ids;
   for (const ClusterView cl : clusters()) {
     touched.clear();
-    const size_t m = cl.size();
-    ids.resize(m);
-    GatherI32(gather_level, probe.data(), cl.begin(), m, ids.data());
     size_t distinct = 0;
-    for (size_t i = 0; i < m; ++i) {
-      int32_t id = ids[i];
+    for (const Row row : cl) {
+      const int32_t id = probe[row];
       if (id == kUnique) {
         ++distinct;  // each RHS-singleton is its own value
       } else if (seen[id]++ == 0) {

@@ -22,13 +22,14 @@
 //
 // The row -> cluster-id probe table is built lazily, once, and cached on
 // the PLI (partitions are immutable after construction); `Refines`,
-// `G3Error`, `MaxFanout` and `Intersect` all reuse it instead of
-// materializing a fresh table per call. `Intersect` additionally takes an
-// optional caller-owned `IntersectionScratch` so a level-wise lattice
-// pass reuses one probe/count workspace across every candidate instead of
-// allocating per intersection, and it iterates whichever operand has
-// fewer stripped rows (probing the other), which bounds the scan by the
-// smaller side.
+// `G3Error`, `MaxFanout` and `Intersect` all read it directly, one load
+// per row, instead of materializing a fresh table per call, and each runs
+// as one serial loop (the lattice already spreads its candidates over the
+// pool). `Intersect` additionally takes an optional caller-owned
+// `IntersectionScratch` so a level-wise lattice pass reuses one
+// probe/count workspace across every candidate instead of allocating per
+// intersection, and it iterates whichever operand has fewer stripped rows
+// (probing the other), which bounds the scan by the smaller side.
 //
 // NULL semantics: NULL equals NULL (one cluster), matching the library-wide
 // convention documented in value.h.
@@ -55,7 +56,6 @@ struct IntersectionScratch {
   std::vector<uint32_t> counts;   // per probe-side cluster: rows seen
   std::vector<uint32_t> cursor;   // per probe-side cluster: write cursor
   std::vector<uint32_t> touched;  // probe ids hit, first-occurrence order
-  std::vector<int32_t> ids;       // gathered probe ids of the iterated cluster
 };
 
 class PositionListIndex {
@@ -145,7 +145,8 @@ class PositionListIndex {
   /// columns use FromCodes; larger sets fold the per-column codes into
   /// dense group ids column by column, numbered by first occurrence
   /// through a FlatIdTable (renumbering keeps ids < N, so the fold never
-  /// overflows and never hashes a `Value`).
+  /// overflows and never hashes a `Value`), and group the ids with
+  /// FromCodes.
   static PositionListIndex FromEncoded(const EncodedRelation& relation,
                                        const std::vector<size_t>& columns);
 

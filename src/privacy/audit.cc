@@ -19,6 +19,7 @@ Result<AuditResult> RunAudit(const Relation& relation,
   if (relation.num_rows() == 0 || relation.num_columns() == 0) {
     return Status::Invalid("cannot audit an empty relation");
   }
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   // Encode once: profiling, the identifiability sweep, and the experiment
   // engine all run on the same dictionary-encoded view, sharing one
   // partition cache.

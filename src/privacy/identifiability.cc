@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/parallel.h"
@@ -54,7 +53,7 @@ std::vector<AttributeSet> SubsetsOfSize(size_t m, size_t k) {
 // A row is unique under pair (a, b) iff its (code_a, code_b) combination
 // occurs exactly once, so a Ka x Kb u32 count table answers a pair
 // directly: one counting pass, one marking pass, no PLI intersection and
-// no probe-table gathers. Pairs whose table would outgrow the budget
+// no probe-table reads. Pairs whose table would outgrow the budget
 // below (high-cardinality dictionaries) fall back to the cached-PLI
 // subset path; both paths compute the same exact per-row predicate, so
 // the OR-merge is bit-identical to running everything through either.
@@ -263,9 +262,7 @@ Result<std::vector<bool>> IdentifiableRowsForSubsets(
 Result<std::vector<bool>> IdentifiableRows(PliCache& cache, size_t width) {
   const size_t m = cache.encoded().num_columns();
   const size_t n = cache.encoded().num_rows();
-  if (m > AttributeSet::kMaxAttributes) {
-    return Status::Invalid("relation exceeds 64 attributes");
-  }
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(m));
   if (m == 0 || n == 0 || width == 0) {
     return std::vector<bool>(n, false);
   }
@@ -283,9 +280,7 @@ Result<std::vector<bool>> IdentifiableRows(PliCache& cache, size_t width) {
 
 Result<std::vector<bool>> IdentifiableRows(const EncodedRelation& relation,
                                            size_t width) {
-  if (relation.num_columns() > AttributeSet::kMaxAttributes) {
-    return Status::Invalid("relation exceeds 64 attributes");
-  }
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   if (relation.num_columns() == 0 || relation.num_rows() == 0 ||
       width == 0) {
     return std::vector<bool>(relation.num_rows(), false);
@@ -326,35 +321,19 @@ Result<std::vector<AttributeSet>> DiscoverUniqueColumnCombinations(
 
 Result<std::vector<AttributeSet>> DiscoverUniqueColumnCombinations(
     const EncodedRelation& relation, size_t max_size) {
-  if (relation.num_columns() > AttributeSet::kMaxAttributes) {
-    return Status::Invalid("relation exceeds 64 attributes");
-  }
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   PliCache cache(&relation);
   return DiscoverUniqueColumnCombinations(cache, max_size);
 }
 
 Result<std::vector<AttributeSet>> DiscoverUniqueColumnCombinations(
     PliCache& cache, size_t max_size) {
-  size_t m = cache.encoded().num_columns();
-  if (m > AttributeSet::kMaxAttributes) {
-    return Status::Invalid("relation exceeds 64 attributes");
-  }
+  const size_t m = cache.encoded().num_columns();
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(m));
   std::vector<AttributeSet> uccs;
-  std::unordered_set<uint64_t> known_masks;
+  // A candidate is non-minimal iff some known (strictly smaller) UCC is a
+  // subset of it.
   auto covered_by_known = [&](AttributeSet attrs) {
-    if (uccs.empty()) return false;
-    // A candidate is non-minimal iff some known (strictly smaller) UCC
-    // is a subset of it. When the known list outgrows the candidate's
-    // 2^k proper-submask count, probing the bitmask set is cheaper than
-    // the linear ContainsAll scan; otherwise scan the short list.
-    const size_t k = attrs.size();
-    const uint64_t mask = attrs.mask();
-    if (k < 20 && (uint64_t{1} << k) < uccs.size()) {
-      for (uint64_t s = (mask - 1) & mask; s != 0; s = (s - 1) & mask) {
-        if (known_masks.count(s) > 0) return true;
-      }
-      return false;
-    }
     for (AttributeSet known : uccs) {
       if (attrs.ContainsAll(known)) return true;
     }
@@ -377,10 +356,7 @@ Result<std::vector<AttributeSet>> DiscoverUniqueColumnCombinations(
       is_ucc[i] = cache.Get(candidates[i])->num_clusters() == 0;
     });
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (is_ucc[i]) {
-        uccs.push_back(candidates[i]);
-        known_masks.insert(candidates[i].mask());
-      }
+      if (is_ucc[i]) uccs.push_back(candidates[i]);
     }
   }
   return uccs;

@@ -22,6 +22,7 @@ RelationSnapshot::FromRelation(const Relation& relation,
   if (relation.num_rows() == 0 || relation.num_columns() == 0) {
     return Status::Invalid("cannot snapshot an empty relation");
   }
+  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
   auto snap = std::shared_ptr<RelationSnapshot>(new RelationSnapshot());
   snap->relation_ = std::make_unique<Relation>(relation);
   snap->encoded_ = std::make_unique<EncodedRelation>(std::move(encoded));

@@ -8,8 +8,15 @@
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/encoded_relation.h"
+#include "discovery/discovery_engine.h"
+#include "discovery/rfd_discovery.h"
+#include "discovery/tane.h"
+#include "discovery/validators.h"
 #include "partition/pli_cache.h"
 #include "privacy/audit.h"
+#include "privacy/identifiability.h"
+#include "service/audit_service.h"
+#include "service/relation_snapshot.h"
 
 namespace metaleak {
 namespace {
@@ -17,6 +24,50 @@ namespace {
 TEST(AuditTest, RejectsEmptyRelation) {
   Relation empty = Relation::Empty(Schema(std::vector<Attribute>{}));
   EXPECT_FALSE(RunAudit(empty).ok());
+}
+
+// A relation wider than an AttributeSet is Invalid before any PliCache
+// is built, whose singleton build would otherwise index attributes 64
+// and up (a Debug build aborts on its DCHECK). 70 attributes, 8 rows.
+TEST(AuditTest, WiderThan64AttributesIsInvalidAtEveryEntryPoint) {
+  std::vector<Attribute> attributes;
+  std::vector<std::vector<Value>> columns;
+  for (size_t c = 0; c < 70; ++c) {
+    attributes.push_back({"a" + std::to_string(c), DataType::kInt64,
+                          SemanticType::kCategorical});
+    std::vector<Value> column;
+    for (size_t r = 0; r < 8; ++r) {
+      column.push_back(Value::Int(static_cast<int64_t>((r + c) % 3)));
+    }
+    columns.push_back(std::move(column));
+  }
+  Result<Relation> relation =
+      Relation::Make(Schema(attributes), std::move(columns));
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  const EncodedRelation encoded = EncodedRelation::Encode(*relation);
+  auto expect_invalid = [](const Status& status, const std::string& entry) {
+    EXPECT_TRUE(status.IsInvalid()) << entry << ": " << status.ToString();
+    EXPECT_EQ(status.message(), "relation exceeds 64 attributes") << entry;
+  };
+  expect_invalid(RunAudit(*relation).status(), "RunAudit");
+  expect_invalid(ProfileRelation(encoded).status(), "ProfileRelation");
+  expect_invalid(RelationSnapshot::FromRelation(*relation, DiscoveryOptions{},
+                                                LeakageOptions{}, nullptr)
+                     .status(),
+                 "RelationSnapshot::FromRelation");
+  AuditService service;
+  expect_invalid(service.Register(*relation).status(),
+                 "AuditService::Register");
+  expect_invalid(DiscoverFds(encoded).status(), "DiscoverFds");
+  expect_invalid(DiscoverNds(encoded).status(), "DiscoverNds");
+  const Dependency fd = Dependency::Fd(AttributeSet::Single(0), 1);
+  expect_invalid(ValidateDependency(encoded, fd).status(),
+                 "ValidateDependency");
+  expect_invalid(ValidateDependencies(encoded, DependencySet({fd})).status(),
+                 "ValidateDependencies");
+  expect_invalid(IdentifiableRows(encoded, 2).status(), "IdentifiableRows");
+  expect_invalid(DiscoverUniqueColumnCombinations(encoded, 2).status(),
+                 "DiscoverUniqueColumnCombinations");
 }
 
 TEST(AuditTest, RejectsNonFiniteContinuousDomain) {

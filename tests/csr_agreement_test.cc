@@ -215,8 +215,9 @@ void ExpectSamePartition(const LegacyPli& legacy,
   }
 }
 
-// Thread-count parameterized: every comparison must hold serially and on
-// the pool, since G3Error chunks its reduction.
+// Thread-count parameterized: every comparison must hold at pool sizes 1
+// and 8. The partition kernels are serial loops, so the pool size must
+// not reach their results.
 class CsrAgreementTest : public ::testing::TestWithParam<size_t> {
  protected:
   void SetUp() override { SetGlobalThreadCount(GetParam()); }

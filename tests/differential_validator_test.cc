@@ -7,14 +7,16 @@
 // for bit, through both ComputeMinimalDelta overloads and at pool sizes 1
 // and 8, on random relations with NULLs, repeated x with different y,
 // signed zeros, int64 columns above 2^53 (distinct codes sharing a
-// double), 1-row and all-NULL columns, and more points than the scan's
-// 8192-point chunk grain. CheckDifferential's witness (the first pair
+// double), 1-row and all-NULL columns, and 30000-row relations. The
+// window is one serial scan; CheckDifferential's witness (the first pair
 // whose rhs gap exceeds the bound) must be a real violation, appear iff
 // the oracle's delta exceeds the bound, be the same pair at every pool
-// size and code width, and survive the fold of later chunks.
+// size and code width, and be the first such pair wherever in the rows
+// it lies. A NaN or negative epsilon is Invalid on every entry point.
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "discovery/validators.h"
+#include "metadata/dependency.h"
 #include "reference/differential_reference.h"
 
 namespace metaleak {
@@ -155,6 +158,9 @@ TEST(DdScanOracleTest, OneRowAndAllNullColumns) {
                       1.0, "all-NULL x");
 }
 
+// 30000 points with lhs ties and NULLs, beyond the 8192-point grain the
+// scan once split its window at: one serial window must still match the
+// oracle bit for bit.
 TEST(DdScanOracleTest, MoreRowsThanTheChunkGrain) {
   const Relation relation = RandomXY(30000, 4000, 0.05, 8192);
   for (double eps : {0.0, 0.25, 10.0}) {
@@ -230,9 +236,9 @@ TEST(DdScanOracleTest, WitnessIsCanonicalAndViolates) {
 }
 
 // One spike in y at row `spike` of x = 0, 1, 2, ...: the only pairs over
-// the bound straddle it, so only the chunk holding the spike sees a
-// violation. The fold must keep that chunk's pair whichever chunks
-// follow it.
+// the bound straddle it, so the scan must stop at the spike's first pair
+// whether the spike lies near the start, the middle or the end of the
+// 20000 rows (the positions once straddled the scan's 8192-point chunks).
 TEST(DdScanOracleTest, WitnessSurvivesTheChunkFold) {
   for (size_t spike : {size_t{100}, size_t{9000}, size_t{19990}}) {
     std::vector<std::vector<Value>> rows;
@@ -264,6 +270,53 @@ TEST(DdScanOracleTest, UnboundedCheckIsTheMinimalDelta) {
   ASSERT_TRUE(want.ok() && check.ok());
   EXPECT_FALSE(check->witness.has_value());
   EXPECT_EQ(Bits(check->delta), Bits(*want));
+}
+
+// x = 0, 10, ..., 90 and y alternating 0 and 100, with a second lhs
+// column equal to x: eps 1 pairs no rows (delta 0) and eps +inf pairs
+// every row (delta 100). A NaN epsilon compares false against every lhs
+// gap, so a scan that took it would never close its window and report
+// the +inf delta; the single- and multi-attribute paths and
+// ValidateDependency refuse it, as they refuse a negative one.
+TEST(DdScanOracleTest, NanEpsilonIsInvalid) {
+  std::vector<std::vector<Value>> rows;
+  for (int k = 0; k < 10; ++k) {
+    rows.push_back({Value::Real(10.0 * k), Value::Real(10.0 * k),
+                    Value::Real(k % 2 == 0 ? 0.0 : 100.0)});
+  }
+  const Relation relation =
+      FromRows(Schema({{"x", DataType::kDouble, SemanticType::kContinuous},
+                       {"z", DataType::kDouble, SemanticType::kContinuous},
+                       {"y", DataType::kDouble, SemanticType::kContinuous}}),
+               rows);
+  const EncodedRelation encoded = EncodedRelation::Encode(relation);
+  const double inf = std::numeric_limits<double>::infinity();
+  const AttributeSet xz = AttributeSet::Of({0, 1});
+  ASSERT_EQ(*ComputeMinimalDelta(encoded, 0, 2, 1.0), 0.0);
+  ASSERT_EQ(*ComputeMinimalDelta(encoded, 0, 2, inf), 100.0);
+  ASSERT_EQ(*ComputeMinimalDelta(encoded, xz, {1.0, 1.0}, 2), 0.0);
+  ASSERT_EQ(*ComputeMinimalDelta(encoded, xz, {inf, inf}, 2), 100.0);
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    SCOPED_TRACE("eps " + std::to_string(eps));
+    EXPECT_TRUE(ComputeMinimalDelta(relation, 0, 2, eps).status().IsInvalid());
+    EXPECT_TRUE(ComputeMinimalDelta(encoded, 0, 2, eps).status().IsInvalid());
+    EXPECT_TRUE(
+        CheckDifferential(encoded, 0, 2, eps, 50.0).status().IsInvalid());
+    EXPECT_TRUE(ComputeMinimalDelta(encoded, AttributeSet::Single(0), {eps}, 2)
+                    .status()
+                    .IsInvalid());
+    EXPECT_TRUE(
+        ComputeMinimalDelta(encoded, xz, {eps, 1.0}, 2).status().IsInvalid());
+    EXPECT_TRUE(
+        ComputeMinimalDelta(encoded, xz, {1.0, eps}, 2).status().IsInvalid());
+    EXPECT_TRUE(ValidateDependency(relation, Dependency::Dd(0, 2, eps, 150.0))
+                    .status()
+                    .IsInvalid());
+    EXPECT_TRUE(
+        ValidateDependency(encoded, Dependency::Dd(xz, 2, {1.0, eps}, 150.0))
+            .status()
+            .IsInvalid());
+  }
 }
 
 }  // namespace

@@ -844,8 +844,9 @@ std::vector<std::string> WitnessDump(const Relation& relation) {
 }
 
 // The witness is canonical: the same rows at the scalar and the best SIMD
-// level (Refines' early-exit gather runs the AVX2 kernel on AVX2 hosts),
-// at pool sizes 1, 3 and 8, and at u8, u16 and u32 code widths.
+// dispatch level (Refines reads its probe table with plain loads, so the
+// level must not matter), at pool sizes 1, 3 and 8, and at u8, u16 and
+// u32 code widths.
 TEST(WitnessParityTest, SameWitnessAtEveryDispatchPoolAndWidth) {
   Result<Relation> few = datasets::SyntheticUniform(12000, 5, 2, 3, 7);
   Result<Relation> wide = datasets::SyntheticUniform(4000, 4, 2, 300, 8);

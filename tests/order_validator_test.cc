@@ -1,5 +1,5 @@
-// Agreement of the single-attribute OD/OFD validators with the
-// sorted-pair Value oracle (tests/reference/order_reference).
+// Agreement of the OD/OFD validators with the sorted Value oracle
+// (tests/reference/order_reference).
 //
 // The validators run one linear pass over the codes and rely on codes
 // being order-preserving; the oracle sorts decoded Values. The suite
@@ -7,12 +7,17 @@
 // and 0.9, cardinalities on both sides of the u8/u16 and u16/u32 width
 // boundaries, lhs ties, single-code and all-NULL columns, and planted
 // strictly increasing, non-decreasing, plateau and decreasing maps, so
-// both verdicts occur for both classes. It also checks a snapshot
-// published after an insert+delete batch against the replayed rows, and
-// OD/OFD discovery on pool threads against the oracle's verdicts.
+// both verdicts occur for both classes. LHSes of two and three
+// attributes, which the validators fold into an order-preserving rank,
+// are compared with the oracle's lexicographic tuple sort on planted
+// lexicographic maps at every code-width floor. It also checks a
+// snapshot published after an insert+delete batch against the replayed
+// rows, and OD/OFD discovery on pool threads against the oracle's
+// verdicts.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -58,7 +63,7 @@ struct Shape {
 };
 
 std::string Padded(size_t v) {
-  char buf[16];
+  char buf[32];  // "v" and up to 20 digits fit: no truncation warning
   std::snprintf(buf, sizeof(buf), "v%07zu", v);
   return buf;
 }
@@ -221,6 +226,145 @@ TEST(OrderValidatorTest, WideDictionariesAgreeWithOracle) {
   }
   EXPECT_EQ(widths, (std::set<CodeWidth>{CodeWidth::kU8, CodeWidth::kU16,
                                          CodeWidth::kU32}));
+  EXPECT_GT(tally.od_holds, 0u);
+  EXPECT_GT(tally.od_fails, 0u);
+  EXPECT_GT(tally.ofd_holds, 0u);
+  EXPECT_GT(tally.ofd_fails, 0u);
+}
+
+// Columns of RandomTupleRelation: three LHS candidates of different
+// types, then rhs columns defined on the (a, b) or (a, b, c) tuple.
+enum TupleColumn : size_t {
+  kA,            // int64 in [0, A): the most significant LHS attribute
+  kB,            // string, zero-padded in [0, B)
+  kC,            // double 0.75 * (k - 1) for k in [0, C), signed zeros
+  kLex2,         // int64 a * B + b: strictly increasing in (a, b)
+  kLex2Steps,    // int64, random steps of 0 or 1 over (a, b): ties
+  kLex3,         // double, strictly increasing in (a, b, c)
+  kMajor,        // int64 a: constant on (a, b) runs with equal a
+  kReversed,     // int64 -(a * B + b): a function, order reversed
+  kSwapped,      // int64 b * A + a: a function, the wrong significance
+  kTupleNoise,   // int64, independent, 3 values
+  kNumTupleColumns,
+};
+
+struct TupleShape {
+  size_t rows;
+  size_t a;
+  size_t b;
+  size_t c;
+  double null_rate;
+};
+
+// A relation whose (a, b, c) tuples cover every combination once before
+// repeating, shuffled, with every cell nulled at `shape.null_rate`.
+Relation RandomTupleRelation(const TupleShape& shape, uint64_t seed) {
+  Rng rng(seed);
+  const size_t combos = shape.a * shape.b * shape.c;
+  std::vector<size_t> combo(shape.rows);
+  for (size_t r = 0; r < shape.rows; ++r) {
+    combo[r] = r < combos ? r : rng.UniformIndex(combos);
+  }
+  rng.Shuffle(&combo);
+  std::vector<int64_t> steps(shape.a * shape.b, 0);
+  for (size_t k = 1; k < steps.size(); ++k) {
+    steps[k] = steps[k - 1] + (rng.Bernoulli(0.5) ? 1 : 0);
+  }
+  std::vector<std::vector<Value>> columns(kNumTupleColumns);
+  for (size_t r = 0; r < shape.rows; ++r) {
+    const size_t a = combo[r] / (shape.b * shape.c);
+    const size_t b = combo[r] / shape.c % shape.b;
+    const size_t c = combo[r] % shape.c;
+    const size_t ab = a * shape.b + b;
+    double cv = 0.75 * (static_cast<double>(c) - 1.0);
+    // -0.0 and +0.0 are one value: both must land on one code.
+    if (cv == 0.0 && r % 2 == 1) cv = -0.0;
+    std::vector<Value> row(kNumTupleColumns);
+    row[kA] = Value::Int(static_cast<int64_t>(a));
+    row[kB] = Value::Str(Padded(b));
+    row[kC] = Value::Real(cv);
+    row[kLex2] = Value::Int(static_cast<int64_t>(ab));
+    row[kLex2Steps] = Value::Int(steps[ab]);
+    row[kLex3] = Value::Real(0.5 * static_cast<double>(ab * shape.c + c));
+    row[kMajor] = Value::Int(static_cast<int64_t>(a));
+    row[kReversed] = Value::Int(-static_cast<int64_t>(ab));
+    row[kSwapped] = Value::Int(static_cast<int64_t>(b * shape.a + a));
+    row[kTupleNoise] = Value::Int(rng.UniformInt(0, 2));
+    for (size_t k = 0; k < kNumTupleColumns; ++k) {
+      if (rng.Bernoulli(shape.null_rate)) row[k] = Value::Null();
+      columns[k].push_back(std::move(row[k]));
+    }
+  }
+  Schema schema({{"a", DataType::kInt64, SemanticType::kCategorical},
+                 {"b", DataType::kString, SemanticType::kCategorical},
+                 {"c", DataType::kDouble, SemanticType::kContinuous},
+                 {"lex2", DataType::kInt64, SemanticType::kContinuous},
+                 {"lex2_steps", DataType::kInt64, SemanticType::kContinuous},
+                 {"lex3", DataType::kDouble, SemanticType::kContinuous},
+                 {"major", DataType::kInt64, SemanticType::kContinuous},
+                 {"reversed", DataType::kInt64, SemanticType::kContinuous},
+                 {"swapped", DataType::kInt64, SemanticType::kContinuous},
+                 {"noise", DataType::kInt64, SemanticType::kCategorical}});
+  return std::move(Relation::Make(schema, std::move(columns))).ValueOrDie();
+}
+
+// Multi-attribute LHSes against the oracle's lexicographic tuple sort:
+// widths 2 and 3 over every rhs outside the LHS, NULL rates 0, 0.2 and
+// 0.9, and the u8, u16 and u32 code-width floors. Planted maps give LHS
+// ties with equal rhs (lex2 on (a, b)) and unequal rhs (lex3 on (a, b)),
+// and the rank must follow value order, not first occurrence: swapped
+// and reversed are functions of (a, b) that no order preserves.
+TEST(OrderValidatorTest, MultiAttributeLhsAgreesWithOracle) {
+  const std::vector<TupleShape> shapes = {
+      {600, 4, 6, 3, 0.0}, {600, 4, 6, 3, 0.2}, {600, 4, 6, 3, 0.9},
+      {4000, 3, 300, 4, 0.0}, {4000, 3, 300, 4, 0.2}};
+  const std::vector<AttributeSet> lhses = {
+      AttributeSet::Of({kA, kB}), AttributeSet::Of({kA, kC}),
+      AttributeSet::Of({kB, kC}), AttributeSet::Of({kA, kB, kC})};
+  uint64_t seed = 700;
+  Tally tally;
+  for (const TupleShape& shape : shapes) {
+    const Relation relation = RandomTupleRelation(shape, seed++);
+    for (std::optional<CodeWidth> floor :
+         {std::optional<CodeWidth>{}, std::optional<CodeWidth>{CodeWidth::kU16},
+          std::optional<CodeWidth>{CodeWidth::kU32}}) {
+      SCOPED_TRACE(testing::Message()
+                   << shape.rows << " rows, b " << shape.b << ", null rate "
+                   << shape.null_rate << ", floor "
+                   << (floor.has_value() ? static_cast<int>(*floor) : -1));
+      if (floor.has_value()) SetCodeWidthFloorOverride(*floor);
+      const EncodedRelation encoded = EncodedRelation::Encode(relation);
+      ClearCodeWidthFloorOverride();
+      for (AttributeSet lhs : lhses) {
+        for (size_t y = 0; y < kNumTupleColumns; ++y) {
+          if (lhs.Contains(y)) continue;
+          const bool od = reference::ValidateOd(encoded, lhs, y);
+          const bool ofd = reference::ValidateOfd(encoded, lhs, y);
+          EXPECT_EQ(ValidateOd(encoded, lhs, y), od)
+              << "OD " << lhs.ToString() << " -> " << y;
+          EXPECT_EQ(ValidateOfd(encoded, lhs, y), ofd)
+              << "OFD " << lhs.ToString() << " -> " << y;
+          ++(od ? tally.od_holds : tally.od_fails);
+          ++(ofd ? tally.ofd_holds : tally.ofd_fails);
+        }
+      }
+      if (shape.null_rate > 0.0) continue;
+      // Every tuple is present, so each rule is actually exercised.
+      const AttributeSet ab = AttributeSet::Of({kA, kB});
+      const AttributeSet abc = AttributeSet::Of({kA, kB, kC});
+      EXPECT_TRUE(ValidateOfd(encoded, ab, kLex2));
+      EXPECT_TRUE(ValidateOd(encoded, ab, kLex2Steps));
+      EXPECT_TRUE(ValidateOd(encoded, ab, kMajor));
+      EXPECT_FALSE(ValidateOfd(encoded, ab, kMajor));
+      EXPECT_FALSE(ValidateOd(encoded, ab, kLex3));
+      EXPECT_TRUE(ValidateOfd(encoded, abc, kLex3));
+      EXPECT_TRUE(ValidateOd(encoded, abc, kLex2));
+      EXPECT_FALSE(ValidateOfd(encoded, abc, kLex2));
+      EXPECT_FALSE(ValidateOd(encoded, ab, kReversed));
+      EXPECT_FALSE(ValidateOd(encoded, ab, kSwapped));
+      EXPECT_FALSE(ValidateOd(encoded, ab, kTupleNoise));
+    }
+  }
   EXPECT_GT(tally.od_holds, 0u);
   EXPECT_GT(tally.od_fails, 0u);
   EXPECT_GT(tally.ofd_holds, 0u);

@@ -70,6 +70,58 @@ bool SortedPairsHold(ValuePairs pairs, bool strict) {
   return true;
 }
 
+// Decoded (lhs..., rhs) Values of every row with no NULL among them, by
+// pointer, LHS attributes in ascending index order.
+std::vector<std::vector<const Value*>> TuplesOf(
+    const EncodedRelation& relation, AttributeSet lhs, size_t rhs) {
+  std::vector<size_t> cols = lhs.ToIndices();
+  cols.push_back(rhs);
+  std::vector<std::vector<const Value*>> tuples;
+  for (size_t r = 0; r < relation.num_rows(); ++r) {
+    std::vector<const Value*> tuple;
+    for (size_t c : cols) {
+      const Value& v = relation.dictionary(c).decode(relation.code_at(r, c));
+      if (v.is_null()) break;
+      tuple.push_back(&v);
+    }
+    if (tuple.size() == cols.size()) tuples.push_back(std::move(tuple));
+  }
+  return tuples;
+}
+
+// Sorts the tuples lexicographically (the rhs last, for determinism) and
+// scans adjacent ones; the last element is the rhs, the rest the LHS.
+bool SortedTuplesHold(std::vector<std::vector<const Value*>> tuples,
+                      bool strict) {
+  auto less = [](const std::vector<const Value*>& a,
+                 const std::vector<const Value*>& b) {
+    for (size_t k = 0; k < a.size(); ++k) {
+      if (!ValueEq(*a[k], *b[k])) return ValueLt(*a[k], *b[k]);
+    }
+    return false;
+  };
+  std::sort(tuples.begin(), tuples.end(), less);
+  for (size_t i = 1; i < tuples.size(); ++i) {
+    const std::vector<const Value*>& prev = tuples[i - 1];
+    const std::vector<const Value*>& cur = tuples[i];
+    const size_t width = cur.size() - 1;
+    bool lhs_tie = true;
+    for (size_t k = 0; k < width && lhs_tie; ++k) {
+      lhs_tie = ValueEq(*prev[k], *cur[k]);
+    }
+    const Value& py = *prev[width];
+    const Value& cy = *cur[width];
+    if (lhs_tie) {
+      if (!ValueEq(py, cy)) return false;
+    } else if (strict) {
+      if (!ValueLt(py, cy)) return false;
+    } else {
+      if (ValueLt(cy, py)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs) {
@@ -86,6 +138,16 @@ bool ValidateOfd(const Relation& relation, size_t lhs, size_t rhs) {
 
 bool ValidateOfd(const EncodedRelation& relation, size_t lhs, size_t rhs) {
   return SortedPairsHold(PairsOf(relation, lhs, rhs), /*strict=*/true);
+}
+
+bool ValidateOd(const EncodedRelation& relation, AttributeSet lhs,
+                size_t rhs) {
+  return SortedTuplesHold(TuplesOf(relation, lhs, rhs), /*strict=*/false);
+}
+
+bool ValidateOfd(const EncodedRelation& relation, AttributeSet lhs,
+                 size_t rhs) {
+  return SortedTuplesHold(TuplesOf(relation, lhs, rhs), /*strict=*/true);
 }
 
 }  // namespace reference
