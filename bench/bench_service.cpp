@@ -7,7 +7,7 @@
 //    measurement stages from a registered session's snapshot). The
 //    acceptance number is the 50k-row speedup, which must be >= 5x.
 //  - "maintain": applying row batches through the session (in-place PLI
-//    maintenance + targeted revalidation) versus rebuilding the snapshot
+//    maintenance + witness revalidation) versus rebuilding the snapshot
 //    from scratch after each batch.
 //
 // Before timing anything the bench asserts the warm audit is bit-identical

@@ -35,18 +35,15 @@ DeltaRelation::DeltaRelation(const EncodedRelation& snapshot)
   }
 }
 
-uint32_t DeltaRelation::EncodeCell(size_t c, const Value& v,
-                                   bool* dict_changed) {
+uint32_t DeltaRelation::EncodeCell(size_t c, const Value& v) {
   if (v.is_null()) return ColumnDictionary::kNullCode;
   ColumnState& state = columns_[c];
   auto it = state.lookup.find(v);
-  if (it != state.lookup.end()) {
-    // Reviving a tombstone brings a value back into the live domain.
-    if (state.counts[it->second] == 0) *dict_changed = true;
-    return it->second;
-  }
+  if (it != state.lookup.end()) return it->second;
   const uint32_t code = static_cast<uint32_t>(state.values.size());
-  state.values.push_back(v);
+  // -0.0 and +0.0 are one value; Encode represents it by +0.0.
+  const bool zero = v.is_double() && v.AsDouble() == 0.0;
+  state.values.push_back(zero ? Value::Real(0.0) : v);
   state.counts.push_back(0);
   // Keep the side order-index sorted by decoded Value: binary search for
   // the rank, O(K) vector insert. This is the structure that lets
@@ -56,8 +53,7 @@ uint32_t DeltaRelation::EncodeCell(size_t c, const Value& v,
       state.order_index.begin(), state.order_index.end(), v,
       [&](uint32_t lhs, const Value& rhs) { return state.values[lhs] < rhs; });
   state.order_index.insert(pos, code);
-  state.lookup.emplace(v, code);
-  *dict_changed = true;
+  state.lookup.emplace(state.values[code], code);
   return code;
 }
 
@@ -93,8 +89,6 @@ Result<BatchEffects> DeltaRelation::ApplyBatch(const RowBatch& batch) {
 
   BatchEffects effects;
   effects.sorted_deletes = std::move(deletes);
-  effects.column_touched.assign(m, false);
-  effects.dictionary_touched.assign(m, false);
   effects.deleted_codes.assign(m, {});
   effects.inserted_codes.assign(m, {});
 
@@ -118,22 +112,15 @@ Result<BatchEffects> DeltaRelation::ApplyBatch(const RowBatch& batch) {
     METALEAK_DCHECK(next == rows_surviving);
   }
 
-  // Delete pass: record codes, flag touched clusters, decrement counts.
+  // Delete pass: record codes, decrement counts (a count reaching 0
+  // leaves a tombstone until the next publish).
   for (size_t c = 0; c < m; ++c) {
     ColumnState& state = columns_[c];
     effects.deleted_codes[c].reserve(effects.sorted_deletes.size());
     for (size_t r : effects.sorted_deletes) {
       const uint32_t code = codes_[c].at(r);
       effects.deleted_codes[c].push_back(code);
-      // A row leaving a multiplicity->=2 bucket changes that cluster; a
-      // deleted singleton was never in a stripped partition.
-      if (state.counts[code] >= 2) effects.column_touched[c] = true;
       --state.counts[code];
-      if (state.counts[code] == 0) {
-        // Tombstone created (or the last NULL vanished): the live set of
-        // the column changed.
-        effects.dictionary_touched[c] = true;
-      }
     }
   }
 
@@ -152,25 +139,16 @@ Result<BatchEffects> DeltaRelation::ApplyBatch(const RowBatch& batch) {
     }
   }
 
-  // Insert pass: encode cells (appending / reviving dictionary slots),
-  // flag touched clusters, append codes.
+  // Insert pass: encode cells (appending dictionary slots, or reviving a
+  // tombstone's), count them, append codes.
   for (size_t c = 0; c < m; ++c) {
     effects.inserted_codes[c].reserve(batch.insert_rows.size());
     codes_[c].reserve(rows_after);
   }
   for (const std::vector<Value>& row : batch.insert_rows) {
     for (size_t c = 0; c < m; ++c) {
-      bool dict_changed = false;
-      const uint32_t code = EncodeCell(c, row[c], &dict_changed);
-      ColumnState& state = columns_[c];
-      // Any 0 -> 1 transition (fresh value, revived tombstone, first
-      // NULL) changes the column's live set.
-      if (dict_changed || state.counts[code] == 0) {
-        effects.dictionary_touched[c] = true;
-      }
-      ++state.counts[code];
-      // Joining (or forming) a multiplicity->=2 bucket changes clusters.
-      if (state.counts[code] >= 2) effects.column_touched[c] = true;
+      const uint32_t code = EncodeCell(c, row[c]);
+      ++columns_[c].counts[code];
       effects.inserted_codes[c].push_back(code);
       codes_[c].push_back(code);
     }

@@ -66,25 +66,9 @@ struct RowBatch {
 };
 
 /// What a batch did, in the delta code space — everything the partition
-/// and discovery maintenance layers need without re-deriving it.
+/// maintenance and revalidation layers need without re-deriving it.
 struct BatchEffects {
   RowRemap remap;
-
-  /// Per column: true when the batch changed the column's PLI clusters —
-  /// a deleted row whose code had multiplicity >= 2 before the delete, or
-  /// an inserted row whose code has multiplicity >= 2 after the insert.
-  /// (A deleted singleton or inserted fresh value never appears in a
-  /// stripped partition, so those leave the clusters untouched.)
-  std::vector<bool> column_touched;
-
-  /// Per column: true when the batch changed the column's set of live
-  /// codes — a value (or NULL) appearing for the first time, reviving
-  /// from a tombstone, or dropping to zero occurrences. Domain-sensitive
-  /// validators (DD thresholds, ND fan-out slack, constant-column
-  /// checks) key off this. Together with `column_touched` the two flags
-  /// are exhaustive: any cell-level change to a column raises at least
-  /// one of them.
-  std::vector<bool> dictionary_touched;
 
   /// Per column, aligned with the sorted unique delete list: the delta
   /// code each deleted row carried.
@@ -153,9 +137,9 @@ class DeltaRelation {
     std::unordered_map<Value, uint32_t> lookup;  // non-null value -> code
   };
 
-  /// Returns the code for `v` in column `c`, appending (or reviving a
-  /// tombstone slot for) unseen values. Maintains the order index.
-  uint32_t EncodeCell(size_t c, const Value& v, bool* dict_changed);
+  /// Returns the code for `v` in column `c`, appending unseen values
+  /// (a zero as +0.0, like Encode). Maintains the order index.
+  uint32_t EncodeCell(size_t c, const Value& v);
 
   Schema schema_;
   size_t num_rows_ = 0;

@@ -44,15 +44,13 @@ struct IntKeys {
 
 struct DoubleKeys {
   using Key = double;
+  // -0.0 and +0.0 are one value, keyed (and so represented) by +0.0.
   static Key Extract(const Value& v) {
     const double x = v.AsDouble();
     METALEAK_DCHECK(x == x);  // NaN is rejected at the relation boundary
-    return x;
+    return x == 0.0 ? 0.0 : x;
   }
-  // -0.0 == +0.0, so both hash as +0.0.
-  static uint64_t Hash(Key k) {
-    return MixKey(std::bit_cast<uint64_t>(k == 0.0 ? 0.0 : k));
-  }
+  static uint64_t Hash(Key k) { return MixKey(std::bit_cast<uint64_t>(k)); }
   static Value ToValue(Key k) { return Value::Real(k); }
 };
 

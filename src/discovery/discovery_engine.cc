@@ -68,21 +68,21 @@ Result<DiscoveryReport> ProfileRelation(PliCache* cache,
   if (options.discover_ods) {
     LatticeSearchStats stats;
     METALEAK_ASSIGN_OR_RETURN(DependencySet ods,
-                              DiscoverOds(relation, options.od, &stats, reuse->od));
+                              DiscoverOds(relation, options.od, &stats));
     report.search_stats.push_back({"OD", stats});
     for (const Dependency& d : ods) report.metadata.dependencies.Add(d);
   }
   if (options.discover_ofds) {
     LatticeSearchStats stats;
     METALEAK_ASSIGN_OR_RETURN(DependencySet ofds,
-                              DiscoverOfds(relation, options.od, &stats, reuse->ofd));
+                              DiscoverOfds(relation, options.od, &stats));
     report.search_stats.push_back({"OFD", stats});
     for (const Dependency& d : ofds) report.metadata.dependencies.Add(d);
   }
   if (options.discover_nds) {
     LatticeSearchStats stats;
     METALEAK_ASSIGN_OR_RETURN(DependencySet nds,
-                              DiscoverNds(cache, options.nd, &stats, reuse->nd));
+                              DiscoverNds(cache, options.nd, &stats));
     report.search_stats.push_back({"ND", stats});
     for (const Dependency& d : nds) report.metadata.dependencies.Add(d);
   }

@@ -75,14 +75,12 @@ Result<DiscoveryReport> ProfileRelation(const Relation& relation,
 Result<DiscoveryReport> ProfileRelation(const EncodedRelation& relation,
                                         const DiscoveryOptions& options = {});
 
-/// Per-class reuse hooks for targeted revalidation (see
-/// discovery/revalidate.h, which assembles these from a delta's touch
-/// set). Null members run that class's search from scratch.
+/// Witness-reuse hooks for revalidation (see discovery/revalidate.h,
+/// which assembles them from a batch window). FD and DD are the classes
+/// whose failures name a witness; null members, and every other class,
+/// run the search from scratch.
 struct DiscoveryReuse {
   const LatticeReuse* fd = nullptr;
-  const LatticeReuse* od = nullptr;
-  const LatticeReuse* ofd = nullptr;
-  const LatticeReuse* nd = nullptr;
   const LatticeReuse* dd = nullptr;
 };
 
@@ -90,6 +88,8 @@ struct DiscoveryReuse {
 /// cache's encoding): partitions built by the searches stay warm in the
 /// caller's cache for later audit / leakage queries on the same
 /// snapshot. The other overloads delegate here with a transient cache.
+/// `reuse` may be null; when given, its FD and DD prior failures that a
+/// surviving witness still proves are taken over (see LatticeReuse).
 Result<DiscoveryReport> ProfileRelation(PliCache* cache,
                                         const DiscoveryOptions& options = {},
                                         const DiscoveryReuse* reuse = nullptr);

@@ -25,30 +25,27 @@ bool IsMinimalAgainst(const DependencySet& emitted, AttributeSet lhs,
   return true;
 }
 
-// The prior verdict of lhs -> rhs as this run may take it over, or
-// nullopt when the candidate must be validated again (LatticeReuse's
-// rules). A reused verdict's witness is translated into this run's row
-// ids, and dropped when one of its rows is gone.
+// The prior failure of lhs -> rhs as this run may take it over, or
+// nullopt when the candidate must be validated again: only a failed,
+// non-emitting verdict whose witness rows both survive and still violate
+// is reused, as a fresh failure naming the translated rows.
 std::optional<CandidateValidator::Verdict> ReusedVerdict(
     const LatticeReuse& reuse, const CandidateValidator& validator,
     AttributeSet lhs, size_t rhs, const CandidateValidator::Verdict& prior) {
-  std::optional<PositionListIndex::RowPair> witness = prior.witness;
-  if (witness.has_value() && reuse.remap_row) {
-    std::optional<PositionListIndex::Row> first =
-        reuse.remap_row(witness->first);
-    std::optional<PositionListIndex::Row> second =
-        reuse.remap_row(witness->second);
-    witness.reset();
-    if (first.has_value() && second.has_value()) {
-      witness = PositionListIndex::RowPair{*first, *second};
-    }
+  if (prior.holds || prior.emit.has_value() || !prior.witness.has_value()) {
+    return std::nullopt;
   }
-  const bool approved =
-      (reuse.reusable && reuse.reusable(lhs, rhs, prior)) ||
-      (!prior.holds && !prior.emit.has_value() && witness.has_value() &&
-       validator.WitnessViolates(lhs, rhs, *witness));
-  if (!approved) return std::nullopt;
-  CandidateValidator::Verdict verdict = prior;
+  PositionListIndex::RowPair witness = *prior.witness;
+  if (reuse.remap_row) {
+    std::optional<PositionListIndex::Row> first =
+        reuse.remap_row(witness.first);
+    std::optional<PositionListIndex::Row> second =
+        reuse.remap_row(witness.second);
+    if (!first.has_value() || !second.has_value()) return std::nullopt;
+    witness = PositionListIndex::RowPair{*first, *second};
+  }
+  if (!validator.WitnessViolates(lhs, rhs, witness)) return std::nullopt;
+  CandidateValidator::Verdict verdict;
   verdict.witness = witness;
   return verdict;
 }
@@ -119,10 +116,9 @@ Result<LatticeSearchResult> RunLatticeSearch(
     }
 
     // --- validate candidates concurrently ---
-    // A candidate whose prior-run verdict is provably unchanged (the
-    // reuse predicate's contract) short-circuits validation; since a
-    // reused verdict equals what Validate would return, the serial
-    // apply below replays identically and the output stays
+    // A prior failure that its surviving witness still proves
+    // short-circuits validation; since Validate would fail too, the
+    // serial apply below replays identically and the output stays
     // bit-identical to a from-scratch search.
     std::vector<Result<CandidateValidator::Verdict>> verdicts(
         cand_lhs.size(), CandidateValidator::Verdict{});

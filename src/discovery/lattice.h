@@ -59,7 +59,7 @@ struct LatticeSearchStats {
   /// CandidateValidator::Validate calls issued.
   size_t validator_invocations = 0;
   /// Candidates answered from a prior run's verdict memo instead of the
-  /// validator (targeted revalidation; see LatticeReuse).
+  /// validator (witness reuse; see LatticeReuse).
   size_t verdicts_reused = 0;
   /// PLI cache lookups attributable to this search (deltas of the
   /// cache's counters; zero when the search runs without a cache).
@@ -153,10 +153,9 @@ struct LatticeSearchResult {
 /// are thread-safe (the search inserts concurrently); Find is
 /// unsynchronized and must only be called on a memo whose producing
 /// search has finished. The search result is a pure function of the
-/// verdict function, so replaying a search with memoized verdicts that
-/// provably match what the validator would return yields a bit-identical
-/// dependency set — the foundation of targeted revalidation
-/// (discovery/revalidate.h).
+/// verdict function, so replaying a search with memoized failures that
+/// a surviving witness still proves yields a bit-identical dependency
+/// set — the foundation of revalidation (discovery/revalidate.h).
 class VerdictMemo {
  public:
   void Record(AttributeSet lhs, size_t rhs,
@@ -197,27 +196,16 @@ class VerdictMemo {
   std::unordered_map<Key, CandidateValidator::Verdict, KeyHash> map_;
 };
 
-/// Hooks a prior run's verdicts into a search. For each candidate whose
-/// prior verdict exists and whose `reusable` predicate approves it, the
-/// verdict is taken from `prior` instead of invoking the validator. The
-/// predicate sees the prior verdict so directional rules can be
-/// expressed (e.g. order dependencies: under insert-only deltas a
-/// violation can only persist, so `holds == false` is reusable; under
-/// delete-only deltas a hold can only persist). Soundness is the
-/// caller's contract: approve only candidates whose verdict provably
-/// equals a fresh validation.
-///
-/// Witnesses: a failed, non-emitting prior verdict the predicate
-/// declines is still reused when both of its witness rows survive
-/// `remap_row` and the validator's WitnessViolates confirms the
-/// translated pair on this run's relation. Every reused verdict carries
-/// its witness in this run's row ids (or none, when a row is gone), so
-/// the next round reads the rows it names.
+/// Hooks a prior run's verdicts into a search. A failed, non-emitting
+/// prior verdict is taken over, instead of invoking the validator, while
+/// both of its witness rows survive `remap_row` and the validator's
+/// WitnessViolates confirms the translated pair on this run's relation:
+/// a fresh validation would fail too, so the search replays
+/// identically. The reused verdict carries its witness in this run's row
+/// ids, so the next round reads the rows it names. Every other candidate
+/// is validated again.
 struct LatticeReuse {
   const VerdictMemo* prior = nullptr;
-  std::function<bool(AttributeSet lhs, size_t rhs,
-                     const CandidateValidator::Verdict& prior_verdict)>
-      reusable;
   /// Translates a row id of the prior run's relation into this run's, or
   /// nullopt when the row was deleted. Unset means the rows are the same.
   std::function<std::optional<PositionListIndex::Row>(
@@ -232,9 +220,9 @@ struct LatticeReuse {
 /// `validator`'s predicate. `cache` may be null; when given, the PLI
 /// hit/miss deltas across the search land in the stats (the cache is
 /// not otherwise touched — validators hold their own handle). `reuse`
-/// may be null; when given, memoized prior verdicts short-circuit
-/// validation (see LatticeReuse). Fails when the relation exceeds the
-/// 64-attribute limit or a validation fails.
+/// may be null; when given, prior failures that a surviving witness
+/// still proves short-circuit validation (see LatticeReuse). Fails when
+/// the relation exceeds the 64-attribute limit or a validation fails.
 Result<LatticeSearchResult> RunLatticeSearch(
     const EncodedRelation& relation, PliCache* cache,
     CandidateValidator* validator, const LatticeSearchOptions& options,

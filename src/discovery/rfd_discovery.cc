@@ -198,11 +198,9 @@ Result<DependencySet> DiscoverOds(const Relation& relation,
 
 Result<DependencySet> DiscoverOds(const EncodedRelation& relation,
                                   const OdDiscoveryOptions& options,
-                                  LatticeSearchStats* stats,
-                                  const LatticeReuse* reuse) {
+                                  LatticeSearchStats* stats) {
   OrderValidator validator(relation, options, /*strict=*/false);
-  return RunSearch(relation, nullptr, &validator, options.max_lhs, stats,
-                   reuse);
+  return RunSearch(relation, nullptr, &validator, options.max_lhs, stats);
 }
 
 Result<DependencySet> DiscoverOfds(const Relation& relation,
@@ -214,11 +212,9 @@ Result<DependencySet> DiscoverOfds(const Relation& relation,
 
 Result<DependencySet> DiscoverOfds(const EncodedRelation& relation,
                                    const OdDiscoveryOptions& options,
-                                   LatticeSearchStats* stats,
-                                   const LatticeReuse* reuse) {
+                                   LatticeSearchStats* stats) {
   OrderValidator validator(relation, options, /*strict=*/true);
-  return RunSearch(relation, nullptr, &validator, options.max_lhs, stats,
-                   reuse);
+  return RunSearch(relation, nullptr, &validator, options.max_lhs, stats);
 }
 
 Result<DependencySet> DiscoverNds(const Relation& relation,
@@ -238,11 +234,10 @@ Result<DependencySet> DiscoverNds(const EncodedRelation& relation,
 
 Result<DependencySet> DiscoverNds(PliCache* cache,
                                   const NdDiscoveryOptions& options,
-                                  LatticeSearchStats* stats,
-                                  const LatticeReuse* reuse) {
+                                  LatticeSearchStats* stats) {
   NdValidator validator(cache, options);
   return RunSearch(cache->encoded(), cache, &validator, options.max_lhs,
-                   stats, reuse);
+                   stats);
 }
 
 Result<DependencySet> DiscoverDds(const Relation& relation,

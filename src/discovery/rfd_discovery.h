@@ -39,8 +39,7 @@ Result<DependencySet> DiscoverOds(const Relation& relation,
                                   LatticeSearchStats* stats = nullptr);
 Result<DependencySet> DiscoverOds(const EncodedRelation& relation,
                                   const OdDiscoveryOptions& options = {},
-                                  LatticeSearchStats* stats = nullptr,
-                                  const LatticeReuse* reuse = nullptr);
+                                  LatticeSearchStats* stats = nullptr);
 
 /// Finds all ordered functional dependencies (FD + strict order).
 Result<DependencySet> DiscoverOfds(const Relation& relation,
@@ -48,8 +47,7 @@ Result<DependencySet> DiscoverOfds(const Relation& relation,
                                    LatticeSearchStats* stats = nullptr);
 Result<DependencySet> DiscoverOfds(const EncodedRelation& relation,
                                    const OdDiscoveryOptions& options = {},
-                                   LatticeSearchStats* stats = nullptr,
-                                   const LatticeReuse* reuse = nullptr);
+                                   LatticeSearchStats* stats = nullptr);
 
 struct NdDiscoveryOptions {
   /// An ND X ->(<=K) Y is reported only when K is at most this fraction of
@@ -74,8 +72,7 @@ Result<DependencySet> DiscoverNds(const EncodedRelation& relation,
 /// cache.
 Result<DependencySet> DiscoverNds(PliCache* cache,
                                   const NdDiscoveryOptions& options = {},
-                                  LatticeSearchStats* stats = nullptr,
-                                  const LatticeReuse* reuse = nullptr);
+                                  LatticeSearchStats* stats = nullptr);
 
 struct DdDiscoveryOptions {
   /// LHS neighbourhood radius, as a fraction of the LHS attribute range

@@ -56,9 +56,9 @@ Result<TaneResult> DiscoverFds(const EncodedRelation& relation,
 
 /// Runs TANE against a caller-owned PLI cache (the relation is the
 /// cache's encoding); partitions built here stay warm for later
-/// searches sharing the cache. `reuse` (optional) short-circuits
-/// candidates whose prior verdicts are provably unchanged — see
-/// LatticeReuse in discovery/lattice.h.
+/// searches sharing the cache. `reuse` (optional) takes over prior
+/// failures whose surviving witness still violates — see LatticeReuse
+/// in discovery/lattice.h.
 Result<TaneResult> DiscoverFds(PliCache* cache,
                                const TaneOptions& options = {},
                                const LatticeReuse* reuse = nullptr);

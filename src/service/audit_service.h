@@ -16,8 +16,8 @@
 // session's DeltaRelation (append-capable dictionaries, side
 // order-index), maintains the single-attribute CSR PLIs in place,
 // publishes a canonical snapshot — bit-identical to a from-scratch
-// rebuild — and re-profiles via targeted revalidation, re-checking only
-// dependencies whose support sets the batch touched. Each batch returns
+// rebuild — and re-profiles it, taking over each FD or DD failure whose
+// witness rows survive the batch and still violate. Each batch returns
 // the leakage delta: expected-match drift per attribute, attributes
 // crossing the >= 1 leak threshold, dependencies the batch created or
 // destroyed, and drift in every registered risk-estimator measure the

@@ -49,8 +49,9 @@ class RelationSnapshot {
   /// Builds a snapshot from a DeltaRelation publish: takes the canonical
   /// encoding, materializes (and owns) its decoded relation, seeds the
   /// partition cache with the incrementally maintained single-attribute
-  /// PLIs, and re-profiles via targeted revalidation — only candidates
-  /// whose support sets `touch` reached are re-validated. Both factories
+  /// PLIs, and re-profiles through `memo`: an FD or DD failure whose
+  /// witness rows survive the rows `touch` deleted and still violate is
+  /// taken over, every other candidate is validated again. Both factories
   /// replace `memo`'s verdicts only when the snapshot is built; on
   /// failure it is left as it was.
   static Result<std::shared_ptr<const RelationSnapshot>> FromPublished(

@@ -7,14 +7,16 @@
 //      dictionaries, code vectors, fingerprints.
 //   2. PliMaintenance::ToPli vs PositionListIndex::FromCodes — the flat
 //      CSR arrays.
-//   3. ProfileRelationIncremental (verdict-memo reuse) vs ProfileRelation
+//   3. ProfileRelationIncremental (witness reuse) vs ProfileRelation
 //      from scratch — the serialized MetadataPackage.
 //   4. Def 2.2/2.3 leakage: the analytical profile and a Monte-Carlo
 //      experiment run over both encodings.
-// The whole suite is parameterized over thread counts {1, 8}: targeted
+// The whole suite is parameterized over thread counts {1, 8}:
 // revalidation and the sweeps must be thread-count invariant.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,6 +124,12 @@ void ExpectEncodingsIdentical(const EncodedRelation& incremental,
     for (uint32_t code = 0; code < b.num_codes(); ++code) {
       EXPECT_EQ(a.decode(code), b.decode(code))
           << "column " << c << " code " << code;
+      // Value == cannot see the sign of a zero; the bits can.
+      if (a.decode(code).is_double() && b.decode(code).is_double()) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.decode(code).AsDouble()),
+                  std::bit_cast<uint64_t>(b.decode(code).AsDouble()))
+            << "column " << c << " code " << code;
+      }
       EXPECT_EQ(a.count(code), b.count(code))
           << "column " << c << " code " << code;
     }
@@ -214,7 +222,7 @@ class IncrementalGoldenTest : public ::testing::TestWithParam<size_t> {
       // 2. CSR PLI parity.
       ExpectPlisIdentical(plis, scratch);
 
-      // 3. Discovery parity: targeted revalidation vs full profile.
+      // 3. Discovery parity: witness revalidation vs full profile.
       publish.encoded.set_source(&relation);
       std::vector<PositionListIndex> singles;
       for (size_t c = 0; c < relation.num_columns(); ++c) {
@@ -334,7 +342,8 @@ TEST(DeltaWidenTest, BatchOverflowingU8DictionaryPublishesExactly) {
 }
 
 // Verdict reuse must actually happen (not just stay correct): a batch
-// touching one column leaves most candidate verdicts reusable.
+// deleting three rows leaves both witness rows of most FD and DD
+// failures alive, so those failures are reused.
 TEST(IncrementalReuseTest, ReusesVerdictsAcrossBatches) {
   Relation relation = datasets::Echocardiogram();
   DiscoveryOptions discovery;
@@ -351,8 +360,6 @@ TEST(IncrementalReuseTest, ReusesVerdictsAcrossBatches) {
   }
   ASSERT_GT(memo.size(), 0u);
 
-  // Delete-only batch: OD/OFD `holds` verdicts survive, FD verdicts with
-  // untouched LHS clusters survive.
   RowBatch batch;
   batch.delete_rows = {3, 17, 55};
   Result<BatchEffects> effects = delta.ApplyBatch(batch);
@@ -644,6 +651,22 @@ TEST(WitnessReuseTest, AfdModeNeverReusesAFailure) {
   EXPECT_EQ(SearchStats(incremental, "FD/AFD").verdicts_reused, 0u);
 }
 
+// `base` with its row number prepended as a unique int64 column "id".
+Relation WithIdColumn(const Relation& base) {
+  std::vector<Attribute> attributes = {
+      {"id", DataType::kInt64, SemanticType::kCategorical}};
+  for (size_t c = 0; c < base.num_columns(); ++c) {
+    attributes.push_back(base.schema().attribute(c));
+  }
+  Relation relation = Relation::Empty(Schema(attributes));
+  for (size_t r = 0; r < base.num_rows(); ++r) {
+    std::vector<Value> row = {Value::Int(static_cast<int64_t>(r))};
+    for (const Value& v : base.Row(r)) row.push_back(v);
+    EXPECT_TRUE(relation.AppendRow(row).ok());
+  }
+  return relation;
+}
+
 // Two batches in one window: RemapRow must follow each surviving row to
 // its final id (rows carry a unique id in column 0), and every witness
 // the memo records afterwards must still prove its failure on the new
@@ -651,17 +674,7 @@ TEST(WitnessReuseTest, AfdModeNeverReusesAFailure) {
 TEST(WitnessReuseTest, TwoBatchWindowRemapsRows) {
   Result<Relation> base = datasets::SyntheticUniform(2000, 4, 2, 6, 4242);
   ASSERT_TRUE(base.ok());
-  std::vector<Attribute> attributes = {
-      {"id", DataType::kInt64, SemanticType::kCategorical}};
-  for (size_t c = 0; c < base->num_columns(); ++c) {
-    attributes.push_back(base->schema().attribute(c));
-  }
-  Relation relation = Relation::Empty(Schema(attributes));
-  for (size_t r = 0; r < base->num_rows(); ++r) {
-    std::vector<Value> row = {Value::Int(static_cast<int64_t>(r))};
-    for (const Value& v : base->Row(r)) row.push_back(v);
-    ASSERT_TRUE(relation.AppendRow(row).ok());
-  }
+  Relation relation = WithIdColumn(*base);
   DiscoveryOptions options;
   options.tane.max_lhs_size = 2;
   WindowRun run(relation, options);
@@ -711,11 +724,95 @@ TEST(WitnessReuseTest, TwoBatchWindowRemapsRows) {
   EXPECT_GT(SearchStats(incremental, "FD/AFD").verdicts_reused, 0u);
 }
 
-// The churn shape at 1/10 size: a 16-delete/16-insert batch touches every
-// column's clusters, so the only FD verdicts reused are failures whose
-// witness rows both survived, and the only DD verdicts reused are
-// failures whose surviving witness still violates at the new ranges.
-// One delete hits a witness on purpose.
+// One window's witness-reuse counts against the prior verdicts.
+struct WitnessCounts {
+  size_t fd_failures = 0;  // prior FD failures naming a witness
+  size_t fd_expected = 0;  // those whose two witness rows survive
+  size_t dd_expected = 0;  // prior DD failures whose rows survive and
+                           // still violate at the new ranges
+};
+
+// Steps `run` (whose FD search reaches two LHS attributes) through
+// `batches` and expects revalidation to reuse exactly the prior FD and DD
+// failures whose witness rows survive the window and still violate, to
+// validate every other FD and DD candidate again, and to reuse no OD, OFD
+// or ND verdict. The report must serialize like a rebuild and visit the
+// same lattice nodes.
+WitnessCounts ExpectOnlySurvivingWitnessesReused(
+    WindowRun* run, const std::vector<RowBatch>& batches) {
+  const std::vector<std::pair<AttributeSet, size_t>> keys =
+      CandidateKeys(run->relation().num_columns(), 2);
+  // Snapshot the prior verdicts before the step swaps the memo.
+  std::vector<std::optional<CandidateValidator::Verdict>> prior_fd;
+  std::vector<std::optional<CandidateValidator::Verdict>> prior_dd;
+  for (auto [lhs, rhs] : keys) {
+    const CandidateValidator::Verdict* fd = run->memo().fd.Find(lhs, rhs);
+    const CandidateValidator::Verdict* dd = run->memo().dd.Find(lhs, rhs);
+    prior_fd.push_back(fd != nullptr ? std::optional(*fd) : std::nullopt);
+    prior_dd.push_back(dd != nullptr ? std::optional(*dd) : std::nullopt);
+  }
+  auto [incremental, full] = StepAndCompare(run, batches);
+
+  const EncodedRelation& now = run->encoded();
+  auto numeric = [&](size_t c, uint32_t row) {
+    return now.dictionary(c).decode(now.code_at(row, c)).AsNumeric();
+  };
+  auto range = [&](size_t c) {
+    Result<Domain> d = now.DomainOf(c);
+    EXPECT_TRUE(d.ok());
+    return d->range();
+  };
+  WitnessCounts counts;
+  size_t fd_candidates = 0;
+  size_t dd_candidates = 0;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    auto [lhs, rhs] = keys[k];
+    if (run->memo().fd.Find(lhs, rhs) != nullptr) {
+      ++fd_candidates;
+      const std::optional<CandidateValidator::Verdict>& p = prior_fd[k];
+      if (p.has_value() && !p->holds && p->witness.has_value()) {
+        ++counts.fd_failures;
+        if (run->touch().RemapRow(p->witness->first).has_value() &&
+            run->touch().RemapRow(p->witness->second).has_value()) {
+          ++counts.fd_expected;
+        }
+      }
+    }
+    if (run->memo().dd.Find(lhs, rhs) != nullptr) {
+      ++dd_candidates;
+      const std::optional<CandidateValidator::Verdict>& p = prior_dd[k];
+      if (!p.has_value() || p->holds || !p->witness.has_value()) continue;
+      std::optional<uint32_t> a = run->touch().RemapRow(p->witness->first);
+      std::optional<uint32_t> b = run->touch().RemapRow(p->witness->second);
+      if (!a.has_value() || !b.has_value()) continue;
+      const size_t x = lhs.ToIndices()[0];
+      const double eps = DdDiscoveryOptions{}.epsilon_fraction * range(x);
+      const double bound = DdDiscoveryOptions{}.max_delta_fraction * range(rhs);
+      if (!(std::fabs(numeric(x, *b) - numeric(x, *a)) > eps) &&
+          std::fabs(numeric(rhs, *b) - numeric(rhs, *a)) > bound) {
+        ++counts.dd_expected;
+      }
+    }
+  }
+  const LatticeSearchStats& fd = SearchStats(incremental, "FD/AFD");
+  const LatticeSearchStats& dd = SearchStats(incremental, "DD");
+  EXPECT_EQ(fd.verdicts_reused, counts.fd_expected);
+  EXPECT_EQ(fd.validator_invocations, fd_candidates - counts.fd_expected);
+  EXPECT_EQ(dd.verdicts_reused, counts.dd_expected);
+  EXPECT_EQ(dd.validator_invocations, dd_candidates - counts.dd_expected);
+  for (const char* search : {"OD", "OFD", "ND"}) {
+    EXPECT_EQ(SearchStats(incremental, search).verdicts_reused, 0u)
+        << search;
+  }
+  EXPECT_EQ(incremental.TotalSearchStats().nodes_visited,
+            full.TotalSearchStats().nodes_visited);
+  return counts;
+}
+
+// The churn shape at 1/10 size: a 16-delete/16-insert batch. The only FD
+// verdicts reused are failures whose witness rows both survived, and the
+// only DD verdicts reused are failures whose surviving witness still
+// violates at the new ranges. One delete hits a witness on purpose.
 TEST(WitnessReuseTest, ChurnBatchReusesExactlyTheSurvivingWitnesses) {
   Result<Relation> relation = datasets::SyntheticUniform(20000, 10, 2, 48, 21);
   Result<Relation> fresh = datasets::SyntheticUniform(16, 10, 2, 48, 22);
@@ -723,18 +820,6 @@ TEST(WitnessReuseTest, ChurnBatchReusesExactlyTheSurvivingWitnesses) {
   DiscoveryOptions options;
   options.tane.max_lhs_size = 2;
   WindowRun run(*relation, options);
-  const size_t m = relation->num_columns();
-  const std::vector<std::pair<AttributeSet, size_t>> keys = CandidateKeys(m, 2);
-
-  // Snapshot the prior verdicts before the step swaps the memo.
-  std::vector<std::optional<CandidateValidator::Verdict>> prior_fd;
-  std::vector<std::optional<CandidateValidator::Verdict>> prior_dd;
-  for (auto [lhs, rhs] : keys) {
-    const CandidateValidator::Verdict* fd = run.memo().fd.Find(lhs, rhs);
-    const CandidateValidator::Verdict* dd = run.memo().dd.Find(lhs, rhs);
-    prior_fd.push_back(fd != nullptr ? std::optional(*fd) : std::nullopt);
-    prior_dd.push_back(dd != nullptr ? std::optional(*dd) : std::nullopt);
-  }
   const CandidateValidator::Verdict* hit =
       run.memo().fd.Find(AttributeSet::Single(1), 0);
   ASSERT_NE(hit, nullptr);
@@ -751,62 +836,56 @@ TEST(WitnessReuseTest, ChurnBatchReusesExactlyTheSurvivingWitnesses) {
     }
   }
   for (size_t r = 0; r < 16; ++r) batch.insert_rows.push_back(fresh->Row(r));
-  auto [incremental, full] = StepAndCompare(&run, {batch});
-  for (size_t c = 0; c < m; ++c) ASSERT_TRUE(run.touch().cluster_touched[c]);
+  const WitnessCounts counts =
+      ExpectOnlySurvivingWitnessesReused(&run, {batch});
+  EXPECT_GT(counts.fd_expected, 0u);
+  EXPECT_LT(counts.fd_expected, counts.fd_failures);  // the deleted witness
+}
 
-  const EncodedRelation& now = run.encoded();
-  auto numeric = [&](size_t c, uint32_t row) {
-    return now.dictionary(c).decode(now.code_at(row, c)).AsNumeric();
-  };
-  auto range = [&](size_t c) {
-    Result<Domain> d = now.DomainOf(c);
-    EXPECT_TRUE(d.ok());
-    return d->range();
-  };
-  size_t fd_expected = 0;
-  size_t fd_failures = 0;
-  size_t dd_expected = 0;
-  size_t fd_candidates = 0;
-  size_t dd_candidates = 0;
-  for (size_t k = 0; k < keys.size(); ++k) {
-    auto [lhs, rhs] = keys[k];
-    if (run.memo().fd.Find(lhs, rhs) != nullptr) {
-      ++fd_candidates;
-      const std::optional<CandidateValidator::Verdict>& p = prior_fd[k];
-      if (p.has_value() && !p->holds && p->witness.has_value()) {
-        ++fd_failures;
-        if (run.touch().RemapRow(p->witness->first).has_value() &&
-            run.touch().RemapRow(p->witness->second).has_value()) {
-          ++fd_expected;
-        }
-      }
+// Batch shapes that leave whole classes of verdicts unchanged: an
+// insert-only batch keeps every order violation among the old rows, a
+// delete-only batch keeps every order that held, and a mixed batch
+// leaves the unique id column's clusters untouched (it has none), so
+// every FD and ND with LHS {id} holds on the same partition. Even so,
+// only witnessed FD and DD failures carry over.
+TEST(WitnessReuseTest, EveryBatchShapeReusesOnlyWitnessedFailures) {
+  Result<Relation> base = datasets::SyntheticUniform(2000, 4, 2, 6, 2929);
+  ASSERT_TRUE(base.ok());
+  Relation relation = WithIdColumn(*base);
+  DiscoveryOptions options;
+  options.tane.max_lhs_size = 2;
+  WindowRun run(relation, options);
+
+  Rng rng(31);
+  int64_t next_id = 2000;
+  // Copies of existing rows under fresh ids: every other column's
+  // clusters grow.
+  auto inserts = [&](RowBatch* batch, size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      std::vector<Value> row =
+          run.relation().Row(rng.UniformIndex(run.relation().num_rows()));
+      row[0] = Value::Int(next_id++);
+      batch->insert_rows.push_back(std::move(row));
     }
-    if (run.memo().dd.Find(lhs, rhs) != nullptr) {
-      ++dd_candidates;
-      const std::optional<CandidateValidator::Verdict>& p = prior_dd[k];
-      if (!p.has_value() || p->holds || !p->witness.has_value()) continue;
-      std::optional<uint32_t> a = run.touch().RemapRow(p->witness->first);
-      std::optional<uint32_t> b = run.touch().RemapRow(p->witness->second);
-      if (!a.has_value() || !b.has_value()) continue;
-      const size_t x = lhs.ToIndices()[0];
-      const double eps = DdDiscoveryOptions{}.epsilon_fraction * range(x);
-      const double bound = DdDiscoveryOptions{}.max_delta_fraction * range(rhs);
-      if (!(std::fabs(numeric(x, *b) - numeric(x, *a)) > eps) &&
-          std::fabs(numeric(rhs, *b) - numeric(rhs, *a)) > bound) {
-        ++dd_expected;
-      }
-    }
+  };
+  RowBatch insert_only;
+  inserts(&insert_only, 16);
+  RowBatch delete_only;
+  delete_only.delete_rows = rng.SampleWithoutReplacement(2016, 16);
+  RowBatch mixed;
+  mixed.delete_rows = rng.SampleWithoutReplacement(2000, 16);
+  inserts(&mixed, 16);
+  for (const RowBatch* batch : {&insert_only, &delete_only, &mixed}) {
+    SCOPED_TRACE(testing::Message()
+                 << batch->delete_rows.size() << " deletes, "
+                 << batch->insert_rows.size() << " inserts");
+    const WitnessCounts counts =
+        ExpectOnlySurvivingWitnessesReused(&run, {*batch});
+    EXPECT_GT(counts.fd_expected, 0u);
+    // The id column stays unique: no batch touches its clusters.
+    EXPECT_EQ(run.encoded().dictionary(0).num_distinct(),
+              run.encoded().num_rows());
   }
-  const LatticeSearchStats& fd = SearchStats(incremental, "FD/AFD");
-  const LatticeSearchStats& dd = SearchStats(incremental, "DD");
-  EXPECT_GT(fd_expected, 0u);
-  EXPECT_LT(fd_expected, fd_failures);  // the deleted witness
-  EXPECT_EQ(fd.verdicts_reused, fd_expected);
-  EXPECT_EQ(fd.validator_invocations, fd_candidates - fd_expected);
-  EXPECT_EQ(dd.verdicts_reused, dd_expected);
-  EXPECT_EQ(dd.validator_invocations, dd_candidates - dd_expected);
-  EXPECT_EQ(incremental.TotalSearchStats().nodes_visited,
-            full.TotalSearchStats().nodes_visited);
 }
 
 // The FD and DD verdicts of every candidate up to two LHS attributes, as

@@ -23,7 +23,10 @@ EncodedRelation Encode(const Relation& relation) {
     std::vector<Value> distinct;
     distinct.reserve(column.size());
     for (const Value& v : column) {
-      if (!v.is_null()) distinct.push_back(v);
+      if (v.is_null()) continue;
+      // -0.0 and +0.0 are one value, represented by +0.0.
+      const bool zero = v.is_double() && v.AsDouble() == 0.0;
+      distinct.push_back(zero ? Value::Real(0.0) : v);
     }
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),

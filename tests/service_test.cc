@@ -264,48 +264,90 @@ TEST(AuditServiceTest, LruEvictionIsCountedAndBounded) {
   EXPECT_EQ(service.stats().snapshot_misses, 2u);
 }
 
+// The published snapshot must equal an independent build of the
+// post-batch rows. The second input deletes the row that seeded the
+// zero's representative (+0.0), leaving -0.0 first among the rows a
+// rebuild sees.
 TEST(AuditServiceTest, ApplyBatchMatchesFreshRegistration) {
-  Relation relation = datasets::Employee();
-  AuditService service;
-  Result<SessionId> session = service.Register(relation);
-  ASSERT_TRUE(session.ok());
-  Result<std::shared_ptr<const RelationSnapshot>> before =
-      service.Snapshot(*session);
-  ASSERT_TRUE(before.ok());
-
-  RowBatch batch;
-  batch.delete_rows = {0, 2};
-  batch.insert_rows.push_back(relation.Row(1));
-  Result<LeakageDelta> delta = service.ApplyBatch(*session, batch);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_EQ(delta->rows_delta, -1);
-
-  // The superseded snapshot is still alive and unchanged.
-  EXPECT_EQ((*before)->num_rows(), relation.num_rows());
-
-  Result<std::shared_ptr<const RelationSnapshot>> after =
-      service.Snapshot(*session);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)->num_rows(), relation.num_rows() - 1);
-
-  // Registering the post-batch rows from scratch must land on the same
-  // content: same fingerprint, hence a snapshot-cache hit.
-  Relation expected = Relation::Empty(relation.schema());
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    if (r == 0 || r == 2) continue;
-    ASSERT_TRUE(expected.AppendRow(relation.Row(r)).ok());
+  struct Case {
+    Relation relation;
+    RowBatch batch;
+  };
+  std::vector<Case> cases;
+  {
+    Relation employee = datasets::Employee();
+    RowBatch batch;
+    batch.delete_rows = {0, 2};
+    batch.insert_rows.push_back(employee.Row(1));
+    cases.push_back({std::move(employee), std::move(batch)});
   }
-  ASSERT_TRUE(expected.AppendRow(relation.Row(1)).ok());
-  uint64_t hits_before = service.stats().snapshot_hits;
-  Result<SessionId> fresh = service.Register(expected);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(service.stats().snapshot_hits, hits_before + 1);
-  Result<std::shared_ptr<const RelationSnapshot>> fresh_snap =
-      service.Snapshot(*fresh);
-  ASSERT_TRUE(fresh_snap.ok());
-  EXPECT_EQ((*after)->fingerprint(), (*fresh_snap)->fingerprint());
-  EXPECT_EQ((*after)->profile().metadata.Serialize(),
-            (*fresh_snap)->profile().metadata.Serialize());
+  {
+    Schema schema({{"x", DataType::kDouble, SemanticType::kCategorical}});
+    std::vector<Value> x;
+    for (double v : {0.0, -0.0, 1.5, 1.5, 2.5, 0.0, 2.5, -0.0}) {
+      x.push_back(Value::Real(v));
+    }
+    RowBatch batch;
+    batch.delete_rows = {0};
+    cases.push_back(
+        {std::move(Relation::Make(schema, {x})).ValueOrDie(), batch});
+  }
+  for (const Case& c : cases) {
+    const Relation& relation = c.relation;
+    SCOPED_TRACE(relation.schema().attribute(0).name);
+    AuditService service;
+    Result<SessionId> session = service.Register(relation);
+    ASSERT_TRUE(session.ok());
+    Result<std::shared_ptr<const RelationSnapshot>> before =
+        service.Snapshot(*session);
+    ASSERT_TRUE(before.ok());
+
+    Result<LeakageDelta> delta = service.ApplyBatch(*session, c.batch);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    const int64_t rows_delta =
+        static_cast<int64_t>(c.batch.insert_rows.size()) -
+        static_cast<int64_t>(c.batch.delete_rows.size());
+    EXPECT_EQ(delta->rows_delta, rows_delta);
+
+    // The superseded snapshot is still alive and unchanged.
+    EXPECT_EQ((*before)->num_rows(), relation.num_rows());
+
+    Result<std::shared_ptr<const RelationSnapshot>> after =
+        service.Snapshot(*session);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(static_cast<int64_t>((*after)->num_rows()),
+              static_cast<int64_t>(relation.num_rows()) + rows_delta);
+
+    Relation expected = Relation::Empty(relation.schema());
+    for (size_t r = 0; r < relation.num_rows(); ++r) {
+      if (std::find(c.batch.delete_rows.begin(), c.batch.delete_rows.end(),
+                    r) != c.batch.delete_rows.end()) {
+        continue;
+      }
+      ASSERT_TRUE(expected.AppendRow(relation.Row(r)).ok());
+    }
+    for (const std::vector<Value>& row : c.batch.insert_rows) {
+      ASSERT_TRUE(expected.AppendRow(row).ok());
+    }
+
+    // Registering the post-batch rows from scratch lands on the same
+    // fingerprint, hence a snapshot-cache hit that hands back `after`.
+    uint64_t hits_before = service.stats().snapshot_hits;
+    Result<SessionId> fresh = service.Register(expected);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(service.stats().snapshot_hits, hits_before + 1);
+
+    // So the content is compared with a snapshot built apart from the
+    // service.
+    DiscoveryMemo memo;
+    Result<std::shared_ptr<const RelationSnapshot>> rebuilt =
+        RelationSnapshot::FromRelation(expected, ServiceOptions{}.discovery,
+                                       ServiceOptions{}.leakage, &memo);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ((*after)->fingerprint(), (*rebuilt)->fingerprint());
+    EXPECT_EQ((*after)->profile().metadata.Serialize(),
+              (*rebuilt)->profile().metadata.Serialize());
+  }
 }
 
 // TupleRisk scores the snapshot's encoding directly. After several
