@@ -9,8 +9,17 @@
 namespace metaleak {
 
 Domain Domain::Categorical(std::vector<Value> values) {
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
+  // Dictionaries hand over their distinct values already strictly
+  // ascending, which sorting and deduplicating would leave as they are.
+  const bool strictly_ascending =
+      std::adjacent_find(values.begin(), values.end(),
+                         [](const Value& a, const Value& b) {
+                           return !(a < b);
+                         }) == values.end();
+  if (!strictly_ascending) {
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+  }
   Domain d;
   d.categorical_ = true;
   d.values_ = std::move(values);

@@ -23,8 +23,11 @@ class Domain {
  public:
   Domain() = default;
 
-  /// Finite domain listing every admissible value (sorted, deduplicated by
-  /// the factory). |D_A| = values.size().
+  /// Finite domain listing every admissible value, sorted in Value order
+  /// and deduplicated by the factory; input that is already strictly
+  /// ascending (a dictionary's distinct values) is kept as given. The
+  /// leakage scan's merge walk relies on this order. |D_A| =
+  /// values.size().
   static Domain Categorical(std::vector<Value> values);
 
   /// Continuous range [lo, hi]. |D_A| is taken as (hi - lo) when the

@@ -269,6 +269,15 @@ Result<std::vector<bool>> IdentifiableRows(PliCache& cache, size_t width) {
   // Adding attributes refines the partition, so uniqueness under A is
   // preserved under every superset of A. Checking only the subsets of
   // size exactly min(width, m) therefore covers all smaller subsets too.
+  // For the same reason a key column, one whose every code (NULL
+  // included) occurs once, makes every row identifiable at any width,
+  // and the dictionaries show a key without building a partition.
+  for (size_t c = 0; c < m; ++c) {
+    const ColumnDictionary& dict = cache.encoded().dictionary(c);
+    if (dict.num_distinct() + (dict.has_null() ? 1 : 0) == n) {
+      return std::vector<bool>(n, true);
+    }
+  }
   const size_t k = std::min(width, m);
   if (k == 2) {
     // The dominant sweep width takes the direct counting path (see

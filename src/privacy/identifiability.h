@@ -36,10 +36,13 @@ Result<double> IdentifiableFraction(const EncodedRelation& relation,
 /// Per-row flags: row r is true iff some attribute subset of size
 /// exactly min(width, num_columns) makes it unique (uniqueness is
 /// monotone in the subset, so width-k subsets cover every narrower
-/// quasi-identifier too). The subset sweep — the identifiability hot
-/// loop — runs on the shared thread pool; the per-subset verdicts are
-/// OR-merged, so the result is thread-count independent. Shared by
-/// IdentifiableByAnySubset and the tuple-risk analyzer.
+/// quasi-identifier too). When some column's dictionary shows a key
+/// (every code, NULL included, occurs once) every row is identifiable
+/// and no subset is swept. Otherwise the subset sweep — the
+/// identifiability hot loop — runs on the shared thread pool; the
+/// per-subset verdicts are OR-merged, so the result is thread-count
+/// independent. Shared by IdentifiableByAnySubset and the tuple-risk
+/// analyzer.
 ///
 /// Subset partitions are built by extension through the PliCache: each
 /// width-k subset's PLI is the cached width-(k-1) prefix intersected

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -49,6 +48,24 @@ bool ValuesMatchCategorical(const Value& real, const Value& syn) {
   if (real.is_numeric() && syn.is_numeric()) {
     return real.AsNumeric() == syn.AsNumeric();
   }
+  return false;
+}
+
+// The order of ValuesMatchCategorical's match keys: NULL, then numerics
+// by AsNumeric(), then strings. Value order refines it, so a sorted
+// dictionary and a sorted domain both list their keys in ascending order,
+// and the NaN-free entries one value matches sit next to each other.
+bool MatchKeyLess(const Value& a, const Value& b) {
+  auto rank = [](const Value& v) {
+    if (v.is_null()) return 0;
+    if (v.is_numeric()) return 1;
+    return 2;
+  };
+  const int ra = rank(a);
+  const int rb = rank(b);
+  if (ra != rb) return ra < rb;
+  if (ra == 1) return a.AsNumeric() < b.AsNumeric();
+  if (ra == 2) return a.AsString() < b.AsString();
   return false;
 }
 
@@ -238,6 +255,16 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
     plan.rows_compared = real.num_rows() - dict.null_count();
 
     const bool categorical = attr.semantic == SemanticType::kCategorical;
+    if (plan.kind == EncodedBatch::ColumnKind::kCodes) {
+      // A NaN matches nothing and has no place in Value order, so it
+      // would stall the merge walk below at its position.
+      for (const Value& v : domains[c].values()) {
+        if (v.is_double() && std::isnan(v.AsDouble())) {
+          refuse("NaN value in a generation domain");
+          return;
+        }
+      }
+    }
     if (categorical &&
         plan.kind == EncodedBatch::ColumnKind::kCodes) {
       // Translate each distinct real value into the generation domain
@@ -251,45 +278,30 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
           CodeWidthForNumCodes(domain_values.size() + 1);
       const uint32_t sentinel = CodeWidthSentinel(width);
       std::vector<uint32_t> translate(dict.num_codes(), sentinel);
-      // Bucket the domain by match key so each real code resolves in
-      // O(1) instead of scanning the domain (quadratic at scale). The
-      // keys mirror ValuesMatchCategorical exactly: a numeric entry is
-      // matched by any numeric with the same AsNumeric() (Int 3 and
-      // Real 3.0 collide — the cross-type case), a string entry only by
-      // the identical string, a NULL entry by nothing. NaN keys can
-      // never be looked up (NaN != NaN), same as the predicate.
-      struct DomainHit {
-        uint32_t last_index = 0;  // 1-based, last in domain order
-        uint32_t count = 0;
-      };
-      std::unordered_map<double, DomainHit> numeric_hits;
-      std::unordered_map<std::string, DomainHit> string_hits;
-      numeric_hits.reserve(domain_values.size());
-      for (size_t i = 0; i < domain_values.size(); ++i) {
-        DomainHit* hit = nullptr;
-        if (domain_values[i].is_numeric()) {
-          hit = &numeric_hits[domain_values[i].AsNumeric()];
-        } else if (domain_values[i].is_string()) {
-          hit = &string_hits[domain_values[i].AsString()];
-        } else {
-          continue;
-        }
-        hit->last_index = static_cast<uint32_t>(i) + 1;
-        ++hit->count;
-      }
+      // One merge walk: codes 1..K ascend in Value order, and so does the
+      // domain (Domain::Categorical keeps it sorted and deduplicated).
+      // Value order sorts numerics by AsNumeric() and strings by their
+      // bytes, so both sides' match keys ascend too. The entries a real
+      // value matches form one run of equal keys: a numeric matches
+      // every numeric of the same AsNumeric() (Int 3 and Real 3.0, the
+      // cross-type case), a string only itself, a NULL entry nothing.
+      // The cursor stays at the run's start, since int64 codes above
+      // 2^53 can share one key.
+      size_t lo = 0;
       for (uint32_t code = 1; code < dict.num_codes(); ++code) {
         const Value& rv = dict.decode(code);
-        const DomainHit* hit = nullptr;
-        if (rv.is_numeric()) {
-          auto it = numeric_hits.find(rv.AsNumeric());
-          if (it != numeric_hits.end()) hit = &it->second;
-        } else if (rv.is_string()) {
-          auto it = string_hits.find(rv.AsString());
-          if (it != string_hits.end()) hit = &it->second;
+        while (lo < domain_values.size() &&
+               MatchKeyLess(domain_values[lo], rv)) {
+          ++lo;
         }
-        if (hit == nullptr) continue;
-        translate[code] = hit->last_index;
-        if (hit->count > 1) {
+        size_t hi = lo;
+        while (hi < domain_values.size() &&
+               ValuesMatchCategorical(rv, domain_values[hi])) {
+          ++hi;
+        }
+        if (hi == lo) continue;
+        translate[code] = static_cast<uint32_t>(hi);  // the run's last
+        if (hi - lo > 1) {
           // E.g. Int(3) and Real(3.0) both disclosed: one real cell
           // matches two distinct synthetic codes, which a single
           // translated code cannot express.
@@ -333,12 +345,7 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
                                  std::numeric_limits<double>::quiet_NaN());
         for (size_t i = 0; i < domain_values.size(); ++i) {
           if (domain_values[i].is_numeric()) {
-            double x = domain_values[i].AsNumeric();
-            if (std::isnan(x)) {
-              refuse("NaN value in a generation domain");
-              continue;
-            }
-            plan.code_numeric[i + 1] = x;
+            plan.code_numeric[i + 1] = domain_values[i].AsNumeric();
           }
         }
       }

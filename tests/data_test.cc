@@ -1,7 +1,10 @@
 // Unit tests for src/data: Value, Schema, Relation, Domain, CSV loading.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <unordered_set>
+#include <vector>
 
 #include "common/random.h"
 #include "data/csv_loader.h"
@@ -218,6 +221,57 @@ TEST(DomainTest, CategoricalDedupsAndSorts) {
   EXPECT_DOUBLE_EQ(d.Size(), 2.0);
   EXPECT_TRUE(d.Contains(Value::Str("a")));
   EXPECT_FALSE(d.Contains(Value::Str("z")));
+}
+
+// Categorical sorts and deduplicates only input that is not already
+// strictly ascending; either way its values must be exactly what sorting
+// and deduplicating would give, down to the type and sign of each entry.
+TEST(DomainTest, CategoricalEqualsSortAndUniqueOnEveryInputOrder) {
+  const std::vector<Value> pool = {
+      Value::Null(),          Value::Int(-2),
+      Value::Int(0),          Value::Real(-0.0),
+      Value::Real(0.0),       Value::Int(3),
+      Value::Real(3.0),       Value::Real(0.5),
+      Value::Int(int64_t{1} << 53),
+      Value::Int((int64_t{1} << 53) + 1),
+      Value::Real(9007199254740992.0),
+      Value::Str(""),         Value::Str("a"),
+      Value::Str("ab"),       Value::Str("B")};
+  auto sorted_unique = [](std::vector<Value> v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+  };
+  auto same = [](const std::vector<Value>& a, const std::vector<Value>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i] || a[i].is_int() != b[i].is_int()) return false;
+      if (a[i].is_double() &&
+          std::signbit(a[i].AsDouble()) != std::signbit(b[i].AsDouble())) {
+        return false;
+      }
+    }
+    return true;
+  };
+  Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    std::vector<Value> values;
+    const size_t len = rng.UniformIndex(12);
+    for (size_t i = 0; i < len; ++i) values.push_back(rng.Choice(pool));
+    const std::vector<Value> want = sorted_unique(values);
+    EXPECT_TRUE(same(Domain::Categorical(values).values(), want));
+    // Already strictly ascending: kept as given.
+    EXPECT_TRUE(same(Domain::Categorical(want).values(), want));
+    // Ascending with a repeat: still deduplicated.
+    if (!want.empty()) {
+      std::vector<Value> repeated = want;
+      const size_t at = rng.UniformIndex(want.size());
+      repeated.insert(repeated.begin() + at, want[at]);
+      EXPECT_TRUE(same(Domain::Categorical(repeated).values(),
+                       sorted_unique(repeated)));
+    }
+  }
 }
 
 TEST(DomainTest, ContinuousRangeAndContains) {

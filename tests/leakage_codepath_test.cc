@@ -14,7 +14,10 @@
 // encoding without a source relation, a package the scan refuses). Runs under TSan in CI alongside
 // csr_agreement_test: any divergence means a change altered observable
 // results, not just performance. tests/generation_oracle_test.cc holds
-// the generated batches themselves to the boxed-Value oracle.
+// the generated batches themselves to the boxed-Value oracle, and
+// LeakageCodepathTranslationTest below holds the scan's translation of
+// real cells into domain codes to the brute-force oracle in
+// tests/reference/leakage_reference.{h,cc}.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +26,9 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/parallel.h"
+#include "common/random.h"
+#include "data/code_column.h"
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
@@ -34,6 +40,7 @@
 #include "privacy/leakage.h"
 #include "privacy/tuple_risk.h"
 #include "reference/generation_reference.h"
+#include "reference/leakage_reference.h"
 #include "vfl/attack.h"
 
 namespace metaleak {
@@ -484,6 +491,197 @@ TEST(LeakageCodepathTest, CrossTypeDomainIsInvalidOnEveryScorer) {
   expect_refused(
       RunMethod(real, pkg, GenerationMethod::kRandom, config).status());
 }
+
+// A NaN has no place in Value order, so a categorical domain holding one
+// cannot be walked in order. Build refuses it with the reason it gives a
+// NaN in a coded continuous domain; MetadataPackage::Deserialize turns
+// such a domain away at its own boundary.
+TEST(LeakageCodepathTest, NanInCategoricalDomainIsInvalid) {
+  Schema schema({{"g", DataType::kInt64, SemanticType::kCategorical}});
+  std::vector<Value> cells;
+  for (int64_t r = 0; r < 8; ++r) cells.push_back(Value::Int(1 + r % 2));
+  Relation real =
+      std::move(Relation::Make(schema, {std::move(cells)})).ValueOrDie();
+  const std::vector<Domain> domains = {Domain::Categorical(
+      {Value::Int(1), Value::Real(std::numeric_limits<double>::quiet_NaN()),
+       Value::Int(2)})};
+  Result<EncodedLeakageContext> ctx = EncodedLeakageContext::Build(
+      EncodedRelation::Encode(real), schema, domains);
+  ASSERT_FALSE(ctx.ok());
+  EXPECT_TRUE(ctx.status().IsInvalid()) << ctx.status().ToString();
+  EXPECT_EQ(ctx.status().message(),
+            "leakage scan cannot score attribute 'g' (column 0): NaN value "
+            "in a generation domain");
+}
+
+// --- Def 2.2 translation against the brute-force oracle ----------------------
+
+// Build translates a categorical coded column with one merge walk over
+// the dictionary and the sorted domain. These cases hold that walk to
+// reference::TranslateCategorical, which compares every cell with every
+// domain entry, on random relations whose disclosed domains differ from
+// their data: subsets and supersets of a column's values, entries of the
+// other physical types and strings, a NULL entry, -0.0 beside 0.0,
+// Int(v) beside Real(v), and int64 pairs above 2^53 that round to one
+// double. Build runs one pool task per column, so the cases run at pool
+// sizes 1, 3 and 8.
+class LeakageCodepathTranslationTest
+    : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override { SetGlobalThreadCount(GetParam()); }
+  void TearDown() override { SetGlobalThreadCount(0); }
+};
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+constexpr int64_t kTwo62 = int64_t{1} << 62;
+
+// The values a column of `type` draws its cells from. 2^53 + 1 rounds to
+// the double 2^53, and 2^62 + 1 to 2^62.
+std::vector<Value> CellPool(DataType type) {
+  std::vector<Value> out;
+  switch (type) {
+    case DataType::kInt64:
+      for (int64_t v : {int64_t{-5}, int64_t{-1}, int64_t{0}, int64_t{1},
+                        int64_t{3}, int64_t{7}, int64_t{100}, kTwo53,
+                        kTwo53 + 1, kTwo53 + 2, kTwo62, kTwo62 + 1,
+                        -kTwo53 - 1}) {
+        out.push_back(Value::Int(v));
+      }
+      break;
+    case DataType::kDouble:
+      for (double v : {-0.0, 0.0, 0.5, 1.0, 3.0, -7.25, 9007199254740992.0,
+                       1e300}) {
+        out.push_back(Value::Real(v));
+      }
+      break;
+    case DataType::kString:
+      for (const char* v : {"", "3", "a", "ab", "b", "B", "zz"}) {
+        out.push_back(Value::Str(v));
+      }
+      break;
+  }
+  return out;
+}
+
+// Entries a disclosure may add beside a column's own values: the same
+// number under the other physical type, a neighbour above 2^53 with the
+// same double, and values no column holds.
+std::vector<Value> DecoyPool() {
+  return {Value::Null(),
+          Value::Int(0),
+          Value::Real(-0.0),
+          Value::Real(0.0),
+          Value::Int(3),
+          Value::Real(3.0),
+          Value::Int(1),
+          Value::Real(1.0),
+          Value::Int(kTwo53),
+          Value::Int(kTwo53 + 1),
+          Value::Real(9007199254740992.0),
+          Value::Int(kTwo62 + 1),
+          Value::Real(static_cast<double>(kTwo62)),
+          Value::Int(42),
+          Value::Real(2.5),
+          Value::Str("3"),
+          Value::Str("c"),
+          Value::Str("")};
+}
+
+TEST_P(LeakageCodepathTranslationTest, MergeWalkMatchesOracle) {
+  const std::vector<DataType> types = {DataType::kInt64, DataType::kDouble,
+                                       DataType::kString, DataType::kInt64};
+  const std::vector<Value> decoys = DecoyPool();
+  size_t refused = 0;
+  size_t accepted = 0;
+  size_t matched_cells = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const size_t n = 20 + rng.UniformIndex(100);
+    const double null_rate = rng.Bernoulli(0.5) ? 0.0 : 0.1;
+    // Each column keeps a random share of its own values in the domain,
+    // drops the rest and adds decoys; both rates vary by case.
+    const double keep = rng.UniformDouble(0.2, 1.0);
+    const double decoy_rate = rng.UniformDouble(0.0, 0.2);
+    std::vector<Attribute> attrs;
+    std::vector<std::vector<Value>> columns(types.size());
+    std::vector<Domain> domains;
+    for (size_t c = 0; c < types.size(); ++c) {
+      attrs.push_back({"a" + std::to_string(c), types[c],
+                       SemanticType::kCategorical});
+      const std::vector<Value> pool = CellPool(types[c]);
+      std::vector<Value> held;
+      for (const Value& v : pool) {
+        if (rng.Bernoulli(0.6)) held.push_back(v);
+      }
+      if (held.empty()) held.push_back(pool[rng.UniformIndex(pool.size())]);
+      for (size_t r = 0; r < n; ++r) {
+        columns[c].push_back(rng.Bernoulli(null_rate) ? Value::Null()
+                                                      : rng.Choice(held));
+      }
+      std::vector<Value> entries;
+      for (const Value& v : pool) {
+        if (rng.Bernoulli(keep)) entries.push_back(v);
+      }
+      for (const Value& v : decoys) {
+        if (rng.Bernoulli(decoy_rate)) entries.push_back(v);
+      }
+      rng.Shuffle(&entries);
+      domains.push_back(Domain::Categorical(std::move(entries)));
+    }
+    Schema schema(attrs);
+    Result<Relation> real = Relation::Make(schema, std::move(columns));
+    ASSERT_TRUE(real.ok()) << real.status().ToString();
+
+    std::string want_refusal;
+    std::vector<std::vector<uint32_t>> want(types.size());
+    for (size_t c = 0; c < types.size(); ++c) {
+      Result<std::vector<uint32_t>> translated =
+          reference::TranslateCategorical(*real, c, domains[c]);
+      if (translated.ok()) {
+        want[c] = std::move(*translated);
+      } else if (want_refusal.empty()) {
+        want_refusal = "leakage scan cannot score attribute '" +
+                       attrs[c].name + "' (column " + std::to_string(c) +
+                       "): " + translated.status().message();
+      }
+    }
+
+    const EncodedRelation encoded = EncodedRelation::Encode(*real);
+    Result<EncodedLeakageContext> ctx =
+        EncodedLeakageContext::Build(encoded, schema, domains);
+    if (!want_refusal.empty()) {
+      ++refused;
+      ASSERT_FALSE(ctx.ok());
+      EXPECT_TRUE(ctx.status().IsInvalid()) << ctx.status().ToString();
+      EXPECT_EQ(ctx.status().message(), want_refusal);
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+    for (size_t c = 0; c < types.size(); ++c) {
+      SCOPED_TRACE(attrs[c].name);
+      const CodeColumnView got = ctx->ViewAttribute(c).real_codes;
+      ASSERT_EQ(got.size, n);
+      const uint32_t sentinel = CodeWidthSentinel(got.width);
+      for (size_t r = 0; r < n; ++r) {
+        const uint32_t code = got.at(r) == sentinel
+                                  ? EncodedLeakageContext::kNoMatchCode
+                                  : got.at(r);
+        ASSERT_EQ(code, want[c][r]) << "row " << r;
+        if (code != EncodedLeakageContext::kNoMatchCode) ++matched_cells;
+      }
+    }
+  }
+  // The generator must reach both outcomes, and accepted cases must
+  // translate cells, or the comparison above proves little.
+  EXPECT_GE(refused, 20u);
+  EXPECT_GE(accepted, 20u);
+  EXPECT_GT(matched_cells, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, LeakageCodepathTranslationTest,
+                         ::testing::Values(1, 3, 8));
 
 // --- An encoding without a source relation -----------------------------------
 

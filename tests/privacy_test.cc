@@ -2,6 +2,10 @@
 // (Def 2.1), analytical models, and the Monte-Carlo experiment runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/parallel.h"
 #include "common/random.h"
 #include "data/datasets/employee.h"
@@ -234,6 +238,169 @@ TEST(IdentifiabilityTest, NoKeysInDuplicatedRelation) {
   ASSERT_TRUE(any.ok());
   EXPECT_DOUBLE_EQ(*any, 0.0);
 }
+
+// --- Key check ahead of the identifiability sweep ---------------------------
+
+// IdentifiableRows marks every row once some column's dictionary shows a
+// key (every code, NULL included, occurs once); IdentifiableRowsForSubsets
+// sweeps the subsets it is given with no such shortcut. These cases hold
+// the two to each other at every width, on relations where the check
+// fires and where it must not. The sweep's subsets run on pool threads,
+// so the cases run at pool sizes 1, 3 and 8.
+class IdentifiabilityKeyCheckTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override { SetGlobalThreadCount(GetParam()); }
+  void TearDown() override { SetGlobalThreadCount(0); }
+};
+
+// "<prefix><n>", built by appending: GCC 12 misreports -Wrestrict on
+// const char* + std::string.
+std::string Label(const char* prefix, size_t n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
+}
+
+// Every subset of {0..m-1} with exactly k attributes.
+std::vector<AttributeSet> AllSubsetsOfSize(size_t m, size_t k) {
+  std::vector<AttributeSet> out;
+  for (uint32_t mask = 1; mask < (uint32_t{1} << m); ++mask) {
+    std::vector<size_t> attrs;
+    for (size_t c = 0; c < m; ++c) {
+      if (mask & (uint32_t{1} << c)) attrs.push_back(c);
+    }
+    if (attrs.size() == k) out.push_back(AttributeSet::Of(attrs));
+  }
+  return out;
+}
+
+// IdentifiableRows at widths 1..m+1 against the sweep over every subset
+// of size min(width, m), each on a fresh cache.
+void ExpectRowsMatchFullSweep(const EncodedRelation& encoded) {
+  const size_t m = encoded.num_columns();
+  for (size_t width = 1; width <= m + 1; ++width) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    PliCache cache(&encoded);
+    Result<std::vector<bool>> got = IdentifiableRows(cache, width);
+    PliCache sweep_cache(&encoded);
+    Result<std::vector<bool>> want = IdentifiableRowsForSubsets(
+        sweep_cache, AllSubsetsOfSize(m, std::min(width, m)));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(*got, *want);
+  }
+}
+
+// Column "id" holds 0..n-1 with NULL at row 17 and, when `second_null`,
+// at row 90 too; "g" and "h" repeat small cycles, and row 90 copies row
+// 17's g and h. With one NULL "id" is a key. With two it is not, and
+// rows 17 and 90 agree on every attribute, so no subset singles them out.
+EncodedRelation KeyFixture(bool second_null) {
+  constexpr int64_t kRows = 200;
+  std::vector<Value> id, g, h;
+  for (int64_t r = 0; r < kRows; ++r) {
+    const bool null_id = r == 17 || (second_null && r == 90);
+    id.push_back(null_id ? Value::Null() : Value::Int(r));
+    const int64_t src = r == 90 ? 17 : r;
+    g.push_back(Value::Str(Label("g", src % 7)));
+    h.push_back(Value::Int(src % 11));
+  }
+  Relation relation = MakeRelation(
+      {{"id", DataType::kInt64, SemanticType::kCategorical}, Cat("g"),
+       {"h", DataType::kInt64, SemanticType::kCategorical}},
+      {std::move(id), std::move(g), std::move(h)});
+  return EncodedRelation::Encode(relation);
+}
+
+TEST_P(IdentifiabilityKeyCheckTest, OneNullKeyMarksEveryRowWithoutPartitions) {
+  const EncodedRelation encoded = KeyFixture(/*second_null=*/false);
+  ASSERT_EQ(encoded.dictionary(0).null_count(), 1u);
+  ExpectRowsMatchFullSweep(encoded);
+  for (size_t width = 1; width <= 3; ++width) {
+    PliCache cache(&encoded);
+    Result<std::vector<bool>> rows = IdentifiableRows(cache, width);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(*rows, std::vector<bool>(encoded.num_rows(), true));
+    // The dictionaries answered: no partition was looked up or built.
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+  }
+}
+
+TEST_P(IdentifiabilityKeyCheckTest, TwoNullsAreNotAKeySoTheSweepRuns) {
+  const EncodedRelation encoded = KeyFixture(/*second_null=*/true);
+  ASSERT_EQ(encoded.dictionary(0).null_count(), 2u);
+  ExpectRowsMatchFullSweep(encoded);
+  for (size_t width = 1; width <= 3; ++width) {
+    PliCache cache(&encoded);
+    Result<std::vector<bool>> rows = IdentifiableRows(cache, width);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_FALSE((*rows)[17]);
+    EXPECT_FALSE((*rows)[90]);
+    EXPECT_EQ(std::count(rows->begin(), rows->end(), true),
+              static_cast<long>(encoded.num_rows()) - 2);
+  }
+}
+
+// No column is a key, and the width-2 sweep reaches both of its halves:
+// pairs whose count table fits the sweep's 2^18-entry budget go to the
+// counting tables, and the two wide columns' pair goes to the PLI path.
+// The trailing rows copy leading ones, so some rows stay unidentifiable.
+TEST_P(IdentifiabilityKeyCheckTest, KeylessSweepReachesCountingAndPliPaths) {
+  constexpr size_t kRows = 1500;
+  constexpr size_t kCopied = 200;
+  Rng rng(29);
+  std::vector<std::vector<Value>> cols(4);
+  for (size_t r = 0; r < kRows; ++r) {
+    if (r >= kRows - kCopied) {
+      for (auto& col : cols) {
+        Value copy = col[r - (kRows - kCopied)];
+        col.push_back(std::move(copy));
+      }
+      continue;
+    }
+    cols[0].push_back(Value::Int(static_cast<int64_t>(rng.UniformIndex(700))));
+    cols[1].push_back(Value::Int(static_cast<int64_t>(rng.UniformIndex(700))));
+    cols[2].push_back(rng.Bernoulli(0.05)
+                          ? Value::Null()
+                          : Value::Str(Label("l", rng.UniformIndex(40))));
+    cols[3].push_back(Value::Int(static_cast<int64_t>(rng.UniformIndex(30))));
+  }
+  Relation relation = MakeRelation(
+      {{"wide_a", DataType::kInt64, SemanticType::kCategorical},
+       {"wide_b", DataType::kInt64, SemanticType::kCategorical},
+       Cat("narrow_a"),
+       {"narrow_b", DataType::kInt64, SemanticType::kCategorical}},
+      std::move(cols));
+  const EncodedRelation encoded = EncodedRelation::Encode(relation);
+
+  constexpr size_t kPairTableBudget = size_t{1} << 18;
+  size_t counted = 0;
+  size_t fallback = 0;
+  for (size_t a = 0; a < 4; ++a) {
+    const ColumnDictionary& da = encoded.dictionary(a);
+    ASSERT_LT(da.num_distinct() + (da.has_null() ? 1 : 0), kRows);
+    for (size_t b = a + 1; b < 4; ++b) {
+      const size_t entries = size_t{da.num_codes()} *
+                             encoded.dictionary(b).num_codes();
+      ++(entries <= kPairTableBudget ? counted : fallback);
+    }
+  }
+  ASSERT_GT(counted, 0u);
+  ASSERT_GT(fallback, 0u);
+
+  ExpectRowsMatchFullSweep(encoded);
+  PliCache cache(&encoded);
+  Result<std::vector<bool>> rows = IdentifiableRows(cache, 2);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_GT(cache.misses(), 0u);  // the wide pair's PLI was built
+  const auto identifiable = std::count(rows->begin(), rows->end(), true);
+  EXPECT_GT(identifiable, 0);
+  EXPECT_LT(identifiable, static_cast<long>(kRows));
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, IdentifiabilityKeyCheckTest,
+                         ::testing::Values(1, 3, 8));
 
 // --- Analytical models ------------------------------------------------------------
 
