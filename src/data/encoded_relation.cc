@@ -266,6 +266,24 @@ EncodedRelation EncodedRelation::FromParts(Schema schema,
   return out;
 }
 
+void EncodedRelation::set_source(const Relation* source) {
+  source_ = source;
+  decoded_source_.reset();
+}
+
+void EncodedRelation::DecodeSourceOnFirstUse() {
+  source_ = nullptr;
+  decoded_source_ = std::make_shared<DecodedSource>();
+}
+
+const Relation* EncodedRelation::source() const {
+  if (decoded_source_ == nullptr) return source_;
+  DecodedSource& decoded = *decoded_source_;
+  std::call_once(decoded.once,
+                 [&] { decoded.relation.emplace(Decode().ValueOrDie()); });
+  return &*decoded.relation;
+}
+
 Result<Relation> EncodedRelation::Decode() const {
   std::vector<std::vector<Value>> columns(num_columns());
   for (size_t c = 0; c < num_columns(); ++c) {

@@ -31,6 +31,9 @@
 #define METALEAK_DATA_ENCODED_RELATION_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -105,8 +108,10 @@ class ColumnDictionary {
 /// code-emit pass, with one pool task per column. Afterwards every
 /// consumer works on dense codes. The encoding keeps a non-owning pointer
 /// to its source relation, which only the experiment engine's decoded
-/// round (ExperimentConfig::use_value_path) reads; while that may run,
-/// the source must outlive the encoding.
+/// round (ExperimentConfig::use_value_path) and RelationSnapshot::
+/// relation() read; while those may run, the source must outlive the
+/// encoding. An encoding with no source relation can instead decode its
+/// own on first use (DecodeSourceOnFirstUse).
 class EncodedRelation {
  public:
   EncodedRelation() = default;
@@ -135,17 +140,28 @@ class EncodedRelation {
                                    const Relation* source);
 
   /// Re-points the non-owning source pointer, e.g. after the caller
-  /// materializes (and takes ownership of) the decoded relation.
-  void set_source(const Relation* source) { source_ = source; }
+  /// materializes (and takes ownership of) the decoded relation. Drops a
+  /// decode that DecodeSourceOnFirstUse armed.
+  void set_source(const Relation* source);
+
+  /// Makes source() return Decode() of this encoding, built by its first
+  /// call under std::call_once and kept from then on: concurrent first
+  /// calls all get the same pointer, and copies of the encoding share
+  /// it. The encoding must decode, i.e. every dictionary value matches
+  /// its attribute's type and is not NaN, as in every encoding of a
+  /// Relation and every DeltaRelation publish; a decode error aborts.
+  void DecodeSourceOnFirstUse();
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
 
   /// The source relation this encoding was built from (non-owning; null
-  /// for an encoding assembled without one). Profiling, auditing, tuple
-  /// risk and the fused rounds never read it.
-  const Relation* source() const { return source_; }
+  /// for an encoding assembled without one), or after
+  /// DecodeSourceOnFirstUse the decoded rows, which the first call
+  /// builds. Profiling, auditing, tuple risk and the fused rounds never
+  /// read it.
+  const Relation* source() const;
 
   /// Width-tagged view of column `c`'s native narrow storage — the
   /// bandwidth-proportional access path every consumer reads codes
@@ -193,12 +209,19 @@ class EncodedRelation {
   // is independent of storage width.
   uint64_t ComputeFingerprint() const;
 
+  // The rows DecodeSourceOnFirstUse builds on the first source() call.
+  struct DecodedSource {
+    std::once_flag once;
+    std::optional<Relation> relation;
+  };
+
   Schema schema_;
   size_t num_rows_ = 0;
   std::vector<CodeColumn> columns_;  // [column], narrow storage
   std::vector<ColumnDictionary> dicts_;
   uint64_t fingerprint_ = 0;
   const Relation* source_ = nullptr;
+  std::shared_ptr<DecodedSource> decoded_source_;
 };
 
 }  // namespace metaleak

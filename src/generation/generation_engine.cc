@@ -1,5 +1,6 @@
 #include "generation/generation_engine.h"
 
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -49,35 +50,47 @@ double GenerationContext::DistSampler::SampleReal(Rng* rng) const {
   return rng->UniformDouble(bucket_lo, bucket_lo + width);
 }
 
-Result<GenerationContext> GenerationContext::Build(
-    const MetadataPackage& metadata, const GenerationOptions& options) {
+Result<std::shared_ptr<const GenerationLayout>> GenerationLayout::Build(
+    const MetadataPackage& metadata) {
   // The plan tracks placed attributes in an AttributeSet.
   if (metadata.schema.num_attributes() > AttributeSet::kMaxAttributes) {
     return Status::Invalid("package exceeds 64 attributes");
   }
-  GenerationContext ctx;
-  METALEAK_ASSIGN_OR_RETURN(ctx.domains_, metadata.RequireDomains());
-  ctx.schema_ = metadata.schema;
+  auto layout = std::make_shared<GenerationLayout>();
+  METALEAK_ASSIGN_OR_RETURN(layout->domains, metadata.RequireDomains());
+  layout->schema = metadata.schema;
+  layout->kinds = ColumnKindsForDomains(layout->domains);
+  layout->widths = CodeWidthsForDomains(layout->domains);
   const size_t m = metadata.schema.num_attributes();
+  layout->code_numeric.resize(m);
+  for (size_t c = 0; c < m; ++c) {
+    if (layout->kinds[c] != EncodedBatch::ColumnKind::kCodes) continue;
+    const std::vector<Value>& vals = layout->domains[c].values();
+    std::vector<double>& table = layout->code_numeric[c];
+    table.assign(vals.size() + 1, 0.0);
+    for (size_t i = 0; i < vals.size(); ++i) {
+      if (vals[i].is_numeric()) table[i + 1] = vals[i].AsNumeric();
+    }
+  }
+  return std::shared_ptr<const GenerationLayout>(std::move(layout));
+}
+
+Result<GenerationContext> GenerationContext::Build(
+    const MetadataPackage& metadata, const GenerationOptions& options,
+    std::shared_ptr<const GenerationLayout> layout) {
+  GenerationContext ctx;
+  if (layout == nullptr) {
+    METALEAK_ASSIGN_OR_RETURN(layout, GenerationLayout::Build(metadata));
+  }
+  ctx.layout_ = std::move(layout);
+  const GenerationLayout& shared = *ctx.layout_;
+  const size_t m = shared.domains.size();
 
   DependencySet usable;
   if (!options.ignore_dependencies) {
     usable = metadata.dependencies;
   }
   ctx.plan_ = DependencyGraph::Build(m, usable, options.allowed_kinds);
-  ctx.kinds_ = ColumnKindsForDomains(ctx.domains_);
-  ctx.widths_ = CodeWidthsForDomains(ctx.domains_);
-
-  ctx.code_numeric_.resize(m);
-  for (size_t c = 0; c < m; ++c) {
-    if (ctx.kinds_[c] != EncodedBatch::ColumnKind::kCodes) continue;
-    const std::vector<Value>& vals = ctx.domains_[c].values();
-    std::vector<double>& table = ctx.code_numeric_[c];
-    table.assign(vals.size() + 1, 0.0);
-    for (size_t i = 0; i < vals.size(); ++i) {
-      if (vals[i].is_numeric()) table[i + 1] = vals[i].AsNumeric();
-    }
-  }
 
   ctx.dist_.resize(m);
   ctx.step_lhs_.reserve(ctx.plan_->steps().size());
@@ -94,7 +107,7 @@ Result<GenerationContext> GenerationContext::Build(
     if (!has_distribution) continue;
     const ValueDistribution& dist = *metadata.distributions[target];
     DistSampler sampler;
-    if (ctx.kinds_[target] == EncodedBatch::ColumnKind::kCodes) {
+    if (shared.kinds[target] == EncodedBatch::ColumnKind::kCodes) {
       if (!dist.is_categorical()) {
         ctx.encodable_ = false;
         ctx.fallback_reason_ =
@@ -104,7 +117,7 @@ Result<GenerationContext> GenerationContext::Build(
       sampler.categorical = true;
       sampler.cumulative = dist.cumulative_counts();
       if (!MapDistValuesToCodes(dist.frequency_table().values,
-                                ctx.domains_[target].values(),
+                                shared.domains[target].values(),
                                 &sampler.codes)) {
         ctx.encodable_ = false;
         ctx.fallback_reason_ =
@@ -138,14 +151,15 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
     return Status::Invalid("package is not encodable: " +
                            ctx.fallback_reason());
   }
-  batch->Configure(ctx.kinds_, ctx.widths_);
+  const GenerationLayout& layout = *ctx.layout_;
+  batch->Configure(layout.kinds, layout.widths);
   batch->ResetRows(num_rows);
 
   const std::vector<GenerationStep>& steps = ctx.plan_->steps();
   for (size_t s = 0; s < steps.size(); ++s) {
     const GenerationStep& step = steps[s];
     const size_t target = step.attribute;
-    const Domain& domain = ctx.domains_[target];
+    const Domain& domain = layout.domains[target];
     if (!step.via.has_value()) {
       if (ctx.dist_[target].has_value()) {
         const GenerationContext::DistSampler& sampler = *ctx.dist_[target];
@@ -190,7 +204,7 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
         break;
       case DependencyKind::kDifferential: {
         Status st = GenerateDdColumnEncoded(
-            lhs[0], domain, ctx.code_numeric_[lhs[0]], num_rows,
+            lhs[0], domain, layout.code_numeric[lhs[0]], num_rows,
             dep.lhs_epsilon, dep.rhs_delta, rng, batch, target);
         if (!st.ok()) {
           // A DD onto a categorical RHS cannot drive generation; draw

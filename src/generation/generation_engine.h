@@ -3,12 +3,15 @@
 //
 // GenerationContext resolves a (metadata, options) pair once: the plan,
 // the domains, the batch layout and the code-mapped distribution
-// samplers. GenerateEncoded then writes each round's dense domain codes
-// and raw doubles into a reusable EncodedBatch arena, and
-// MaterializeRelation decodes a batch into a Relation only at the
-// adapter boundary (GenerateSynthetic). This is the library's one way to
-// draw R_syn; tests/reference/ keeps the boxed-Value generator it
-// replaced as the oracle a decoded batch must equal bit for bit.
+// samplers. The package-wide half (schema, domains, batch layout and
+// per-code numeric tables) is a GenerationLayout, which the contexts of
+// one package's several option sets can share. GenerateEncoded then
+// writes each round's dense domain codes and raw doubles into a reusable
+// EncodedBatch arena, and MaterializeRelation decodes a batch into a
+// Relation only at the adapter boundary (GenerateSynthetic). This is the
+// library's one way to draw R_syn; tests/reference/ keeps the boxed-Value
+// generator it replaced as the oracle a decoded batch must equal bit for
+// bit.
 //
 // A package that contradicts itself (a disclosed distribution whose
 // kind or support disagrees with its attribute's domain) clears
@@ -18,6 +21,7 @@
 #ifndef METALEAK_GENERATION_GENERATION_ENGINE_H_
 #define METALEAK_GENERATION_GENERATION_ENGINE_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,42 +51,58 @@ struct GenerationOutcome {
   DependencyGraph plan;
 };
 
+/// The half of a GenerationContext that depends on the package alone:
+/// the schema, the domains, the batch column layout and the per-code
+/// numeric tables. Contexts built over one layout share it instead of
+/// each holding a copy (ExperimentEngine::RunAll plans every method over
+/// one).
+struct GenerationLayout {
+  Schema schema;
+  std::vector<Domain> domains;
+  std::vector<EncodedBatch::ColumnKind> kinds;
+  std::vector<CodeWidth> widths;  // batch code-column widths, per attr
+  /// Per attribute, the per-code numeric view of a code-stored column's
+  /// domain: entry 0 (NULL) and non-numeric entries are 0.0, the
+  /// `is_numeric() ? AsNumeric() : 0.0` convention of the DD walk. Empty
+  /// for real-stored columns.
+  std::vector<std::vector<double>> code_numeric;
+
+  /// Fails on a package of more than 64 attributes (the plan tracks
+  /// placed attributes in an AttributeSet) and on missing or non-finite
+  /// domains.
+  static Result<std::shared_ptr<const GenerationLayout>> Build(
+      const MetadataPackage& metadata);
+};
+
 class GenerationContext;
 Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
                        Rng* rng, EncodedBatch* batch);
 
 /// Everything the per-round generation loop needs, resolved once per
-/// (metadata, options) pair: the generation plan, the domains, the batch
-/// column layout, per-code numeric tables for DD, and code-mapped
-/// distribution samplers. Building the context also checks that the
-/// package's distributions agree with its domains (encodable()).
+/// (metadata, options) pair: the generation plan, the layout, and
+/// code-mapped distribution samplers. Building the context also checks
+/// that the package's distributions agree with its domains
+/// (encodable()).
 class GenerationContext {
  public:
-  /// Resolves plan + domains. Fails on a package of more than 64
-  /// attributes (the plan tracks placed attributes in an AttributeSet)
-  /// and on missing or non-finite domains; a distribution that disagrees
-  /// with its domain does NOT fail the build but clears encodable(), and
-  /// GenerateEncoded reports it.
-  static Result<GenerationContext> Build(const MetadataPackage& metadata,
-                                         const GenerationOptions& options =
-                                             {});
+  /// Resolves plan + layout. `layout`, when given, must be
+  /// GenerationLayout::Build(metadata) and is shared rather than built
+  /// again; otherwise Build fails as GenerationLayout::Build does. A
+  /// distribution that disagrees with its domain does NOT fail the build
+  /// but clears encodable(), and GenerateEncoded reports it.
+  static Result<GenerationContext> Build(
+      const MetadataPackage& metadata, const GenerationOptions& options = {},
+      std::shared_ptr<const GenerationLayout> layout = nullptr);
 
-  const Schema& schema() const { return schema_; }
-  const std::vector<Domain>& domains() const { return domains_; }
+  const GenerationLayout& layout() const { return *layout_; }
+  const Schema& schema() const { return layout_->schema; }
+  const std::vector<Domain>& domains() const { return layout_->domains; }
   const DependencyGraph& plan() const { return *plan_; }
   const std::vector<EncodedBatch::ColumnKind>& kinds() const {
-    return kinds_;
+    return layout_->kinds;
   }
-  const std::vector<CodeWidth>& widths() const { return widths_; }
-  size_t num_attributes() const { return domains_.size(); }
-
-  /// Per-code numeric view of a code-stored column's domain: entry 0
-  /// (NULL) and non-numeric entries are 0.0, the `is_numeric() ?
-  /// AsNumeric() : 0.0` convention of the DD walk. Empty for
-  /// real-stored columns.
-  const std::vector<double>& code_numeric(size_t c) const {
-    return code_numeric_[c];
-  }
+  const std::vector<CodeWidth>& widths() const { return layout_->widths; }
+  size_t num_attributes() const { return layout_->domains.size(); }
 
   /// True when every disclosed distribution GenerateEncoded samples
   /// agrees with its attribute's domain; otherwise fallback_reason() says
@@ -108,14 +128,10 @@ class GenerationContext {
     double SampleReal(Rng* rng) const;
   };
 
-  Schema schema_;
-  std::vector<Domain> domains_;
+  std::shared_ptr<const GenerationLayout> layout_;
   std::optional<DependencyGraph> plan_;
-  std::vector<EncodedBatch::ColumnKind> kinds_;
-  std::vector<CodeWidth> widths_;  // batch code-column widths, per attr
   std::vector<std::vector<size_t>> step_lhs_;  // aligned with plan steps
-  std::vector<std::optional<DistSampler>> dist_;     // per attribute
-  std::vector<std::vector<double>> code_numeric_;    // per attribute
+  std::vector<std::optional<DistSampler>> dist_;  // per attribute
   bool encodable_ = true;
   std::string fallback_reason_;
 };

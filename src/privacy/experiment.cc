@@ -126,9 +126,10 @@ Result<MethodAttributeResult> MethodResult::ForAttribute(
 }
 
 // Everything one method's rounds share besides the bound estimators,
-// resolved before any RNG draw: the generation context and, for the CFD
-// method, the chase plan. The plan is RNG-independent, so `covered`
-// comes from it up front and every round — including round 0 — fans out.
+// resolved before any RNG draw: the generation context (over the call's
+// shared layout) and, for the CFD method, the chase plan. The plan is
+// RNG-independent, so `covered` comes from it up front and every round —
+// including round 0 — fans out.
 struct ExperimentEngine::MethodPlan {
   std::optional<GenerationContext> ctx;
   std::optional<EncodedCfdPlan> cfd_plan;
@@ -138,8 +139,7 @@ struct ExperimentEngine::MethodPlan {
 // The risk estimators bound once against the real relation and the
 // disclosed package. Nothing Bind() reads depends on the method, so one
 // set serves every method of a RunAll; the bound estimators copy what
-// they keep, so the set outlives the generation context it was bound
-// against.
+// they keep, so the set outlives the layout it was bound against.
 struct ExperimentEngine::BoundSet {
   /// The bound registry, and one bound instance per estimator in
   /// registry order — match-rate first.
@@ -159,25 +159,25 @@ struct ExperimentEngine::BoundSet {
 
 ExperimentEngine::ExperimentEngine(const Relation& real,
                                    const MetadataPackage& metadata)
-    : real_(&real),
-      metadata_(&metadata),
+    : metadata_(&metadata),
       owned_encoding_(EncodedRelation::Encode(real)),
       encoded_real_(&*owned_encoding_) {}
 
 ExperimentEngine::ExperimentEngine(
     const EncodedRelation& encoded, const MetadataPackage& metadata,
     const std::vector<RiskProfileMeasure>* profile_measures)
-    : real_(encoded.source()),
-      metadata_(&metadata),
+    : metadata_(&metadata),
       encoded_real_(&encoded),
       profile_measures_(profile_measures) {}
 
 Result<ExperimentEngine::MethodPlan> ExperimentEngine::PlanFor(
-    GenerationMethod method) const {
+    GenerationMethod method,
+    std::shared_ptr<const GenerationLayout> layout) const {
   MethodPlan plan;
   METALEAK_ASSIGN_OR_RETURN(
       GenerationContext ctx,
-      GenerationContext::Build(*metadata_, OptionsForMethod(method)));
+      GenerationContext::Build(*metadata_, OptionsForMethod(method),
+                               std::move(layout)));
   plan.ctx.emplace(std::move(ctx));
 
   // `covered` is indexed by the package's attributes; the estimators'
@@ -207,12 +207,12 @@ Result<ExperimentEngine::MethodPlan> ExperimentEngine::PlanFor(
 }
 
 Result<ExperimentEngine::BoundSet> ExperimentEngine::BindEstimators(
-    const RiskEstimatorRegistry& registry, const GenerationContext& layout,
+    const RiskEstimatorRegistry& registry, const GenerationLayout& layout,
     const LeakageOptions& leakage) const {
   RiskContext rctx;
   rctx.real = encoded_real_;
-  rctx.syn_schema = &layout.schema();
-  rctx.domains = &layout.domains();
+  rctx.syn_schema = &layout.schema;
+  rctx.domains = &layout.domains;
   rctx.metadata = metadata_;
   rctx.leakage = leakage;
   rctx.profile_measures = profile_measures_;
@@ -243,14 +243,15 @@ Status ExperimentEngine::GenerateRound(const MethodPlan& plan,
 Result<LeakageReport> ExperimentEngine::DecodedReport(
     const MethodPlan& plan, const EncodedBatch& batch,
     const LeakageOptions& leakage) const {
-  if (real_ == nullptr) {
+  const Relation* real = encoded_real_->source();
+  if (real == nullptr) {
     return Status::Invalid(
         "scoring a decoded round needs an encoding with a source relation");
   }
   METALEAK_ASSIGN_OR_RETURN(
       Relation syn,
       MaterializeRelation(plan.ctx->schema(), plan.ctx->domains(), batch));
-  return EvaluateLeakage(*real_, syn, leakage);
+  return EvaluateLeakage(*real, syn, leakage);
 }
 
 Status ExperimentEngine::RunRound(const MethodPlan& plan,
@@ -285,66 +286,113 @@ Status ExperimentEngine::RunRound(const MethodPlan& plan,
 
 Result<MethodResult> ExperimentEngine::Run(
     GenerationMethod method, const ExperimentConfig& config) const {
-  std::optional<BoundSet> bound;
-  return RunMethodWith(method, config, &bound);
+  METALEAK_ASSIGN_OR_RETURN(std::vector<MethodResult> results,
+                            RunMethods({method}, {config.seed}, config));
+  return std::move(results.front());
 }
 
-Result<MethodResult> ExperimentEngine::RunMethodWith(
-    GenerationMethod method, const ExperimentConfig& config,
-    std::optional<BoundSet>* bound_set) const {
+Result<std::vector<MethodResult>> ExperimentEngine::RunAll(
+    const std::vector<GenerationMethod>& methods,
+    const ExperimentConfig& config) const {
+  std::vector<uint64_t> seeds;
+  seeds.reserve(methods.size());
+  Rng seeder(config.seed);
+  for (size_t i = 0; i < methods.size(); ++i) {
+    seeds.push_back(seeder.Fork().engine()());
+  }
+  return RunMethods(methods, seeds, config);
+}
+
+Result<std::vector<MethodResult>> ExperimentEngine::RunMethods(
+    const std::vector<GenerationMethod>& methods,
+    const std::vector<uint64_t>& seeds,
+    const ExperimentConfig& config) const {
+  // No method, nothing to check: the empty run succeeds.
+  if (methods.empty()) return std::vector<MethodResult>{};
   if (config.rounds == 0) {
     return Status::Invalid("experiment needs at least one round");
   }
-  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method));
-  if (!bound_set->has_value()) {
-    METALEAK_ASSIGN_OR_RETURN(const RiskEstimatorRegistry* registry,
-                              RegistryFor(config));
-    METALEAK_ASSIGN_OR_RETURN(
-        BoundSet set, BindEstimators(*registry, *plan.ctx, config.leakage));
-    bound_set->emplace(std::move(set));
+  // Errors come in the order Run on each method in turn returns them. A
+  // layout error is the first method's plan error. Planning stops at the
+  // first method whose plan fails; the estimators bind once, after the
+  // first plan as in Run, and the methods planned before a failed one
+  // still run, since one of their rounds may fail first.
+  METALEAK_ASSIGN_OR_RETURN(std::shared_ptr<const GenerationLayout> layout,
+                            GenerationLayout::Build(*metadata_));
+  std::vector<MethodPlan> plans;
+  plans.reserve(methods.size());
+  Status plan_error;
+  for (GenerationMethod method : methods) {
+    Result<MethodPlan> plan = PlanFor(method, layout);
+    if (!plan.ok()) {
+      plan_error = plan.status();
+      break;
+    }
+    plans.push_back(std::move(plan).ValueUnsafe());
   }
-  const BoundSet& bound = **bound_set;
+  if (plans.empty()) return plan_error;
+  METALEAK_ASSIGN_OR_RETURN(const RiskEstimatorRegistry* registry,
+                            RegistryFor(config));
+  METALEAK_ASSIGN_OR_RETURN(
+      BoundSet bound, BindEstimators(*registry, *layout, config.leakage));
   const bool decoded = config.use_value_path;
   const size_t m = encoded_real_->num_columns();
+  const size_t rounds = config.rounds;
 
   // Per-round seeds drawn up front so the outcome is identical for any
   // thread count; recorded in the result so any round can be replayed.
-  Rng rng(config.seed);
-  std::vector<uint64_t> round_seeds;
-  round_seeds.reserve(config.rounds);
-  for (size_t round = 0; round < config.rounds; ++round) {
-    round_seeds.push_back(rng.ForkSeed());
+  std::vector<std::vector<uint64_t>> round_seeds(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    Rng rng(seeds[i]);
+    round_seeds[i].reserve(rounds);
+    for (size_t round = 0; round < rounds; ++round) {
+      round_seeds[i].push_back(rng.ForkSeed());
+    }
   }
 
-  // rounds x total_measures x m measure cells; the Welford fold below
-  // walks them in ascending round order, so the aggregate is
-  // bit-identical across thread counts, and across scoring by the fused
-  // scan or by EvaluateLeakage on the decoded batch.
-  const size_t total = bound.total_measures;
-  std::vector<RiskMeasureCell> cells(config.rounds * total * m);
-  auto run_round = [&](size_t round) -> Status {
-    return RunRound(plan, bound, decoded, round_seeds[round], config.leakage,
-                    cells.data() + round * total * m);
-  };
-
+  // Task t is round t % rounds of method t / rounds, and writes its
+  // total_measures x m cells at t * stride. Every (method, round) pair
+  // runs in one pool pass; the fold then walks each method's rounds in
+  // ascending order, so the aggregate is bit-identical across thread
+  // counts, and across scoring by the fused scan or by EvaluateLeakage
+  // on the decoded batch.
+  const size_t tasks = plans.size() * rounds;
+  const size_t stride = bound.total_measures * m;
+  std::vector<RiskMeasureCell> cells(tasks * stride);
+  std::vector<Status> task_status(tasks);
   size_t threads = config.threads;
   if (threads == 0) threads = GlobalThreadCount();
-  threads = std::min(threads, config.rounds);
-  if (threads <= 1) {
-    for (size_t round = 0; round < config.rounds; ++round) {
-      METALEAK_RETURN_NOT_OK(run_round(round));
-    }
-  } else {
-    std::vector<Status> round_status(config.rounds);
-    ParallelFor(
-        0, config.rounds, 1,
-        [&](size_t round) { round_status[round] = run_round(round); },
-        threads);
-    for (size_t round = 0; round < config.rounds; ++round) {
-      METALEAK_RETURN_NOT_OK(round_status[round]);
-    }
-  }
+  ParallelFor(
+      0, tasks, 1,
+      [&](size_t t) {
+        const size_t i = t / rounds;
+        task_status[t] =
+            RunRound(plans[i], bound, decoded, round_seeds[i][t % rounds],
+                     config.leakage, cells.data() + t * stride);
+      },
+      std::min(threads, tasks));
+  for (const Status& st : task_status) METALEAK_RETURN_NOT_OK(st);
+  METALEAK_RETURN_NOT_OK(plan_error);
 
+  std::vector<MethodResult> out;
+  out.reserve(plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    out.push_back(FoldMethod(methods[i], plans[i], bound, decoded,
+                             std::move(round_seeds[i]),
+                             cells.data() + i * rounds * stride));
+  }
+  return out;
+}
+
+MethodResult ExperimentEngine::FoldMethod(GenerationMethod method,
+                                          const MethodPlan& plan,
+                                          const BoundSet& bound,
+                                          bool decoded,
+                                          std::vector<uint64_t> round_seeds,
+                                          const RiskMeasureCell* cells) const {
+  const size_t m = encoded_real_->num_columns();
+  const size_t rounds = round_seeds.size();
+  const size_t total = bound.total_measures;
   MethodResult result;
   result.method = method;
   result.round_seeds = std::move(round_seeds);
@@ -369,7 +417,7 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
         const size_t off = (bound.measure_offset[e] + j) * m;
         for (size_t c = 0; c < m; ++c) {
           WelfordAccumulator acc;
-          for (size_t round = 0; round < config.rounds; ++round) {
+          for (size_t round = 0; round < rounds; ++round) {
             const RiskMeasureCell& cell = cells[round * total * m + off + c];
             if (cell.present) acc.Add(cell.value);
           }
@@ -407,34 +455,16 @@ Result<MethodResult> ExperimentEngine::RunMethodWith(
   return result;
 }
 
-Result<std::vector<MethodResult>> ExperimentEngine::RunAll(
-    const std::vector<GenerationMethod>& methods,
-    const ExperimentConfig& config) const {
-  std::vector<MethodResult> out;
-  out.reserve(methods.size());
-  // Bound by the first method, then shared by every later one.
-  std::optional<BoundSet> bound;
-  Rng seeder(config.seed);
-  for (GenerationMethod method : methods) {
-    ExperimentConfig method_config = config;
-    method_config.seed = seeder.Fork().engine()();
-    METALEAK_ASSIGN_OR_RETURN(MethodResult r,
-                              RunMethodWith(method, method_config, &bound));
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 Result<LeakageReport> ExperimentEngine::ReplayRound(
     GenerationMethod method, uint64_t round_seed,
     const ExperimentConfig& config) const {
-  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method));
+  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, nullptr));
   // The report reads only the fused match-rate scan: check the config's
   // registry, but bind the match-rate estimator alone.
   METALEAK_RETURN_NOT_OK(RegistryFor(config).status());
-  METALEAK_ASSIGN_OR_RETURN(BoundSet bound,
-                            BindEstimators(RiskEstimatorRegistry::Default(),
-                                           *plan.ctx, config.leakage));
+  METALEAK_ASSIGN_OR_RETURN(
+      BoundSet bound, BindEstimators(RiskEstimatorRegistry::Default(),
+                                     plan.ctx->layout(), config.leakage));
   EncodedBatch batch;
   METALEAK_RETURN_NOT_OK(GenerateRound(plan, round_seed, &batch));
   if (config.use_value_path) {
@@ -447,11 +477,12 @@ Result<std::vector<RoundMeasureValues>>
 ExperimentEngine::ReplayRoundMeasures(GenerationMethod method,
                                       uint64_t round_seed,
                                       const ExperimentConfig& config) const {
-  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method));
+  METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, nullptr));
   METALEAK_ASSIGN_OR_RETURN(const RiskEstimatorRegistry* registry,
                             RegistryFor(config));
   METALEAK_ASSIGN_OR_RETURN(
-      BoundSet bound, BindEstimators(*registry, *plan.ctx, config.leakage));
+      BoundSet bound,
+      BindEstimators(*registry, plan.ctx->layout(), config.leakage));
   const bool decoded = config.use_value_path;
   const size_t m = encoded_real_->num_columns();
   std::vector<RiskMeasureCell> cells(bound.total_measures * m);

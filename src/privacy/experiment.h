@@ -20,12 +20,15 @@
 // The risk estimators are bound once per call and shared by every
 // method the call runs: Bind() reads the real encoding, the package's
 // schema and domains, the package and the leakage options, none of
-// which depends on the method. RunAll therefore binds each estimator
-// once for all its methods; Run and the replays bind once per call.
+// which depends on the method. RunAll therefore plans every method over
+// one shared GenerationLayout, binds each estimator once, and runs every
+// (method, round) pair in one pool pass; Run is its one-method case and
+// the replays bind once per call.
 #ifndef METALEAK_PRIVACY_EXPERIMENT_H_
 #define METALEAK_PRIVACY_EXPERIMENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,7 +43,7 @@
 
 namespace metaleak {
 
-class GenerationContext;
+struct GenerationLayout;
 
 /// Which generation process produces R_syn. Each non-random method uses
 /// only dependencies of its class (plus names and domains).
@@ -162,10 +165,10 @@ class ExperimentEngine {
 
   /// Runs against a pre-built encoding instead of re-encoding the
   /// relation — the warm-snapshot path. Rows, columns and names come
-  /// from the encoding; `encoded.source()` is read only by a round scored
-  /// on the decoded batch (use_value_path), which returns Invalid when it
-  /// is null. `encoded`, `metadata` and a source such a round reads must
-  /// outlive the engine.
+  /// from the encoding; `encoded.source()` is read only when a round
+  /// scored on the decoded batch (use_value_path) runs, which returns
+  /// Invalid when it is null. `encoded`, `metadata` and a source such a
+  /// round reads must outlive the engine.
   /// `profile_measures`, when non-null, is
   /// ComputeProfileMeasures(encoded, metadata) already at hand (a
   /// snapshot's LeakageProfile::risk_measures); the info-theoretic
@@ -183,9 +186,12 @@ class ExperimentEngine {
 
   /// Runs several methods under the same config (fresh derived RNG
   /// streams per method, so methods are independent but reproducible).
-  /// Binds each estimator once and scores every method with it; the
-  /// results equal Run on each method with its derived seed, bit for
-  /// bit.
+  /// Binds each estimator once, runs every (method, round) pair in one
+  /// pool pass and folds each method in round order; the results equal
+  /// Run on each method with its derived seed, bit for bit. A failure
+  /// is the one Run on each method in list order would return first:
+  /// the first method whose plan, bind or rounds fail names it. No
+  /// method means success, whatever the config.
   Result<std::vector<MethodResult>> RunAll(
       const std::vector<GenerationMethod>& methods,
       const ExperimentConfig& config = {}) const;
@@ -211,17 +217,28 @@ class ExperimentEngine {
  private:
   struct MethodPlan;
   struct BoundSet;
-  Result<MethodPlan> PlanFor(GenerationMethod method) const;
+  /// Plans `method` over `layout`, GenerationLayout::Build(*metadata_)
+  /// shared by every plan of a call (null builds one).
+  Result<MethodPlan> PlanFor(
+      GenerationMethod method,
+      std::shared_ptr<const GenerationLayout> layout) const;
   /// Binds every estimator of `registry` against the schema and domains
-  /// of `layout`. Every method's GenerationContext carries the same ones
-  /// (both come from the package alone), so any method's serves.
+  /// of `layout`, which every method's plan shares.
   Result<BoundSet> BindEstimators(const RiskEstimatorRegistry& registry,
-                                  const GenerationContext& layout,
+                                  const GenerationLayout& layout,
                                   const LeakageOptions& leakage) const;
-  /// Runs one method against `*bound`, binding it first when empty.
-  Result<MethodResult> RunMethodWith(GenerationMethod method,
-                                     const ExperimentConfig& config,
-                                     std::optional<BoundSet>* bound) const;
+  /// Runs methods[i] with round seeds forked from seeds[i]: RunAll's
+  /// body, and Run's with one method.
+  Result<std::vector<MethodResult>> RunMethods(
+      const std::vector<GenerationMethod>& methods,
+      const std::vector<uint64_t>& seeds,
+      const ExperimentConfig& config) const;
+  /// Folds one method's rounds x total_measures x columns `cells` through
+  /// Welford in ascending round order.
+  MethodResult FoldMethod(GenerationMethod method, const MethodPlan& plan,
+                          const BoundSet& bound, bool decoded,
+                          std::vector<uint64_t> round_seeds,
+                          const RiskMeasureCell* cells) const;
   /// Draws round `round_seed`'s batch: the plan's generation, then, for
   /// the CFD method, the chase.
   Status GenerateRound(const MethodPlan& plan, uint64_t round_seed,
@@ -239,8 +256,6 @@ class ExperimentEngine {
                   const LeakageOptions& leakage,
                   RiskMeasureCell* cells) const;
 
-  /// The relation behind the encoding; null for an encoding without one.
-  const Relation* real_;
   const MetadataPackage* metadata_;
   /// Set by the Relation constructor only; the EncodedRelation
   /// constructor borrows the caller's encoding instead.

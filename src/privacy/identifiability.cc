@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -259,43 +260,50 @@ Result<std::vector<bool>> IdentifiableRowsForSubsets(
   return identifiable;
 }
 
-Result<std::vector<bool>> IdentifiableRows(PliCache& cache, size_t width) {
-  const size_t m = cache.encoded().num_columns();
-  const size_t n = cache.encoded().num_rows();
+namespace {
+
+// Both IdentifiableRows overloads. The dictionaries answer first, before
+// any partition is built: no row is identifiable in an empty relation or
+// at width 0, and every row is when some column is a key, one whose
+// every code (NULL included) occurs once. Adding attributes refines the
+// partition, so uniqueness under A is preserved under every superset of
+// A: a key makes every row identifiable at any width, and the sweep
+// checks only the subsets of size exactly min(width, m). It runs on
+// `cache`, or on one built here when `cache` is null.
+Result<std::vector<bool>> IdentifiableRowsOf(const EncodedRelation& relation,
+                                             size_t width, PliCache* cache) {
+  const size_t m = relation.num_columns();
+  const size_t n = relation.num_rows();
   METALEAK_RETURN_NOT_OK(CheckAttributeCount(m));
   if (m == 0 || n == 0 || width == 0) {
     return std::vector<bool>(n, false);
   }
-  // Adding attributes refines the partition, so uniqueness under A is
-  // preserved under every superset of A. Checking only the subsets of
-  // size exactly min(width, m) therefore covers all smaller subsets too.
-  // For the same reason a key column, one whose every code (NULL
-  // included) occurs once, makes every row identifiable at any width,
-  // and the dictionaries show a key without building a partition.
   for (size_t c = 0; c < m; ++c) {
-    const ColumnDictionary& dict = cache.encoded().dictionary(c);
+    const ColumnDictionary& dict = relation.dictionary(c);
     if (dict.num_distinct() + (dict.has_null() ? 1 : 0) == n) {
       return std::vector<bool>(n, true);
     }
   }
+  std::optional<PliCache> own;
+  if (cache == nullptr) cache = &own.emplace(&relation);
   const size_t k = std::min(width, m);
   if (k == 2) {
     // The dominant sweep width takes the direct counting path (see
     // CountingPairSweep); pairs over budget still go through the cache.
-    return IdentifiableRowsWidth2(cache);
+    return IdentifiableRowsWidth2(*cache);
   }
-  return IdentifiableRowsForSubsets(cache, SubsetsOfSize(m, k));
+  return IdentifiableRowsForSubsets(*cache, SubsetsOfSize(m, k));
+}
+
+}  // namespace
+
+Result<std::vector<bool>> IdentifiableRows(PliCache& cache, size_t width) {
+  return IdentifiableRowsOf(cache.encoded(), width, &cache);
 }
 
 Result<std::vector<bool>> IdentifiableRows(const EncodedRelation& relation,
                                            size_t width) {
-  METALEAK_RETURN_NOT_OK(CheckAttributeCount(relation.num_columns()));
-  if (relation.num_columns() == 0 || relation.num_rows() == 0 ||
-      width == 0) {
-    return std::vector<bool>(relation.num_rows(), false);
-  }
-  PliCache cache(&relation);
-  return IdentifiableRows(cache, width);
+  return IdentifiableRowsOf(relation, width, nullptr);
 }
 
 Result<double> IdentifiableByAnySubset(const EncodedRelation& relation,

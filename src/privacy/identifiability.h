@@ -48,7 +48,8 @@ Result<double> IdentifiableFraction(const EncodedRelation& relation,
 /// width-k subset's PLI is the cached width-(k-1) prefix intersected
 /// with one singleton, not a k-column rebuild. The PliCache overload
 /// lets callers share the cache (and its subset partitions) across
-/// several sweeps; the EncodedRelation overload owns a transient one.
+/// several sweeps; the EncodedRelation overload owns a transient one,
+/// built only after the key check finds no key.
 Result<std::vector<bool>> IdentifiableRows(const EncodedRelation& relation,
                                            size_t width);
 Result<std::vector<bool>> IdentifiableRows(PliCache& cache, size_t width);

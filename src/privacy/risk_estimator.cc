@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,6 +213,10 @@ RiskMeasureCell CondEntropyCell(const EncodedRelation& real,
 // then conditional entropy, one pool task per column. The bound
 // estimator and the cached profile both read them from here, so they
 // can never disagree. No package means no conditional-entropy cells.
+// A column's task counts one joint per LHS, so the tasks start in
+// descending order of LHS count (ties by index): the heaviest columns
+// go first and the light ones fill in behind them. Each task writes only
+// its own column's cells, so the order changes no cell.
 std::vector<RiskProfileMeasure> ProfileMeasures(
     const EncodedRelation& real, const MetadataPackage* metadata) {
   const size_t m = real.num_columns();
@@ -227,7 +232,13 @@ std::vector<RiskProfileMeasure> ProfileMeasures(
       info.measures()[InfoTheoreticEstimator::kCondEntropyIndex].key;
   cond.cells.resize(m);
   const CondEntropyInputs inputs = PlanCondEntropy(real, metadata);
-  ParallelFor(0, m, 1, [&](size_t c) {
+  std::vector<size_t> order(m);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return inputs.lhss[a].size() > inputs.lhss[b].size();
+  });
+  ParallelFor(0, m, 1, [&](size_t i) {
+    const size_t c = order[i];
     entropy.cells[c] =
         RiskMeasureCell{MarginalEntropyBits(real.dictionary(c)), true};
     cond.cells[c] = CondEntropyCell(real, inputs, c);

@@ -47,12 +47,10 @@ RelationSnapshot::FromPublished(EncodedRelation published,
   auto snap = std::shared_ptr<RelationSnapshot>(new RelationSnapshot());
   snap->encoded_ =
       std::make_unique<EncodedRelation>(std::move(published));
-  // The publish carries no backing Relation; materialize one (relation()
-  // and an audit scored on the decoded round, use_value_path, read raw
-  // values) and point the encoding at it.
-  METALEAK_ASSIGN_OR_RETURN(Relation decoded, snap->encoded_->Decode());
-  snap->relation_ = std::make_unique<Relation>(std::move(decoded));
-  snap->encoded_->set_source(snap->relation_.get());
+  // The publish carries no backing Relation. Only relation() and an
+  // audit scored on the decoded round (use_value_path) read raw values,
+  // so the encoding decodes its rows when one of them first asks.
+  snap->encoded_->DecodeSourceOnFirstUse();
   snap->cache_ = std::make_unique<PliCache>(snap->encoded_.get(),
                                             std::move(singles));
   METALEAK_RETURN_NOT_OK(snap->Finish(discovery, leakage, touch, memo));

@@ -1,14 +1,15 @@
 // RelationSnapshot: the immutable half of the snapshot/delta split, as a
 // shareable bundle.
 //
-// A snapshot owns everything a query needs — the decoded relation, its
+// A snapshot owns everything a query needs — the relation's rows, its
 // canonical encoding, a thread-safe partition cache seeded with the
 // single-attribute PLIs, the discovered dependency profile, and the
 // analytical leakage profile (including the batch-independent risk
 // estimator measures — entropy and conditional-entropy bounds — cached
 // by ComputeLeakageProfile). Once built it is never mutated; concurrent
 // audit / leakage / attack queries all read the same bundle (the PliCache
-// mutates internally but is thread-safe and single-flight). The service
+// mutates internally but is thread-safe and single-flight, and a
+// published snapshot decodes its rows once, on first use). The service
 // layer hands snapshots out by shared_ptr, so a session can move on to a
 // newer snapshot while in-flight queries finish against the old one.
 #ifndef METALEAK_SERVICE_RELATION_SNAPSHOT_H_
@@ -47,11 +48,14 @@ class RelationSnapshot {
       DiscoveryMemo* memo);
 
   /// Builds a snapshot from a DeltaRelation publish: takes the canonical
-  /// encoding, materializes (and owns) its decoded relation, seeds the
-  /// partition cache with the incrementally maintained single-attribute
-  /// PLIs, and re-profiles through `memo`: an FD or DD failure whose
-  /// witness rows survive the rows `touch` deleted and still violate is
-  /// taken over, every other candidate is validated again. Both factories
+  /// encoding, seeds the partition cache with the incrementally
+  /// maintained single-attribute PLIs, and re-profiles through `memo`.
+  /// Nothing here reads a decoded value, so the rows are decoded only
+  /// when relation() or encoding().source() is first called
+  /// (EncodedRelation::DecodeSourceOnFirstUse); `published` must decode,
+  /// as every publish does. An FD or DD failure in `memo` whose witness
+  /// rows survive the rows `touch` deleted and still violate is taken
+  /// over, every other candidate is validated again. Both factories
   /// replace `memo`'s verdicts only when the snapshot is built; on
   /// failure it is left as it was.
   static Result<std::shared_ptr<const RelationSnapshot>> FromPublished(
@@ -59,7 +63,9 @@ class RelationSnapshot {
       const DiscoveryOptions& discovery, const LeakageOptions& leakage,
       const DeltaTouch& touch, DiscoveryMemo* memo);
 
-  const Relation& relation() const { return *relation_; }
+  /// The snapshot's rows. A published snapshot decodes them on the
+  /// first call (thread-safe; every caller gets the same relation).
+  const Relation& relation() const { return *encoded_->source(); }
   const EncodedRelation& encoding() const { return *encoded_; }
   /// Thread-safe; intentionally non-const through a const snapshot (the
   /// cache memoizes internally but never changes observable state).
@@ -79,8 +85,10 @@ class RelationSnapshot {
                 const LeakageOptions& leakage, const DeltaTouch& touch,
                 DiscoveryMemo* memo);
 
-  std::unique_ptr<Relation> relation_;        // owns the rows
-  std::unique_ptr<EncodedRelation> encoded_;  // source() == relation_.get()
+  // FromRelation's copy of the rows, which encoded_->source() points at;
+  // null for a published snapshot, whose encoding decodes its own.
+  std::unique_ptr<Relation> relation_;
+  std::unique_ptr<EncodedRelation> encoded_;
   std::unique_ptr<PliCache> cache_;
   DiscoveryReport profile_;
   LeakageProfile leakage_;

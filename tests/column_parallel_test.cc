@@ -14,13 +14,16 @@
 // u32 under the width floor), the echocardiogram replica (NULLs, int
 // and double columns) and a relation with string columns.
 //
-// The last case pins the leakage fold: when several columns are
+// The last two cases pin the leakage fold: when several columns are
 // unsupported, the lowest one's fallback reason wins at pool sizes 1, 3
-// and 8. Runs under TSan in CI, since the stages run on pool threads.
+// and 8; and the profile measures' heaviest-first task order: each cell
+// lands on its own column. Runs under TSan in CI, since the stages run on
+// pool threads.
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -39,6 +42,8 @@
 #include "data/relation.h"
 #include "discovery/discovery_engine.h"
 #include "generation/generation_engine.h"
+#include "metadata/dependency.h"
+#include "metadata/metadata_package.h"
 #include "partition/pli_cache.h"
 #include "privacy/audit.h"
 #include "privacy/leakage.h"
@@ -357,10 +362,73 @@ TEST_P(ColumnParallelFoldTest, LowestUnsupportedColumnNamesTheFallback) {
   }
 }
 
+// The profile measures start their per-column tasks heaviest first
+// (most disclosed single-attribute LHSs, ties by index). Here the
+// heaviest column has the highest index, so the tasks start in another
+// order than the cells are laid out; every cell must still land on its
+// own column. Column j < 5 holds r mod 2^(j+1) over 64 rows and column 5
+// holds r mod 64, so H(j) = j + 1 bits, H(5) = 6, and H(c | a) =
+// H(c) - H(a) whenever c determines a. Column 5's LHSs are 0..3
+// (min 6 - 4 = 2 bits); columns 1, 3 and 4 have LHS 0 (1, 3 and 4
+// bits); columns 0 and 2 have none, so their cells are absent.
+class ColumnParallelProfileOrderTest : public PoolSizeTest {};
+
+TEST_P(ColumnParallelProfileOrderTest, HeaviestColumnLastKeepsItsCells) {
+  constexpr size_t kRows = 64;
+  constexpr size_t kCols = 6;
+  std::vector<Attribute> attrs;
+  std::vector<std::vector<Value>> columns(kCols);
+  for (size_t c = 0; c < kCols; ++c) {
+    attrs.push_back({"c" + std::to_string(c), DataType::kInt64,
+                     SemanticType::kCategorical});
+    const size_t modulus = c < 5 ? size_t{2} << c : kRows;
+    for (size_t r = 0; r < kRows; ++r) {
+      columns[c].push_back(Value::Int(static_cast<int64_t>(r % modulus)));
+    }
+  }
+  Schema schema(attrs);
+  Result<Relation> relation = Relation::Make(schema, std::move(columns));
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  const EncodedRelation encoded = EncodedRelation::Encode(*relation);
+
+  MetadataPackage metadata;
+  metadata.schema = schema;
+  for (size_t lhs = 0; lhs < 4; ++lhs) {
+    metadata.dependencies.Add(Dependency::Fd(AttributeSet::Single(lhs), 5));
+  }
+  metadata.dependencies.Add(Dependency::Od(0, 5));  // a repeated LHS
+  for (size_t rhs : {1, 3, 4}) {
+    metadata.dependencies.Add(Dependency::Fd(AttributeSet::Single(0), rhs));
+  }
+
+  Result<std::vector<RiskProfileMeasure>> measures =
+      ComputeProfileMeasures(encoded, metadata);
+  ASSERT_TRUE(measures.ok()) << measures.status().ToString();
+  ASSERT_EQ(measures->size(), 2u);
+  const std::vector<RiskMeasureCell>& entropy = (*measures)[0].cells;
+  const std::vector<RiskMeasureCell>& cond = (*measures)[1].cells;
+  ASSERT_EQ(entropy.size(), kCols);
+  ASSERT_EQ(cond.size(), kCols);
+  const std::vector<double> want_entropy = {1, 2, 3, 4, 5, 6};
+  const std::vector<std::optional<double>> want_cond = {
+      std::nullopt, 1.0, std::nullopt, 3.0, 4.0, 2.0};
+  for (size_t c = 0; c < kCols; ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    ASSERT_TRUE(entropy[c].present);
+    EXPECT_NEAR(entropy[c].value, want_entropy[c], 1e-12);
+    ASSERT_EQ(cond[c].present, want_cond[c].has_value());
+    if (want_cond[c].has_value()) {
+      EXPECT_NEAR(cond[c].value, *want_cond[c], 1e-12);
+    }
+  }
+}
+
 // Size 1 is the parity cases' reference, so they run only above it.
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ColumnParallelTest,
                          ::testing::Values(3, 8));
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ColumnParallelFoldTest,
+                         ::testing::Values(1, 3, 8));
+INSTANTIATE_TEST_SUITE_P(PoolSizes, ColumnParallelProfileOrderTest,
                          ::testing::Values(1, 3, 8));
 
 }  // namespace

@@ -399,6 +399,31 @@ TEST_P(IdentifiabilityKeyCheckTest, KeylessSweepReachesCountingAndPliPaths) {
   EXPECT_LT(identifiable, static_cast<long>(kRows));
 }
 
+// The EncodedRelation overload runs the key check before it builds its
+// own cache, through the check the PliCache overload runs; the two must
+// agree at every width, on a keyed relation and on a keyless one.
+TEST_P(IdentifiabilityKeyCheckTest, EncodedOverloadAgreesWithCacheOverload) {
+  for (bool second_null : {false, true}) {
+    SCOPED_TRACE(second_null ? "keyless" : "keyed");
+    const EncodedRelation encoded = KeyFixture(second_null);
+    for (size_t width = 0; width <= encoded.num_columns() + 1; ++width) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      PliCache cache(&encoded);
+      Result<std::vector<bool>> from_cache = IdentifiableRows(cache, width);
+      Result<std::vector<bool>> from_encoding =
+          IdentifiableRows(encoded, width);
+      ASSERT_TRUE(from_cache.ok()) << from_cache.status().ToString();
+      ASSERT_TRUE(from_encoding.ok()) << from_encoding.status().ToString();
+      EXPECT_EQ(*from_encoding, *from_cache);
+      const auto identifiable =
+          std::count(from_cache->begin(), from_cache->end(), true);
+      const long n = static_cast<long>(encoded.num_rows());
+      EXPECT_EQ(identifiable,
+                width == 0 ? 0 : (second_null ? n - 2 : n));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(PoolSizes, IdentifiabilityKeyCheckTest,
                          ::testing::Values(1, 3, 8));
 

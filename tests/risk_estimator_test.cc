@@ -804,12 +804,15 @@ TEST(RiskEstimatorTest, SharedBindMatchesPerMethodBind) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     ExperimentEngine engine(c.relation, c.metadata);
-    for (size_t threads : {1u, 8u}) {
+    // RunAll runs every (method, round) pair in one pool pass: 8 methods
+    // x 4 rounds = 32 pairs, which a pool of 3 cannot split evenly.
+    for (size_t threads : {1u, 3u, 8u}) {
       SCOPED_TRACE(threads);
       ExperimentConfig config;
       config.rounds = 4;
       config.estimators = &RiskEstimatorRegistry::All();
       config.threads = threads;
+      ASSERT_NE(kAllMethods.size() * config.rounds % 3, 0u);
       auto shared = engine.RunAll(kAllMethods, config);
       ASSERT_TRUE(shared.ok()) << shared.status().ToString();
       ASSERT_EQ(shared->size(), kAllMethods.size());
@@ -847,6 +850,66 @@ TEST(RiskEstimatorTest, SharedBindMatchesPerMethodBind) {
   ASSERT_FALSE(all.ok());
   EXPECT_EQ(all.status().ToString(), cfd.status().ToString());
   EXPECT_TRUE(engine.Run(GenerationMethod::kFd, config).ok());
+}
+
+// When several methods fail, RunAll returns what Run on each method in
+// list order returns first, although it plans every method before any
+// round runs: a later method's plan error must not displace an earlier
+// method's round error.
+TEST(RiskEstimatorTest, SharedBindReturnsTheFirstFailingMethodsStatus) {
+  Relation employee = datasets::Employee();
+  DiscoveryOptions with_cfds;
+  with_cfds.discover_cfds = true;
+  with_cfds.cfd.min_support = 2;
+  auto report = ProfileRelation(employee, with_cfds);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  MetadataPackage broken = report->metadata;
+  // The CFD chase has no code for "Zed": the CFD method's plan fails.
+  broken.conditional_fds.push_back(ConditionalFd::Constant(
+      2, Value::Str("Sales"), 0, Value::Str("Zed"), 2));
+  // A Department distribution outside its domain: every round of the
+  // Random method, which draws Department as a root, fails.
+  FrequencyTable table;
+  table.values = {Value::Str("Nowhere")};
+  table.counts = {1};
+  Result<ValueDistribution> stray = ValueDistribution::Categorical(table);
+  ASSERT_TRUE(stray.ok());
+  broken.distributions.assign(employee.num_columns(), std::nullopt);
+  broken.distributions[2] = *stray;
+
+  ExperimentEngine engine(employee, broken);
+  for (size_t threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE(threads);
+    ExperimentConfig config;
+    config.rounds = 4;
+    config.threads = threads;
+    auto fd = engine.Run(GenerationMethod::kFd, config);
+    auto random = engine.Run(GenerationMethod::kRandom, config);
+    auto cfd = engine.Run(GenerationMethod::kCfd, config);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_FALSE(random.ok());
+    ASSERT_FALSE(cfd.ok());
+    EXPECT_EQ(random.status().message(),
+              "package is not encodable: "
+              "distribution support does not map into the domain");
+    EXPECT_NE(cfd.status().message().find("Zed"), std::string::npos)
+        << cfd.status().ToString();
+
+    EXPECT_EQ(engine
+                  .RunAll({GenerationMethod::kFd, GenerationMethod::kRandom,
+                           GenerationMethod::kCfd},
+                          config)
+                  .status()
+                  .ToString(),
+              random.status().ToString());
+    EXPECT_EQ(engine
+                  .RunAll({GenerationMethod::kFd, GenerationMethod::kCfd,
+                           GenerationMethod::kRandom},
+                          config)
+                  .status()
+                  .ToString(),
+              cfd.status().ToString());
+  }
 }
 
 // --- Replay and profile diff -------------------------------------------------

@@ -1,12 +1,15 @@
 // AuditService behavior: session lifecycle, snapshot-cache hits and LRU
 // eviction, warm-audit parity with the one-shot RunAudit path (the warm
 // path reads the snapshot's cached entropy cells, the cold one computes
-// them), rejection of a malformed cached profile, and incremental
-// batches matching a from-scratch registration.
+// them), rejection of a malformed cached profile, incremental batches
+// matching a from-scratch registration, and a published snapshot's
+// decode on first use.
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
 #include "privacy/audit.h"
+#include "privacy/experiment.h"
 #include "privacy/tuple_risk.h"
 #include "service/audit_service.h"
 
@@ -388,6 +392,130 @@ TEST(AuditServiceTest, TupleRiskAfterBatchesMatchesOneShotAnalysis) {
     EXPECT_EQ(a.half_reconstructed_rate, b.half_reconstructed_rate);
     EXPECT_EQ(a.identifiable, b.identifiable);
   }
+}
+
+// --- Decode on first use -----------------------------------------------------
+
+// A session on the echocardiogram replica after three batches, its
+// published snapshot, and the rows the batches leave (survivors keep
+// their order, inserts append). Nothing here reads the snapshot's rows,
+// so they are still undecoded on return.
+struct Published {
+  std::unique_ptr<AuditService> service;
+  std::shared_ptr<const RelationSnapshot> snapshot;
+  Relation expected;
+};
+
+void PublishAfterBatches(Published* out) {
+  const Relation relation = datasets::Echocardiogram();
+  out->service = std::make_unique<AuditService>();
+  Result<SessionId> session = out->service->Register(relation);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<std::vector<Value>> rows;
+  for (size_t r = 0; r < relation.num_rows(); ++r) {
+    rows.push_back(relation.Row(r));
+  }
+  for (size_t b = 0; b < 3; ++b) {
+    RowBatch batch;
+    batch.delete_rows = {b, 7 + 3 * b};
+    batch.insert_rows.push_back(relation.Row(20 + b));
+    Result<LeakageDelta> delta = out->service->ApplyBatch(*session, batch);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    rows.erase(rows.begin() + 7 + 3 * b);
+    rows.erase(rows.begin() + b);
+    rows.push_back(relation.Row(20 + b));
+  }
+  Result<std::shared_ptr<const RelationSnapshot>> snap =
+      out->service->Snapshot(*session);
+  ASSERT_TRUE(snap.ok());
+  out->snapshot = *snap;
+  out->expected = Relation::Empty(relation.schema());
+  for (const std::vector<Value>& row : rows) {
+    ASSERT_TRUE(out->expected.AppendRow(row).ok());
+  }
+}
+
+TEST(AuditServiceTest, PublishedSnapshotDecodesOnFirstUse) {
+  Published p;
+  ASSERT_NO_FATAL_FAILURE(PublishAfterBatches(&p));
+  const RelationSnapshot& snap = *p.snapshot;
+  const Relation& rows = snap.relation();
+  EXPECT_EQ(rows, p.expected);
+  EXPECT_EQ(snap.encoding().source(), &rows);
+  EXPECT_EQ(&snap.relation(), &rows);  // decoded once, then kept
+  EXPECT_EQ(EncodedRelation::Encode(rows).Fingerprint(), snap.fingerprint());
+}
+
+TEST(AuditServiceTest, PublishedSnapshotFirstDecodeIsShared) {
+  Published p;
+  ASSERT_NO_FATAL_FAILURE(PublishAfterBatches(&p));
+  const RelationSnapshot& snap = *p.snapshot;
+  // Eight threads make the first call at once, through either accessor;
+  // every one must get the one decoded relation.
+  constexpr size_t kThreads = 8;
+  std::vector<const Relation*> seen(kThreads, nullptr);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = t % 2 == 0 ? &snap.relation() : snap.encoding().source();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_NE(seen[0], nullptr);
+  for (size_t t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  EXPECT_EQ(*seen[0], p.expected);
+}
+
+// The decoded round (use_value_path) is the one reader of source() in an
+// experiment; its rounds run on pool threads, so the first of them makes
+// the decode. Its scores must equal those on a FromRelation snapshot of
+// the same rows, and the fused scan's, bit for bit.
+TEST(AuditServiceTest, DecodedRoundOnPublishedSnapshotMatchesFromRelation) {
+  Published p;
+  ASSERT_NO_FATAL_FAILURE(PublishAfterBatches(&p));
+  DiscoveryMemo memo;
+  Result<std::shared_ptr<const RelationSnapshot>> rebuilt =
+      RelationSnapshot::FromRelation(p.expected, ServiceOptions{}.discovery,
+                                     ServiceOptions{}.leakage, &memo);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  const MetadataPackage& metadata = p.snapshot->profile().metadata;
+  ASSERT_EQ(metadata.Serialize(), (*rebuilt)->profile().metadata.Serialize());
+
+  const std::vector<GenerationMethod> methods = {
+      GenerationMethod::kRandom, GenerationMethod::kFd,
+      GenerationMethod::kOd};
+  ExperimentConfig config;
+  config.rounds = 6;
+  config.threads = 4;
+  config.use_value_path = true;
+  ExperimentEngine published(p.snapshot->encoding(), metadata);
+  ExperimentEngine from_relation((*rebuilt)->encoding(), metadata);
+  auto decoded = published.RunAll(methods, config);
+  auto want = from_relation.RunAll(methods, config);
+  config.use_value_path = false;
+  auto fused = published.RunAll(methods, config);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  ASSERT_EQ(decoded->size(), methods.size());
+  ASSERT_EQ(want->size(), methods.size());
+  ASSERT_EQ(fused->size(), methods.size());
+  for (size_t i = 0; i < methods.size(); ++i) {
+    SCOPED_TRACE(GenerationMethodToString(methods[i]));
+    ExpectMeasuresIdentical((*decoded)[i], (*want)[i]);
+    ASSERT_EQ((*decoded)[i].attributes.size(), (*fused)[i].attributes.size());
+    for (size_t c = 0; c < (*decoded)[i].attributes.size(); ++c) {
+      const MethodAttributeResult& a = (*decoded)[i].attributes[c];
+      const MethodAttributeResult& b = (*fused)[i].attributes[c];
+      EXPECT_EQ(a.mean_matches, b.mean_matches);
+      EXPECT_EQ(a.stddev_matches, b.stddev_matches);
+      EXPECT_EQ(a.mean_mse, b.mean_mse);
+    }
+  }
+  EXPECT_EQ(p.snapshot->relation(), p.expected);
 }
 
 // A batch that fails after the delta took it (here it deletes every
