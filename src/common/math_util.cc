@@ -1,6 +1,7 @@
 #include "common/math_util.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -71,17 +72,41 @@ double IntervalOverlap(double a_lo, double a_hi, double b_lo, double b_hi) {
 
 namespace {
 
+// Counts below this take their p log2 p from a per-call table.
+constexpr size_t kEntropyTermTableSize = 256;
+
 // Shared accumulation for both count-buffer types: one sum of the counts,
-// then the log terms in index order.
+// then the log terms in index order. A term depends only on its count
+// and the total, so a count below kEntropyTermTableSize computes its
+// term on first use and every later equal count reads it back: the
+// same product, subtracted in the same order, so the sum is bit for bit
+// the one a log2 per count gives, and a joint of mostly-1 counts pays a
+// few log2 calls instead of one per cell.
 template <typename Count>
 double ShannonEntropyBitsImpl(const Count* counts, size_t n) {
   double total = 0.0;
   for (size_t i = 0; i < n; ++i) total += static_cast<double>(counts[i]);
   if (total == 0.0) return 0.0;
+  std::array<double, kEntropyTermTableSize> terms;
+  std::array<uint64_t, kEntropyTermTableSize / 64> known{};
+  auto term = [total](size_t count) {
+    const double p = static_cast<double>(count) / total;
+    return p * std::log2(p);
+  };
   double entropy = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    double p = static_cast<double>(counts[i]) / total;
-    if (p > 0.0) entropy -= p * std::log2(p);
+    const size_t count = counts[i];
+    if (count == 0) continue;
+    if (count >= kEntropyTermTableSize) {
+      entropy -= term(count);
+      continue;
+    }
+    const uint64_t bit = uint64_t{1} << (count & 63);
+    if ((known[count >> 6] & bit) == 0) {
+      terms[count] = term(count);
+      known[count >> 6] |= bit;
+    }
+    entropy -= terms[count];
   }
   return entropy;
 }

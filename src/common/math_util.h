@@ -52,8 +52,10 @@ double IntervalOverlap(double a_lo, double a_hi, double b_lo, double b_hi);
 
 /// Shannon entropy in bits of the empirical distribution given by a
 /// histogram of counts: -sum p_i log2 p_i with p_i = counts[i] / total.
-/// Zero counts contribute nothing; 0 for an empty histogram. This is THE
-/// entropy definition of the library — the analytical models
+/// Zero counts contribute nothing; 0 for an empty histogram. The terms
+/// are subtracted in index order; a count below 256 computes its term
+/// once per call and reuses it, which changes no bit of the sum. This is
+/// THE entropy definition of the library — the analytical models
 /// (ValueDistribution::EntropyBits) and the empirical
 /// InfoTheoreticEstimator both route through it, so their log-sums can
 /// never drift apart.

@@ -181,6 +181,14 @@ class EncodedRelation {
 
   const ColumnDictionary& dictionary(size_t c) const { return dicts_[c]; }
 
+  /// True iff column `c` is a key: every code, NULL included, occurs once,
+  /// so its distinct non-null values plus one for a NULL number the rows.
+  /// A column with two NULLs is not a key. Read off the dictionary.
+  bool IsKey(size_t c) const {
+    const ColumnDictionary& dict = dicts_[c];
+    return dict.num_distinct() + (dict.has_null() ? 1 : 0) == num_rows_;
+  }
+
   /// True iff cell (row, col) is NULL.
   bool is_null(size_t row, size_t col) const {
     return columns_[col].at(row) == ColumnDictionary::kNullCode;

@@ -1,5 +1,6 @@
 #include "discovery/rfd_discovery.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -52,7 +53,9 @@ class OrderValidator final : public CandidateValidator {
 // ND predicate over composite partitions. A fan-out of 1 is an FD in
 // disguise: it holds (supersets only tighten) but is never emitted.
 // Growing the LHS shrinks the fan-out, so a failing candidate may still
-// qualify at a superset — only the per-RHS prune is sound.
+// qualify at a superset — only the per-RHS prune is sound. The fan-out
+// scan stops past the largest K the candidate could still emit (see
+// FanoutBound): any larger K fails alike, so the verdict is exact.
 class NdValidator final : public CandidateValidator {
  public:
   NdValidator(PliCache* cache, const NdDiscoveryOptions& options)
@@ -63,13 +66,13 @@ class NdValidator final : public CandidateValidator {
   }
 
   Result<Verdict> Validate(AttributeSet lhs, size_t rhs) override {
-    size_t k = ComputeMaxFanout(cache_, lhs, rhs);
+    const size_t distinct_y = relation_.dictionary(rhs).num_distinct();
+    size_t k = ComputeMaxFanout(cache_, lhs, rhs, FanoutBound(distinct_y));
     Verdict v;
     if (k <= 1) {
       v.holds = true;
       return v;
     }
-    size_t distinct_y = relation_.dictionary(rhs).num_distinct();
     bool small_enough =
         static_cast<double>(k) <=
         options_.max_fanout_fraction * static_cast<double>(distinct_y);
@@ -82,6 +85,22 @@ class NdValidator final : public CandidateValidator {
   }
 
  private:
+  // max(1, min(|Y| - min_slack, floor(max_fanout_fraction * |Y|))): an
+  // integer K passes both emit predicates iff K is at most the min, and
+  // K <= 1 holds, so every K above this bound fails as the exact K
+  // would. Never below 1, so the K <= 1 answer stays exact. A fraction
+  // product under 1, or NaN, admits no K >= 2.
+  size_t FanoutBound(size_t distinct_y) const {
+    size_t bound =
+        distinct_y > options_.min_slack ? distinct_y - options_.min_slack : 0;
+    const double fraction_cap =
+        options_.max_fanout_fraction * static_cast<double>(distinct_y);
+    if (!(fraction_cap >= static_cast<double>(bound))) {
+      bound = fraction_cap >= 1.0 ? static_cast<size_t>(fraction_cap) : 0;
+    }
+    return std::max<size_t>(bound, 1);
+  }
+
   PliCache* cache_;
   const EncodedRelation& relation_;
   const NdDiscoveryOptions& options_;

@@ -30,11 +30,12 @@ size_t ComputeMaxFanout(PliCache* cache, size_t lhs, size_t rhs) {
   return ComputeMaxFanout(cache, AttributeSet::Single(lhs), rhs);
 }
 
-size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs) {
+size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs,
+                        size_t bound) {
   METALEAK_DCHECK(cache != nullptr);
   const PositionListIndex* x = cache->Get(lhs);
   const PositionListIndex* a = cache->Get(AttributeSet::Single(rhs));
-  return x->MaxFanout(*a);
+  return x->MaxFanout(*a, bound);
 }
 
 namespace {
@@ -419,7 +420,8 @@ Result<bool> ValidateDependency(PliCache* cache, const Dependency& dep) {
     case DependencyKind::kApproximateFunctional:
       return ComputeG3(cache, dep.lhs, dep.rhs) <= dep.g3_error;
     case DependencyKind::kNumerical:
-      return ComputeMaxFanout(cache, dep.lhs, dep.rhs) <= dep.max_fanout;
+      return ComputeMaxFanout(cache, dep.lhs, dep.rhs, dep.max_fanout) <=
+             dep.max_fanout;
     case DependencyKind::kOrder:
       return ValidateOd(relation, dep.lhs, dep.rhs);
     case DependencyKind::kOrderedFunctional:

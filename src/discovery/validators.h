@@ -8,6 +8,7 @@
 #define METALEAK_DISCOVERY_VALIDATORS_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -34,8 +35,10 @@ double ComputeG3(PliCache* cache, AttributeSet lhs, size_t rhs);
 size_t ComputeMaxFanout(PliCache* cache, size_t lhs, size_t rhs);
 
 /// Multi-attribute fan-out: distinct rhs values per equivalence class of
-/// the composite lhs partition.
-size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs);
+/// the composite lhs partition. Exact up to `bound`; past it, some value
+/// above `bound` (PositionListIndex::MaxFanout).
+size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs,
+                        size_t bound = std::numeric_limits<size_t>::max());
 
 /// True iff the order dependency lhs -> rhs holds: for all tuples t, u,
 /// t[lhs] <= u[lhs] implies t[rhs] <= u[rhs]. Note this entails equal rhs

@@ -267,10 +267,12 @@ double PositionListIndex::G3Error(const PositionListIndex& other) const {
   return static_cast<double>(violations) / static_cast<double>(num_rows_);
 }
 
-size_t PositionListIndex::MaxFanout(const PositionListIndex& other) const {
+size_t PositionListIndex::MaxFanout(const PositionListIndex& other,
+                                    size_t bound) const {
   METALEAK_DCHECK(num_rows_ == other.num_rows_);
-  const std::vector<int32_t>& probe = other.probe_table();
   size_t max_fanout = num_rows_ > 0 ? 1 : 0;
+  if (max_fanout > bound) return max_fanout;
+  const std::vector<int32_t>& probe = other.probe_table();
   std::vector<uint32_t> seen(other.num_clusters(), 0);
   std::vector<uint32_t> touched;
   for (const ClusterView cl : clusters()) {
@@ -284,6 +286,8 @@ size_t PositionListIndex::MaxFanout(const PositionListIndex& other) const {
         touched.push_back(static_cast<uint32_t>(id));
         ++distinct;
       }
+      // Past the bound the answer is settled; `seen` dies with the call.
+      if (distinct > bound) return distinct;
     }
     for (uint32_t id : touched) seen[id] = 0;
     if (distinct > max_fanout) max_fanout = distinct;

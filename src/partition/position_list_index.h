@@ -37,6 +37,7 @@
 #define METALEAK_PARTITION_POSITION_LIST_INDEX_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -240,7 +241,10 @@ class PositionListIndex {
   /// Maximum number of distinct `other`-classes seen within one cluster of
   /// this partition — the minimal fan-out K for a numerical dependency
   /// X ->(<=K) A (Section IV-B). Returns 1 when every cluster is pure.
-  size_t MaxFanout(const PositionListIndex& other) const;
+  /// The exact K when K <= `bound`; otherwise some value above `bound`,
+  /// returned as soon as one cluster's distinct count exceeds it.
+  size_t MaxFanout(const PositionListIndex& other,
+                   size_t bound = std::numeric_limits<size_t>::max()) const;
 
  private:
   // Lazily-built probe table. Shared (not deep-copied) between copies of

@@ -52,16 +52,18 @@ std::vector<AttributeSet> SubsetsOfSize(size_t m, size_t k) {
 // Width-2 counting sweep.
 //
 // A row is unique under pair (a, b) iff its (code_a, code_b) combination
-// occurs exactly once, so a Ka x Kb u32 count table answers a pair
-// directly: one counting pass, one marking pass, no PLI intersection and
-// no probe-table reads. Pairs whose table would outgrow the budget
-// below (high-cardinality dictionaries) fall back to the cached-PLI
-// subset path; both paths compute the same exact per-row predicate, so
-// the OR-merge is bit-identical to running everything through either.
+// occurs exactly once, so a Ka x Kb count table answers a pair directly:
+// one counting pass, one marking pass, no PLI intersection and no
+// probe-table reads. Uniqueness only asks whether a count is 1, so each
+// cell is one byte that saturates at 2 (0, 1, 2+). Pairs whose table
+// would outgrow the budget below (high-cardinality dictionaries) fall
+// back to the cached-PLI subset path; both paths compute the same exact
+// per-row predicate, so the OR-merge is bit-identical to running
+// everything through either.
 
-// Per-pair count-table budget: 2^18 u32 entries = 1 MiB, small enough
+// Per-pair count-table budget: 2^20 one-byte cells = 1 MiB, small enough
 // that the counting pass's random increments stay cache-resident.
-constexpr size_t kPairTableMaxEntries = size_t{1} << 18;
+constexpr size_t kPairTableMaxEntries = size_t{1} << 20;
 
 // Marks rows unique under some pair of `pairs` (each (a, b), a < b,
 // table size within budget) into a packed bitmap, one pool task per
@@ -76,7 +78,7 @@ std::vector<uint64_t> CountingPairSweep(
       0, pairs.size(), 1, std::vector<uint64_t>{},
       [&](size_t lo, size_t hi) {
         std::vector<uint64_t> bits(words, 0);
-        std::vector<uint32_t> table;
+        std::vector<uint8_t> table;
         for (size_t i = lo; i < hi; ++i) {
           const auto [a, b] = pairs[i];
           const size_t stride = relation.dictionary(b).num_codes();
@@ -84,7 +86,9 @@ std::vector<uint64_t> CountingPairSweep(
           relation.column_view(a).With([&](const auto* lp) {
             relation.column_view(b).With([&](const auto* rp) {
               for (size_t r = 0; r < n; ++r) {
-                ++table[static_cast<size_t>(lp[r]) * stride + rp[r]];
+                uint8_t& cell =
+                    table[static_cast<size_t>(lp[r]) * stride + rp[r]];
+                cell += cell < 2;
               }
               // count == 1 means the row's pair projection is unique.
               for (size_t r = 0; r < n; ++r) {
@@ -279,10 +283,7 @@ Result<std::vector<bool>> IdentifiableRowsOf(const EncodedRelation& relation,
     return std::vector<bool>(n, false);
   }
   for (size_t c = 0; c < m; ++c) {
-    const ColumnDictionary& dict = relation.dictionary(c);
-    if (dict.num_distinct() + (dict.has_null() ? 1 : 0) == n) {
-      return std::vector<bool>(n, true);
-    }
+    if (relation.IsKey(c)) return std::vector<bool>(n, true);
   }
   std::optional<PliCache> own;
   if (cache == nullptr) cache = &own.emplace(&relation);

@@ -139,14 +139,17 @@ double MarginalEntropyBits(const ColumnDictionary& dict) {
 }
 
 // What the conditional-entropy cells read besides the joint counts:
-// per attribute, its distinct disclosed single-attribute LHSs in
-// ascending order (FD, OD and ND on one pair bound the same quantity, so
-// each LHS is scored once), and per LHS column, H over all its codes
-// with NULL (code 0) as its own symbol. Each H is computed once per
-// column rather than once per (rhs, lhs) pair.
+// per attribute, whether some disclosed single-attribute LHS is a key
+// (see CondEntropyCell) and otherwise its distinct disclosed
+// single-attribute LHSs in ascending order (FD, OD and ND on one pair
+// bound the same quantity, so each LHS is scored once), and per LHS
+// column that some attribute counts against, H over all its codes with
+// NULL (code 0) as its own symbol. Each H is computed once per column
+// rather than once per (rhs, lhs) pair.
 struct CondEntropyInputs {
-  std::vector<std::vector<size_t>> lhss;  // [rhs]
-  std::vector<double> lhs_entropy;        // [column], LHS columns only
+  std::vector<bool> key_lhs;              // [rhs]
+  std::vector<std::vector<size_t>> lhss;  // [rhs], empty when key_lhs
+  std::vector<double> lhs_entropy;        // [column], counted LHSs only
 };
 
 // Collects the LHS lists serially, then computes the LHS entropies as
@@ -155,20 +158,27 @@ CondEntropyInputs PlanCondEntropy(const EncodedRelation& real,
                                   const MetadataPackage* metadata) {
   const size_t m = real.num_columns();
   CondEntropyInputs in;
+  in.key_lhs.assign(m, false);
   in.lhss.resize(m);
   in.lhs_entropy.assign(m, 0.0);
   if (metadata == nullptr) return in;
-  std::vector<bool> is_lhs(m, false);
   for (const Dependency& dep : metadata->dependencies.all()) {
     if (dep.rhs >= m || dep.lhs.size() != 1) continue;
     const size_t lhs = dep.lhs.ToIndices()[0];
     if (lhs >= m) continue;
     in.lhss[dep.rhs].push_back(lhs);
-    is_lhs[lhs] = true;
+    if (real.IsKey(lhs)) in.key_lhs[dep.rhs] = true;
   }
-  for (std::vector<size_t>& lhss : in.lhss) {
+  std::vector<bool> is_lhs(m, false);
+  for (size_t c = 0; c < m; ++c) {
+    std::vector<size_t>& lhss = in.lhss[c];
+    if (in.key_lhs[c]) {
+      lhss.clear();
+      continue;
+    }
     std::sort(lhss.begin(), lhss.end());
     lhss.erase(std::unique(lhss.begin(), lhss.end()), lhss.end());
+    for (const size_t lhs : lhss) is_lhs[lhs] = true;
   }
   ParallelFor(0, m, 1, [&](size_t c) {
     if (is_lhs[c]) {
@@ -180,10 +190,15 @@ CondEntropyInputs PlanCondEntropy(const EncodedRelation& real,
 
 // min over the disclosed single-attribute LHSs a of c of
 // H(a, c) - H(a), over all rows with NULL (code 0) participating as its
-// own symbol, all against one bucketing of c's rows.
+// own symbol, all against one bucketing of c's rows. A key LHS answers
+// 0 with no counting, exactly: its joint counts with c are its own n
+// unit counts in code order, so H(a, c) and H(a) subtract the same
+// terms in the same order and their difference is +0.0, which the clamp
+// and the min keep.
 RiskMeasureCell CondEntropyCell(const EncodedRelation& real,
                                 const CondEntropyInputs& in, size_t c) {
   RiskMeasureCell cell;
+  if (in.key_lhs[c]) return RiskMeasureCell{0.0, true};
   const std::vector<size_t>& lhss = in.lhss[c];
   if (lhss.empty()) return cell;
 

@@ -1,10 +1,12 @@
-// Unit tests for src/common: Status/Result, strings, CSV, math, printer,
-// and Rng held to the standard library's engine and distributions.
+// Unit tests for src/common: Status/Result, strings, CSV, math (with
+// ShannonEntropyBits held to a plain loop bit for bit), printer, and Rng
+// held to the standard library's engine and distributions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <unordered_set>
@@ -298,6 +300,94 @@ TEST(MathUtilTest, Quantile) {
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(Quantile(xs, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.5), 2.5);
+}
+
+// --- ShannonEntropyBits against a plain loop --------------------------------
+
+// -sum p log2 p with one log2 per nonzero count, in index order: the
+// definition ShannonEntropyBits must reproduce bit for bit although it
+// computes the term of each small count once per call.
+template <typename Count>
+double PlainEntropyBits(const std::vector<Count>& counts) {
+  double total = 0.0;
+  for (Count c : counts) total += static_cast<double>(c);
+  if (total == 0.0) return 0.0;
+  double entropy = 0.0;
+  for (Count c : counts) {
+    if (c == 0) continue;
+    const double p = static_cast<double>(c) / total;
+    entropy -= p * std::log2(p);
+  }
+  return entropy;
+}
+
+// Both overloads against the plain loop, compared as bits (a -0.0 for
+// +0.0 fails).
+void ExpectEntropyMatchesPlainLoop(const std::vector<uint32_t>& counts) {
+  const std::vector<size_t> wide(counts.begin(), counts.end());
+  const uint64_t want = std::bit_cast<uint64_t>(PlainEntropyBits(counts));
+  EXPECT_EQ(std::bit_cast<uint64_t>(ShannonEntropyBits(wide)), want);
+  EXPECT_EQ(std::bit_cast<uint64_t>(
+                ShannonEntropyBits(counts.data(), counts.size())),
+            want);
+}
+
+TEST(EntropyTableTest, MatchesPlainLoopBitForBit) {
+  {
+    SCOPED_TRACE("all ones");
+    const std::vector<uint32_t> ones(1024, 1);
+    ExpectEntropyMatchesPlainLoop(ones);
+    // 1024 terms of exactly 10/1024 sum exactly.
+    EXPECT_EQ(ShannonEntropyBits(ones.data(), ones.size()), 10.0);
+    ExpectEntropyMatchesPlainLoop(std::vector<uint32_t>(100000, 1));
+  }
+  {
+    SCOPED_TRACE("counts straddling the table cap");
+    std::vector<uint32_t> counts;
+    for (uint32_t c = 250; c <= 262; ++c) {
+      counts.insert(counts.end(), {c, c, 1, c});
+    }
+    counts.insert(counts.end(), {255, 256, 257, 255, 256, 257});
+    ExpectEntropyMatchesPlainLoop(counts);
+  }
+  {
+    SCOPED_TRACE("interleaved zeros");
+    ExpectEntropyMatchesPlainLoop(
+        {0, 3, 0, 0, 7, 3, 0, 255, 0, 256, 0, 1, 0, 1, 0, 0});
+  }
+  {
+    SCOPED_TRACE("single count");
+    for (uint32_t c : {1u, 42u, 255u, 256u, 300u}) {
+      ExpectEntropyMatchesPlainLoop({c});
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    ShannonEntropyBits(std::vector<size_t>{c})),
+                std::bit_cast<uint64_t>(0.0));
+    }
+    ExpectEntropyMatchesPlainLoop({0, 0, 9, 0});
+  }
+  {
+    SCOPED_TRACE("total near 2^32");
+    ExpectEntropyMatchesPlainLoop(
+        {0xFFFFF000u, 1, 2, 1, 255, 256, 0, 2, 1, 4000, 1, 255});
+    ExpectEntropyMatchesPlainLoop({0x7FFFFFFFu, 0x7FFFFFFFu, 1, 1, 3});
+  }
+  {
+    SCOPED_TRACE("empty and all zero");
+    ExpectEntropyMatchesPlainLoop({});
+    ExpectEntropyMatchesPlainLoop({0, 0, 0});
+  }
+  {
+    SCOPED_TRACE("random mixes of small and large counts");
+    Rng rng(17);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<uint32_t> counts(1 + rng.UniformIndex(600));
+      for (uint32_t& c : counts) {
+        c = static_cast<uint32_t>(rng.Bernoulli(0.8) ? rng.UniformIndex(8)
+                                                     : rng.UniformIndex(700));
+      }
+      ExpectEntropyMatchesPlainLoop(counts);
+    }
+  }
 }
 
 // --- Rng ---------------------------------------------------------------------

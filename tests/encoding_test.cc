@@ -145,6 +145,50 @@ TEST(EncodedRelationTest, AllNullColumnHasOnlyTheNullCode) {
   EXPECT_EQ(*decoded, rel);
 }
 
+// A key is a column whose every code, NULL included, occurs once: one
+// NULL is a code like any value, two NULLs share a code. The
+// identifiability sweep and the conditional-entropy cells both skip work
+// on this test, so a version that ignores NULLs either way must fail.
+TEST(EncodedRelationTest, KeyCountsOneNullAsACode) {
+  auto column = [](std::initializer_list<int> xs) {
+    std::vector<Value> out;
+    for (int x : xs) out.push_back(x < 0 ? Value::Null() : Value::Int(x));
+    return out;
+  };
+  Relation rel = std::move(Relation::Make(
+                               Schema({{"distinct", DataType::kInt64,
+                                        SemanticType::kCategorical},
+                                       {"one_null", DataType::kInt64,
+                                        SemanticType::kCategorical},
+                                       {"two_nulls", DataType::kInt64,
+                                        SemanticType::kCategorical},
+                                       {"repeat", DataType::kInt64,
+                                        SemanticType::kCategorical},
+                                       {"all_null", DataType::kInt64,
+                                        SemanticType::kCategorical}}),
+                               {column({4, 1, 3, 2}), column({4, -1, 3, 2}),
+                                column({4, -1, 3, -1}), column({4, 1, 4, 2}),
+                                column({-1, -1, -1, -1})}))
+                     .ValueOrDie();
+  const EncodedRelation encoded = EncodedRelation::Encode(rel);
+  EXPECT_TRUE(encoded.IsKey(0));
+  EXPECT_TRUE(encoded.IsKey(1));
+  EXPECT_FALSE(encoded.IsKey(2));
+  EXPECT_FALSE(encoded.IsKey(3));
+  EXPECT_FALSE(encoded.IsKey(4));
+  // One row: a lone NULL is a key, as is a lone value.
+  const EncodedRelation single = EncodedRelation::Encode(
+      std::move(Relation::Make(
+                    Schema({{"x", DataType::kInt64,
+                             SemanticType::kCategorical},
+                            {"y", DataType::kInt64,
+                             SemanticType::kCategorical}}),
+                    {column({-1}), column({7})}))
+          .ValueOrDie());
+  EXPECT_TRUE(single.IsKey(0));
+  EXPECT_TRUE(single.IsKey(1));
+}
+
 TEST(EncodedRelationTest, CodesAreOrderPreservingOnNumericColumns) {
   Relation rel = Synthetic50(21);
   EncodedRelation encoded = EncodedRelation::Encode(rel);

@@ -343,11 +343,12 @@ TEST_P(IdentifiabilityKeyCheckTest, TwoNullsAreNotAKeySoTheSweepRuns) {
 }
 
 // No column is a key, and the width-2 sweep reaches both of its halves:
-// pairs whose count table fits the sweep's 2^18-entry budget go to the
-// counting tables, and the two wide columns' pair goes to the PLI path.
-// The trailing rows copy leading ones, so some rows stay unidentifiable.
+// pairs whose count table fits the sweep's 2^20-cell budget go to the
+// counting tables, and the two wide columns' pair (over 1,100 codes
+// each) goes to the PLI path. The trailing rows copy leading ones, so
+// some rows stay unidentifiable.
 TEST_P(IdentifiabilityKeyCheckTest, KeylessSweepReachesCountingAndPliPaths) {
-  constexpr size_t kRows = 1500;
+  constexpr size_t kRows = 3000;
   constexpr size_t kCopied = 200;
   Rng rng(29);
   std::vector<std::vector<Value>> cols(4);
@@ -359,8 +360,8 @@ TEST_P(IdentifiabilityKeyCheckTest, KeylessSweepReachesCountingAndPliPaths) {
       }
       continue;
     }
-    cols[0].push_back(Value::Int(static_cast<int64_t>(rng.UniformIndex(700))));
-    cols[1].push_back(Value::Int(static_cast<int64_t>(rng.UniformIndex(700))));
+    cols[0].push_back(Value::Int(static_cast<int64_t>(rng.UniformIndex(5000))));
+    cols[1].push_back(Value::Int(static_cast<int64_t>(rng.UniformIndex(5000))));
     cols[2].push_back(rng.Bernoulli(0.05)
                           ? Value::Null()
                           : Value::Str(Label("l", rng.UniformIndex(40))));
@@ -374,7 +375,9 @@ TEST_P(IdentifiabilityKeyCheckTest, KeylessSweepReachesCountingAndPliPaths) {
       std::move(cols));
   const EncodedRelation encoded = EncodedRelation::Encode(relation);
 
-  constexpr size_t kPairTableBudget = size_t{1} << 18;
+  constexpr size_t kPairTableBudget = size_t{1} << 20;
+  ASSERT_GE(encoded.dictionary(0).num_codes(), 1100u);
+  ASSERT_GE(encoded.dictionary(1).num_codes(), 1100u);
   size_t counted = 0;
   size_t fallback = 0;
   for (size_t a = 0; a < 4; ++a) {

@@ -5,12 +5,26 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/math_util.h"
 
 namespace metaleak {
 namespace reference {
 
 namespace {
+
+// -sum p log2 p over the counts in order, one log2 per count: the
+// oracle's own loop, so the library's tabled ShannonEntropyBits is held
+// to a second implementation.
+double PlainEntropyBits(const std::vector<uint64_t>& counts) {
+  double total = 0.0;
+  for (uint64_t c : counts) total += static_cast<double>(c);
+  if (total == 0.0) return 0.0;
+  double entropy = 0.0;
+  for (uint64_t c : counts) {
+    const double p = static_cast<double>(c) / total;
+    entropy -= p * std::log2(p);
+  }
+  return entropy;
+}
 
 // Per-code marginal of one side of the joint, ascending by code.
 std::map<uint32_t, uint64_t> Marginal(const JointCountMap& joint,
@@ -34,14 +48,14 @@ JointCountMap JointCounts(const CodeColumnView& a, const CodeColumnView& b) {
 double ConditionalEntropyBits(const CodeColumnView& a,
                               const CodeColumnView& b) {
   const JointCountMap joint = JointCounts(a, b);
-  std::vector<size_t> joint_counts;
+  std::vector<uint64_t> joint_counts;
   for (const auto& [key, count] : joint) joint_counts.push_back(count);
-  std::vector<size_t> a_counts;
+  std::vector<uint64_t> a_counts;
   for (const auto& [code, count] : Marginal(joint, true)) {
     a_counts.push_back(count);
   }
-  return std::max(0.0, ShannonEntropyBits(joint_counts) -
-                           ShannonEntropyBits(a_counts));
+  return std::max(0.0, PlainEntropyBits(joint_counts) -
+                           PlainEntropyBits(a_counts));
 }
 
 double MutualInformationBits(const CodeColumnView& a,

@@ -4,9 +4,12 @@
 // Counts every (a[r], b[r]) code pair into a std::map, which orders the
 // cells by (x, y) by construction, and evaluates the conditional-entropy
 // and mutual-information formulas over the cells in map order, with the
-// marginals summed off the same map. The library counts with a linear
-// two-pass counting sort instead; both must hand the formulas the same
-// cells in the same order, so the measures agree bit for bit.
+// marginals summed off the same map and every entropy a plain loop of
+// its own (one log2 per count). The library counts with a linear
+// two-pass counting sort instead, tables the entropy terms of small
+// counts and answers a key LHS without counting; both must hand the
+// formulas the same cells in the same order, so the measures agree bit
+// for bit.
 #ifndef METALEAK_TESTS_REFERENCE_JOINT_COUNT_REFERENCE_H_
 #define METALEAK_TESTS_REFERENCE_JOINT_COUNT_REFERENCE_H_
 

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -383,12 +384,18 @@ TEST(RiskEstimatorTest, NnLinkageKnownAnswers) {
 
 // Two narrow and two wide categorical columns over kOracleRows rows: the
 // narrow pairs' code products sit below the row count, the wide pair's
-// (~3000^2 codes with NULLs, ~4000^2 without) far above 2^22.
+// (~3000^2 codes with NULLs, ~4000^2 without) far above 2^22. Three
+// shuffled-id columns follow (kKeyColumn on): a key, the same key with
+// one NULL (still a key: every code, NULL included, occurs once), and
+// the same column with a second NULL, which is not a key.
 constexpr size_t kOracleRows = 8000;
 const std::vector<size_t> kOracleCardinalities = {5, 40, 4000, 4000};
+constexpr size_t kKeyColumn = 4;
+constexpr size_t kOneNullKeyColumn = 5;
+constexpr size_t kTwoNullColumn = 6;
 
-// Random categorical columns with the given distinct-value bounds; each
-// cell is NULL with probability null_rate.
+// Random categorical columns with the given distinct-value bounds, each
+// cell NULL with probability null_rate, then the three id columns.
 Relation RandomCategorical(double null_rate, uint64_t seed) {
   Rng rng(seed);
   std::vector<Attribute> attributes;
@@ -406,10 +413,30 @@ Relation RandomCategorical(double null_rate, uint64_t seed) {
     }
     columns.push_back(std::move(column));
   }
+  std::vector<int64_t> ids(kOracleRows);
+  for (size_t r = 0; r < kOracleRows; ++r) ids[r] = static_cast<int64_t>(r);
+  rng.Shuffle(&ids);
+  std::vector<Value> key;
+  for (int64_t id : ids) key.push_back(Value::Int(id));
+  std::vector<Value> one_null = key;
+  one_null[kOracleRows / 3] = Value::Null();
+  std::vector<Value> two_nulls = one_null;
+  two_nulls[kOracleRows / 2] = Value::Null();
+  for (const char* name : {"key", "key_one_null", "two_nulls"}) {
+    attributes.push_back(
+        {name, DataType::kInt64, SemanticType::kCategorical});
+  }
+  columns.push_back(std::move(key));
+  columns.push_back(std::move(one_null));
+  columns.push_back(std::move(two_nulls));
   return std::move(Relation::Make(Schema(std::move(attributes)),
                                   std::move(columns)))
       .ValueOrDie();
 }
+
+// Exact equality of the bits: EXPECT_EQ on doubles lets -0.0 pass for
+// +0.0, which a cell read off a key must not.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 // The natural widths (u8 narrow, u16 wide columns), then u16 and u32
 // forced everywhere.
@@ -437,6 +464,9 @@ TEST_F(RiskEstimatorOracleTest, ConditionalEntropyBitIdenticalToOracle) {
       SetWidthFloor(floor);
       EncodedRelation encoded = EncodedRelation::Encode(relation);
       const size_t m = encoded.num_columns();
+      ASSERT_TRUE(encoded.IsKey(kKeyColumn));
+      ASSERT_TRUE(encoded.IsKey(kOneNullKeyColumn));
+      ASSERT_FALSE(encoded.IsKey(kTwoNullColumn));
       for (size_t rhs = 0; rhs < m; ++rhs) {
         widths_seen.insert(encoded.column_view(rhs).width);
         for (size_t lhs = 0; lhs < m; ++lhs) {
@@ -454,9 +484,15 @@ TEST_F(RiskEstimatorOracleTest, ConditionalEntropyBitIdenticalToOracle) {
           ASSERT_TRUE(measures.ok());
           const RiskMeasureCell& cell = (*measures)[1].cells[rhs];
           ASSERT_TRUE(cell.present);
-          EXPECT_EQ(cell.value, reference::ConditionalEntropyBits(
-                                    encoded.column_view(lhs),
-                                    encoded.column_view(rhs)));
+          EXPECT_EQ(Bits(cell.value),
+                    Bits(reference::ConditionalEntropyBits(
+                        encoded.column_view(lhs), encoded.column_view(rhs))));
+          if (encoded.IsKey(lhs)) {
+            EXPECT_EQ(Bits(cell.value), Bits(0.0));
+          } else if (lhs == kTwoNullColumn && rhs >= kKeyColumn) {
+            // Its two NULL rows differ on both key columns.
+            EXPECT_GT(cell.value, 0.0);
+          }
         }
       }
     }
@@ -512,9 +548,9 @@ TEST_F(RiskEstimatorOracleTest, MutualInformationBitIdenticalToOracle) {
           const RiskMeasureCell& mi =
               cells[InfoTheoreticEstimator::kMiIndex * m + c];
           ASSERT_TRUE(mi.present);
-          EXPECT_EQ(mi.value,
-                    reference::MutualInformationBits(encoded.column_view(c),
-                                                     batch.code_view(c)));
+          EXPECT_EQ(Bits(mi.value),
+                    Bits(reference::MutualInformationBits(
+                        encoded.column_view(c), batch.code_view(c))));
         }
       }
     }
